@@ -4,7 +4,8 @@ Subcommands: compute (entropies of one state), table (the published q = 2
 hydrogen tables), verify (closed form vs oracle sweep), sum (uncertainty
 sum against its dimensional bound).  Output is JSON by default, CSV behind
 --format=csv.  Exit codes: 0 ok, 1 verification failure, 2 usage error,
-3 resource cap exceeded.
+3 resource cap exceeded, 4 the float path missed its error target or its
+root finding did not converge.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import csv
 import json
 import sys
 from fractions import Fraction
+
+from mpmath.libmp import NoConvergence
 
 from hydrenyi import entropy, oracle
 from hydrenyi.exactnum import DEFAULT_PRECISION_BITS
@@ -29,6 +32,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_NUMERICAL = 4
 
 
 class UsageError(Exception):
@@ -263,6 +267,18 @@ def main(argv: list[str] | None = None) -> int:
     except TermBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except oracle.QuadratureError as exc:
+        print(
+            f"error: {exc}; entropy {exc.value:.12g} +/- {exc.estimate:.2e}",
+            file=sys.stderr,
+        )
+        return EXIT_NUMERICAL
+    except NoConvergence as exc:
+        print(
+            f"error: root finding for the quadrature breakpoints: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_NUMERICAL
     except (UsageError, ValidationError, HypergeometricSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

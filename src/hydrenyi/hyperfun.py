@@ -4,7 +4,9 @@ Two families are needed: the Lauricella function of type A and the
 Srivastava-Daoust function with one coupled numerator/denominator parameter
 pair.  All in-scope instances terminate because every per-axis numerator
 parameter is a nonpositive integer, so the nominally infinite series is a
-finite box sum.
+finite box sum.  ``kernels`` evaluates it as one univariate polynomial
+product; ``multi_index_sum`` walks a box term by term and serves as the
+brute-force reference in tests.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -21,6 +24,7 @@ from hydrenyi.exactnum import RationalLike
 
 TERM_CAP_ENV = "HYDRENYI_TERM_CAP"
 DEFAULT_TERM_CAP = 10**8
+_ONE = Fraction(1)
 
 
 class HypergeometricSpecError(ValueError):
@@ -28,10 +32,11 @@ class HypergeometricSpecError(ValueError):
 
 
 class TermBudgetExceeded(RuntimeError):
-    """Raised when a box sum would exceed the term cap."""
+    """Raised when a sum would exceed the term cap.  The hypergeometric sums
+    count coefficient products; multi_index_sum counts box terms."""
 
-    def __init__(self, term_count: int, cap: int):
-        super().__init__(f"box sum needs {term_count} terms, cap is {cap}")
+    def __init__(self, term_count: int, cap: int, unit: str = "coefficient products"):
+        super().__init__(f"sum needs {term_count} {unit}, cap is {cap}")
         self.term_count = term_count
         self.cap = cap
 
@@ -69,15 +74,19 @@ def _check_no_pole(param: Fraction, bound: int, role: str, axis: str) -> None:
         )
 
 
-def _check_cap(bounds: Sequence[int]) -> None:
-    count = math.prod(bound + 1 for bound in bounds)
+def _grouped_axes(
+    params: Sequence[tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction]],
+    bounds: Sequence[int],
+) -> list[kernels.Axis]:
+    """Identical axes merged into one with a multiplicity, first-seen order;
+    the cap is checked on the work before any of it is done."""
+    counts = Counter((*axis, bound) for axis, bound in zip(params, bounds))
+    axes = [(*axis, mult) for axis, mult in counts.items()]
+    count = kernels.coupled_sum_products([(bound, mult) for *_, bound, mult in axes])
     cap = active_term_cap()
     if count > cap:
         raise TermBudgetExceeded(count, cap)
-
-
-def _pairs(values: Sequence[Fraction]) -> list[tuple[int, int]]:
-    return [(v.numerator, v.denominator) for v in values]
+    return axes
 
 
 @dataclass(frozen=True)
@@ -149,32 +158,20 @@ class SrivastavaDaoustSpec:
 
 def lauricella_fa(spec: LauricellaSpec) -> Fraction:
     """Exact value of the terminating Lauricella type-A sum."""
-    bounds = spec.bounds()
-    _check_cap(bounds)
-    num, den = kernels.lauricella_boxsum(
-        (spec.a.numerator, spec.a.denominator),
-        _pairs(spec.b),
-        _pairs(spec.c),
-        _pairs(spec.x),
-        bounds,
+    axes = _grouped_axes(
+        [((b,), (c, _ONE), x) for b, c, x in zip(spec.b, spec.c, spec.x)],
+        spec.bounds(),
     )
-    return Fraction(num, den)
+    return Fraction(*kernels.coupled_sum((spec.a,), (), axes))
 
 
 def srivastava_daoust(spec: SrivastavaDaoustSpec) -> Fraction:
     """Exact value of the terminating Srivastava-Daoust sum."""
-    bounds = spec.bounds()
-    _check_cap(bounds)
-    num, den = kernels.daoust_boxsum(
-        (spec.a0.numerator, spec.a0.denominator),
-        (spec.d0.numerator, spec.d0.denominator),
-        _pairs([b for b, _ in spec.pairs]),
-        _pairs([c for _, c in spec.pairs]),
-        _pairs(spec.e),
-        _pairs(spec.x),
-        bounds,
+    axes = _grouped_axes(
+        [((b, c), (e, _ONE), x) for (b, c), e, x in zip(spec.pairs, spec.e, spec.x)],
+        spec.bounds(),
     )
-    return Fraction(num, den)
+    return Fraction(*kernels.coupled_sum((spec.a0,), (spec.d0,), axes))
 
 
 def multi_index_sum(
@@ -190,7 +187,7 @@ def multi_index_sum(
     count = math.prod(bound + 1 for bound in bounds)
     limit = cap if cap is not None else active_term_cap()
     if count > limit:
-        raise TermBudgetExceeded(count, limit)
+        raise TermBudgetExceeded(count, limit, "box terms")
     acc = Fraction(0)
     for idx in itertools.product(*(range(bound + 1) for bound in bounds)):
         acc += term(idx)

@@ -1,45 +1,129 @@
-"""Backend selection for the hypergeometric summation kernels.
+"""Terminating hypergeometric sums as one univariate polynomial product.
 
-The compiled extension is preferred when it was built; otherwise the pure
-Python twin is used.  ``BACKEND`` names the active choice so callers and the
-benchmark can report it.
+The Lauricella F_A and Srivastava-Daoust sums used here have the form
+
+    F = sum over 0 <= j_i <= k_i of g(|j|) * prod_i f_i(j_i),
+
+where the coupled factor g depends on the multi-index only through
+|j| = j_1 + ... + j_m.  Hence F = sum_s g(s) [t^s] prod_i P_i(t) with
+P_i(t) = sum_j f_i(j) t^j.  Identical axes share one polynomial, raised to
+its multiplicity by J.C.P. Miller's recurrence for powers of a power series
+(Knuth, TAOCP vol. 2, sec. 4.7), and the powers are multiplied together.
+The cost is polynomial in the degrees and multiplicities, not the
+prod (k_i + 1) terms of the box.
+
+Every term sequence is held as integers over one common denominator and
+reduced by its content once; the powers and products after that take no
+gcd, and the caller reduces the final ratio once.
 """
 
 from __future__ import annotations
 
-from types import ModuleType
+import functools
+import math
+from fractions import Fraction
+from typing import Sequence
 
-try:
-    from hydrenyi import _kernels_cy as _active  # type: ignore[attr-defined]
+BACKEND = "python"
 
-    BACKEND = "cython"
-except ImportError:
-    from hydrenyi import _kernels_py as _active  # type: ignore[no-redef]
-
-    BACKEND = "python"
-
-lauricella_boxsum = _active.lauricella_boxsum
-daoust_boxsum = _active.daoust_boxsum
+# One axis: (upper, lower, x, bound, multiplicity), the term being
+# prod (u)_j / prod (v)_j * x^j for 0 <= j <= bound.
+Axis = tuple[Sequence[Fraction], Sequence[Fraction], Fraction, int, int]
 
 
-def available_backends() -> list[str]:
-    names = ["python"]
-    try:
-        from hydrenyi import _kernels_cy  # noqa: F401
+def rising_steps(
+    upper: Sequence[Fraction], lower: Sequence[Fraction], x: Fraction, count: int
+) -> list[tuple[int, int]]:
+    """Integer (numerator, denominator) pairs of the term ratios
+    prod (u + j) / prod (v + j) * x for j = 0..count-1."""
+    scale_num = x.numerator * math.prod(v.denominator for v in lower)
+    scale_den = x.denominator * math.prod(u.denominator for u in upper)
+    return [
+        (
+            scale_num * math.prod(u.numerator + j * u.denominator for u in upper),
+            scale_den * math.prod(v.numerator + j * v.denominator for v in lower),
+        )
+        for j in range(count)
+    ]
 
-        names.insert(0, "cython")
-    except ImportError:
-        pass
-    return names
+
+def hypergeometric_terms(steps: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Integers T_0..T_K and a denominator d such that T_j / d is the
+    product of the first j step ratios; every denominator must be nonzero."""
+    suffix = [1]
+    for _, den in reversed(steps):
+        suffix.append(suffix[-1] * den)
+    suffix.reverse()
+    terms, prefix = [], 1
+    for j, (num, _) in enumerate(steps):
+        terms.append(prefix * suffix[j])
+        prefix *= num
+    terms.append(prefix)
+    common = math.gcd(*terms, suffix[0])
+    return [t // common for t in terms], suffix[0] // common
 
 
-def load_backend(name: str) -> ModuleType:
-    if name == "python":
-        from hydrenyi import _kernels_py
+def power(p: Sequence[int], r: int) -> list[int]:
+    """Coefficients of p(t)**r for r >= 1 and p[0] != 0, by Miller's
+    recurrence s p_0 c_s = sum_j ((r+1) j - s) p_j c_{s-j}."""
+    if r == 1:
+        return list(p)
+    k = len(p) - 1
+    p0 = p[0]
+    out = [p0**r]
+    for s in range(1, r * k + 1):
+        acc = 0
+        for j in range(1, min(s, k) + 1):
+            if p[j]:
+                acc += ((r + 1) * j - s) * p[j] * out[s - j]
+        # exact: the coefficients of an integer polynomial's power are integers
+        out.append(acc // (s * p0))
+    return out
 
-        return _kernels_py
-    if name == "cython":
-        from hydrenyi import _kernels_cy  # type: ignore[attr-defined]
 
-        return _kernels_cy
-    raise ValueError(f"unknown kernel backend {name!r}")
+def power_products(k: int, r: int) -> int:
+    """Coefficient products power() does for a degree-k polynomial."""
+    if r == 1:
+        return 0
+    return k * (k + 1) // 2 + (r - 1) * k * k
+
+
+def multiply(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def coupled_sum_products(axes: Sequence[tuple[int, int]]) -> int:
+    """Coefficient products coupled_sum does for groups of (bound,
+    multiplicity): the powers, the products of the powers and the final
+    sum against the coupled factor."""
+    (k, r), *rest = axes
+    count, degree = power_products(k, r), r * k
+    for k, r in rest:
+        count += power_products(k, r) + (degree + 1) * (r * k + 1)
+        degree += r * k
+    return count + degree + 1
+
+
+def coupled_sum(
+    coupled_upper: Sequence[Fraction],
+    coupled_lower: Sequence[Fraction],
+    axes: Sequence[Axis],
+) -> tuple[int, int]:
+    """Numerator and denominator (not reduced) of sum_s g(s) [t^s] prod_i
+    P_i(t)**r_i, with g(s) = prod (a)_s / prod (d)_s over the coupled
+    parameters and P_i the polynomial of one axis group."""
+    powers, den = [], 1
+    for upper, lower, x, bound, mult in axes:
+        terms, d = hypergeometric_terms(rising_steps(upper, lower, x, bound))
+        powers.append(power(terms, mult))
+        den *= d**mult
+    product = functools.reduce(multiply, powers)
+    g, g_den = hypergeometric_terms(
+        rising_steps(coupled_upper, coupled_lower, Fraction(1), len(product) - 1)
+    )
+    return sum(a * b for a, b in zip(g, product)), den * g_den

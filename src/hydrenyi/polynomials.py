@@ -13,8 +13,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from hydrenyi import kernels
 from hydrenyi.exactnum import RationalLike, pochhammer
-from hydrenyi.hyperfun import LauricellaSpec, lauricella_fa, multi_index_sum
+from hydrenyi.hyperfun import LauricellaSpec, lauricella_fa
 
 
 class PolyExact:
@@ -233,13 +234,17 @@ def jacobi_power_linearization(
     r = 2 * q
     base = (pochhammer(alpha + 1, kappa) / math.factorial(kappa)) ** r
 
-    # Per-axis factor tables; the r power axes share one table.
-    axis = [
-        pochhammer(-kappa, j)
-        * pochhammer(alpha + beta + kappa + 1, j)
-        / (pochhammer(alpha + 1, j) * math.factorial(j))
-        for j in range(kappa + 1)
-    ]
+    # The r power axes share one term table and enter the coupled factor only
+    # through their sum s, so they collapse into one polynomial power.
+    terms, den = kernels.hypergeometric_terms(
+        kernels.rising_steps(
+            (Fraction(-kappa), alpha + beta + kappa + 1),
+            (alpha + 1, Fraction(1)),
+            Fraction(1),
+            kappa,
+        )
+    )
+    power = [Fraction(c, den**r) for c in kernels.power(terms, r)]
 
     out = []
     for i in range(i_max + 1):
@@ -249,16 +254,11 @@ def jacobi_power_linearization(
             for j in range(i + 1)
         ]
         top = [pochhammer(gamma + 1, s) for s in range(r * kappa + i + 1)]
-        bottom = [pochhammer(gamma + delta + i + 2, s) for s in range(r * kappa + 1)]
-
-        def term(idx: tuple[int, ...]) -> Fraction:
-            s_power = sum(idx[:r])
-            j_last = idx[r]
-            val = top[s_power + j_last] / bottom[s_power] * last[j_last]
-            for j in idx[:r]:
-                val *= axis[j]
-            return val
-
-        total = multi_index_sum([kappa] * r + [i], term)
+        total = sum(
+            power[s]
+            / pochhammer(gamma + delta + i + 2, s)
+            * sum(last[j] * top[s + j] for j in range(i + 1))
+            for s in range(r * kappa + 1)
+        )
         out.append(base * head * total)
     return out

@@ -69,6 +69,8 @@ class HydrogenicState:
             if "=" in token:
                 key, _, value = token.partition("=")
                 key = key.strip()
+                if key in fields:
+                    raise ValidationError(f"repeated key {key!r} in state literal")
                 current = key
                 fields[key] = [value.strip()]
             elif current == "mu":

@@ -2,8 +2,9 @@ import csv
 import io
 import json
 
-from hydrenyi import cli
+from hydrenyi import cli, oracle
 from hydrenyi.exactnum import parse_scalar
+from hydrenyi.states import HydrogenicState
 
 
 def run(capsys, *argv):
@@ -75,6 +76,65 @@ class TestCompute:
         record = json.loads(out)[0]
         assert record["provenance"] == "oracle-float"
         assert record["error"] < 1e-10
+
+    def test_repeated_key_exits_two(self, capsys):
+        code, _, err = run(capsys, "compute", "D=3,D=4,n=2,mu=1,0,1")
+        assert code == 2
+        assert "repeated key" in err
+
+    def test_high_order_matches_oracle(self, capsys):
+        # 10^10 box terms, once refused by the default cap
+        code, out, _ = run(capsys, "compute", "D=3,n=10,mu=0,0", "--q", "5")
+        assert code == 0
+        state = HydrogenicState.parse("D=3,n=10,mu=0,0")
+        angular = oracle.angular_w_exact(3, (0, 0), 5)
+        expected = {
+            "position": oracle.radial_position_w_exact(state, 5) * angular,
+            "momentum": oracle.radial_momentum_w_exact(state, 5) * angular,
+        }
+        records = json.loads(out)
+        assert [r["space"] for r in records] == ["position", "momentum"]
+        for record in records:
+            assert parse_scalar(record["w"]) == expected[record["space"]]
+
+    def test_cap_below_computed_work_exits_three(self, capsys, monkeypatch):
+        # Both radial sums have 2q = 10 identical axes of degree k = 9:
+        # Miller's power costs k(k+1)/2 + (2q-1)k^2 products, the final sum
+        # 2qk + 1; the angular part is a single term.
+        k, r = 9, 10
+        work = k * (k + 1) // 2 + (r - 1) * k * k + r * k + 1
+        argv = ("compute", "D=3,n=10,mu=0,0", "--q", "5", "--space", "position")
+        monkeypatch.setenv("HYDRENYI_TERM_CAP", str(work - 1))
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert f"needs {work} coefficient products, cap is {work - 1}" in err
+        monkeypatch.setenv("HYDRENYI_TERM_CAP", str(work))
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+
+    def test_quadrature_miss_exits_four(self, capsys):
+        code, out, err = run(
+            capsys,
+            "compute",
+            "D=3,n=6,mu=3,2",
+            "--q",
+            "1/5",
+            "--float",
+            "--space",
+            "momentum",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "relative error" in err and "Traceback" not in err
+
+    def test_root_finding_failure_exits_four(self, capsys):
+        code, _, err = run(
+            capsys, "compute", "D=3,n=12,mu=0,0", "--q", "5", "--float", "--space", "position"
+        )
+        assert code == 4
+        assert err.count("\n") == 1
+        assert "converge" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

@@ -1,97 +1,141 @@
-"""Backend equivalence for the summation kernels.
+"""The polynomial-product kernel against the brute-force box sum.
 
-The compiled module is optional; when it is present every call must return
-the exact same (num, den) pair as the pure-Python twin.
+``multi_index_sum`` walks every point of the box with from-scratch
+Pochhammer products, so it shares nothing with the kernel but the spec.
 """
 
+import inspect
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from hydrenyi import kernels
+from hydrenyi import kernels, oracle
+from hydrenyi.exactnum import pochhammer
+from hydrenyi.hyperfun import (
+    HypergeometricSpecError,
+    LauricellaSpec,
+    SrivastavaDaoustSpec,
+    lauricella_fa,
+    multi_index_sum,
+    srivastava_daoust,
+)
 
 F = Fraction
 
 
-def _pair(value):
-    value = F(value)
-    return value.numerator, value.denominator
+def _random_axes(rng):
+    """Groups of identical axes mixed with distinct ones, at most 5 axes:
+    (bound, c, e, x) per axis, c and e possibly negative, x possibly 0."""
+    axes = []
+    while not axes or (len(axes) < 5 and rng.random() < 0.5):
+        axis = (
+            rng.randint(0, 3),
+            F(rng.randint(-6, 7), rng.choice([1, 2])),
+            F(rng.randint(-6, 7), rng.choice([1, 2])),
+            F(rng.randint(-3, 3), rng.randint(1, 4)),
+        )
+        axes += [axis] * min(rng.randint(1, 3), 5 - len(axes))
+    rng.shuffle(axes)
+    return axes
 
 
-def _random_fa_args(rng):
-    axes = rng.randint(1, 4)
-    bounds = [rng.randint(0, 3) for _ in range(axes)]
-    a = F(rng.randint(1, 9), rng.choice([1, 2]))
-    b = [F(-bound) for bound in bounds]
-    c = [F(rng.randint(1, 7), rng.choice([1, 2])) for _ in range(axes)]
-    x = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(axes)]
-    return (
-        _pair(a),
-        [_pair(v) for v in b],
-        [_pair(v) for v in c],
-        [_pair(v) for v in x],
-        bounds,
-    )
+def _axis_term(upper, lower, x, j):
+    value = x**j / math.factorial(j)
+    for u in upper:
+        value *= pochhammer(u, j)
+    for v in lower:
+        value /= pochhammer(v, j)
+    return value
 
 
-def _random_sd_args(rng):
-    axes = rng.randint(1, 4)
-    bounds = [rng.randint(0, 3) for _ in range(axes)]
-    a0 = F(rng.randint(1, 9), rng.choice([1, 2]))
-    d0 = F(rng.randint(1, 9), rng.choice([1, 2]))
-    b = [F(-bound) for bound in bounds]
-    c = [F(rng.randint(-5, 7), rng.choice([1, 2])) for _ in range(axes)]
-    e = [F(rng.randint(1, 7), rng.choice([1, 2])) for _ in range(axes)]
-    x = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(axes)]
-    return (
-        _pair(a0),
-        _pair(d0),
-        [_pair(v) for v in b],
-        [_pair(v) for v in c],
-        [_pair(v) for v in e],
-        [_pair(v) for v in x],
-        bounds,
-    )
+def _random_instances(seed, count):
+    rng = random.Random(seed)
+    seen = set()
+    done = 0
+    while done < count:
+        axes = _random_axes(rng)
+        bounds = [bound for bound, *_ in axes]
+        a = F(rng.randint(-4, 9), rng.choice([1, 2]))
+        d0 = F(rng.randint(-6, 9), rng.choice([1, 2]))
+        if rng.random() < 0.5:
+            spec = LauricellaSpec(
+                a, [-b for b in bounds], [c for _, c, _, _ in axes], [x for *_, x in axes]
+            )
+            run = lauricella_fa
+
+            def term(idx, axes=axes, a=a):
+                value = pochhammer(a, sum(idx))
+                for (bound, c, _, x), j in zip(axes, idx):
+                    value *= _axis_term([-bound], [c], x, j)
+                return value
+
+        else:
+            spec = SrivastavaDaoustSpec(
+                a,
+                [(-b, c) for b, c, _, _ in axes],
+                d0,
+                [e for _, _, e, _ in axes],
+                [x for *_, x in axes],
+            )
+            run = srivastava_daoust
+
+            def term(idx, axes=axes, a=a, d0=d0):
+                value = pochhammer(a, sum(idx)) / pochhammer(d0, sum(idx))
+                for (bound, c, e, x), j in zip(axes, idx):
+                    value *= _axis_term([-bound, c], [e], x, j)
+                return value
+
+        try:
+            value = run(spec)
+        except HypergeometricSpecError:
+            continue
+        done += 1
+        distinct = len(set(axes))
+        seen.add(("identical", distinct < len(axes)))
+        seen.add(("mixed", 1 < distinct < len(axes)))
+        seen.add(("x=0", any(x == 0 and b > 0 for b, *_, x in axes)))
+        seen.add(("x<0", any(x < 0 and b > 0 for b, *_, x in axes)))
+        seen.add(("negative c/e", any(min(c, e) < 0 and b > 0 for b, c, e, _ in axes)))
+        yield run.__name__, value, multi_index_sum(bounds, term)
+    assert {flag for flag, hit in seen if hit} == {
+        "identical", "mixed", "x=0", "x<0", "negative c/e"
+    }
 
 
-def test_active_backend_is_known():
-    assert kernels.BACKEND in kernels.available_backends()
+def test_backend_is_python():
+    assert kernels.BACKEND == "python"
 
 
-def test_python_backend_always_available():
-    module = kernels.load_backend("python")
-    assert module.lauricella_boxsum((1, 1), [(0, 1)], [(1, 1)], [(1, 1)], [0]) == (1, 1)
+def test_matches_brute_force_box_sum():
+    names = set()
+    for name, value, direct in _random_instances(20240817, 150):
+        names.add(name)
+        assert value == direct, name
+    assert names == {"lauricella_fa", "srivastava_daoust"}
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        kernels.load_backend("fortran")
+@pytest.mark.parametrize("seed", range(5))
+def test_power_matches_repeated_product(seed):
+    rng = random.Random(seed)
+    p = [rng.choice([-3, 1, 2, 5])]
+    p += [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+    r = rng.randint(1, 6)
+    expected = [1]
+    for _ in range(r):
+        expected = kernels.multiply(expected, p)
+    assert kernels.power(p, r) == expected
 
 
-def test_results_are_reduced_pairs():
-    num, den = kernels.lauricella_boxsum(
-        (3, 1), [(-1, 1)] * 4, [(2, 1)] * 4, [(1, 2)] * 4, [1] * 4
-    )
-    assert (num, den) == (5, 32)
+def test_work_counts_miller_loop():
+    for k in range(5):
+        for r in range(1, 8):
+            inner = 0 if r == 1 else sum(min(s, k) for s in range(1, r * k + 1))
+            assert kernels.power_products(k, r) == inner
+    # two groups: the powers, one product of the powers, the final sum
+    assert kernels.coupled_sum_products([(2, 3), (1, 1)]) == 11 + 7 * 2 + 8
 
 
-@pytest.mark.skipif(
-    len(kernels.available_backends()) < 2, reason="compiled backend not built"
-)
-class TestBackendAgreement:
-    def test_lauricella_randomized(self):
-        py = kernels.load_backend("python")
-        cy = kernels.load_backend("cython")
-        rng = random.Random(20240817)
-        for _ in range(60):
-            args = _random_fa_args(rng)
-            assert py.lauricella_boxsum(*args) == cy.lauricella_boxsum(*args)
-
-    def test_daoust_randomized(self):
-        py = kernels.load_backend("python")
-        cy = kernels.load_backend("cython")
-        rng = random.Random(48151623)
-        for _ in range(60):
-            args = _random_sd_args(rng)
-            assert py.daoust_boxsum(*args) == cy.daoust_boxsum(*args)
+def test_oracle_keeps_its_own_convolution():
+    assert "kernels" not in inspect.getsource(oracle)

@@ -111,6 +111,12 @@ class TestLiteral:
         with pytest.raises(ValidationError):
             HydrogenicState.parse("n=1,mu=0")
 
+    def test_parse_rejects_repeated_key(self):
+        with pytest.raises(ValidationError, match="repeated key 'D'"):
+            HydrogenicState.parse("D=3,D=4,n=2,mu=1,0,1")
+        with pytest.raises(ValidationError, match="repeated key 'mu'"):
+            HydrogenicState.parse("D=3,n=2,mu=1,0,mu=0,0")
+
 
 class TestDensities:
     def test_ground_radial_factor(self):
