@@ -256,10 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing does not change the parser, while building one per call
+# leaves reference cycles (every action points back at its parser) that only
+# a full garbage collection frees.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
