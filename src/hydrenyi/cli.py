@@ -3,9 +3,9 @@
 Subcommands: compute (entropies of one state), table (the published q = 2
 hydrogen tables), verify (closed form vs oracle sweep), sum (uncertainty
 sum against its dimensional bound).  Output is JSON by default, CSV behind
---format=csv.  Exit codes: 0 ok, 1 verification failure, 2 usage error,
-3 resource cap exceeded, 4 the float path missed its error target or its
-root finding did not converge.
+--format=csv.  Exit codes: 0 ok, 1 verification failure, 2 usage error
+(including a real order at which the momentum entropy diverges), 3 resource
+cap exceeded, 4 the float path missed its error target.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import csv
 import json
 import sys
 from fractions import Fraction
-
-from mpmath.libmp import NoConvergence
 
 from hydrenyi import entropy, oracle
 from hydrenyi.exactnum import DEFAULT_PRECISION_BITS
@@ -275,12 +273,6 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.QuadratureError as exc:
         print(
             f"error: {exc}; entropy {exc.value:.12g} +/- {exc.estimate:.2e}",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERICAL
-    except NoConvergence as exc:
-        print(
-            f"error: root finding for the quadrature breakpoints: {exc}",
             file=sys.stderr,
         )
         return EXIT_NUMERICAL

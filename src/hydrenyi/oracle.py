@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, NamedTuple
 
 import mpmath
+from mpmath.calculus.quadrature import TanhSinh
 
 from hydrenyi import entropy
 from hydrenyi.exactnum import ExactScalar, gamma_exact, to_float
@@ -186,29 +188,130 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
 
 
 def _poly_mpf(poly: PolyExact) -> list[mpmath.mpf]:
-    return [mpmath.mpf(c.numerator) / c.denominator for c in poly.coeffs]
+    """Coefficients, highest degree first, as mpmath.polyval takes them."""
+    return [mpmath.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
 
 
-def _horner(coeffs: list[mpmath.mpf], x: mpmath.mpf) -> mpmath.mpf:
-    acc = mpmath.mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[float]:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with this
+    diagonal and these squared off-diagonal entries, by bisection.
 
-
-def _real_roots_in(poly: PolyExact, lo: float, hi: float) -> list[float]:
-    if poly.degree < 1:
+    The number of eigenvalues below x is the number of negative pivots in the
+    LDL^T factorization of the matrix minus x (a Sturm count), so each
+    eigenvalue is bracketed and halved until the bracket reaches the float
+    resolution of the matrix, about eps times its norm.
+    """
+    if not diag:
         return []
-    roots = mpmath.polyroots(list(reversed(_poly_mpf(poly))), maxsteps=200)
-    out = []
-    for r in roots:
-        if abs(mpmath.im(r)) < 1e-12 and lo < mpmath.re(r) < hi:
-            out.append(float(mpmath.re(r)))
-    return sorted(out)
+    radii = [0.0] + [math.sqrt(b) for b in off_squared] + [0.0]
+    lo = min(a - radii[j] - radii[j + 1] for j, a in enumerate(diag))
+    hi = max(a + radii[j] + radii[j + 1] for j, a in enumerate(diag))
+    resolution = sys.float_info.epsilon * max(abs(lo), abs(hi))
+    couplings = [0.0] + off_squared
+
+    def count_below(x: float) -> int:
+        count, pivot = 0, 1.0
+        for a, b in zip(diag, couplings):
+            pivot = a - x - b / pivot
+            if pivot == 0.0:
+                pivot = -sys.float_info.min
+            count += pivot < 0.0
+        return count
+
+    out: list[float] = []
+    for index in range(len(diag)):
+        a, b = (out[-1] if out else lo), hi
+        while b - a > resolution:
+            mid = 0.5 * (a + b)
+            if mid in (a, b):
+                break
+            if count_below(mid) > index:
+                b = mid
+            else:
+                a = mid
+        out.append(0.5 * (a + b))
+    return out
+
+
+def _laguerre_nodes(k: int, alpha: Fraction) -> list[float]:
+    """Zeros of L_k^(alpha), the eigenvalues of its Jacobi matrix (Golub &
+    Welsch, Math. Comp. 23, 1969)."""
+    a = float(alpha)
+    return _jacobi_eigenvalues(
+        [2 * j + a + 1 for j in range(k)], [j * (j + a) for j in range(1, k)]
+    )
+
+
+def _gegenbauer_nodes(k: int, lam: Fraction) -> list[float]:
+    """Zeros of C_k^(lam), the eigenvalues of its Jacobi matrix."""
+    lm = float(lam)
+    return _jacobi_eigenvalues(
+        [0.0] * k,
+        [j * (j + 2 * lm - 1) / (4 * (j + lm) * (j + lm - 1)) for j in range(1, k)],
+    )
+
+
+# Each segment stops once its estimated relative error is this far below the
+# gate: the estimate extrapolates and is not a bound, and the angular factors
+# add their relative errors to the radial one.
+_SEGMENT_REL_TARGET = QUADRATURE_REL_TARGET * 1e-4
+
+
+class _RelativeTanhSinh(TanhSinh):
+    """Tanh-sinh quadrature that stops each segment at a relative error.
+
+    mpmath's own rule iterates every segment towards an absolute error of
+    eps/8, and clamps its error estimate at 1 in absolute terms, so for a
+    large integral it reports too small an error.  Every integrand here is
+    non-negative, so a relative bound on each segment bounds the sum too.
+    """
+
+    def _relative_error(self, results: list, prec: int):
+        """The Borwein-Bailey-Girgensohn extrapolation of the parent rule,
+        applied to the differences |I_k - I_j| / |I_k| of the last levels."""
+        ctx = self.ctx
+        scale = abs(results[-1])
+        if scale == 0:
+            return ctx.zero if results[-2] == 0 else ctx.inf
+        d1 = abs(results[-1] - results[-2]) / scale
+        if len(results) == 2:
+            return d1
+        if results[-1] == results[-2] == results[-3]:
+            return ctx.zero
+        d2 = abs(results[-1] - results[-3]) / scale
+        if not (0 < d1 < 1 and 0 < d2 < 1):
+            # no digit-doubling to extrapolate from
+            return max(d1, d2)
+        D1, D2 = ctx.log(d1, 10), ctx.log(d2, 10)
+        return ctx.mpf(10) ** int(max(D1 * D1 / D2, 2 * D1, -prec))
+
+    def summation(self, f, points, prec, epsilon, max_degree, verbose=False):
+        ctx = self.ctx
+        total = total_err = ctx.zero
+        for a, b in zip(points, points[1:]):
+            results: list = []
+            rel = ctx.inf
+            for degree in range(1, max_degree + 1):
+                nodes = self.get_nodes(a, b, degree, prec)
+                results.append(self.sum_next(f, nodes, degree, prec, results))
+                if degree > 1:
+                    rel = self._relative_error(results, prec)
+                    if rel <= _SEGMENT_REL_TARGET:
+                        break
+            total += results[-1]
+            total_err += rel * abs(results[-1])
+        return total, total_err
+
+
+# mpmath.quad builds its rule by calling method(ctx) on every call; handing
+# back one instance keeps its node caches across calls.
+_RULE = _RelativeTanhSinh(mpmath.mp)
 
 
 def _quad(f, points) -> tuple[mpmath.mpf, mpmath.mpf]:
-    value, err = mpmath.quad(f, points, error=True, maxdegree=9)
+    value, err = mpmath.quad(
+        f, points, error=True, maxdegree=9, method=lambda ctx: _RULE
+    )
     return value, err
 
 
@@ -223,19 +326,20 @@ def position_radial_power_integral(
         lam = mpmath.mpf(d.lam.numerator) / d.lam.denominator
         norm = radial_norm_squared(state)
         norm2 = (mpmath.mpf(norm.numerator) / norm.denominator) / lam**D
-        poly = laguerre(state.n - l - 1, 2 * l + D - 2)
-        coeffs = _poly_mpf(poly)
+        k, alpha = state.n - l - 1, Fraction(2 * l + D - 2)
+        coeffs = _poly_mpf(laguerre(k, alpha))
         qm = mpmath.mpf(q)
 
         def integrand(r):
             rt = r / lam
-            density = norm2 * rt ** (2 * l) * mpmath.exp(-rt) * _horner(coeffs, rt) ** 2
+            poly = mpmath.polyval(coeffs, rt)
+            density = norm2 * rt ** (2 * l) * mpmath.exp(-rt) * poly**2
             return density**qm * r ** (D - 1)
 
         scale = float(lam) * float(2 * d.eta)
         points = (
             [0.0]
-            + [float(lam) * r for r in _real_roots_in(poly, 0.0, math.inf)]
+            + [float(lam) * r for r in _laguerre_nodes(k, alpha)]
             + [scale, 4 * scale]
         )
         return _quad(integrand, sorted(set(points)) + [mpmath.inf])
@@ -251,8 +355,8 @@ def momentum_radial_power_integral(
     with mpmath.workdps(QUADRATURE_DPS):
         z = mpmath.mpf(state.Z.numerator) / state.Z.denominator
         eta = mpmath.mpf(d.eta.numerator) / d.eta.denominator
-        poly = gegenbauer(state.n - l - 1, d.L + 1)
-        coeffs = _poly_mpf(poly)
+        k = state.n - l - 1
+        coeffs = _poly_mpf(gegenbauer(k, d.L + 1))
         k2 = (
             z ** (-D)
             * mpmath.mpf(2) ** (4 * l + 2 * D)
@@ -269,12 +373,13 @@ def momentum_radial_power_integral(
             pt = p / z
             u = (eta * pt) ** 2
             y = (1 - u) / (1 + u)
-            density = k2 * u**l * (1 + u) ** (-exp_decay) * _horner(coeffs, y) ** 2
+            poly = mpmath.polyval(coeffs, y)
+            density = k2 * u**l * (1 + u) ** (-exp_decay) * poly**2
             return density**qm * p ** (D - 1)
 
         scale = float(z / eta)
         points = [0.0]
-        for y0 in _real_roots_in(poly, -1.0, 1.0):
+        for y0 in _gegenbauer_nodes(k, d.L + 1):
             points.append(scale * math.sqrt((1 - y0) / (1 + y0)))
         points += [scale, 4 * scale]
         return _quad(integrand, sorted(set(points)) + [mpmath.inf])
@@ -311,13 +416,12 @@ def angular_power_integral(
             if k == 0:
                 value *= mpmath.beta(mpmath.mpf(1) / 2, s + 1)
                 continue
-            poly = gegenbauer(k, alpha + mu_j1)
-            coeffs = _poly_mpf(poly)
+            coeffs = _poly_mpf(gegenbauer(k, alpha + mu_j1))
 
             def integrand(t):
-                return abs(_horner(coeffs, t)) ** (2 * qm) * (1 - t * t) ** s
+                return abs(mpmath.polyval(coeffs, t)) ** (2 * qm) * (1 - t * t) ** s
 
-            points = [-1.0] + _real_roots_in(poly, -1.0, 1.0) + [1.0]
+            points = [-1.0] + _gegenbauer_nodes(k, alpha + mu_j1) + [1.0]
             part, err = _quad(integrand, points)
             value *= part
             if part != 0:
@@ -333,11 +437,24 @@ class FloatEntropy(NamedTuple):
 
 def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
     """Renyi entropy of any real order q > 0, q != 1, by quadrature of the
-    density power, with a propagated error estimate."""
+    density power, with a propagated error estimate.
+
+    The momentum density decays as p^-(2l+2D+2), so in momentum space the
+    entropy is infinite for q <= D/(2l+2D+2); such orders raise ValueError.
+    """
+    exact_q = Fraction(q) if isinstance(q, (int, Fraction)) else Fraction(float(q))
     q = float(q)
     if q <= 0 or q == 1:
         raise ValueError(f"need real q > 0, q != 1, got {q}")
-    validate(state)
+    d = validate(state)
+    if space == "momentum":
+        decay = 2 * d.l + 2 * state.D + 2
+        threshold = Fraction(state.D, decay)
+        if exact_q <= threshold:
+            raise ValueError(
+                f"momentum entropy diverges for q <= {threshold} at D={state.D}, "
+                f"l={d.l} (the density decays as p^-{decay}); got q={q:g}"
+            )
     if space == "position":
         radial, radial_err = position_radial_power_integral(state, q)
     elif space == "momentum":
@@ -367,7 +484,7 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
         entropy_value = (mpmath.log(radial) + log_angular) / (1 - q)
         err = float(rel / abs(1 - q))
         result = FloatEntropy(float(entropy_value), err)
-    if rel > QUADRATURE_REL_TARGET:
+    if not rel <= QUADRATURE_REL_TARGET:  # a NaN estimate fails too
         raise QuadratureError(
             f"quadrature reached relative error {float(rel):.2e} "
             f"(target {QUADRATURE_REL_TARGET:.0e})",

@@ -69,6 +69,10 @@ class HydrogenicState:
             if "=" in token:
                 key, _, value = token.partition("=")
                 key = key.strip()
+                if key not in ("D", "n", "mu", "Z"):
+                    raise ValidationError(
+                        f"unknown key {key!r} in state literal (keys are D, n, mu, Z)"
+                    )
                 if key in fields:
                     raise ValidationError(f"repeated key {key!r} in state literal")
                 current = key

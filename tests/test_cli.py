@@ -2,7 +2,7 @@ import csv
 import io
 import json
 
-from hydrenyi import cli, oracle
+from hydrenyi import cli, entropy, oracle
 from hydrenyi.exactnum import parse_scalar
 from hydrenyi.states import HydrogenicState
 
@@ -82,6 +82,11 @@ class TestCompute:
         assert code == 2
         assert "repeated key" in err
 
+    def test_unknown_key_exits_two(self, capsys):
+        code, _, err = run(capsys, "compute", "D=3,n=1,mu=0,0,Zed=5")
+        assert code == 2
+        assert "unknown key 'Zed'" in err
+
     def test_high_order_matches_oracle(self, capsys):
         # 10^10 box terms, once refused by the default cap
         code, out, _ = run(capsys, "compute", "D=3,n=10,mu=0,0", "--q", "5")
@@ -112,7 +117,9 @@ class TestCompute:
         code, _, _ = run(capsys, *argv)
         assert code == 0
 
-    def test_quadrature_miss_exits_four(self, capsys):
+    def test_divergent_momentum_order_exits_two(self, capsys):
+        # l = 3 in D = 3: the momentum density decays as p^-14, so the
+        # entropy is infinite for q <= 3/14
         code, out, err = run(
             capsys,
             "compute",
@@ -123,18 +130,36 @@ class TestCompute:
             "--space",
             "momentum",
         )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "diverges for q <= 3/14" in err and "Traceback" not in err
+
+    def test_float_path_at_high_degree(self, capsys):
+        # L_11^(1) has eleven breakpoints; the exact entropy is the reference
+        code, out, _ = run(
+            capsys, "compute", "D=3,n=12,mu=0,0", "--q", "5", "--float", "--space", "position"
+        )
+        assert code == 0
+        record = json.loads(out)[0]
+        state = HydrogenicState.parse("D=3,n=12,mu=0,0")
+        exact = entropy.position_entropy(state, 5).total.value
+        assert abs(record["entropy"] - exact) <= record["error"] + 1e-12 * abs(exact)
+
+    def test_quadrature_miss_exits_four(self, capsys, monkeypatch):
+        import mpmath
+
+        def shaky_quad(f, points):
+            return mpmath.mpf(1), mpmath.mpf("1e-3")
+
+        monkeypatch.setattr("hydrenyi.oracle._quad", shaky_quad)
+        code, out, err = run(
+            capsys, "compute", "D=3,n=2,mu=1,0", "--q", "3/2", "--float", "--space", "position"
+        )
         assert code == 4
         assert out == ""
         assert err.count("\n") == 1
         assert "relative error" in err and "Traceback" not in err
-
-    def test_root_finding_failure_exits_four(self, capsys):
-        code, _, err = run(
-            capsys, "compute", "D=3,n=12,mu=0,0", "--q", "5", "--float", "--space", "position"
-        )
-        assert code == 4
-        assert err.count("\n") == 1
-        assert "converge" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hydrenyi import entropy, oracle
@@ -18,6 +19,7 @@ from hydrenyi.oracle import (
     renyi_float,
     verify_state,
 )
+from hydrenyi.polynomials import gegenbauer, laguerre
 from hydrenyi.states import HydrogenicState, enumerate_states
 
 F = Fraction
@@ -157,8 +159,6 @@ class TestFloatOracle:
         assert float(value) == pytest.approx(1.0, rel=1e-12)
 
     def test_nonconvergence_raises_with_estimate(self, monkeypatch):
-        import mpmath
-
         def shaky_quad(f, points):
             return mpmath.mpf(1), mpmath.mpf("1e-3")
 
@@ -167,6 +167,112 @@ class TestFloatOracle:
             renyi_float(GROUND, 2, "position")
         assert info.value.estimate > 0
         assert "target" in str(info.value)
+
+
+class TestDivergence:
+    def test_threshold_rejected_and_just_above_finite(self):
+        # l = 0, D = 3: the momentum density decays as p^-8, so the entropy
+        # is infinite for q <= 3/8
+        with pytest.raises(ValueError, match="diverges for q <= 3/8"):
+            renyi_float(GROUND, F(3, 8), "momentum")
+        q = F(3, 8) + F(1, 20)
+        result = renyi_float(GROUND, q, "momentum")
+        reference = entropy.ns_momentum_entropy(1, 3, 1, float(q))
+        assert abs(result.value - reference) <= result.error + 1e-12 * abs(reference)
+
+    def test_threshold_grows_with_l(self):
+        # l = 2, D = 3: threshold 3/12; position space has no threshold
+        state = HydrogenicState(3, 5, (2, 0), 1)
+        with pytest.raises(ValueError, match="q <= 1/4"):
+            renyi_float(state, F(1, 5), "momentum")
+        assert math.isfinite(renyi_float(state, F(1, 5), "position").value)
+
+
+def _assert_float_matches_exact(state, q, space):
+    exact = (
+        entropy.position_entropy(state, q)
+        if space == "position"
+        else entropy.momentum_entropy(state, q)
+    ).total.value_at()
+    result = renyi_float(state, q, space)
+    assert abs(result.value - exact) <= result.error + 1e-12 * abs(exact)
+
+
+class TestFloatMatchesExact:
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("n", [10, 15])
+    def test_high_degree_s_states(self, n, q, space):
+        _assert_float_matches_exact(HydrogenicState(3, n, (0, 0), 1), q, space)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("l", [0, 1])
+    @pytest.mark.parametrize("n", [8, 10, 12, 13, 15])
+    @pytest.mark.parametrize("D", [3, 4, 5])
+    def test_grid(self, D, n, l, q, space):
+        state = HydrogenicState(D, n, (l,) + (0,) * (D - 2), 1)
+        _assert_float_matches_exact(state, q, space)
+
+
+def _exact_value(poly, x: Fraction) -> Fraction:
+    return sum((c * x**i for i, c in enumerate(poly.coeffs)), Fraction(0))
+
+
+# family -> (breakpoint routine, exact polynomial, open interval of the zeros)
+NODE_FAMILIES = {
+    "laguerre": (oracle._laguerre_nodes, laguerre, 0, math.inf),
+    "gegenbauer": (oracle._gegenbauer_nodes, gegenbauer, -1, 1),
+}
+NODE_CASES = [
+    ("laguerre", k, F(alpha)) for k in (1, 2, 5, 9, 11, 14) for alpha in (0, 1, 3, 8)
+] + [
+    ("gegenbauer", k, lam)
+    for k in (1, 2, 5, 8, 11, 14)
+    for lam in (F(1, 2), F(1), F(3, 2), F(9, 2))
+]
+
+
+class TestBreakpoints:
+    @pytest.mark.parametrize("family,k,param", NODE_CASES)
+    def test_nodes_are_the_zeros(self, family, k, param):
+        nodes_of, poly_of, lo, hi = NODE_FAMILIES[family]
+        nodes, poly = nodes_of(k, param), poly_of(k, param)
+        assert len(nodes) == k
+        assert nodes == sorted(nodes)
+        assert lo < nodes[0] and nodes[-1] < hi
+        for x in nodes:
+            step = 1e-10 * max(1.0, abs(x))
+            left = _exact_value(poly, Fraction(x - step))
+            right = _exact_value(poly, Fraction(x + step))
+            assert left * right < 0, (x, left, right)
+
+    @pytest.mark.parametrize("family,k,param", [c for c in NODE_CASES if c[1] <= 9])
+    def test_nodes_agree_with_polyroots(self, family, k, param):
+        nodes_of, poly_of, _, _ = NODE_FAMILIES[family]
+        poly = poly_of(k, param)
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
+        with mpmath.workdps(oracle.QUADRATURE_DPS):
+            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=100)
+        reference = sorted(float(mpmath.re(r)) for r in roots)
+        assert nodes_of(k, param) == pytest.approx(reference, rel=1e-12, abs=1e-15)
+
+
+class TestQuadRule:
+    def test_relative_error_is_scale_free(self):
+        rel = []
+        with mpmath.workdps(oracle.QUADRATURE_DPS):
+            for c in (mpmath.mpf("1e-20"), mpmath.mpf(1), mpmath.mpf("1e20")):
+                value, err = oracle._quad(
+                    lambda x, c=c: c * x ** mpmath.mpf(2.5) * mpmath.exp(-x),
+                    [0.0, 1.0, mpmath.inf],
+                )
+                assert value == pytest.approx(float(c) * math.gamma(3.5), rel=1e-14)
+                rel.append(float(err / value))
+        assert 0 < rel[1] <= oracle.QUADRATURE_REL_TARGET
+        assert rel[0] == pytest.approx(rel[1], rel=1e-6, abs=0)
+        assert rel[2] == pytest.approx(rel[1], rel=1e-6, abs=0)
 
 
 class TestVerifyState:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from hydrenyi import oracle
 from hydrenyi.states import (
     HydrogenicState,
     ValidationError,
@@ -117,6 +118,12 @@ class TestLiteral:
         with pytest.raises(ValidationError, match="repeated key 'mu'"):
             HydrogenicState.parse("D=3,n=2,mu=1,0,mu=0,0")
 
+    def test_parse_rejects_unknown_key(self):
+        with pytest.raises(ValidationError, match="unknown key 'Zed'"):
+            HydrogenicState.parse("D=3,n=1,mu=0,0,Zed=5")
+        with pytest.raises(ValidationError, match="unknown key 'l'"):
+            HydrogenicState.parse("D=3,n=2,l=1,mu=1,0")
+
 
 class TestDensities:
     def test_ground_radial_factor(self):
@@ -170,12 +177,12 @@ class TestDensities:
 
 
 def _radial_quad(fn, state, scale):
-    with mpmath.workdps(25):
-        value = mpmath.quad(
-            lambda r: fn(state, float(r)) * r ** (state.D - 1),
-            [0, scale, 8 * scale, mpmath.inf],
-            maxdegree=8,
-        )
+    # the oracle's rule stops at a relative error; the float densities could
+    # never reach an absolute target set by the working precision
+    value, _ = oracle._quad(
+        lambda r: fn(state, float(r)) * r ** (state.D - 1),
+        [0, scale, 8 * scale, mpmath.inf],
+    )
     return float(value)
 
 
