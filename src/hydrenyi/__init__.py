@@ -19,7 +19,6 @@ from hydrenyi.entropy import (
 from hydrenyi.exactnum import (
     ExactScalar,
     HalfInt,
-    Rational,
     gamma_exact,
     parse_scalar,
     pochhammer,
@@ -35,7 +34,6 @@ __all__ = [
     "ExactScalar",
     "HalfInt",
     "HydrogenicState",
-    "Rational",
     "RenyiBreakdown",
     "UncertaintySum",
     "ValidationError",

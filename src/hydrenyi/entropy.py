@@ -26,7 +26,12 @@ from hydrenyi.hyperfun import (
     lauricella_fa,
     srivastava_daoust,
 )
-from hydrenyi.states import HydrogenicState, ValidationError, validate
+from hydrenyi.states import (
+    HydrogenicState,
+    ValidationError,
+    check_momentum_order,
+    validate,
+)
 
 
 @dataclass(frozen=True)
@@ -324,11 +329,13 @@ def ns_position_entropy(n: int, D: int, Z, q: float) -> float:
 
 def ns_momentum_entropy(n: int, D: int, Z, q: float) -> float:
     """Total momentum entropy of a quasi-spherical state, any real q > 0,
-    q != 1."""
-    q = float(q)
+    q != 1; infinite, so a ValueError, for q <= D/(2n+2D) (see
+    states.check_momentum_order)."""
+    order, q = q, float(q)
     if q <= 0 or q == 1:
         raise ValueError("need q > 0, q != 1")
     eta, Z = _require_ns_inputs(n, D, Z)
+    check_momentum_order(D, n - 1, order)
     radial = (
         D * math.log(float(Z) / float(eta))
         + q / (1 - q) * (math.log(4.0) + math.lgamma(2 * float(eta) + 1))
@@ -372,11 +379,13 @@ def ground_state_radial_position_w(D: int, Z, q: int) -> ExactScalar:
 
 
 def ground_state_radial_momentum_entropy(D: int, Z, q: float) -> float:
-    """Radial momentum entropy of the ground state, Gamma-only form."""
-    q = float(q)
+    """Radial momentum entropy of the ground state, Gamma-only form;
+    infinite, so a ValueError, for q <= D/(2D+2)."""
+    order, q = q, float(q)
     if q <= 0 or q == 1:
         raise ValueError("need q > 0, q != 1")
     _, Z = _require_ns_inputs(1, D, Z)
+    check_momentum_order(D, 0, order)
     return (
         D * math.log(2 * float(Z) / (D - 1))
         + q / (1 - q) * (math.log(4.0) + math.lgamma(D))

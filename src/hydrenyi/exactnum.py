@@ -15,8 +15,6 @@ from typing import Iterator, Mapping, Union
 
 import mpmath
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 DEFAULT_PRECISION_BITS = 128
@@ -345,22 +343,6 @@ def pochhammer(z: "HalfInt | RationalLike", k: int) -> Fraction:
         if out == 0:
             break
     return out
-
-
-def scalar_add(a: ExactScalar, b: "ExactScalar | RationalLike") -> ExactScalar:
-    return a + b
-
-
-def scalar_mul(a: ExactScalar, b: "ExactScalar | RationalLike") -> ExactScalar:
-    return a * b
-
-
-def scalar_div(a: ExactScalar, b: "ExactScalar | RationalLike") -> ExactScalar:
-    return a / b
-
-
-def scalar_pow(a: ExactScalar, exponent: int) -> ExactScalar:
-    return a**exponent
 
 
 def to_mpf(a: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:

@@ -9,6 +9,7 @@ quadrature evaluates the same integrals numerically.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -18,12 +19,23 @@ from fractions import Fraction
 from typing import Literal, NamedTuple
 
 import mpmath
-from mpmath.calculus.quadrature import TanhSinh
 
 from hydrenyi import entropy
 from hydrenyi.exactnum import ExactScalar, gamma_exact, to_float
-from hydrenyi.polynomials import PolyExact, gegenbauer, laguerre, poly_pow
-from hydrenyi.states import HydrogenicState, radial_norm_squared, validate
+from hydrenyi.polynomials import (
+    PolyExact,
+    gegenbauer,
+    gegenbauer_log_abs,
+    laguerre,
+    laguerre_log_abs,
+    poly_pow,
+)
+from hydrenyi.states import (
+    HydrogenicState,
+    check_momentum_order,
+    radial_norm_squared,
+    validate,
+)
 
 Space = Literal["position", "momentum"]
 
@@ -185,11 +197,16 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
 
 
 # -- floating-point path for real orders -------------------------------------
+#
+# The integrands run in floats and in the log domain: the polynomials by their
+# three-term recurrences, the prefactors once per call at QUADRATURE_DPS.
+# mpmath.quad drives a tanh-sinh rule that sums in floats.
 
 
-def _poly_mpf(poly: PolyExact) -> list[mpmath.mpf]:
-    """Coefficients, highest degree first, as mpmath.polyval takes them."""
-    return [mpmath.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
+def _log_float(x: Fraction) -> float:
+    """ln x of a positive rational, rounded to a float from QUADRATURE_DPS."""
+    with mpmath.workdps(QUADRATURE_DPS):
+        return float(mpmath.log(mpmath.mpf(x.numerator) / x.denominator))
 
 
 def _jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[float]:
@@ -256,63 +273,198 @@ def _gegenbauer_nodes(k: int, lam: Fraction) -> list[float]:
 # add their relative errors to the radial one.
 _SEGMENT_REL_TARGET = QUADRATURE_REL_TARGET * 1e-4
 
+# mpmath's tanh-sinh rule at QUADRATURE_DPS (that many bits of precision)
+# ends a level where a node's distance to the endpoint, 1 - |x|, falls to
+# 2^-(prec+10); the float rule keeps that node set.
+_QUADRATURE_PREC = mpmath.libmp.dps_to_prec(QUADRATURE_DPS)
+_NODE_LIMIT = 2.0 ** -(_QUADRATURE_PREC + 10)
 
-class _RelativeTanhSinh(TanhSinh):
-    """Tanh-sinh quadrature that stops each segment at a relative error.
+# A deep tail runs the nodes of an [a, inf) segment on towards x = -1 down to
+# this distance, where the node a - 1 + 2/(1+x) is about 2^1001 and its
+# weight still fits in a float.
+_DEEP_NODE_LIMIT = 2.0**-1000
 
-    mpmath's own rule iterates every segment towards an absolute error of
-    eps/8, and clamps its error estimate at 1 in absolute terms, so for a
-    large integral it reports too small an error.  Every integrand here is
-    non-negative, so a relative bound on each segment bounds the sum too.
+# The float integrands carry rounding that grows with the order: the
+# integrand is exp(q ln(density)), and ln(density) has an absolute rounding
+# of some ulps of its largest term.  Against the exact integrals at integer
+# q (D = 2..6, n <= 20) and the extended-precision ones at real q up to
+# 1000, the worst relative error was 9.3e-15 * max(1, q); no segment reports
+# a relative error below this floor times max(1, q).
+_FLOAT_REL_FLOOR = 2.0**-45
+
+# Breakpoints closer than this, relatively, are one point: the segment between
+# them would be a few ulps wide and can stall every level of the rule.
+_MERGE_REL = 1e-12
+
+
+@functools.lru_cache(maxsize=32)
+def _level_nodes(level: int, limit: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Complements 1 - x and weights w of the positive tanh-sinh nodes that
+    this level adds, down to 1 - x > limit.
+
+    The node is x = tanh(s) with s = pi/2 sinh(t), for t = 1/2, 1, 3/2, ...
+    at level 1 (whose centre x = 0 the rule adds) and for the odd multiples
+    of 2^-level above it.  The complement is 2e^(-2s)/(1+e^(-2s)), which
+    keeps nodes next to an endpoint at full relative precision (Takahasi &
+    Mori, Publ. RIMS 9, 1974); the weight is pi/2 cosh(t) / cosh(s)^2.
+    """
+    comps: list[float] = []
+    weights: list[float] = []
+    j, step = 1, (1 if level == 1 else 2)
+    while True:
+        t = math.ldexp(j, -level)
+        e = math.exp(-math.pi * math.sinh(t))
+        comp = 2 * e / (1 + e)
+        if comp <= limit:
+            return tuple(comps), tuple(weights)
+        comps.append(comp)
+        weights.append(2 * math.pi * math.cosh(t) * e / (1 + e) ** 2)
+        j += step
+
+
+def _relative_error(results: list[float]) -> float:
+    """The Borwein-Bailey-Girgensohn extrapolation of mpmath's rule, applied
+    to the differences |I_k - I_j| / |I_k| of the last levels.
+
+    A difference that rounds to zero counts as one ulp, the resolution of a
+    float, so that levels that agree to the last bit still extrapolate.
+    """
+    scale = abs(results[-1])
+    if scale == 0:
+        return 0.0 if results[-2] == 0 else math.inf
+    eps = sys.float_info.epsilon
+    d1 = max(abs(results[-1] - results[-2]) / scale, eps)
+    if len(results) == 2:
+        return d1
+    d2 = max(abs(results[-1] - results[-3]) / scale, eps)
+    if not (d1 < 1 and d2 < 1):
+        # no digit-doubling to extrapolate from (or a NaN, which propagates)
+        return max(d1, d2)
+    D1, D2 = math.log10(d1), math.log10(d2)
+    return 10.0 ** int(max(D1 * D1 / D2, 2 * D1, -_QUADRATURE_PREC))
+
+
+class _FloatTanhSinh:
+    """Tanh-sinh quadrature in floats, in the shape of an mpmath rule so that
+    mpmath.quad drives it (mpmath.quad calls only its summation).
+
+    Each segment stops once the estimated relative error of its last levels
+    is <= _SEGMENT_REL_TARGET, and reports that estimate, but not less than
+    rel_floor, times |I_seg|.  Every integrand here is non-negative, so a
+    relative bound on each segment bounds the sum too.  With deep_tail the
+    nodes of an [a, inf) segment run towards infinity down to
+    _DEEP_NODE_LIMIT instead of _NODE_LIMIT.
     """
 
-    def _relative_error(self, results: list, prec: int):
-        """The Borwein-Bailey-Girgensohn extrapolation of the parent rule,
-        applied to the differences |I_k - I_j| / |I_k| of the last levels."""
-        ctx = self.ctx
-        scale = abs(results[-1])
-        if scale == 0:
-            return ctx.zero if results[-2] == 0 else ctx.inf
-        d1 = abs(results[-1] - results[-2]) / scale
-        if len(results) == 2:
-            return d1
-        if results[-1] == results[-2] == results[-3]:
-            return ctx.zero
-        d2 = abs(results[-1] - results[-3]) / scale
-        if not (0 < d1 < 1 and 0 < d2 < 1):
-            # no digit-doubling to extrapolate from
-            return max(d1, d2)
-        D1, D2 = ctx.log(d1, 10), ctx.log(d2, 10)
-        return ctx.mpf(10) ** int(max(D1 * D1 / D2, 2 * D1, -prec))
+    def __init__(self, rel_floor: float = _FLOAT_REL_FLOOR, deep_tail: bool = False):
+        self.rel_floor = rel_floor
+        self.tail_limit = _DEEP_NODE_LIMIT if deep_tail else _NODE_LIMIT
+
+    def _terms(self, f, a: float, b: float, level: int) -> list[float]:
+        """w f(x) for the nodes this level adds on [a, b]."""
+        comps, weights = _level_nodes(level, _NODE_LIMIT)
+        if b == math.inf:
+            # x -> a - 1 + 2/(1+x), with weight 2/(1+x)^2
+            terms = [
+                w * 2 / (2 - c) ** 2 * f(a + c / (2 - c)) for c, w in zip(comps, weights)
+            ]
+            tail = _level_nodes(level, self.tail_limit)
+            terms += [w / c * (2 / c) * f(a + (2 - c) / c) for c, w in zip(*tail)]
+            if level == 1:
+                terms.append(math.pi * f(a + 1))
+            return terms
+        half = 0.5 * (b - a)
+        terms = []
+        for c, w in zip(comps, weights):
+            terms.append(half * w * f(b - half * c))
+            terms.append(half * w * f(a + half * c))
+        if level == 1:
+            terms.append(half * math.pi / 2 * f(a + half))
+        return terms
+
+    def _segment(self, f, a: float, b: float, max_degree: int) -> tuple[float, float]:
+        level_sums: list[float] = []
+        results: list[float] = []
+        rel = math.inf
+        for level in range(1, max_degree + 1):
+            level_sums.append(math.fsum(self._terms(f, a, b, level)))
+            results.append(math.ldexp(math.fsum(level_sums), -level))
+            if level > 1:
+                rel = _relative_error(results)
+                if rel <= _SEGMENT_REL_TARGET:
+                    break
+        return results[-1], rel
 
     def summation(self, f, points, prec, epsilon, max_degree, verbose=False):
-        ctx = self.ctx
-        total = total_err = ctx.zero
+        values, errors = [], []
         for a, b in zip(points, points[1:]):
-            results: list = []
-            rel = ctx.inf
-            for degree in range(1, max_degree + 1):
-                nodes = self.get_nodes(a, b, degree, prec)
-                results.append(self.sum_next(f, nodes, degree, prec, results))
-                if degree > 1:
-                    rel = self._relative_error(results, prec)
-                    if rel <= _SEGMENT_REL_TARGET:
-                        break
-            total += results[-1]
-            total_err += rel * abs(results[-1])
-        return total, total_err
+            value, rel = self._segment(f, float(a), float(b), max_degree)
+            values.append(value)
+            errors.append(max(rel, self.rel_floor) * abs(value))
+        return math.fsum(values), math.fsum(errors)
 
 
-# mpmath.quad builds its rule by calling method(ctx) on every call; handing
-# back one instance keeps its node caches across calls.
-_RULE = _RelativeTanhSinh(mpmath.mp)
+# The momentum integrand decays as p^-e.  Cut at p ~ 2/_NODE_LIMIT ~ 2e34,
+# the tail beyond holds about p^(1-e)/(e-1) of it, below 1e-16 for e >= 1.5;
+# slower tails get the deep nodes, which reach p ~ 2^1001.
+_DEEP_TAIL_DECAY = 1.5
 
 
-def _quad(f, points) -> tuple[mpmath.mpf, mpmath.mpf]:
+def _quad(f, points, rule: _FloatTanhSinh = _FloatTanhSinh()) -> tuple[float, float]:
+    # mpmath.quad builds its rule by calling method(ctx)
     value, err = mpmath.quad(
-        f, points, error=True, maxdegree=9, method=lambda ctx: _RULE
+        f, points, error=True, maxdegree=9, method=lambda ctx: rule
     )
     return value, err
+
+
+def _breakpoints(points: list[float]) -> list[float]:
+    """Sorted, with points closer than _MERGE_REL (relatively) merged."""
+    out: list[float] = []
+    for p in sorted(points):
+        if not out or p - out[-1] > _MERGE_REL * abs(p):
+            out.append(p)
+    return out
+
+
+class _ShiftTooLow(Exception):
+    """An integrand value exp(log_f - shift) would overflow a float."""
+
+    def __init__(self, log_value: float):
+        super().__init__(log_value)
+        self.log_value = log_value
+
+
+def _quad_log(
+    log_f, points: list[float], q: float, deep_tail: bool = False
+) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """Integral of exp(log_f) over the breakpoints, with its error estimate.
+
+    The float integrand is exp(log_f - shift), with shift the largest log_f
+    at the midpoints of the finite segments, so that its values stay near 1
+    whatever the scale of the integral; the scale comes back at
+    QUADRATURE_DPS.  A peak that the midpoints miss by more than the float
+    range (orders in the hundreds) raises the shift to it and starts again.
+    """
+    rule = _FloatTanhSinh(_FLOAT_REL_FLOOR * max(1.0, q), deep_tail)
+    finite = [p for p in points if p != math.inf]
+    shift = max(log_f(0.5 * (a + b)) for a, b in zip(finite, finite[1:]))
+    while True:
+
+        def integrand(x: float, shift: float = shift) -> float:
+            log_value = log_f(x)
+            if log_value - shift > 700:
+                raise _ShiftTooLow(log_value)
+            return math.exp(log_value - shift)
+
+        try:
+            value, err = _quad(integrand, points, rule)
+            break
+        except _ShiftTooLow as exc:
+            shift = exc.log_value
+    with mpmath.workdps(QUADRATURE_DPS):
+        scale = mpmath.exp(shift)
+        return value * scale, err * scale
 
 
 def position_radial_power_integral(
@@ -322,27 +474,25 @@ def position_radial_power_integral(
     r^(D-1) dr, with its quadrature error estimate."""
     d = validate(state)
     l, D = d.l, state.D
-    with mpmath.workdps(QUADRATURE_DPS):
-        lam = mpmath.mpf(d.lam.numerator) / d.lam.denominator
-        norm = radial_norm_squared(state)
-        norm2 = (mpmath.mpf(norm.numerator) / norm.denominator) / lam**D
-        k, alpha = state.n - l - 1, Fraction(2 * l + D - 2)
-        coeffs = _poly_mpf(laguerre(k, alpha))
-        qm = mpmath.mpf(q)
+    k, alpha = state.n - l - 1, 2 * l + D - 2
+    lam = float(d.lam)
+    # ln N^2 for the density as a function of r / lam
+    log_norm = _log_float(radial_norm_squared(state) / d.lam**D)
+    log_poly = laguerre_log_abs(k, alpha)
+    q = float(q)
 
-        def integrand(r):
-            rt = r / lam
-            poly = mpmath.polyval(coeffs, rt)
-            density = norm2 * rt ** (2 * l) * mpmath.exp(-rt) * poly**2
-            return density**qm * r ** (D - 1)
+    def log_integrand(r: float) -> float:
+        rt = r / lam
+        log_density = log_norm + 2 * l * math.log(rt) - rt + 2 * log_poly(rt)
+        return q * log_density + (D - 1) * math.log(r)
 
-        scale = float(lam) * float(2 * d.eta)
-        points = (
-            [0.0]
-            + [float(lam) * r for r in _laguerre_nodes(k, alpha)]
-            + [scale, 4 * scale]
-        )
-        return _quad(integrand, sorted(set(points)) + [mpmath.inf])
+    scale = lam * float(2 * d.eta)
+    points = (
+        [0.0]
+        + [lam * r for r in _laguerre_nodes(k, Fraction(alpha))]
+        + [scale, 4 * scale]
+    )
+    return _quad_log(log_integrand, _breakpoints(points) + [math.inf], q)
 
 
 def momentum_radial_power_integral(
@@ -352,11 +502,10 @@ def momentum_radial_power_integral(
     p^(D-1) dp, with its quadrature error estimate."""
     d = validate(state)
     l, D = d.l, state.D
+    k = state.n - l - 1
     with mpmath.workdps(QUADRATURE_DPS):
         z = mpmath.mpf(state.Z.numerator) / state.Z.denominator
         eta = mpmath.mpf(d.eta.numerator) / d.eta.denominator
-        k = state.n - l - 1
-        coeffs = _poly_mpf(gegenbauer(k, d.L + 1))
         k2 = (
             z ** (-D)
             * mpmath.mpf(2) ** (4 * l + 2 * D)
@@ -365,24 +514,34 @@ def momentum_radial_power_integral(
             * eta ** (D + 1)
             / (2 * mpmath.pi * math.factorial(state.n + l + D - 3))
         )
-        qm = mpmath.mpf(q)
-        two_l_plus_4 = 2 * d.L + 4
-        exp_decay = mpmath.mpf(two_l_plus_4.numerator) / two_l_plus_4.denominator
+        log_k2 = float(mpmath.log(k2))
+    v_per_p = float(d.eta / state.Z)
+    decay = float(2 * d.L + 4)
+    log_poly = gegenbauer_log_abs(k, float(d.L + 1))
+    q = float(q)
 
-        def integrand(p):
-            pt = p / z
-            u = (eta * pt) ** 2
-            y = (1 - u) / (1 + u)
-            poly = mpmath.polyval(coeffs, y)
-            density = k2 * u**l * (1 + u) ** (-exp_decay) * poly**2
-            return density**qm * p ** (D - 1)
+    def log_integrand(p: float) -> float:
+        # v = eta p / Z; the density is K^2 u^l (1+u)^-(2L+4) C(y)^2 with
+        # u = v^2 and y = (1-u)/(1+u), formed from 1/v^2 past v = 1 so that
+        # u cannot overflow
+        v = v_per_p * p
+        log_v = math.log(v)
+        if v <= 1.0:
+            u = v * v
+            y, log_1pu = (1 - u) / (1 + u), math.log1p(u)
+        else:
+            w = (1 / v) ** 2
+            y, log_1pu = (w - 1) / (w + 1), 2 * log_v + math.log1p(w)
+        log_density = log_k2 + 2 * l * log_v - decay * log_1pu + 2 * log_poly(y)
+        return q * log_density + (D - 1) * math.log(p)
 
-        scale = float(z / eta)
-        points = [0.0]
-        for y0 in _gegenbauer_nodes(k, d.L + 1):
-            points.append(scale * math.sqrt((1 - y0) / (1 + y0)))
-        points += [scale, 4 * scale]
-        return _quad(integrand, sorted(set(points)) + [mpmath.inf])
+    scale = float(state.Z / d.eta)
+    points = [0.0]
+    for y0 in _gegenbauer_nodes(k, d.L + 1):
+        points.append(scale * math.sqrt((1 - y0) / (1 + y0)))
+    points += [scale, 4 * scale]
+    deep_tail = (2 * l + 2 * D + 2) * q - D + 1 < _DEEP_TAIL_DECAY
+    return _quad_log(log_integrand, _breakpoints(points) + [math.inf], q, deep_tail)
 
 
 def angular_power_integral(
@@ -392,6 +551,7 @@ def angular_power_integral(
     estimate.  Axes with equal chain entries use closed Beta factors; the
     others get adaptive quadrature split at the polynomial roots."""
     chain = tuple(mu[:-1]) + (abs(mu[-1]),)
+    q = float(q)
     with mpmath.workdps(QUADRATURE_DPS):
         qm = mpmath.mpf(q)
         value = 2 * mpmath.pi
@@ -416,13 +576,17 @@ def angular_power_integral(
             if k == 0:
                 value *= mpmath.beta(mpmath.mpf(1) / 2, s + 1)
                 continue
-            coeffs = _poly_mpf(gegenbauer(k, alpha + mu_j1))
+            log_poly = gegenbauer_log_abs(k, float(alpha + mu_j1))
+            s_float = float(s)
 
-            def integrand(t):
-                return abs(mpmath.polyval(coeffs, t)) ** (2 * qm) * (1 - t * t) ** s
+            def log_integrand(t: float) -> float:
+                g = (1 - t) * (1 + t)
+                if g == 0:  # a node that rounded onto t = +-1
+                    return 2 * q * log_poly(t) if s_float == 0 else -math.inf
+                return 2 * q * log_poly(t) + s_float * math.log(g)
 
             points = [-1.0] + _gegenbauer_nodes(k, alpha + mu_j1) + [1.0]
-            part, err = _quad(integrand, points)
+            part, err = _quad_log(log_integrand, points, q)
             value *= part
             if part != 0:
                 err_rel += abs(err / part)
@@ -439,22 +603,15 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
     """Renyi entropy of any real order q > 0, q != 1, by quadrature of the
     density power, with a propagated error estimate.
 
-    The momentum density decays as p^-(2l+2D+2), so in momentum space the
-    entropy is infinite for q <= D/(2l+2D+2); such orders raise ValueError.
+    In momentum space the entropy is infinite for q <= D/(2l+2D+2) (see
+    states.check_momentum_order); such orders raise ValueError.
     """
-    exact_q = Fraction(q) if isinstance(q, (int, Fraction)) else Fraction(float(q))
-    q = float(q)
+    order, q = q, float(q)
     if q <= 0 or q == 1:
         raise ValueError(f"need real q > 0, q != 1, got {q}")
     d = validate(state)
     if space == "momentum":
-        decay = 2 * d.l + 2 * state.D + 2
-        threshold = Fraction(state.D, decay)
-        if exact_q <= threshold:
-            raise ValueError(
-                f"momentum entropy diverges for q <= {threshold} at D={state.D}, "
-                f"l={d.l} (the density decays as p^-{decay}); got q={q:g}"
-            )
+        check_momentum_order(state.D, d.l, order)
     if space == "position":
         radial, radial_err = position_radial_power_integral(state, q)
     elif space == "momentum":

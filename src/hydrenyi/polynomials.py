@@ -4,14 +4,15 @@ Laguerre comes from its closed-form coefficients; Gegenbauer and Jacobi come
 from their three-term recurrences, which keeps every intermediate Gamma away
 from nonpositive arguments.  The two power-linearization routines exist to
 cross-check the hypergeometric route used by the entropy formulas; the
-production path never calls them.
+production path never calls them.  The float evaluators at the end serve the
+pointwise densities and the real-order quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from hydrenyi import kernels
 from hydrenyi.exactnum import RationalLike, pochhammer
@@ -85,19 +86,6 @@ class PolyExact:
         t = Fraction(t)
         return PolyExact([c * t**k for k, c in enumerate(self.coeffs)])
 
-    def eval_fraction(self, x: RationalLike) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyExact):
             return NotImplemented
@@ -140,6 +128,53 @@ def gegenbauer(n: int, lam: RationalLike) -> PolyExact:
         ) * prev
         prev, cur = cur, nxt
     return cur
+
+
+# Float evaluation.  Monomial coefficients of these polynomials alternate in
+# sign, and Horner's rule on them loses digits to cancellation as the degree
+# grows; the three-term recurrences are stable in floats (Gautschi, SIAM Rev.
+# 9, 1967).  Both evaluators return ln|P(x)|, -inf at an exact zero, so that
+# callers can form a density in the log domain and exponentiate once.
+
+
+def laguerre_log_abs(n: int, alpha: float) -> Callable[[float], float]:
+    """The function x -> ln|L_n^(alpha)(x)|, by the recurrence
+    (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1}.
+
+    The recurrence runs on L_j(x) / s^j with s = max(1, |x|), which stays
+    bounded, so arguments up to the float range do not overflow.
+    """
+    steps = [
+        ((2 * j + 1 + alpha) / (j + 1), 1.0 / (j + 1), (j + alpha) / (j + 1))
+        for j in range(n)
+    ]
+
+    def log_abs(x: float) -> float:
+        s = max(1.0, abs(x))
+        inv = 1.0 / s
+        x_scaled, inv2 = x * inv, inv * inv
+        prev, cur = 0.0, 1.0
+        for a, b, c in steps:
+            prev, cur = cur, (a * inv - b * x_scaled) * cur - c * inv2 * prev
+        if not cur:
+            return -math.inf
+        return math.log(abs(cur)) + n * math.log(s)
+
+    return log_abs
+
+
+def gegenbauer_log_abs(n: int, lam: float) -> Callable[[float], float]:
+    """The function x -> ln|C_n^(lam)(x)| on [-1, 1], by the recurrence
+    (j+1) C_{j+1} = 2(j+lam) x C_j - (j+2lam-1) C_{j-1}."""
+    steps = [(2 * (j + lam) / (j + 1), (j + 2 * lam - 1) / (j + 1)) for j in range(n)]
+
+    def log_abs(x: float) -> float:
+        prev, cur = 0.0, 1.0
+        for a, c in steps:
+            prev, cur = cur, a * x * cur - c * prev
+        return math.log(abs(cur)) if cur else -math.inf
+
+    return log_abs
 
 
 def jacobi(n: int, alpha: RationalLike, beta: RationalLike) -> PolyExact:

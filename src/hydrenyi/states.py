@@ -3,8 +3,8 @@
 A state is (D, n, mu-chain, Z) with l = mu[0] and the chain constraint
 mu1 >= mu2 >= ... >= mu[D-3] >= |mu[D-2]| >= 0.  For D = 2 the chain is the
 single entry mu1 and l = |mu1|.  The pointwise density evaluators here are
-plain floats; the integration oracle builds its own extended-precision
-integrands from the same exact coefficients.
+plain floats and evaluate the polynomials by their three-term recurrences,
+as the oracle's real-order integrands do.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from hydrenyi.exactnum import RationalLike
-from hydrenyi.polynomials import gegenbauer, laguerre
+from hydrenyi.polynomials import gegenbauer_log_abs, laguerre_log_abs
 
 
 class ValidationError(ValueError):
@@ -159,6 +159,23 @@ def radial_norm_squared(state: HydrogenicState) -> Fraction:
     ) / (2 * d.eta)
 
 
+def check_momentum_order(D: int, l: int, q) -> None:
+    """Raise ValueError when the momentum Renyi entropy of order q is infinite.
+
+    The radial momentum density decays as p^-(2l+2D+2), so its q-th power is
+    integrable against p^(D-1) only for q > D/(2l+2D+2).  The comparison is
+    exact: a float q is taken at its binary value.
+    """
+    decay = 2 * l + 2 * D + 2
+    threshold = Fraction(D, decay)
+    exact_q = q if isinstance(q, (int, Fraction)) else Fraction(float(q))
+    if exact_q <= threshold:
+        raise ValueError(
+            f"momentum entropy diverges for q <= {threshold} at D={D}, l={l} "
+            f"(the density decays as p^-{decay}); got q={float(q):g}"
+        )
+
+
 def radial_density_position(state: HydrogenicState, r: float) -> float:
     """Radial position density factor; integrates to 1 against r**(D-1) dr."""
     if r <= 0:
@@ -166,9 +183,9 @@ def radial_density_position(state: HydrogenicState, r: float) -> float:
     d = validate(state)
     lam = float(d.lam)
     rt = r / lam
-    poly = laguerre(state.n - d.l - 1, 2 * d.l + state.D - 2)
+    log_poly = laguerre_log_abs(state.n - d.l - 1, 2 * d.l + state.D - 2)
     norm2 = float(radial_norm_squared(state)) / lam**state.D
-    return norm2 * rt ** (2 * d.l) * math.exp(-rt) * poly.eval_float(rt) ** 2
+    return norm2 * rt ** (2 * d.l) * math.exp(2 * log_poly(rt) - rt)
 
 
 def radial_density_momentum(state: HydrogenicState, p: float) -> float:
@@ -179,7 +196,7 @@ def radial_density_momentum(state: HydrogenicState, p: float) -> float:
     eta = float(d.eta)
     pt = p / float(state.Z)
     y = (1 - (eta * pt) ** 2) / (1 + (eta * pt) ** 2)
-    poly = gegenbauer(state.n - d.l - 1, d.L + 1)
+    log_poly = gegenbauer_log_abs(state.n - d.l - 1, float(d.L + 1))
     # K^2 = Z^-D 2^(4L+6) Gamma(n-l) Gamma(L+1)^2 eta^(D+1) / (2 pi Gamma(n+l+D-2))
     k2 = (
         float(state.Z) ** (-state.D)
@@ -193,7 +210,7 @@ def radial_density_momentum(state: HydrogenicState, p: float) -> float:
         k2
         * (eta * pt) ** (2 * d.l)
         * (1 + (eta * pt) ** 2) ** float(-(2 * d.L + 4))
-        * poly.eval_float(y) ** 2
+        * math.exp(2 * log_poly(y))
     )
 
 
@@ -214,7 +231,7 @@ def angular_density(state: HydrogenicState, angles: "list[float] | tuple[float, 
         alpha_f = float(alpha)
         mu_j, mu_j1 = chain[j - 1], chain[j]
         theta = angles[j - 1]
-        poly = gegenbauer(mu_j - mu_j1, alpha + mu_j1)
+        log_poly = gegenbauer_log_abs(mu_j - mu_j1, float(alpha + mu_j1))
         factor_norm = (
             (alpha_f + mu_j)
             * math.factorial(mu_j - mu_j1)
@@ -227,7 +244,7 @@ def angular_density(state: HydrogenicState, angles: "list[float] | tuple[float, 
         )
         value *= (
             factor_norm
-            * poly.eval_float(math.cos(theta)) ** 2
+            * math.exp(2 * log_poly(math.cos(theta)))
             * math.sin(theta) ** (2 * mu_j1)
         )
     return value

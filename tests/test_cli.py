@@ -149,7 +149,7 @@ class TestCompute:
     def test_quadrature_miss_exits_four(self, capsys, monkeypatch):
         import mpmath
 
-        def shaky_quad(f, points):
+        def shaky_quad(f, points, rule=None):
             return mpmath.mpf(1), mpmath.mpf("1e-3")
 
         monkeypatch.setattr("hydrenyi.oracle._quad", shaky_quad)

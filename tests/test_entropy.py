@@ -251,6 +251,25 @@ class TestNsShortcuts:
         with pytest.raises(ValueError):
             entropy.ns_momentum_entropy(2, 3, 1, -0.5)
 
+    @pytest.mark.parametrize("q", [F(3, 8), 0.375, 0.2])
+    def test_divergent_momentum_orders_rejected(self, q):
+        # l = 0, D = 3: the momentum density decays as p^-8, so the entropy
+        # is infinite for q <= 3/8; both shortcuts returned finite numbers
+        # below the threshold and a bare math domain error at it
+        for shortcut in (
+            lambda: entropy.ns_momentum_entropy(1, 3, 1, q),
+            lambda: entropy.ground_state_radial_momentum_entropy(3, 1, q),
+            lambda: oracle.renyi_float(HydrogenicState(3, 1, (0, 0), 1), q, "momentum"),
+        ):
+            with pytest.raises(ValueError, match="diverges for q <= 3/8 at D=3, l=0"):
+                shortcut()
+
+    def test_threshold_follows_l(self):
+        # n = 3 quasi-spherical, l = 2 in D = 4: threshold 4/14 = 2/7
+        with pytest.raises(ValueError, match="q <= 2/7"):
+            entropy.ns_momentum_entropy(3, 4, 1, F(2, 7))
+        assert math.isfinite(entropy.ns_momentum_entropy(3, 4, 1, F(2, 7) + F(1, 100)))
+
 
 class TestUncertainty:
     def test_conjugate_order(self):

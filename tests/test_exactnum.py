@@ -10,10 +10,6 @@ from hydrenyi.exactnum import (
     gamma_exact,
     parse_scalar,
     pochhammer,
-    scalar_add,
-    scalar_div,
-    scalar_mul,
-    scalar_pow,
     to_float,
 )
 
@@ -130,13 +126,6 @@ class TestExactScalar:
     def test_additive_identity_inverse(self, a):
         assert a + ExactScalar(0) == a
         assert a + (-a) == ExactScalar(0)
-
-    def test_functional_aliases(self):
-        a, b = scalar((2, 2)), scalar((1, 3))
-        assert scalar_add(a, b) == a + b
-        assert scalar_mul(a, b) == a * b
-        assert scalar_div(a, b) == a / b
-        assert scalar_pow(a, -3) == a**-3
 
 
 class TestToFloat:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.calculus.quadrature import TanhSinh
 
 from hydrenyi import entropy, oracle
 from hydrenyi.exactnum import ExactScalar
@@ -20,7 +21,7 @@ from hydrenyi.oracle import (
     verify_state,
 )
 from hydrenyi.polynomials import gegenbauer, laguerre
-from hydrenyi.states import HydrogenicState, enumerate_states
+from hydrenyi.states import HydrogenicState, enumerate_states, radial_norm_squared
 
 F = Fraction
 
@@ -159,7 +160,7 @@ class TestFloatOracle:
         assert float(value) == pytest.approx(1.0, rel=1e-12)
 
     def test_nonconvergence_raises_with_estimate(self, monkeypatch):
-        def shaky_quad(f, points):
+        def shaky_quad(f, points, rule=None):
             return mpmath.mpf(1), mpmath.mpf("1e-3")
 
         monkeypatch.setattr("hydrenyi.oracle._quad", shaky_quad)
@@ -176,6 +177,14 @@ class TestDivergence:
         with pytest.raises(ValueError, match="diverges for q <= 3/8"):
             renyi_float(GROUND, F(3, 8), "momentum")
         q = F(3, 8) + F(1, 20)
+        result = renyi_float(GROUND, q, "momentum")
+        reference = entropy.ns_momentum_entropy(1, 3, 1, float(q))
+        assert abs(result.value - reference) <= result.error + 1e-12 * abs(reference)
+
+    def test_deep_tail_just_above_threshold(self):
+        # the tail decays as p^-1.08; cut at p ~ 2e34 it missed 9e-5 of the
+        # integral, the deep nodes reach p ~ 2^1001
+        q = F(3, 8) + F(1, 100)
         result = renyi_float(GROUND, q, "momentum")
         reference = entropy.ns_momentum_entropy(1, 3, 1, float(q))
         assert abs(result.value - reference) <= result.error + 1e-12 * abs(reference)
@@ -205,7 +214,6 @@ class TestFloatMatchesExact:
     def test_high_degree_s_states(self, n, q, space):
         _assert_float_matches_exact(HydrogenicState(3, n, (0, 0), 1), q, space)
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("space", ["position", "momentum"])
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("l", [0, 1])
@@ -262,17 +270,140 @@ class TestBreakpoints:
 class TestQuadRule:
     def test_relative_error_is_scale_free(self):
         rel = []
-        with mpmath.workdps(oracle.QUADRATURE_DPS):
-            for c in (mpmath.mpf("1e-20"), mpmath.mpf(1), mpmath.mpf("1e20")):
-                value, err = oracle._quad(
-                    lambda x, c=c: c * x ** mpmath.mpf(2.5) * mpmath.exp(-x),
-                    [0.0, 1.0, mpmath.inf],
-                )
-                assert value == pytest.approx(float(c) * math.gamma(3.5), rel=1e-14)
-                rel.append(float(err / value))
+        for c in (1e-20, 1.0, 1e20):
+            value, err = oracle._quad(
+                lambda x, c=c: c * x**2.5 * math.exp(-x), [0.0, 1.0, mpmath.inf]
+            )
+            assert value == pytest.approx(c * math.gamma(3.5), rel=1e-14)
+            rel.append(err / value)
         assert 0 < rel[1] <= oracle.QUADRATURE_REL_TARGET
         assert rel[0] == pytest.approx(rel[1], rel=1e-6, abs=0)
         assert rel[2] == pytest.approx(rel[1], rel=1e-6, abs=0)
+
+    @pytest.mark.parametrize("level", range(1, 10))
+    def test_nodes_are_mpmaths(self, level):
+        # same truncation, so the same number of evaluations per level; the
+        # float complements 1 - |x| keep their relative precision
+        prec = mpmath.libmp.dps_to_prec(oracle.QUADRATURE_DPS)
+        with mpmath.workprec(prec + 40):
+            reference = TanhSinh(mpmath.mp).calc_nodes(level, prec)
+            positive = [(1 - x, w) for x, w in reference if x > 0]
+        comps, weights = oracle._level_nodes(level, oracle._NODE_LIMIT)
+        assert len(reference) == 2 * len(comps) + (level == 1)
+        for (comp, w), c, v in zip(positive, comps, weights):
+            assert c == pytest.approx(float(comp), rel=1e-13, abs=0)
+            assert v == pytest.approx(float(w), rel=1e-13, abs=0)
+
+    def test_error_never_below_float_floor(self):
+        # an integrand the rule gets exactly still reports the rounding floor
+        value, err = oracle._quad(lambda x: 1.0, [0.0, 0.5, 2.0])
+        assert value == 2.0
+        assert err == pytest.approx(2.0 * oracle._FLOAT_REL_FLOOR, rel=1e-15)
+        for q, space in [(0.7, "position"), (5, "momentum"), (40, "position")]:
+            result = renyi_float(HydrogenicState(4, 5, (2, 1, 0), 1), q, space)
+            floor = oracle._FLOAT_REL_FLOOR * max(1, q)
+            assert result.error >= 2 * floor / abs(1 - q) * (1 - 1e-12)
+
+    def test_near_duplicate_breakpoints_merge(self):
+        assert oracle._breakpoints([2.0, 1.0, 0.0, 1.0 + 2e-16, 0.0]) == [0.0, 1.0, 2.0]
+        # the Gegenbauer zero y = 0 maps onto the Z/eta breakpoint; kept as two
+        # points it left a 1e-17-wide segment that ran all nine levels
+        counts = []
+
+        def counting_quad(f, points, rule=oracle._FloatTanhSinh()):
+            def counted(x):
+                counts.append(x)
+                return f(x)
+
+            return original(counted, points, rule)
+
+        original = oracle._quad
+        state = HydrogenicState(3, 6, (0, 0), 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_quad", counting_quad)
+            renyi_float(state, 5, "momentum")
+        assert len(counts) <= 1316  # the mpmath rule's count on the same input
+
+    def test_peak_missed_by_the_midpoints(self):
+        # exp(-c (x - x0)^2) on [0, 1]: the midpoint sits 1200 below the
+        # peak in the log, past the float range of the first shift
+        c, x0 = 5000.0, 0.01
+        value, err = oracle._quad_log(lambda x: -c * (x - x0) ** 2, [0.0, 1.0], 1.0)
+        exact = math.sqrt(math.pi / c) / 2 * (
+            math.erf(math.sqrt(c) * (1 - x0)) + math.erf(math.sqrt(c) * x0)
+        )
+        assert float(value) == pytest.approx(exact, rel=1e-13)
+        assert float(err) <= 1e-10 * exact
+
+
+def _captured_log_integrand(monkeypatch, integral, state, q):
+    captured = {}
+
+    def capture(log_f, points, q, deep_tail=False):
+        captured["log_f"] = log_f
+        return mpmath.mpf(1), mpmath.mpf(0)
+
+    monkeypatch.setattr(oracle, "_quad_log", capture)
+    integral(state, q)
+    return captured["log_f"]
+
+
+class TestFloatIntegrands:
+    """The log integrands against the densities at 50 digits, far into the
+    tails that the rule's nodes reach."""
+
+    def test_position_far_tail(self, monkeypatch):
+        # the unscaled Laguerre recurrence overflowed to NaN at r ~ 1e34
+        state, q = HydrogenicState(3, 12, (0, 0), 1), 0.5
+        log_f = _captured_log_integrand(
+            monkeypatch, position_radial_power_integral, state, q
+        )
+        d = oracle.validate(state)
+        poly = laguerre(11, 1)
+        with mpmath.workdps(50):
+            lam = mpmath.mpf(d.lam.numerator) / d.lam.denominator
+            norm = radial_norm_squared(state)
+            norm2 = mpmath.mpf(norm.numerator) / norm.denominator / lam**3
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
+            for r in (0.3, 7.0, 150.0, 1e34, 1e300):
+                rt = mpmath.mpf(r) / lam
+                log_density = (
+                    mpmath.log(norm2) - rt + 2 * mpmath.log(abs(mpmath.polyval(coeffs, rt)))
+                )
+                exact = q * log_density + 2 * mpmath.log(r)
+                assert log_f(r) == pytest.approx(float(exact), rel=1e-13)
+
+    @pytest.mark.parametrize("v", [1e-3, 0.5, 1.0, 3.0, 1e10, 1e160, 1e300])
+    def test_momentum_over_the_whole_range(self, monkeypatch, v):
+        # u = v^2 overflows past v = 1e154 unless formed from 1/v^2
+        state, q = HydrogenicState(4, 7, (2, 1, 0), F(3, 2)), 0.7
+        log_f = _captured_log_integrand(
+            monkeypatch, momentum_radial_power_integral, state, q
+        )
+        d = oracle.validate(state)
+        l, D, k = 2, 4, 4
+        poly = gegenbauer(k, d.L + 1)
+        with mpmath.workdps(50):
+
+            def mp(x):
+                return mpmath.mpf(x.numerator) / x.denominator
+
+            z, eta = mp(state.Z), mp(d.eta)
+            k2 = (
+                z ** (-D) * mpmath.mpf(2) ** (4 * l + 2 * D) * math.factorial(k)
+                * mpmath.gamma(mpmath.mpf(2 * l + D - 1) / 2) ** 2 * eta ** (D + 1)
+                / (2 * mpmath.pi * math.factorial(state.n + l + D - 3))
+            )
+            coeffs = [mp(c) for c in reversed(poly.coeffs)]
+            p = mpmath.mpf(v) * z / eta
+            u = mpmath.mpf(v) ** 2
+            y = (1 - u) / (1 + u)
+            log_density = (
+                mpmath.log(k2) + l * mpmath.log(u) - mp(2 * d.L + 4) * mpmath.log1p(u)
+                + 2 * mpmath.log(abs(mpmath.polyval(coeffs, y)))
+            )
+            exact = q * log_density + (D - 1) * mpmath.log(p)
+        assert log_f(float(p)) == pytest.approx(float(exact), rel=1e-13)
 
 
 class TestVerifyState:

@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from hydrenyi import oracle
 from hydrenyi.exactnum import ExactScalar, gamma_exact
 from hydrenyi.polynomials import (
     PolyExact,
     gegenbauer,
     gegenbauer_as_jacobi,
+    gegenbauer_log_abs,
     jacobi,
     jacobi_power_linearization,
     laguerre,
+    laguerre_log_abs,
     laguerre_power_linearization,
     poly_pow,
 )
@@ -216,3 +219,50 @@ class TestJacobiPowerLinearization:
         integral = jacobi_weight_integral(power, gamma, delta)
         norm0 = jacobi_weight_integral(PolyExact([1]), gamma, delta)
         assert integral == norm0 * c0
+
+
+def _exact_log_abs(poly: PolyExact, x: float) -> float:
+    value = abs(sum((c * F(x) ** i for i, c in enumerate(poly.coeffs)), F(0)))
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+# The recurrences lose accuracy only next to a zero, where |P| is small
+# against its terms; they are checked halfway between zeros and outside the
+# zeros.  The logarithm of P is compared relatively where it exceeds 1 in
+# size, so at large arguments the bound is on ln|P|, which is what a float
+# can hold there.  Worst measured: 1.4e-13 at degree 20.
+RECURRENCE_TOL = 2e-13
+
+
+class TestFloatRecurrences:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 14, 20])
+    @pytest.mark.parametrize("alpha", [0, 1, 3, 8, 30])
+    def test_laguerre_against_exact(self, n, alpha):
+        log_abs, poly = laguerre_log_abs(n, alpha), laguerre(n, alpha)
+        zeros = oracle._laguerre_nodes(n, F(alpha))
+        xs = [(a + b) / 2 for a, b in zip(zeros, zeros[1:])]
+        xs += [zeros[0] / 2] if zeros else [0.5]
+        xs += [x for x in (10.0**e for e in range(0, 301, 10)) if not zeros or x > 2 * zeros[-1]]
+        for x in xs:
+            exact = _exact_log_abs(poly, x)
+            assert abs(log_abs(x) - exact) <= RECURRENCE_TOL * max(1.0, abs(exact)), x
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 14, 20])
+    @pytest.mark.parametrize("lam", [F(1, 2), F(1), F(3, 2), F(9, 2), F(13)])
+    def test_gegenbauer_against_exact(self, n, lam):
+        log_abs, poly = gegenbauer_log_abs(n, float(lam)), gegenbauer(n, lam)
+        zeros = oracle._gegenbauer_nodes(n, lam)
+        for x in [-1.0, 1.0] + [(a + b) / 2 for a, b in zip(zeros, zeros[1:])]:
+            exact = _exact_log_abs(poly, x)
+            assert abs(log_abs(x) - exact) <= RECURRENCE_TOL * max(1.0, abs(exact)), x
+
+    def test_laguerre_does_not_overflow(self):
+        # L_11^(1)(x) ~ -x^11 / 11!: the unscaled recurrence overflows to inf
+        # and then NaN long before x = 1e300
+        x = 1e300
+        expected = 11 * math.log(x) - math.log(math.factorial(11))
+        assert laguerre_log_abs(11, 1)(x) == pytest.approx(expected, rel=1e-15)
+
+    def test_exact_zero_is_minus_infinity(self):
+        assert gegenbauer_log_abs(3, 1.0)(0.0) == -math.inf
+        assert laguerre_log_abs(1, 0)(1.0) == -math.inf

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from hydrenyi import oracle
+from hydrenyi.polynomials import laguerre
 from hydrenyi.states import (
     HydrogenicState,
     ValidationError,
@@ -15,6 +16,7 @@ from hydrenyi.states import (
     mu_chains,
     radial_density_momentum,
     radial_density_position,
+    radial_norm_squared,
     validate,
 )
 
@@ -174,6 +176,26 @@ class TestDensities:
         plus = HydrogenicState(3, 2, (1, 1), 1)
         minus = HydrogenicState(3, 2, (1, -1), 1)
         assert angular_density(plus, [0.9, 0.2]) == angular_density(minus, [0.9, 0.2])
+
+    def test_high_degree_density_against_extended_precision(self):
+        # Horner's rule on the monomial coefficients was off by up to 1e-6
+        # between the zeros here
+        state = HydrogenicState(5, 20, (0, 0, 0, 0), 1)
+        d = validate(state)
+        norm2 = radial_norm_squared(state) / d.lam**5
+        with mpmath.workdps(50):
+
+            def mp(x: Fraction):
+                return mpmath.mpf(x.numerator) / x.denominator
+
+            coeffs = [mp(c) for c in reversed(laguerre(19, 3).coeffs)]
+            zeros = [float(d.lam) * x for x in oracle._laguerre_nodes(19, F(3))]
+            for r in [(a + b) / 2 for a, b in zip(zeros, zeros[1:])] + [400.0]:
+                rt = mpmath.mpf(r) / mp(d.lam)
+                exact = mp(norm2) * mpmath.exp(-rt) * mpmath.polyval(coeffs, rt) ** 2
+                assert radial_density_position(state, r) == pytest.approx(
+                    float(exact), rel=1e-12, abs=0
+                )
 
 
 def _radial_quad(fn, state, scale):
