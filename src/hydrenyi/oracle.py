@@ -203,12 +203,6 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
 # mpmath.quad drives a tanh-sinh rule that sums in floats.
 
 
-def _log_float(x: Fraction) -> float:
-    """ln x of a positive rational, rounded to a float from QUADRATURE_DPS."""
-    with mpmath.workdps(QUADRATURE_DPS):
-        return float(mpmath.log(mpmath.mpf(x.numerator) / x.denominator))
-
-
 def _jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[float]:
     """Ascending eigenvalues of the symmetric tridiagonal matrix with this
     diagonal and these squared off-diagonal entries, by bisection.
@@ -476,8 +470,10 @@ def position_radial_power_integral(
     l, D = d.l, state.D
     k, alpha = state.n - l - 1, 2 * l + D - 2
     lam = float(d.lam)
-    # ln N^2 for the density as a function of r / lam
-    log_norm = _log_float(radial_norm_squared(state) / d.lam**D)
+    with mpmath.workdps(QUADRATURE_DPS):
+        # ln N^2 for the density as a function of r / lam
+        norm = radial_norm_squared(state) / d.lam**D
+        log_norm = float(mpmath.log(mpmath.mpf(norm.numerator) / norm.denominator))
     log_poly = laguerre_log_abs(k, alpha)
     q = float(q)
 

@@ -304,25 +304,19 @@ class TestQuadRule:
             floor = oracle._FLOAT_REL_FLOOR * max(1, q)
             assert result.error >= 2 * floor / abs(1 - q) * (1 - 1e-12)
 
-    def test_near_duplicate_breakpoints_merge(self):
+    def test_near_duplicate_breakpoints_merge(self, monkeypatch):
         assert oracle._breakpoints([2.0, 1.0, 0.0, 1.0 + 2e-16, 0.0]) == [0.0, 1.0, 2.0]
         # the Gegenbauer zero y = 0 maps onto the Z/eta breakpoint; kept as two
         # points it left a 1e-17-wide segment that ran all nine levels
-        counts = []
+        evaluations = []
+        original = oracle._quad
 
         def counting_quad(f, points, rule=oracle._FloatTanhSinh()):
-            def counted(x):
-                counts.append(x)
-                return f(x)
+            return original(lambda x: evaluations.append(x) or f(x), points, rule)
 
-            return original(counted, points, rule)
-
-        original = oracle._quad
-        state = HydrogenicState(3, 6, (0, 0), 1)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_quad", counting_quad)
-            renyi_float(state, 5, "momentum")
-        assert len(counts) <= 1316  # the mpmath rule's count on the same input
+        monkeypatch.setattr(oracle, "_quad", counting_quad)
+        renyi_float(HydrogenicState(3, 6, (0, 0), 1), 5, "momentum")
+        assert len(evaluations) <= 1316  # the mpmath rule's count on this input
 
     def test_peak_missed_by_the_midpoints(self):
         # exp(-c (x - x0)^2) on [0, 1]: the midpoint sits 1200 below the
