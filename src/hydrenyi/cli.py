@@ -5,7 +5,8 @@ hydrogen tables), verify (closed form vs oracle sweep), sum (uncertainty
 sum against its dimensional bound).  Output is JSON by default, CSV behind
 --format=csv.  Exit codes: 0 ok, 1 verification failure, 2 usage error
 (including a real order at which the momentum entropy diverges), 3 resource
-cap exceeded, 4 the float path missed its error target.
+cap exceeded (the term cap of the sums, or a verify sweep over more than
+MAX_VERIFY_VERDICTS verdicts), 4 the float path missed its error target.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hydrenyi.hyperfun import HypergeometricSpecError, TermBudgetExceeded
 from hydrenyi.states import (
     HydrogenicState,
     ValidationError,
+    count_states,
     enumerate_states,
     validate,
 )
@@ -31,6 +33,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
+
+# verify gives one verdict per state and order, and the states grow as
+# n^D / D!: --dmax 12 --nmax 12 would be about 4 million of them.
+MAX_VERIFY_VERDICTS = 10_000
 
 
 class UsageError(Exception):
@@ -155,11 +161,23 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     qset = [int(q) for q in args.qset.split(",") if q]
+    # with no shells there are no states at any dimension
+    dims = range(2, args.dmax + 1) if args.nmax >= 1 else range(0)
+    planned = 0
+    for D in dims:
+        planned += count_states(D, args.nmax) * len(qset)
+        if planned > MAX_VERIFY_VERDICTS:
+            print(
+                f"error: verify --dmax {args.dmax} --nmax {args.nmax} at {len(qset)} "
+                f"orders asks for more than {MAX_VERIFY_VERDICTS} verdicts",
+                file=sys.stderr,
+            )
+            return EXIT_RESOURCE
     failures: list[dict] = []
     reports: list[dict] = []
     verdict_count = 0
     state_count = 0
-    for D in range(2, args.dmax + 1):
+    for D in dims:
         for state in enumerate_states(D, args.nmax):
             state_count += 1
             for q in qset:

@@ -73,7 +73,9 @@ class ExactScalar:
     """Finite sum of terms ``r * pi**(k/2)`` with rational ``r``, integer ``k``.
 
     The term map is canonical: no zero coefficients are stored, so equality
-    is structural.  Instances are immutable values.
+    is structural.  Instances are immutable values.  The public constructor
+    canonicalises its input; the ring operations build their results with
+    ``_canonical``, since they drop zero terms as they go.
     """
 
     __slots__ = ("_terms",)
@@ -97,13 +99,21 @@ class ExactScalar:
         self._terms = canonical
 
     @classmethod
+    def _canonical(cls, terms: dict[int, Fraction]) -> "ExactScalar":
+        """Wrap a term map that already holds nonzero Fractions only."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def from_rational(cls, r: RationalLike) -> "ExactScalar":
-        return cls(Fraction(r))
+        return cls.pi_power(0, r)
 
     @classmethod
     def pi_power(cls, k: int, coeff: RationalLike = 1) -> "ExactScalar":
         """The monomial ``coeff * pi**(k/2)``."""
-        return cls({int(k): Fraction(coeff)})
+        coeff = Fraction(coeff)
+        return cls._canonical({int(k): coeff} if coeff else {})
 
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple(sorted(self._terms.items()))
@@ -157,13 +167,16 @@ class ExactScalar:
             return NotImplemented
         merged = dict(self._terms)
         for k, r in rhs._terms.items():
-            merged[k] = merged.get(k, Fraction(0)) + r
-        return ExactScalar(merged)
+            acc = merged.pop(k, None)
+            acc = r if acc is None else acc + r
+            if acc:
+                merged[k] = acc
+        return ExactScalar._canonical(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar({k: -r for k, r in self._terms.items()})
+        return ExactScalar._canonical({k: -r for k, r in self._terms.items()})
 
     def __sub__(self, other: "ExactScalar | RationalLike") -> "ExactScalar":
         rhs = self._coerce(other)
@@ -185,8 +198,9 @@ class ExactScalar:
         for ka, ra in self._terms.items():
             for kb, rb in rhs._terms.items():
                 k = ka + kb
-                out[k] = out.get(k, Fraction(0)) + ra * rb
-        return ExactScalar(out)
+                acc = out.get(k)
+                out[k] = ra * rb if acc is None else acc + ra * rb
+        return ExactScalar._canonical({k: r for k, r in out.items() if r})
 
     __rmul__ = __mul__
 
@@ -195,7 +209,7 @@ class ExactScalar:
         r, k = self.monomial()
         if r == 0:
             raise ZeroDivisionError("inverse of zero")
-        return ExactScalar({-k: Fraction(1) / r})
+        return ExactScalar._canonical({-k: 1 / r})
 
     def __truediv__(self, other: "ExactScalar | RationalLike") -> "ExactScalar":
         rhs = self._coerce(other)
@@ -223,7 +237,7 @@ class ExactScalar:
             return ExactScalar(1)
         if self.is_monomial:
             r, k = self.monomial()
-            return ExactScalar({k * exponent: r**exponent})
+            return ExactScalar._canonical({k * exponent: r**exponent})
         out = self
         for _ in range(exponent - 1):
             out = out * self
@@ -329,20 +343,24 @@ def gamma_exact(x: "HalfInt | RationalLike") -> ExactScalar:
         return ExactScalar.from_rational(math.factorial(h.twice_value // 2 - 1))
     m = (h.twice_value - 1) // 2
     coeff = Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
-    return ExactScalar({1: coeff})
+    return ExactScalar.pi_power(1, coeff)
 
 
 def pochhammer(z: "HalfInt | RationalLike", k: int) -> Fraction:
-    """Rising factorial z (z+1) ... (z+k-1); 1 when k = 0."""
+    """Rising factorial z (z+1) ... (z+k-1); 1 when k = 0.
+
+    With z = p/d this is p (p+d) ... (p+(k-1)d) / d^k, one integer product.
+    """
     if k < 0:
         raise ValueError("pochhammer order must be nonnegative")
     base = as_rational(z)
-    out = Fraction(1)
+    p, d = base.numerator, base.denominator
+    num = 1
     for i in range(k):
-        out *= base + i
-        if out == 0:
-            break
-    return out
+        num *= p + i * d
+        if not num:
+            return Fraction(0)
+    return Fraction(num, d**k)
 
 
 def to_mpf(a: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:

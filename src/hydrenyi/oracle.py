@@ -33,6 +33,8 @@ from hydrenyi.polynomials import (
 from hydrenyi.states import (
     HydrogenicState,
     check_momentum_order,
+    radial_momentum_log_density,
+    radial_momentum_norm_squared,
     radial_norm_squared,
     validate,
 )
@@ -59,6 +61,9 @@ class MomentBasis:
     kinds: "laguerre" is x^k e^-x on (0, inf); "gegenbauer" is
     t^k (1-t^2)^s on (-1, 1) with params (s,); "jacobi-shifted" is
     (1-y)^a (1+y)^(b+k) on (-1, 1) with params (a, b).
+
+    ``moment`` is the definition; ``integrate`` sums a whole expansion from
+    the rational ratios of consecutive moments.
     """
 
     kind: str
@@ -90,6 +95,56 @@ class MomentBasis:
             )
         raise ValueError(f"unknown moment basis {self.kind!r}")
 
+    def _ratios(self, count: int) -> list[tuple[int, int]]:
+        """(num, den) with moment(step (j+1)) / moment(step j) = num/den for
+        j < count, where a step is one index, or two for gegenbauer (whose
+        odd moments vanish)."""
+        if self.kind == "laguerre":
+            return [(j + 1, 1) for j in range(count)]
+        if self.kind == "gegenbauer":
+            # (2j+1) / (2j+2s+3)
+            (s,) = self.params
+            sn, sd = s.numerator, s.denominator
+            return [((2 * j + 1) * sd, (2 * j + 3) * sd + 2 * sn) for j in range(count)]
+        if self.kind == "jacobi-shifted":
+            # 2(b+j+1) / (a+b+j+2)
+            a, b = self.params
+            c = a + b
+            bn, bd, cn, cd = b.numerator, b.denominator, c.numerator, c.denominator
+            return [
+                (2 * (bn + (j + 1) * bd) * cd, (cn + (j + 2) * cd) * bd)
+                for j in range(count)
+            ]
+        raise ValueError(f"unknown moment basis {self.kind!r}")
+
+    def integrate(self, coeffs: "list[Fraction] | tuple[Fraction, ...]") -> ExactScalar:
+        """sum_k coeffs[k] * moment(k), as moment(0) times one rational.
+
+        With moment(k) = moment(0) * prod_{j<k} num_j/den_j, the sum is taken
+        in integers over prod_j den_j: term k carries the prefix product of
+        the numerators and the suffix product of the denominators, and the
+        coefficients are scaled by the lcm of their own denominators.  For
+        gegenbauer only the even coefficients count.
+        """
+        if self.kind == "gegenbauer":
+            coeffs = coeffs[::2]
+        if not any(coeffs):
+            return ExactScalar(0)
+        ratios = self._ratios(len(coeffs) - 1)
+        den = 1
+        for c in coeffs:
+            den = math.lcm(den, c.denominator)
+        suffix = [1] * len(coeffs)
+        for j in range(len(ratios) - 1, -1, -1):
+            suffix[j] = suffix[j + 1] * ratios[j][1]
+        total, prefix = 0, 1
+        for k, c in enumerate(coeffs):
+            if c:
+                total += c.numerator * (den // c.denominator) * prefix * suffix[k]
+            if k < len(ratios):
+                prefix *= ratios[k][0]
+        return self.moment(0) * Fraction(total, den * suffix[0])
+
 
 def _check_order(q, minimum: int = 1) -> int:
     q = Fraction(q)
@@ -107,11 +162,7 @@ def radial_position_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
     poly = poly_pow(
         laguerre(state.n - l - 1, 2 * l + D - 2).scale_arg(Fraction(1, q)), 2 * q
     ).shift_degree(2 * l * q + D - 1)
-    basis = MomentBasis("laguerre")
-    integral = ExactScalar(0)
-    for k, coeff in enumerate(poly.coeffs):
-        if coeff:
-            integral = integral + basis.moment(k) * coeff
+    integral = MomentBasis("laguerre").integrate(poly.coeffs)
     norm = radial_norm_squared(state)
     scale = d.lam ** (D * (1 - q)) * norm**q * Fraction(1, q ** (2 * l * q + D))
     return integral * scale
@@ -143,27 +194,27 @@ def angular_w_exact(D: int, mu: tuple[int, ...], q: int) -> ExactScalar:
         )
         norm2 = norm2 * norm_j
         power = poly_pow(gegenbauer(k, alpha + mu_j1), 2 * q)
+        assert not any(power.coeffs[1::2]), "odd moments of an even power must vanish"
         basis = MomentBasis("gegenbauer", (q * mu_j1 + alpha - Fraction(1, 2),))
-        integral = ExactScalar(0)
-        for m, coeff in enumerate(power.coeffs):
-            if m % 2 == 1:
-                assert coeff == 0, "odd moments of an even power must vanish"
-                continue
-            if coeff:
-                integral = integral + basis.moment(m) * coeff
-        value = value * integral
+        value = value * basis.integrate(power.coeffs)
     return value * norm2**q
 
 
 def _shifted_basis_coeffs(poly: PolyExact) -> list[Fraction]:
-    """Rewrite sum a_m y^m as sum s_k (1+y)^k."""
-    out = [Fraction(0)] * (poly.degree + 1 if poly.coeffs else 1)
+    """Rewrite sum a_m y^m as sum s_k (1+y)^k, with y^m = ((1+y) - 1)^m
+    expanded in integers over the lcm of the denominators of the a_m."""
+    den = 1
+    for a in poly.coeffs:
+        den = math.lcm(den, a.denominator)
+    out = [0] * (poly.degree + 1 if poly.coeffs else 1)
     for m, a in enumerate(poly.coeffs):
         if a == 0:
             continue
+        scaled = a.numerator * (den // a.denominator)
         for k in range(m + 1):
-            out[k] += a * math.comb(m, k) * Fraction(-1) ** (m - k)
-    return out
+            term = scaled * math.comb(m, k)
+            out[k] += -term if (m - k) % 2 else term
+    return [Fraction(c, den) for c in out]
 
 
 def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
@@ -176,21 +227,8 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
     shifted = _shifted_basis_coeffs(power)
     a_exp = l * q + Fraction(D, 2) - 1
     b_exp = D * (q - Fraction(1, 2)) + q * (l + 1) - 1
-    basis = MomentBasis("jacobi-shifted", (a_exp, b_exp))
-    integral = ExactScalar(0)
-    for k, coeff in enumerate(shifted):
-        if coeff:
-            integral = integral + basis.moment(k) * coeff
-    k_squared = (
-        ExactScalar.pi_power(-2, Fraction(1, 2))
-        * Fraction(
-            2 ** (4 * l + 2 * D) * math.factorial(state.n - l - 1),
-            math.factorial(state.n + l + D - 3),
-        )
-        * gamma_exact(Fraction(2 * l + D - 1, 2)) ** 2
-        * d.eta ** (D + 1)
-        * state.Z ** (-D)
-    )
+    integral = MomentBasis("jacobi-shifted", (a_exp, b_exp)).integrate(shifted)
+    k_squared = radial_momentum_norm_squared(state, d)
     two_power = Fraction(1, 2 ** (q * (2 * l + D + 1)))
     scale = ExactScalar.from_rational((state.Z / d.eta) ** D * two_power)
     return k_squared**q * scale * integral
@@ -499,37 +537,11 @@ def momentum_radial_power_integral(
     d = validate(state)
     l, D = d.l, state.D
     k = state.n - l - 1
-    with mpmath.workdps(QUADRATURE_DPS):
-        z = mpmath.mpf(state.Z.numerator) / state.Z.denominator
-        eta = mpmath.mpf(d.eta.numerator) / d.eta.denominator
-        k2 = (
-            z ** (-D)
-            * mpmath.mpf(2) ** (4 * l + 2 * D)
-            * math.factorial(state.n - l - 1)
-            * (mpmath.gamma(mpmath.mpf(2 * l + D - 1) / 2)) ** 2
-            * eta ** (D + 1)
-            / (2 * mpmath.pi * math.factorial(state.n + l + D - 3))
-        )
-        log_k2 = float(mpmath.log(k2))
-    v_per_p = float(d.eta / state.Z)
-    decay = float(2 * d.L + 4)
-    log_poly = gegenbauer_log_abs(k, float(d.L + 1))
+    log_density = radial_momentum_log_density(state, d)
     q = float(q)
 
     def log_integrand(p: float) -> float:
-        # v = eta p / Z; the density is K^2 u^l (1+u)^-(2L+4) C(y)^2 with
-        # u = v^2 and y = (1-u)/(1+u), formed from 1/v^2 past v = 1 so that
-        # u cannot overflow
-        v = v_per_p * p
-        log_v = math.log(v)
-        if v <= 1.0:
-            u = v * v
-            y, log_1pu = (1 - u) / (1 + u), math.log1p(u)
-        else:
-            w = (1 / v) ** 2
-            y, log_1pu = (w - 1) / (w + 1), 2 * log_v + math.log1p(w)
-        log_density = log_k2 + 2 * l * log_v - decay * log_1pu + 2 * log_poly(y)
-        return q * log_density + (D - 1) * math.log(p)
+        return q * log_density(p) + (D - 1) * math.log(p)
 
     scale = float(state.Z / d.eta)
     points = [0.0]

@@ -211,10 +211,27 @@ def gegenbauer_as_jacobi(kappa: int, lam: RationalLike) -> tuple[Fraction, PolyE
 
 
 def poly_pow(p: PolyExact, r: int) -> PolyExact:
-    """Exact r-th power by repeated convolution."""
+    """Exact r-th power by repeated convolution.
+
+    The convolutions run in integers: p is scaled by the lcm of its
+    coefficient denominators, and the power divided by its r-th power once.
+    """
     if r < 1:
         raise ValueError("poly_pow requires r >= 1")
-    return p**r
+    den = 1
+    for c in p.coeffs:
+        den = math.lcm(den, c.denominator)
+    out = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    base = [(j, b) for j, b in enumerate(out) if b]
+    for _ in range(r - 1):
+        nxt = [0] * (len(out) + len(p.coeffs) - 1)
+        for i, a in enumerate(out):
+            if a:
+                for j, b in base:
+                    nxt[i + j] += a * b
+        out = nxt
+    scale = den**r
+    return PolyExact([Fraction(c, scale) for c in out])
 
 
 def laguerre_power_linearization(

@@ -4,7 +4,8 @@ A state is (D, n, mu-chain, Z) with l = mu[0] and the chain constraint
 mu1 >= mu2 >= ... >= mu[D-3] >= |mu[D-2]| >= 0.  For D = 2 the chain is the
 single entry mu1 and l = |mu1|.  The pointwise density evaluators here are
 plain floats and evaluate the polynomials by their three-term recurrences,
-as the oracle's real-order integrands do.
+as the oracle's real-order integrands do; the radial momentum density and
+its normalization are shared with the oracle.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
-from hydrenyi.exactnum import RationalLike
+from hydrenyi.exactnum import ExactScalar, RationalLike, gamma_exact, log_float
 from hydrenyi.polynomials import gegenbauer_log_abs, laguerre_log_abs
 
 
@@ -159,6 +160,54 @@ def radial_norm_squared(state: HydrogenicState) -> Fraction:
     ) / (2 * d.eta)
 
 
+def radial_momentum_norm_squared(state: HydrogenicState, d: DerivedQuantum) -> ExactScalar:
+    """K^2, the squared normalization of the radial momentum density, for a
+    state and its d = validate(state):
+    Z^-D 2^(4l+2D) (n-l-1)! Gamma(l+(D-1)/2)^2 eta^(D+1) / (2 pi (n+l+D-3)!)."""
+    l, D = d.l, state.D
+    # the rational part, with the 1/2 of 1/(2 pi) in the power of two
+    rational = (
+        Fraction(
+            2 ** (4 * l + 2 * D - 1) * math.factorial(state.n - l - 1),
+            math.factorial(state.n + l + D - 3),
+        )
+        * d.eta ** (D + 1)
+        / state.Z**D
+    )
+    return ExactScalar.pi_power(-2, rational) * gamma_exact(Fraction(2 * l + D - 1, 2)) ** 2
+
+
+def radial_momentum_log_density(
+    state: HydrogenicState, d: DerivedQuantum
+) -> Callable[[float], float]:
+    """The function p -> ln of the radial momentum density factor, for a
+    state and its d = validate(state).
+
+    With v = eta p / Z, u = v^2 and y = (1-u)/(1+u) the density is
+    K^2 u^l (1+u)^-(2L+4) C(y)^2, C the Gegenbauer polynomial of degree
+    n-l-1 and parameter L+1.  Past v = 1 it is formed from 1/v^2, so that u
+    cannot overflow.
+    """
+    l = d.l
+    log_k2 = log_float(radial_momentum_norm_squared(state, d))
+    v_per_p = float(d.eta / state.Z)
+    decay = float(2 * d.L + 4)
+    log_poly = gegenbauer_log_abs(state.n - l - 1, float(d.L + 1))
+
+    def log_density(p: float) -> float:
+        v = v_per_p * p
+        log_v = math.log(v)
+        if v <= 1.0:
+            u = v * v
+            y, log_1pu = (1 - u) / (1 + u), math.log1p(u)
+        else:
+            w = (1 / v) ** 2
+            y, log_1pu = (w - 1) / (w + 1), 2 * log_v + math.log1p(w)
+        return log_k2 + 2 * l * log_v - decay * log_1pu + 2 * log_poly(y)
+
+    return log_density
+
+
 def check_momentum_order(D: int, l: int, q) -> None:
     """Raise ValueError when the momentum Renyi entropy of order q is infinite.
 
@@ -192,26 +241,7 @@ def radial_density_momentum(state: HydrogenicState, p: float) -> float:
     """Radial momentum density factor; integrates to 1 against p**(D-1) dp."""
     if p <= 0:
         raise ValueError("p must be positive")
-    d = validate(state)
-    eta = float(d.eta)
-    pt = p / float(state.Z)
-    y = (1 - (eta * pt) ** 2) / (1 + (eta * pt) ** 2)
-    log_poly = gegenbauer_log_abs(state.n - d.l - 1, float(d.L + 1))
-    # K^2 = Z^-D 2^(4L+6) Gamma(n-l) Gamma(L+1)^2 eta^(D+1) / (2 pi Gamma(n+l+D-2))
-    k2 = (
-        float(state.Z) ** (-state.D)
-        * 2.0 ** float(4 * d.L + 6)
-        * math.factorial(state.n - d.l - 1)
-        * math.gamma(float(d.L + 1)) ** 2
-        * eta ** (state.D + 1)
-        / (2 * math.pi * math.factorial(state.n + d.l + state.D - 3))
-    )
-    return (
-        k2
-        * (eta * pt) ** (2 * d.l)
-        * (1 + (eta * pt) ** 2) ** float(-(2 * d.L + 4))
-        * math.exp(2 * log_poly(y))
-    )
+    return math.exp(radial_momentum_log_density(state, validate(state))(p))
 
 
 def angular_density(state: HydrogenicState, angles: "list[float] | tuple[float, ...]") -> float:
@@ -267,6 +297,17 @@ def mu_chains(D: int, n: int) -> Iterator[tuple[int, ...]]:
 
     for l in range(n):
         yield from extend((l,))
+
+
+def count_states(D: int, n_max: int) -> int:
+    """How many states enumerate_states(D, n_max) yields, without listing them.
+
+    Level n holds C(n+D-2, D-1) + C(n+D-3, D-1) chains (2n-1 at D = 2, n^2
+    at D = 3); summed over n <= n_max that is C(n_max+D-1, D) + C(n_max+D-2, D).
+    """
+    if n_max < 1:
+        return 0
+    return math.comb(n_max + D - 1, D) + math.comb(n_max + D - 2, D)
 
 
 def enumerate_states(

@@ -234,6 +234,32 @@ class TestVerify:
         assert code == 3
         assert "cap" in err
 
+    def test_paper_grid_reports_every_state(self, capsys):
+        code, out, _ = run(capsys, "verify", "--dmax", "5", "--nmax", "4")
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert (summary["states"], summary["verdicts"]) == (173, 346)
+
+    def test_oversized_sweep_exits_three_before_any_work(self, capsys, monkeypatch):
+        # about 4 million states at --dmax 12 --nmax 12
+        def refuse(state, q):
+            raise AssertionError("verify started work")
+
+        monkeypatch.setattr(oracle, "verify_state", refuse)
+        for argv in (
+            ("--dmax", "12", "--nmax", "12"),
+            ("--dmax", "1000000000", "--nmax", "1"),
+        ):
+            code, out, err = run(capsys, "verify", *argv)
+            assert code == 3
+            assert out == ""
+            assert err.count("\n") == 1 and str(cli.MAX_VERIFY_VERDICTS) in err
+
+    def test_no_shells_is_an_empty_sweep(self, capsys):
+        code, out, _ = run(capsys, "verify", "--dmax", "1000000000", "--nmax", "0")
+        assert code == 0
+        assert json.loads(out)["summary"]["states"] == 0
+
 
 class TestSum:
     def test_ground_satisfied(self, capsys):

@@ -78,6 +78,19 @@ class TestPochhammer:
                 ratio = gamma_exact(F(z) + k) / gamma_exact(z)
                 assert ratio == ExactScalar(pochhammer(z, k))
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 9])
+    @pytest.mark.parametrize(
+        "z", [0, 1, -3, 4, F(-5, 2), F(-1, 2), F(1, 2), F(7, 3), F(-7, 3), F(-11, 6)]
+    )
+    def test_matches_factor_by_factor_product(self, z, k):
+        # k = 0, products through zero (z = 0, -3) and negative half-integers
+        expected = F(1)
+        for i in range(k):
+            expected *= F(z) + i
+        value = pochhammer(z, k)
+        assert type(value) is Fraction
+        assert value == expected
+
 
 small_fraction = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 scalars = st.dictionaries(
@@ -126,6 +139,40 @@ class TestExactScalar:
     def test_additive_identity_inverse(self, a):
         assert a + ExactScalar(0) == a
         assert a + (-a) == ExactScalar(0)
+
+    def test_cancelling_sum_and_product_store_no_zero_term(self):
+        one_plus = ExactScalar(1) + scalar((1, 1))
+        one_minus = ExactScalar(1) + scalar((1, -1))
+        product = one_plus * one_minus  # the sqrt(pi) terms cancel
+        assert product.terms() == ((0, F(1)), (2, F(-1)))
+        total = scalar((1, F(2, 3)), (4, 5)) + scalar((1, F(-2, 3)))
+        assert total.terms() == ((4, F(5)),)
+        assert (one_plus - one_plus).terms() == ()
+
+    @given(scalars, scalars)
+    def test_results_are_canonical(self, a, b):
+        # against a term map summed raw and canonicalised by the constructor
+        raw_sum: dict[int, Fraction] = {}
+        raw_product: dict[int, Fraction] = {}
+        for k, r in a.terms() + b.terms():
+            raw_sum[k] = raw_sum.get(k, F(0)) + r
+        for ka, ra in a.terms():
+            for kb, rb in b.terms():
+                raw_product[ka + kb] = raw_product.get(ka + kb, F(0)) + ra * rb
+        for result, raw in ((a + b, raw_sum), (a * b, raw_product)):
+            fresh = ExactScalar(raw)
+            assert all(type(r) is Fraction and r != 0 for _, r in result.terms())
+            assert result == fresh
+            assert hash(result) == hash(fresh)
+        for result in (-a, a - b):
+            assert all(r != 0 for _, r in result.terms())
+            assert result == ExactScalar(dict(result.terms()))
+
+    def test_constructors_drop_zero(self):
+        assert ExactScalar.from_rational(0).terms() == ()
+        assert ExactScalar.pi_power(3, 0).terms() == ()
+        assert ExactScalar.pi_power(3, F(2, 4)).terms() == ((3, F(1, 2)),)
+        assert ExactScalar.from_rational(7).terms() == ((0, F(7)),)
 
 
 class TestToFloat:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 from mpmath.calculus.quadrature import TanhSinh
 
 from hydrenyi import entropy, oracle
@@ -20,7 +21,7 @@ from hydrenyi.oracle import (
     renyi_float,
     verify_state,
 )
-from hydrenyi.polynomials import gegenbauer, laguerre
+from hydrenyi.polynomials import PolyExact, gegenbauer, laguerre
 from hydrenyi.states import HydrogenicState, enumerate_states, radial_norm_squared
 
 F = Fraction
@@ -51,6 +52,85 @@ class TestMomentBasis:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             MomentBasis("chebyshev").moment(0)
+        with pytest.raises(ValueError):
+            MomentBasis("chebyshev").integrate([F(1), F(2)])
+
+
+def _summed_moments(basis: MomentBasis, coeffs) -> ExactScalar:
+    """The definition integrate must reproduce: sum_k c_k moment(k)."""
+    total = ExactScalar(0)
+    for k, c in enumerate(coeffs):
+        if c:
+            total = total + basis.moment(k) * c
+    return total
+
+
+# zeros, negatives and large denominators, up to the degrees the oracle meets
+rational_vectors = st.lists(
+    st.one_of(
+        st.just(F(0)), st.fractions(min_value=-40, max_value=40, max_denominator=60)
+    ),
+    max_size=16,
+)
+# s >= 0 in steps of 1/2, as the angular oracle produces
+gegenbauer_params = st.integers(min_value=0, max_value=20).map(lambda t: F(t, 2))
+
+
+@st.composite
+def shifted_params(draw):
+    # a, b > -1 in steps of 1/2 with a + b an integer
+    twice_a = draw(st.integers(min_value=-1, max_value=30))
+    twice_b = 2 * draw(st.integers(min_value=0, max_value=15)) - twice_a % 2
+    return F(twice_a, 2), F(twice_b, 2)
+
+
+class TestMomentIntegrate:
+    """integrate against the moment-by-moment sum, with zero tolerance."""
+
+    @given(rational_vectors)
+    def test_laguerre(self, coeffs):
+        basis = MomentBasis("laguerre")
+        assert basis.integrate(coeffs) == _summed_moments(basis, coeffs)
+
+    @given(rational_vectors, gegenbauer_params)
+    def test_gegenbauer(self, coeffs, s):
+        basis = MomentBasis("gegenbauer", (s,))
+        assert basis.integrate(coeffs) == _summed_moments(basis, coeffs)
+
+    @given(rational_vectors, shifted_params())
+    def test_jacobi_shifted(self, coeffs, params):
+        basis = MomentBasis("jacobi-shifted", params)
+        assert basis.integrate(coeffs) == _summed_moments(basis, coeffs)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            MomentBasis("laguerre"),
+            MomentBasis("gegenbauer", (F(0),)),
+            MomentBasis("gegenbauer", (F(7, 2),)),
+            MomentBasis("jacobi-shifted", (F(-1, 2), F(3, 2))),
+            MomentBasis("jacobi-shifted", (F(2), F(0))),
+        ],
+    )
+    def test_fixed_vectors(self, basis):
+        # a single last moment, a cancelling pair and the oracle's own sizes
+        for coeffs in (
+            [F(0)] * 12 + [F(-5, 3)],
+            [F(1), F(0), F(-1)],
+            [F(0)],
+            [F((-1) ** k * (k + 1), 2 * k + 1) for k in range(41)],
+        ):
+            assert basis.integrate(coeffs) == _summed_moments(basis, coeffs)
+
+    def test_shifted_basis_coefficients(self):
+        # sum a_m y^m == sum s_k (1+y)^k, checked as polynomials in y
+        poly = PolyExact([F(3, 4), F(-2), F(0), F(5, 6), F(0), F(-1, 10)])
+        shifted = oracle._shifted_basis_coeffs(poly)
+        rebuilt = PolyExact([0])
+        for k, c in enumerate(shifted):
+            rebuilt = rebuilt + PolyExact([1, 1]) ** k * c
+        assert rebuilt == poly
+        assert oracle._shifted_basis_coeffs(PolyExact([])) == [F(0)]
 
 
 class TestExactOracles:
@@ -434,3 +514,63 @@ class TestVerifyState:
         assert not verdict.all_equal
         bad = [check for check in verdict.checks if not check.equal]
         assert bad and all(check.residual > 0 for check in bad)
+
+
+def _sweep_chains(D: int, l: int) -> list[tuple[int, ...]]:
+    """Chains at orbital number l: one that drops to zero at once, one that
+    stays at l with a negative magnetic number, and one that steps down."""
+    if D == 2:
+        return sorted({(l,), (-l,)})
+    return sorted(
+        {
+            (l,) + (0,) * (D - 2),
+            (l,) * (D - 2) + (-l,),
+            tuple(l - l * j // (D - 1) for j in range(D - 1)),
+        }
+    )
+
+
+SWEEP_ORDERS = (2, 3, 4, 5, 6)
+
+
+def _assert_verified(cases) -> None:
+    failing = [
+        f"{state.literal()} q={q}"
+        for state, q in cases
+        if not verify_state(state, q).all_equal
+    ]
+    assert not failing, failing
+
+
+def _sweep_subset(D: int, n: int) -> list[tuple[HydrogenicState, int]]:
+    """One chain and order per l, rotating through both, plus the costliest
+    radial case l = 0 at q = 6."""
+    cases = []
+    for l in range(n):
+        chains = _sweep_chains(D, l)
+        q = SWEEP_ORDERS[(D + n + l) % len(SWEEP_ORDERS)]
+        cases.append((HydrogenicState(D, n, chains[(n + l) % len(chains)], 1), q))
+    if cases[0][1] != 6:
+        cases.append((HydrogenicState(D, n, (0,) * (D - 1), 1), 6))
+    return cases
+
+
+class TestClosedFormsAgainstOracle:
+    """Every closed-form W against the oracle's, with zero tolerance, beyond
+    the paper's D <= 5, n <= 4, q <= 3."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("D", range(2, 9))
+    def test_subset(self, D, n):
+        _assert_verified(_sweep_subset(D, n))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("D", range(2, 9))
+    def test_grid(self, D, n):
+        _assert_verified(
+            (HydrogenicState(D, n, chain, 1), q)
+            for l in range(n)
+            for chain in _sweep_chains(D, l)
+            for q in SWEEP_ORDERS
+        )

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hydrenyi import oracle
 from hydrenyi.exactnum import ExactScalar, gamma_exact
@@ -171,6 +172,25 @@ class TestPolyPow:
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
             poly_pow(PolyExact([1, 1]), 0)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(F(0)), st.fractions(min_value=-20, max_value=20, max_denominator=30)
+            ),
+            max_size=8,
+        ),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_matches_repeated_product(self, coeffs, r):
+        # zero coefficients, trailing ones trimmed, and the zero polynomial
+        p = PolyExact(coeffs)
+        assert poly_pow(p, r) == p**r
+
+    def test_gegenbauer_power_keeps_its_parity(self):
+        power = poly_pow(gegenbauer(5, F(7, 2)), 6)
+        assert power == gegenbauer(5, F(7, 2)) ** 6
+        assert not any(power.coeffs[1::2])
 
 
 class TestLaguerrePowerLinearization:

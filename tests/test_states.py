@@ -6,16 +6,20 @@ import mpmath
 import pytest
 
 from hydrenyi import oracle
-from hydrenyi.polynomials import laguerre
+from hydrenyi.exactnum import to_mpf
+from hydrenyi.polynomials import gegenbauer, laguerre
 from hydrenyi.states import (
     HydrogenicState,
     ValidationError,
     angular_density,
+    count_states,
     energy,
     enumerate_states,
     mu_chains,
     radial_density_momentum,
     radial_density_position,
+    radial_momentum_log_density,
+    radial_momentum_norm_squared,
     radial_norm_squared,
     validate,
 )
@@ -198,6 +202,60 @@ class TestDensities:
                 )
 
 
+def _mp(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _momentum_norm_mp(state: HydrogenicState):
+    """K^2 at the working precision, from mpmath's Gamma function."""
+    d = validate(state)
+    l, D = d.l, state.D
+    return (
+        _mp(state.Z) ** (-D) * mpmath.mpf(2) ** (4 * l + 2 * D)
+        * math.factorial(state.n - l - 1)
+        * mpmath.gamma(mpmath.mpf(2 * l + D - 1) / 2) ** 2 * _mp(d.eta) ** (D + 1)
+        / (2 * mpmath.pi * math.factorial(state.n + l + D - 3))
+    )
+
+
+def _momentum_density_mp(state: HydrogenicState, p):
+    d = validate(state)
+    coeffs = [_mp(c) for c in reversed(gegenbauer(state.n - d.l - 1, d.L + 1).coeffs)]
+    u = (_mp(d.eta) * p / _mp(state.Z)) ** 2
+    poly = mpmath.polyval(coeffs, (1 - u) / (1 + u))
+    return _momentum_norm_mp(state) * u**d.l * (1 + u) ** (-(2 * _mp(d.L) + 4)) * poly**2
+
+
+MOMENTUM_STATES = [
+    HydrogenicState(3, 2, (1, 0), 1),
+    HydrogenicState(4, 5, (2, 1, -1), F(3, 2)),
+    HydrogenicState(2, 4, (-3,), F(1, 3)),
+]
+
+
+class TestMomentumDensity:
+    """The one radial momentum density against 50 digits."""
+
+    @pytest.mark.parametrize("p", [1e-3, 0.7, 2.0, 1e10, 1e160, 1e300])
+    @pytest.mark.parametrize("state", MOMENTUM_STATES, ids=str)
+    def test_over_the_whole_range(self, state, p):
+        # u = (eta p / Z)^2 overflowed past p ~ 1e154
+        with mpmath.workdps(50):
+            exact = _momentum_density_mp(state, mpmath.mpf(p))
+            log_exact = float(mpmath.log(exact))
+            exact = float(exact)
+        log_density = radial_momentum_log_density(state, validate(state))
+        assert log_density(p) == pytest.approx(log_exact, rel=1e-13)
+        assert radial_density_momentum(state, p) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("state", MOMENTUM_STATES, ids=str)
+    def test_norm_is_exact(self, state):
+        k2 = radial_momentum_norm_squared(state, validate(state))
+        assert k2.is_positive_monomial
+        with mpmath.workdps(50):
+            assert to_mpf(k2, 170) == pytest.approx(_momentum_norm_mp(state), rel=1e-45)
+
+
 def _radial_quad(fn, state, scale):
     # the oracle's rule stops at a relative error; the float densities could
     # never reach an absolute target set by the working precision
@@ -249,3 +307,8 @@ class TestEnumeration:
     def test_all_valid(self):
         for state in enumerate_states(5, 3):
             validate(state)
+
+    def test_closed_count_matches_enumeration(self):
+        for D in range(2, 8):
+            for n_max in range(-1, 7):
+                assert count_states(D, n_max) == sum(1 for _ in enumerate_states(D, n_max))
