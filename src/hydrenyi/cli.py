@@ -4,8 +4,9 @@ Subcommands: compute (entropies of one state), table (the published q = 2
 hydrogen tables), verify (closed form vs oracle sweep), sum (uncertainty
 sum against its dimensional bound).  Output is JSON by default, CSV behind
 --format=csv.  Exit codes: 0 ok, 1 verification failure, 2 usage error
-(including a real order at which the momentum entropy diverges), 3 resource
-cap exceeded (the term cap of the sums, or a verify sweep over more than
+(including a real order at which the momentum entropy diverges, an empty
+verify --qset, and a --precision above MAX_PRECISION_BITS or, for exact
+rendering, below 53 bits), 3 resource cap exceeded (the term cap of the sums, or a verify sweep over more than
 MAX_VERIFY_VERDICTS verdicts), 4 the float path missed its error target.
 """
 
@@ -34,6 +35,11 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
 
+# Rendering an exact W as a float costs time growing faster than linearly in
+# the working precision, so --precision is capped; the 53-bit floor is
+# to_mpf's.
+MAX_PRECISION_BITS = 4096
+
 # verify gives one verdict per state and order, and the states grow as
 # n^D / D!: --dmax 12 --nmax 12 would be about 4 million of them.
 MAX_VERIFY_VERDICTS = 10_000
@@ -53,6 +59,12 @@ def _parse_q(text: str) -> Fraction:
     if q == 1:
         raise UsageError("q = 1 (the Shannon limit) is outside the computable range")
     return q
+
+
+def _check_precision(bits: int) -> int:
+    if bits > MAX_PRECISION_BITS:
+        raise UsageError(f"precision must be at most {MAX_PRECISION_BITS} bits, got {bits}")
+    return bits
 
 
 def _parse_state(text: str) -> HydrogenicState:
@@ -83,6 +95,7 @@ def _compute_records(
     state: HydrogenicState, q: Fraction, spaces: list[str], use_float: bool, bits: int
 ) -> list[dict]:
     records = []
+    angular = None  # the same in both spaces, so built once
     for space in spaces:
         if use_float:
             result = oracle.renyi_float(state, q, space)  # type: ignore[arg-type]
@@ -101,12 +114,14 @@ def _compute_records(
             raise UsageError(
                 f"exact closed forms need an integer q >= 2 (got {q}); pass --float"
             )
-        breakdown = (
-            entropy.position_entropy(state, int(q))
+        radial = (
+            entropy.radial_position_entropy(state, int(q))
             if space == "position"
-            else entropy.momentum_entropy(state, int(q))
+            else entropy.radial_momentum_entropy(state, int(q))
         )
-        total = breakdown.total
+        if angular is None:
+            angular = entropy.angular_entropy(state.D, state.mu, int(q))
+        total = radial + angular
         records.append(
             {
                 "state": state.literal(),
@@ -115,8 +130,8 @@ def _compute_records(
                 "w": total.w.render(),
                 "entropy_exact": total.exact_str(),
                 "entropy": total.value_at(bits),
-                "radial_exact": breakdown.radial.exact_str(),
-                "angular_exact": breakdown.angular.exact_str(),
+                "radial_exact": radial.exact_str(),
+                "angular_exact": angular.exact_str(),
                 "provenance": "closed-form",
             }
         )
@@ -127,13 +142,15 @@ def cmd_compute(args) -> int:
     state = _parse_state(args.state)
     q = _parse_q(args.q)
     spaces = ["position", "momentum"] if args.space == "both" else [args.space]
-    records = _compute_records(state, q, spaces, args.float, args.precision)
+    bits = _check_precision(args.precision)
+    records = _compute_records(state, q, spaces, args.float, bits)
     _emit(records, args.format, sys.stdout)
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
     """The quasi-circular hydrogen entries: D = 3, Z = 1, q = 2, n <= 3."""
+    bits = _check_precision(args.precision)
     records = []
     for n in range(1, 4):
         for l in range(n):
@@ -152,7 +169,7 @@ def cmd_table(args) -> int:
                         "m": m,
                         "w": total.w.render(),
                         "entropy_exact": total.exact_str(),
-                        "entropy": total.value_at(args.precision),
+                        "entropy": total.value_at(bits),
                     }
                 )
     _emit(records, args.format, sys.stdout)
@@ -161,6 +178,9 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     qset = [int(q) for q in args.qset.split(",") if q]
+    if not qset:
+        # the verdict cap counts states times orders, which is then 0
+        raise UsageError("verify needs at least one order in --qset")
     # with no shells there are no states at any dimension
     dims = range(2, args.dmax + 1) if args.nmax >= 1 else range(0)
     planned = 0
@@ -247,14 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--format", choices=["json", "csv"], default="json")
     compute.add_argument(
         "--precision", type=int, default=DEFAULT_PRECISION_BITS,
-        help="working precision in bits for float rendering",
+        help=f"working precision in bits for float rendering (53 to {MAX_PRECISION_BITS})",
     )
     compute.set_defaults(func=cmd_compute)
 
     table = sub.add_parser("table", help="quasi-circular hydrogen entries at q=2")
     table.add_argument("which", choices=["position", "momentum"])
     table.add_argument("--format", choices=["json", "csv"], default="json")
-    table.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS)
+    table.add_argument(
+        "--precision", type=int, default=DEFAULT_PRECISION_BITS,
+        help=f"working precision in bits (53 to {MAX_PRECISION_BITS})",
+    )
     table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", help="closed form vs oracle sweep")

@@ -18,7 +18,8 @@ from hydrenyi.exactnum import (
     ExactScalar,
     gamma_exact,
     log_float,
-    pochhammer,
+    pochhammer,  # unused here; perfbench/tracing.py wraps entropy.pochhammer
+    rising_product,
 )
 from hydrenyi.hyperfun import (
     LauricellaSpec,
@@ -89,33 +90,83 @@ def _entropy_coef(q: int) -> Fraction:
     return Fraction(1, 1 - q)
 
 
+# -- prefactors in integers --------------------------------------------------
+#
+# Each closed form folds its Gamma values, Pochhammer symbols and rational
+# powers into one integer numerator, one integer denominator and one pi
+# half-exponent, and makes one ExactScalar of them at the end.  The oracle
+# builds the same factors from exactnum.gamma_exact instead, so a wrong
+# Gamma on either side shows up as a mismatch.
+
+
+def _gamma_parts(twice: int) -> tuple[int, int, int]:
+    """Gamma(twice/2) at a positive integer or half-integer as (num, den, k),
+    Gamma = num/den * pi^(k/2), via Gamma(m + 1/2) = (2m)!/(4^m m!) sqrt(pi)."""
+    if twice < 1:
+        raise ValueError(f"Gamma needs a positive argument, got {Fraction(twice, 2)}")
+    if twice % 2 == 0:
+        return math.factorial(twice // 2 - 1), 1, 0
+    m = twice // 2
+    return math.factorial(2 * m), 4**m * math.factorial(m), 1
+
+
+def _gamma_product(*factors: tuple[int, int]) -> tuple[int, int, int]:
+    """prod Gamma(twice/2)^power over (twice, power) pairs, as (num, den, k)
+    like _gamma_parts; a negative power divides."""
+    num = den = 1
+    half = 0
+    for twice, power in factors:
+        g_num, g_den, g_half = _gamma_parts(twice)
+        if power < 0:
+            g_num, g_den, g_half, power = g_den, g_num, -g_half, -power
+        num *= g_num**power
+        den *= g_den**power
+        half += g_half * power
+    return num, den, half
+
+
 def radial_lauricella_factor(D: int, n: int, l: int, q: int) -> Fraction:
     """The terminating 2q-axis Lauricella sum entering the radial position
-    entropy; equals 1 when l = n - 1."""
+    entropy; equals 1 when l = n - 1.  Its 2q axes are identical: one group."""
     if l == n - 1:
         return Fraction(1)
     spec = LauricellaSpec(
         a=2 * l * q + D,
-        b=(Fraction(-(n - l - 1)),) * (2 * q),
-        c=(Fraction(2 * l + D - 1),) * (2 * q),
-        x=(Fraction(1, q),) * (2 * q),
+        groups=((-(n - l - 1), 2 * l + D - 1, Fraction(1, q), 2 * q),),
     )
     return lauricella_fa(spec)
 
 
 def radial_position_entropy(state: HydrogenicState, q: int) -> EntropyValue:
-    """Radial part of the position-space Renyi entropy, exact."""
+    """Radial part of the position-space Renyi entropy, exact.
+
+    W = lambda^(D(1-q)) ((eta-L)_(2l+D-2) / (2 eta))^q F_A
+        Gamma(D+2lq) / (q^(D+2lq) Gamma(2l+D-1)^(2q)),
+    with lambda = eta/(2Z), eta - L = n - l and 2 eta = 2n+D-3.
+    """
     q = _check_integer_order(q)
-    d = validate(state)
-    l = d.l
-    D = state.D
-    lam_power = ExactScalar.from_rational(d.lam ** (D * (1 - q)))
-    poch = pochhammer(d.eta - d.L, 2 * l + D - 2) / (2 * d.eta)
-    hyper = radial_lauricella_factor(D, state.n, l, q)
-    front = gamma_exact(D + 2 * l * q) / (
-        Fraction(q) ** (D + 2 * l * q) * gamma_exact(2 * l + D - 1) ** (2 * q)
+    l = validate(state).l
+    D, n, Z = state.D, state.n, state.Z
+    two_eta = 2 * n + D - 3
+    lam_power = D * (q - 1)  # lambda^(D(1-q)) = (4Z / 2eta)^(D(q-1))
+    hyper = radial_lauricella_factor(D, n, l, q)
+    g_num, g_den, _ = _gamma_product(
+        (2 * (D + 2 * l * q), 1), (2 * (2 * l + D - 1), -2 * q)
     )
-    w = lam_power * poch**q * hyper * front
+    num = (
+        (4 * Z.numerator) ** lam_power
+        * rising_product(n - l, 1, 2 * l + D - 2) ** q
+        * hyper.numerator
+        * g_num
+    )
+    den = (
+        (two_eta * Z.denominator) ** lam_power
+        * two_eta**q
+        * hyper.denominator
+        * q ** (D + 2 * l * q)
+        * g_den
+    )
+    w = ExactScalar.from_rational(Fraction(num, den))
     return EntropyValue(_entropy_coef(q), w, Fraction(q))
 
 
@@ -129,31 +180,39 @@ def _chain_segments(D: int, mu: tuple[int, ...]):
 
 def angular_pochhammer_factor(alpha: Fraction, mu_j: int, mu_j1: int, q: int) -> Fraction:
     """The rational Pochhammer block attached to one angular degree of
-    freedom; equals 1 when the two chain entries coincide."""
+    freedom; equals 1 when the two chain entries coincide:
+
+    (2a+2mu'+1)_(2k)^q (q mu'+a+1)_(qk)
+      / (k!^q (2a+mu+mu')_k^q (a+mu'+1)_k^q),  a = alpha, k = mu - mu'.
+    """
     k = mu_j - mu_j1
     if k == 0:
         return Fraction(1)
-    return (
-        Fraction(1, math.factorial(k) ** q)
-        * pochhammer(2 * alpha + 2 * mu_j1 + 1, 2 * k) ** q
-        / pochhammer(2 * alpha + mu_j + mu_j1, k) ** q
-        * pochhammer(q * mu_j1 + alpha + 1, q * k)
-        / pochhammer(alpha + mu_j1 + 1, k) ** q
+    a2 = 2 * alpha.numerator // alpha.denominator
+    # the last two symbols are each over 2^(qk), which cancels
+    num = rising_product(a2 + 2 * mu_j1 + 1, 1, 2 * k) ** q * rising_product(
+        2 * q * mu_j1 + a2 + 2, 2, q * k
     )
+    den = (
+        math.factorial(k)
+        * rising_product(a2 + mu_j + mu_j1, 1, k)
+        * rising_product(a2 + 2 * mu_j1 + 2, 2, k)
+    ) ** q
+    return Fraction(num, den)
 
 
 def angular_daoust_factor(alpha: Fraction, mu_j: int, mu_j1: int, q: int) -> Fraction:
     """The terminating Srivastava-Daoust sum attached to one angular degree
-    of freedom; equals 1 when the two chain entries coincide."""
+    of freedom; equals 1 when the two chain entries coincide.  Its 2q axes
+    are identical: one group."""
     k = mu_j - mu_j1
     if k == 0:
         return Fraction(1)
+    a2 = 2 * alpha.numerator // alpha.denominator
     spec = SrivastavaDaoustSpec(
-        a0=alpha + q * mu_j1 + Fraction(1, 2),
-        pairs=((Fraction(-k), 2 * alpha + mu_j1 + mu_j),) * (2 * q),
-        d0=2 * q * mu_j1 + 2 * alpha + 1,
-        e=(alpha + mu_j1 + Fraction(1, 2),) * (2 * q),
-        x=(Fraction(1),) * (2 * q),
+        a0=Fraction(a2 + 2 * q * mu_j1 + 1, 2),
+        d0=2 * q * mu_j1 + a2 + 1,
+        groups=((-k, a2 + mu_j1 + mu_j, Fraction(a2 + 2 * mu_j1 + 1, 2), 1, 2 * q),),
     )
     return srivastava_daoust(spec)
 
@@ -162,7 +221,9 @@ def angular_entropy(D: int, mu: tuple[int, ...], q: int) -> EntropyValue:
     """Renyi entropy of a hyperspherical harmonic, exact.
 
     Shared by position and momentum space; depends on the chain only through
-    the canonical (|m|) form.
+    the canonical (|m|) form.  W = (2 pi^(D/2))^(1-q) Gamma(l+D/2)^q (qm)!
+    / (Gamma(ql+D/2) m!^q) times each chain segment's Pochhammer block and
+    sum.
     """
     q = _check_integer_order(q)
     if D == 2:
@@ -170,15 +231,17 @@ def angular_entropy(D: int, mu: tuple[int, ...], q: int) -> EntropyValue:
     else:
         l = mu[0]
     m = abs(mu[-1])
-    surface = ExactScalar.pi_power(D, 2) ** (1 - q)
-    gammas = gamma_exact(Fraction(2 * l + D, 2)) ** q / gamma_exact(
-        Fraction(2 * q * l + D, 2)
-    )
-    magnetic = Fraction(math.factorial(q * m), math.factorial(m) ** q)
-    w = surface * gammas * magnetic
+    num, den, half = _gamma_product((2 * l + D, q), (2 * q * l + D, -1))
+    num *= math.factorial(q * m)
+    den *= 2 ** (q - 1) * math.factorial(m) ** q
     for alpha, mu_j, mu_j1 in _chain_segments(D, tuple(mu)):
-        w = w * angular_pochhammer_factor(alpha, mu_j, mu_j1, q)
-        w = w * angular_daoust_factor(alpha, mu_j, mu_j1, q)
+        for factor in (
+            angular_pochhammer_factor(alpha, mu_j, mu_j1, q),
+            angular_daoust_factor(alpha, mu_j, mu_j1, q),
+        ):
+            num *= factor.numerator
+            den *= factor.denominator
+    w = ExactScalar.pi_power(half + D * (1 - q), Fraction(num, den))
     return EntropyValue(_entropy_coef(q), w, Fraction(q))
 
 
@@ -191,40 +254,50 @@ def position_entropy(state: HydrogenicState, q: int) -> RenyiBreakdown:
 
 def momentum_daoust_factor(D: int, n: int, l: int, q: int) -> Fraction:
     """The terminating Srivastava-Daoust sum entering the radial momentum
-    entropy; equals 1 when l = n - 1."""
+    entropy; equals 1 when l = n - 1.  Its 2q axes are identical: one group.
+
+    With eta = n + (D-3)/2 and L = l + (D-3)/2 the parameters are
+    a0 = (L + 3/2) q + D(1-q)/2, d0 = q (2L + 4), c = eta + L + 1 and
+    e = L + 3/2, written below in n, l and D.
+    """
     if l == n - 1:
         return Fraction(1)
-    eta = n + Fraction(D - 3, 2)
-    L = l + Fraction(D - 3, 2)
     spec = SrivastavaDaoustSpec(
-        a0=(L + Fraction(3, 2)) * q + Fraction(D, 2) * (1 - q),
-        pairs=((Fraction(-(n - l - 1)), eta + L + 1),) * (2 * q),
-        d0=q * (2 * L + 4),
-        e=(L + Fraction(3, 2),) * (2 * q),
-        x=(Fraction(1),) * (2 * q),
+        a0=Fraction(2 * l * q + D, 2),
+        d0=q * (2 * l + D + 1),
+        groups=((-(n - l - 1), n + l + D - 2, Fraction(2 * l + D, 2), 1, 2 * q),),
     )
     return srivastava_daoust(spec)
 
 
 def radial_momentum_entropy(state: HydrogenicState, q: int) -> EntropyValue:
-    """Radial part of the momentum-space Renyi entropy, exact."""
+    """Radial part of the momentum-space Renyi entropy, exact.
+
+    W = (Z/eta)^(D(1-q)) (2 eta (eta-L)_(2l+D-2))^q S 2^(2q-1)
+        Gamma(D/2+ql) Gamma(q(D+l+1)-D/2) / (Gamma(l+D/2)^(2q) Gamma(q(D+2l+1))),
+    with eta - L = n - l and 2 eta = 2n+D-3.
+    """
     q = _check_integer_order(q)
-    d = validate(state)
-    l = d.l
-    D = state.D
-    scale = ExactScalar.from_rational((state.Z / d.eta) ** (D * (1 - q)))
-    poch = (2 * d.eta * pochhammer(d.eta - d.L, 2 * l + D - 2)) ** q
-    hyper = momentum_daoust_factor(D, state.n, l, q)
-    front = (
-        ExactScalar.from_rational(Fraction(2) ** (2 * q - 1))
-        * gamma_exact(Fraction(D + 2 * q * l, 2))
-        * gamma_exact(Fraction(2 * q * (D + l + 1) - D, 2))
-        / (
-            gamma_exact(Fraction(D + 2 * l, 2)) ** (2 * q)
-            * gamma_exact(q * (D + 2 * l + 1))
-        )
+    l = validate(state).l
+    D, n, Z = state.D, state.n, state.Z
+    two_eta = 2 * n + D - 3
+    scale_power = D * (q - 1)  # (Z/eta)^(D(1-q)) = (2eta / 2Z)^(D(q-1))
+    hyper = momentum_daoust_factor(D, n, l, q)
+    g_num, g_den, half = _gamma_product(
+        (D + 2 * q * l, 1),
+        (2 * q * (D + l + 1) - D, 1),
+        (D + 2 * l, -2 * q),
+        (2 * q * (D + 2 * l + 1), -1),
     )
-    w = scale * poch * hyper * front
+    num = (
+        (two_eta * Z.denominator) ** scale_power
+        * (two_eta * rising_product(n - l, 1, 2 * l + D - 2)) ** q
+        * hyper.numerator
+        * 2 ** (2 * q - 1)
+        * g_num
+    )
+    den = (2 * Z.numerator) ** scale_power * hyper.denominator * g_den
+    w = ExactScalar.pi_power(half, Fraction(num, den))
     return EntropyValue(_entropy_coef(q), w, Fraction(q))
 
 

@@ -346,21 +346,27 @@ def gamma_exact(x: "HalfInt | RationalLike") -> ExactScalar:
     return ExactScalar.pi_power(1, coeff)
 
 
+def rising_product(p: int, d: int, k: int) -> int:
+    """p (p+d) ... (p+(k-1)d), which is d^k times the rising factorial
+    (p/d)_k; 1 when k = 0."""
+    num = 1
+    for i in range(k):
+        num *= p + i * d
+        if not num:
+            return 0
+    return num
+
+
 def pochhammer(z: "HalfInt | RationalLike", k: int) -> Fraction:
     """Rising factorial z (z+1) ... (z+k-1); 1 when k = 0.
 
-    With z = p/d this is p (p+d) ... (p+(k-1)d) / d^k, one integer product.
+    With z = p/d this is rising_product(p, d, k) / d^k, one integer product.
     """
     if k < 0:
         raise ValueError("pochhammer order must be nonnegative")
     base = as_rational(z)
     p, d = base.numerator, base.denominator
-    num = 1
-    for i in range(k):
-        num *= p + i * d
-        if not num:
-            return Fraction(0)
-    return Fraction(num, d**k)
+    return Fraction(rising_product(p, d, k), d**k)
 
 
 def to_mpf(a: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:

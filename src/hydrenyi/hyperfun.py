@@ -4,9 +4,12 @@ Two families are needed: the Lauricella function of type A and the
 Srivastava-Daoust function with one coupled numerator/denominator parameter
 pair.  All in-scope instances terminate because every per-axis numerator
 parameter is a nonpositive integer, so the nominally infinite series is a
-finite box sum.  ``kernels`` evaluates it as one univariate polynomial
-product; ``multi_index_sum`` walks a box term by term and serves as the
-brute-force reference in tests.
+finite box sum.  A spec lists its axes in groups of identical axes, each
+with its multiplicity: the sums here linearize a power of one polynomial,
+so their callers know the multiplicity and hand it over.  ``kernels``
+evaluates the sum as one univariate polynomial product, raising each
+group's polynomial to its multiplicity; ``multi_index_sum`` walks a box
+term by term and serves as the brute-force reference in tests.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -54,34 +56,37 @@ def active_term_cap() -> int:
     return cap
 
 
-def _as_fractions(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
-def _termination_bound(b: Fraction, axis: int) -> int:
+def _termination_bound(b: Fraction, mult: int, group: int) -> int:
+    if mult < 1:
+        raise HypergeometricSpecError(f"group {group}: multiplicity {mult} is below 1")
     if b.denominator != 1 or b > 0:
         raise HypergeometricSpecError(
-            f"axis {axis}: parameter {b} is not a nonpositive integer, sum does not terminate"
+            f"group {group}: parameter {b} is not a nonpositive integer, sum does not terminate"
         )
     return -b.numerator
 
 
-def _check_no_pole(param: Fraction, bound: int, role: str, axis: str) -> None:
+def _check_no_pole(param: Fraction, bound: int, role: str, where: str) -> None:
     # (param)_j hits zero iff param is an integer in [-(bound-1), 0]
     if bound > 0 and param.denominator == 1 and -(bound - 1) <= param.numerator <= 0:
         raise HypergeometricSpecError(
-            f"{role} parameter {param} at {axis} hits a pole within the summation range"
+            f"{role} parameter {param} at {where} hits a pole within the summation range"
         )
 
 
-def _grouped_axes(
-    params: Sequence[tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction]],
-    bounds: Sequence[int],
-) -> list[kernels.Axis]:
-    """Identical axes merged into one with a multiplicity, first-seen order;
-    the cap is checked on the work before any of it is done."""
-    counts = Counter((*axis, bound) for axis, bound in zip(params, bounds))
-    axes = [(*axis, mult) for axis, mult in counts.items()]
+def _check_nonempty(groups: tuple) -> None:
+    if not groups:
+        raise HypergeometricSpecError("a sum needs at least one group of axes")
+
+
+def _per_axis(groups: tuple, bounds: list[int]) -> list[int]:
+    """Group bounds repeated by each group's multiplicity, its last entry."""
+    return [bound for group, bound in zip(groups, bounds) for _ in range(group[-1])]
+
+
+def _axes_within_cap(axes: list[kernels.Axis]) -> list[kernels.Axis]:
+    """The kernel's axis groups, once the cap is checked on the work they
+    need, before any of it is done."""
     count = kernels.coupled_sum_products([(bound, mult) for *_, bound, mult in axes])
     cap = active_term_cap()
     if count > cap:
@@ -91,85 +96,109 @@ def _grouped_axes(
 
 @dataclass(frozen=True)
 class LauricellaSpec:
-    """Parameter pack for a terminating type-A Lauricella sum."""
+    """Parameter pack for a terminating type-A Lauricella sum.
+
+    ``groups`` holds (b, c, x, multiplicity): one group stands for
+    ``multiplicity`` identical axes with parameters b, c and argument x.
+    """
 
     a: Fraction
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
-    x: tuple[Fraction, ...]
+    groups: tuple[tuple[Fraction, Fraction, Fraction, int], ...]
 
     def __init__(
         self,
         a: RationalLike,
-        b: Iterable[RationalLike],
-        c: Iterable[RationalLike],
-        x: Iterable[RationalLike],
+        groups: Iterable[tuple[RationalLike, RationalLike, RationalLike, int]],
     ):
         object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", _as_fractions(b))
-        object.__setattr__(self, "c", _as_fractions(c))
-        object.__setattr__(self, "x", _as_fractions(x))
+        object.__setattr__(
+            self,
+            "groups",
+            tuple((Fraction(b), Fraction(c), Fraction(x), mult) for b, c, x, mult in groups),
+        )
+
+    def group_bounds(self) -> list[int]:
+        """Termination bound of each group, after the pole checks."""
+        _check_nonempty(self.groups)
+        bounds = []
+        for i, (b, c, _, mult) in enumerate(self.groups):
+            bound = _termination_bound(b, mult, i)
+            _check_no_pole(c, bound, "c", f"group {i}")
+            bounds.append(bound)
+        return bounds
 
     def bounds(self) -> list[int]:
-        if not (len(self.b) == len(self.c) == len(self.x)) or len(self.b) < 1:
-            raise HypergeometricSpecError("b, c, x must have equal length >= 1")
-        bounds = [_termination_bound(bi, i) for i, bi in enumerate(self.b)]
-        for i, (ci, bound) in enumerate(zip(self.c, bounds)):
-            _check_no_pole(ci, bound, "c", f"axis {i}")
-        return bounds
+        """Termination bound of each axis."""
+        return _per_axis(self.groups, self.group_bounds())
 
 
 @dataclass(frozen=True)
 class SrivastavaDaoustSpec:
     """Parameter pack for the Srivastava-Daoust sum used here: one coupled
-    (a0)/(d0) pair across axes, per-axis (b, c) numerator and e denominator."""
+    (a0)/(d0) pair across axes, per-axis (b, c) numerator and e denominator.
+
+    ``groups`` holds (b, c, e, x, multiplicity): one group stands for
+    ``multiplicity`` identical axes.
+    """
 
     a0: Fraction
-    pairs: tuple[tuple[Fraction, Fraction], ...]
     d0: Fraction
-    e: tuple[Fraction, ...]
-    x: tuple[Fraction, ...]
+    groups: tuple[tuple[Fraction, Fraction, Fraction, Fraction, int], ...]
 
     def __init__(
         self,
         a0: RationalLike,
-        pairs: Iterable[tuple[RationalLike, RationalLike]],
         d0: RationalLike,
-        e: Iterable[RationalLike],
-        x: Iterable[RationalLike],
+        groups: Iterable[
+            tuple[RationalLike, RationalLike, RationalLike, RationalLike, int]
+        ],
     ):
         object.__setattr__(self, "a0", Fraction(a0))
-        object.__setattr__(
-            self, "pairs", tuple((Fraction(b), Fraction(c)) for b, c in pairs)
-        )
         object.__setattr__(self, "d0", Fraction(d0))
-        object.__setattr__(self, "e", _as_fractions(e))
-        object.__setattr__(self, "x", _as_fractions(x))
+        object.__setattr__(
+            self,
+            "groups",
+            tuple(
+                (Fraction(b), Fraction(c), Fraction(e), Fraction(x), mult)
+                for b, c, e, x, mult in groups
+            ),
+        )
+
+    def group_bounds(self) -> list[int]:
+        """Termination bound of each group, after the pole checks."""
+        _check_nonempty(self.groups)
+        bounds, coupled = [], 0
+        for i, (b, _, e, _, mult) in enumerate(self.groups):
+            bound = _termination_bound(b, mult, i)
+            _check_no_pole(e, bound, "e", f"group {i}")
+            bounds.append(bound)
+            coupled += bound * mult
+        _check_no_pole(self.d0, coupled, "d0", "the coupled index")
+        return bounds
 
     def bounds(self) -> list[int]:
-        if not (len(self.pairs) == len(self.e) == len(self.x)) or len(self.pairs) < 1:
-            raise HypergeometricSpecError("pairs, e, x must have equal length >= 1")
-        bounds = [_termination_bound(b, i) for i, (b, _) in enumerate(self.pairs)]
-        for i, (ei, bound) in enumerate(zip(self.e, bounds)):
-            _check_no_pole(ei, bound, "e", f"axis {i}")
-        _check_no_pole(self.d0, sum(bounds), "d0", "the coupled index")
-        return bounds
+        """Termination bound of each axis."""
+        return _per_axis(self.groups, self.group_bounds())
 
 
 def lauricella_fa(spec: LauricellaSpec) -> Fraction:
     """Exact value of the terminating Lauricella type-A sum."""
-    axes = _grouped_axes(
-        [((b,), (c, _ONE), x) for b, c, x in zip(spec.b, spec.c, spec.x)],
-        spec.bounds(),
+    axes = _axes_within_cap(
+        [
+            ((b,), (c, _ONE), x, bound, mult)
+            for (b, c, x, mult), bound in zip(spec.groups, spec.group_bounds())
+        ]
     )
     return Fraction(*kernels.coupled_sum((spec.a,), (), axes))
 
 
 def srivastava_daoust(spec: SrivastavaDaoustSpec) -> Fraction:
     """Exact value of the terminating Srivastava-Daoust sum."""
-    axes = _grouped_axes(
-        [((b, c), (e, _ONE), x) for (b, c), e, x in zip(spec.pairs, spec.e, spec.x)],
-        spec.bounds(),
+    axes = _axes_within_cap(
+        [
+            ((b, c), (e, _ONE), x, bound, mult)
+            for (b, c, e, x, mult), bound in zip(spec.groups, spec.group_bounds())
+        ]
     )
     return Fraction(*kernels.coupled_sum((spec.a0,), (spec.d0,), axes))
 

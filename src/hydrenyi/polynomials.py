@@ -246,8 +246,9 @@ def laguerre_power_linearization(
     """Coefficients c_i expanding y**a * laguerre(k, alpha)(t*y)**r in the
     laguerre(i, gamma) basis, for i = 0..i_max.
 
-    Each coefficient is one terminating Lauricella sum with r+1 axes: r axes
-    of order k for the power, plus one axis of order i for the target index.
+    Each coefficient is one terminating Lauricella sum with r+1 axes: one
+    group of r identical axes of order k for the power, plus one axis of
+    order i for the target index.
     """
     if a < 0:
         raise ValueError("the monomial degree a must be a nonnegative integer")
@@ -256,14 +257,10 @@ def laguerre_power_linearization(
     gamma = Fraction(gamma)
     ratio = pochhammer(alpha + 1, k) / math.factorial(k)
     prefactor = pochhammer(gamma + 1, a) * ratio**r
+    power = ((-k, alpha + 1, t, r),) if r else ()
     out = []
     for i in range(i_max + 1):
-        spec = LauricellaSpec(
-            a=gamma + a + 1,
-            b=(Fraction(-k),) * r + (Fraction(-i),),
-            c=(alpha + 1,) * r + (gamma + 1,),
-            x=(t,) * r + (Fraction(1),),
-        )
+        spec = LauricellaSpec(a=gamma + a + 1, groups=power + ((-i, gamma + 1, 1, 1),))
         out.append(prefactor * lauricella_fa(spec))
     return out
 

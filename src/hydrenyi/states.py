@@ -254,30 +254,29 @@ def angular_density(state: HydrogenicState, angles: "list[float] | tuple[float, 
     if len(angles) != state.D - 1:
         raise ValueError(f"need D-1={state.D - 1} angles, got {len(angles)}")
     chain = state.canonical_mu()
-    norm2 = 1 / (2 * math.pi)
-    value = norm2
+    # the norms overflow floats at large degree (Gamma(100.5)^2 ~ 1e315), so
+    # the value is formed as a logarithm and exponentiated once
+    log_value = -math.log(2 * math.pi)
     for j in range(1, state.D - 1):
         alpha = d.alphas[j - 1]
         alpha_f = float(alpha)
         mu_j, mu_j1 = chain[j - 1], chain[j]
         theta = angles[j - 1]
+        sin_theta = abs(math.sin(theta))
+        if mu_j1 and not sin_theta:
+            return 0.0
         log_poly = gegenbauer_log_abs(mu_j - mu_j1, float(alpha + mu_j1))
-        factor_norm = (
-            (alpha_f + mu_j)
-            * math.factorial(mu_j - mu_j1)
-            * math.gamma(alpha_f + mu_j1) ** 2
-            / (
-                math.pi
-                * 2.0 ** (1 - 2 * alpha_f - 2 * mu_j1)
-                * math.factorial(int(2 * alpha) + mu_j + mu_j1 - 1)
-            )
+        log_value += (
+            math.log(alpha_f + mu_j)
+            + math.lgamma(mu_j - mu_j1 + 1)
+            + 2 * math.lgamma(alpha_f + mu_j1)
+            - math.log(math.pi)
+            - (1 - 2 * alpha_f - 2 * mu_j1) * math.log(2.0)
+            - math.lgamma(2 * alpha_f + mu_j + mu_j1)
+            + 2 * log_poly(math.cos(theta))
+            + (2 * mu_j1 * math.log(sin_theta) if mu_j1 else 0.0)
         )
-        value *= (
-            factor_norm
-            * math.exp(2 * log_poly(math.cos(theta)))
-            * math.sin(theta) ** (2 * mu_j1)
-        )
-    return value
+    return math.exp(log_value)
 
 
 def mu_chains(D: int, n: int) -> Iterator[tuple[int, ...]]:

@@ -170,6 +170,47 @@ class TestCompute:
         assert rows[0]["entropy_exact"] == "ln(8*pi)"
 
 
+    def test_angular_part_built_once_for_both_spaces(self, capsys, monkeypatch):
+        calls = []
+        honest = entropy.angular_entropy
+
+        def counted(*args):
+            calls.append(args)
+            return honest(*args)
+
+        monkeypatch.setattr(entropy, "angular_entropy", counted)
+        code, out, _ = run(capsys, "compute", "D=4,n=3,mu=2,1,-1", "--q", "3")
+        assert code == 0
+        assert calls == [(4, (2, 1, -1), 3)]
+        position, momentum = json.loads(out)
+        assert position["angular_exact"] == momentum["angular_exact"]
+        for record, whole in zip(
+            (position, momentum), (entropy.position_entropy, entropy.momentum_entropy)
+        ):
+            breakdown = whole(HydrogenicState(4, 3, (2, 1, -1)), 3)
+            assert record["w"] == breakdown.total.w.render()
+            assert record["radial_exact"] == breakdown.radial.exact_str()
+
+    def test_precision_cap(self, capsys):
+        cap = str(cli.MAX_PRECISION_BITS)
+        above = str(cli.MAX_PRECISION_BITS + 1)
+        for argv in (("compute", "D=3,n=2,mu=1,0", "--q", "2"), ("table", "position")):
+            code, out, _ = run(capsys, *argv, "--precision", cap)
+            assert code == 0 and out
+            code, out, err = run(capsys, *argv, "--precision", above)
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and cap in err
+
+    def test_precision_far_above_cap_exits_at_once(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("compute started work")
+
+        monkeypatch.setattr(entropy, "radial_position_entropy", refuse)
+        code, _, _ = run(capsys, "compute", "D=3,n=1,mu=0,0", "--precision", "50000000")
+        assert code == 2
+
+
 class TestTable:
     def test_position_cells(self, capsys):
         code, out, _ = run(capsys, "table", "position")
@@ -215,13 +256,13 @@ class TestVerify:
         assert any(r["state"].startswith("D=2,n=3,mu=-2") for r in payload["reports"])
 
     def test_perturbation_caught(self, capsys, monkeypatch):
-        from hydrenyi.exactnum import pochhammer as honest
+        honest = entropy.rising_product
 
-        def crooked(z, k):
-            value = honest(z, k)
+        def crooked(p, d, k):
+            value = honest(p, d, k)
             return value + 1 if k == 2 else value
 
-        monkeypatch.setattr("hydrenyi.entropy.pochhammer", crooked)
+        monkeypatch.setattr("hydrenyi.entropy.rising_product", crooked)
         code, out, _ = run(capsys, "verify", "--dmax", "3", "--nmax", "2")
         assert code == 1
         payload = json.loads(out)
@@ -254,6 +295,20 @@ class TestVerify:
             assert code == 3
             assert out == ""
             assert err.count("\n") == 1 and str(cli.MAX_VERIFY_VERDICTS) in err
+
+    def test_empty_order_list_exits_two_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verify started work")
+
+        monkeypatch.setattr(cli, "count_states", refuse)
+        monkeypatch.setattr(cli, "enumerate_states", refuse)
+        for qset in ("", ","):
+            code, out, err = run(
+                capsys, "verify", "--qset", qset, "--dmax", "1000000000", "--nmax", "1"
+            )
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and "--qset" in err
 
     def test_no_shells_is_an_empty_sweep(self, capsys):
         code, out, _ = run(capsys, "verify", "--dmax", "1000000000", "--nmax", "0")

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hydrenyi.entropy import (
     radial_position_entropy,
     uncertainty_sum,
 )
-from hydrenyi.exactnum import ExactScalar, parse_scalar
+from hydrenyi.exactnum import ExactScalar, gamma_exact, parse_scalar, pochhammer
 from hydrenyi.states import HydrogenicState, enumerate_states
 
 F = Fraction
@@ -123,6 +124,42 @@ class TestAngular:
 
     def test_magnetic_sign_invariance(self):
         assert angular_entropy(4, (2, 1, 1), 2).w == angular_entropy(4, (2, 1, -1), 2).w
+
+
+class TestIntegerPrefactors:
+    def test_gamma_parts_match_gamma_exact(self):
+        for twice in range(1, 401):
+            num, den, k = entropy._gamma_parts(twice)
+            assert ExactScalar.pi_power(k, F(num, den)) == gamma_exact(F(twice, 2))
+
+    def test_gamma_product_divides_on_negative_powers(self):
+        num, den, k = entropy._gamma_product((7, 2), (4, -3), (9, -1))
+        expected = gamma_exact(F(7, 2)) ** 2 / (gamma_exact(2) ** 3 * gamma_exact(F(9, 2)))
+        assert ExactScalar.pi_power(k, F(num, den)) == expected
+
+    @pytest.mark.parametrize("D", [3, 4, 5, 6])
+    def test_angular_pochhammer_block_matches_pochhammer_form(self, D):
+        for chain in [(3, 1, 0, 0, 0), (4, 4, 2, 1, -1), (5, 2, 2, 2, -2)]:
+            mu = chain[: D - 1]
+            for alpha, mu_j, mu_j1 in entropy._chain_segments(D, mu):
+                for q in (2, 3, 5):
+                    k = mu_j - mu_j1
+                    expected = (
+                        F(1, math.factorial(k) ** q)
+                        * pochhammer(2 * alpha + 2 * mu_j1 + 1, 2 * k) ** q
+                        / pochhammer(2 * alpha + mu_j + mu_j1, k) ** q
+                        * pochhammer(q * mu_j1 + alpha + 1, q * k)
+                        / pochhammer(alpha + mu_j1 + 1, k) ** q
+                    )
+                    value = entropy.angular_pochhammer_factor(alpha, mu_j, mu_j1, q)
+                    assert value == expected
+
+    def test_oracle_keeps_gamma_exact(self):
+        # the oracle must not share the closed forms' integer prefactors
+        source = inspect.getsource(oracle)
+        for helper in ("_gamma_parts", "_gamma_product"):
+            assert helper not in source
+        assert "gamma_exact" in source
 
 
 class TestTables:

@@ -25,20 +25,23 @@ from hydrenyi.hyperfun import (
 F = Fraction
 
 
-def _random_axes(rng):
-    """Groups of identical axes mixed with distinct ones, at most 5 axes:
-    (bound, c, e, x) per axis, c and e possibly negative, x possibly 0."""
-    axes = []
-    while not axes or (len(axes) < 5 and rng.random() < 0.5):
-        axis = (
-            rng.randint(0, 3),
-            F(rng.randint(-6, 7), rng.choice([1, 2])),
-            F(rng.randint(-6, 7), rng.choice([1, 2])),
-            F(rng.randint(-3, 3), rng.randint(1, 4)),
+def _random_groups(rng):
+    """Groups of identical axes, at most 5 axes in all: (bound, c, e, x,
+    multiplicity), c and e possibly negative, x possibly 0."""
+    groups, axes = [], 0
+    while not groups or (axes < 5 and rng.random() < 0.5):
+        mult = min(rng.randint(1, 3), 5 - axes)
+        groups.append(
+            (
+                rng.randint(0, 3),
+                F(rng.randint(-6, 7), rng.choice([1, 2])),
+                F(rng.randint(-6, 7), rng.choice([1, 2])),
+                F(rng.randint(-3, 3), rng.randint(1, 4)),
+                mult,
+            )
         )
-        axes += [axis] * min(rng.randint(1, 3), 5 - len(axes))
-    rng.shuffle(axes)
-    return axes
+        axes += mult
+    return groups
 
 
 def _axis_term(upper, lower, x, j):
@@ -51,18 +54,19 @@ def _axis_term(upper, lower, x, j):
 
 
 def _random_instances(seed, count):
+    """(name, group-form value, brute-force value on the expanded box)."""
     rng = random.Random(seed)
     seen = set()
     done = 0
     while done < count:
-        axes = _random_axes(rng)
+        groups = _random_groups(rng)
+        # the box of the groups, one entry per axis
+        axes = [group[:4] for group in groups for _ in range(group[4])]
         bounds = [bound for bound, *_ in axes]
         a = F(rng.randint(-4, 9), rng.choice([1, 2]))
         d0 = F(rng.randint(-6, 9), rng.choice([1, 2]))
         if rng.random() < 0.5:
-            spec = LauricellaSpec(
-                a, [-b for b in bounds], [c for _, c, _, _ in axes], [x for *_, x in axes]
-            )
+            spec = LauricellaSpec(a, [(-b, c, x, mult) for b, c, _, x, mult in groups])
             run = lauricella_fa
 
             def term(idx, axes=axes, a=a):
@@ -73,11 +77,7 @@ def _random_instances(seed, count):
 
         else:
             spec = SrivastavaDaoustSpec(
-                a,
-                [(-b, c) for b, c, _, _ in axes],
-                d0,
-                [e for _, _, e, _ in axes],
-                [x for *_, x in axes],
+                a, d0, [(-b, c, e, x, mult) for b, c, e, x, mult in groups]
             )
             run = srivastava_daoust
 
@@ -91,16 +91,18 @@ def _random_instances(seed, count):
             value = run(spec)
         except HypergeometricSpecError:
             continue
+        assert spec.bounds() == bounds
         done += 1
-        distinct = len(set(axes))
-        seen.add(("identical", distinct < len(axes)))
-        seen.add(("mixed", 1 < distinct < len(axes)))
+        mults = [group[4] for group in groups]
+        seen.add(("multiplicity 1", 1 in mults))
+        seen.add(("identical", max(mults) > 1))
+        seen.add(("mixed", len(groups) > 1 and max(mults) > 1))
         seen.add(("x=0", any(x == 0 and b > 0 for b, *_, x in axes)))
         seen.add(("x<0", any(x < 0 and b > 0 for b, *_, x in axes)))
         seen.add(("negative c/e", any(min(c, e) < 0 and b > 0 for b, c, e, _ in axes)))
         yield run.__name__, value, multi_index_sum(bounds, term)
     assert {flag for flag, hit in seen if hit} == {
-        "identical", "mixed", "x=0", "x<0", "negative c/e"
+        "multiplicity 1", "identical", "mixed", "x=0", "x<0", "negative c/e"
     }
 
 

@@ -501,15 +501,15 @@ class TestVerifyState:
         assert len(parsed["checks"]) == 5
 
     def test_detects_perturbation(self, monkeypatch):
-        # corrupt one Pochhammer used by the closed forms; the oracle must
-        # flag the disagreement with a nonzero residual
-        from hydrenyi.exactnum import pochhammer as honest
+        # corrupt one Pochhammer product used by the closed forms; the oracle
+        # must flag the disagreement with a nonzero residual
+        honest = entropy.rising_product
 
-        def crooked(z, k):
-            value = honest(z, k)
+        def crooked(p, d, k):
+            value = honest(p, d, k)
             return value * 2 if k == 3 else value
 
-        monkeypatch.setattr("hydrenyi.entropy.pochhammer", crooked)
+        monkeypatch.setattr("hydrenyi.entropy.rising_product", crooked)
         verdict = verify_state(HydrogenicState(3, 2, (1, 0), 1), 2)
         assert not verdict.all_equal
         bad = [check for check in verdict.checks if not check.equal]

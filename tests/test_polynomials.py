@@ -213,6 +213,12 @@ class TestLaguerrePowerLinearization:
         basis = [laguerre(i, gamma) for i in range(i_max + 1)]
         assert coeffs == expand_in_basis(target, basis)
 
+    def test_zeroth_power_expands_the_monomial(self):
+        coeffs = laguerre_power_linearization(2, 0, F(1, 2), 3, 1, F(1, 2), 2)
+        target = PolyExact([0, 0, 1])
+        basis = [laguerre(i, F(1, 2)) for i in range(3)]
+        assert coeffs == expand_in_basis(target, basis)
+
     def test_truncation_sees_zero_tail(self):
         coeffs = laguerre_power_linearization(1, 2, F(1, 3), 1, 2, F(5, 2), 6)
         assert all(c == 0 for c in coeffs[4:])

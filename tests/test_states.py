@@ -176,6 +176,21 @@ class TestDensities:
         state = HydrogenicState(2, 2, (1,), 1)
         assert angular_density(state, [1.3]) == pytest.approx(1 / (2 * math.pi))
 
+    @pytest.mark.parametrize("mu", [(100, 100), (180, 0), (120, -37)])
+    def test_large_degree_angular_density_against_50_digits(self, mu):
+        # the float norms overflowed here (Gamma(100.5)^2, 180!); the
+        # reference is mpmath's spherical harmonic at 50 digits
+        state = HydrogenicState(3, 181, mu, 1)
+        for theta in (1.0, 0.4, 2.7):
+            with mpmath.workdps(50):
+                expected = abs(mpmath.spherharm(mu[0], mu[1], theta, 0.0)) ** 2
+            assert angular_density(state, [theta, 0.0]) == pytest.approx(
+                float(expected), rel=1e-12
+            )
+
+    def test_angular_density_vanishes_on_the_axis(self):
+        assert angular_density(HydrogenicState(3, 2, (1, 1), 1), [0.0, 0.0]) == 0.0
+
     def test_magnetic_sign_irrelevant(self):
         plus = HydrogenicState(3, 2, (1, 1), 1)
         minus = HydrogenicState(3, 2, (1, -1), 1)
