@@ -5,9 +5,10 @@ hydrogen tables), verify (closed form vs oracle sweep), sum (uncertainty
 sum against its dimensional bound).  Output is JSON by default, CSV behind
 --format=csv.  Exit codes: 0 ok, 1 verification failure, 2 usage error
 (including a real order at which the momentum entropy diverges, an empty
-verify --qset, and a --precision above MAX_PRECISION_BITS or, for exact
-rendering, below 53 bits), 3 resource cap exceeded (the term cap of the sums, or a verify sweep over more than
-MAX_VERIFY_VERDICTS verdicts), 4 the float path missed its error target.
+verify --qset, and a --precision outside MIN_PRECISION_BITS to
+MAX_PRECISION_BITS), 3 resource cap exceeded (the term cap of the sums, or a
+verify sweep over more than MAX_VERIFY_VERDICTS verdicts), 4 the float path
+missed its error target.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
 
-# Rendering an exact W as a float costs time growing faster than linearly in
-# the working precision, so --precision is capped; the 53-bit floor is
-# to_mpf's.
+# Rendering an exact W as a float needs at least double precision, and its
+# time grows faster than linearly in the bits, so --precision is bounded on
+# both sides before any work.
+MIN_PRECISION_BITS = 53
 MAX_PRECISION_BITS = 4096
 
 # verify gives one verdict per state and order, and the states grow as
@@ -61,10 +63,11 @@ def _parse_q(text: str) -> Fraction:
     return q
 
 
-def _check_precision(bits: int) -> int:
+def _check_precision(bits: int) -> None:
+    if bits < MIN_PRECISION_BITS:
+        raise UsageError(f"precision must be at least {MIN_PRECISION_BITS} bits")
     if bits > MAX_PRECISION_BITS:
         raise UsageError(f"precision must be at most {MAX_PRECISION_BITS} bits, got {bits}")
-    return bits
 
 
 def _parse_state(text: str) -> HydrogenicState:
@@ -142,15 +145,15 @@ def cmd_compute(args) -> int:
     state = _parse_state(args.state)
     q = _parse_q(args.q)
     spaces = ["position", "momentum"] if args.space == "both" else [args.space]
-    bits = _check_precision(args.precision)
-    records = _compute_records(state, q, spaces, args.float, bits)
+    _check_precision(args.precision)
+    records = _compute_records(state, q, spaces, args.float, args.precision)
     _emit(records, args.format, sys.stdout)
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
     """The quasi-circular hydrogen entries: D = 3, Z = 1, q = 2, n <= 3."""
-    bits = _check_precision(args.precision)
+    _check_precision(args.precision)
     records = []
     for n in range(1, 4):
         for l in range(n):
@@ -169,7 +172,7 @@ def cmd_table(args) -> int:
                         "m": m,
                         "w": total.w.render(),
                         "entropy_exact": total.exact_str(),
-                        "entropy": total.value_at(bits),
+                        "entropy": total.value_at(args.precision),
                     }
                 )
     _emit(records, args.format, sys.stdout)
@@ -267,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--format", choices=["json", "csv"], default="json")
     compute.add_argument(
         "--precision", type=int, default=DEFAULT_PRECISION_BITS,
-        help=f"working precision in bits for float rendering (53 to {MAX_PRECISION_BITS})",
+        help="working precision in bits for float rendering "
+        f"({MIN_PRECISION_BITS} to {MAX_PRECISION_BITS})",
     )
     compute.set_defaults(func=cmd_compute)
 
@@ -276,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=["json", "csv"], default="json")
     table.add_argument(
         "--precision", type=int, default=DEFAULT_PRECISION_BITS,
-        help=f"working precision in bits (53 to {MAX_PRECISION_BITS})",
+        help=f"working precision in bits ({MIN_PRECISION_BITS} to {MAX_PRECISION_BITS})",
     )
     table.set_defaults(func=cmd_table)
 

@@ -191,24 +191,30 @@ class TestCompute:
             assert record["w"] == breakdown.total.w.render()
             assert record["radial_exact"] == breakdown.radial.exact_str()
 
-    def test_precision_cap(self, capsys):
-        cap = str(cli.MAX_PRECISION_BITS)
-        above = str(cli.MAX_PRECISION_BITS + 1)
+    def test_precision_bounds(self, capsys):
+        low, high = cli.MIN_PRECISION_BITS, cli.MAX_PRECISION_BITS
         for argv in (("compute", "D=3,n=2,mu=1,0", "--q", "2"), ("table", "position")):
-            code, out, _ = run(capsys, *argv, "--precision", cap)
-            assert code == 0 and out
-            code, out, err = run(capsys, *argv, "--precision", above)
-            assert code == 2
-            assert out == ""
-            assert err.count("\n") == 1 and cap in err
+            for bits in (low, high):
+                code, out, _ = run(capsys, *argv, "--precision", str(bits))
+                assert code == 0 and out
+            for bits, bound in ((low - 1, low), (high + 1, high)):
+                code, out, err = run(capsys, *argv, "--precision", str(bits))
+                assert code == 2
+                assert out == ""
+                assert err.count("\n") == 1 and str(bound) in err
 
-    def test_precision_far_above_cap_exits_at_once(self, capsys, monkeypatch):
+    def test_precision_out_of_bounds_exits_before_any_work(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("compute started work")
 
         monkeypatch.setattr(entropy, "radial_position_entropy", refuse)
-        code, _, _ = run(capsys, "compute", "D=3,n=1,mu=0,0", "--precision", "50000000")
-        assert code == 2
+        monkeypatch.setattr(oracle, "renyi_float", refuse)
+        for extra in ((), ("--float", "--q", "0.7")):
+            for bits in ("50000000", "10"):
+                code, _, _ = run(
+                    capsys, "compute", "D=3,n=1,mu=0,0", "--precision", bits, *extra
+                )
+                assert code == 2
 
 
 class TestTable:
