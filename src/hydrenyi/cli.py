@@ -6,9 +6,10 @@ sum against its dimensional bound).  Output is JSON by default, CSV behind
 --format=csv.  Exit codes: 0 ok, 1 verification failure, 2 usage error
 (including a real order at which the momentum entropy diverges, an empty
 verify --qset, and a --precision outside MIN_PRECISION_BITS to
-MAX_PRECISION_BITS), 3 resource cap exceeded (the term cap of the sums, or a
-verify sweep over more than MAX_VERIFY_VERDICTS verdicts), 4 the float path
-missed its error target.
+MAX_PRECISION_BITS), 3 resource cap exceeded (the term cap of the sums, a
+verify sweep over more than MAX_VERIFY_VERDICTS verdicts, or an exact W that
+could need more than MAX_W_DIGITS digits), 4 the float path missed its error
+target.
 """
 
 from __future__ import annotations
@@ -46,9 +47,30 @@ MAX_PRECISION_BITS = 4096
 # n^D / D!: --dmax 12 --nmax 12 would be about 4 million of them.
 MAX_VERIFY_VERDICTS = 10_000
 
+# An exact W is rendered as a fraction, and Python converts an integer of
+# more than 4,300 digits to a string only past its own default limit; the
+# digits of W grow about as q log q, and forming them costs more than
+# linearly.  entropy.w_digits_bound bounds them before any work.
+MAX_W_DIGITS = 4300
+
+_SPACES = ("position", "momentum")
+
 
 class UsageError(Exception):
     pass
+
+
+class ResourceError(Exception):
+    pass
+
+
+def _check_w_digits(state: HydrogenicState, q: int, spaces) -> None:
+    bound = entropy.w_digits_bound(state, q, tuple(spaces), MAX_W_DIGITS)
+    if bound > MAX_W_DIGITS:
+        raise ResourceError(
+            f"the exact W of {state.literal()} at q={q} could need more than "
+            f"{MAX_W_DIGITS} digits"
+        )
 
 
 def _parse_q(text: str) -> Fraction:
@@ -144,8 +166,10 @@ def _compute_records(
 def cmd_compute(args) -> int:
     state = _parse_state(args.state)
     q = _parse_q(args.q)
-    spaces = ["position", "momentum"] if args.space == "both" else [args.space]
+    spaces = list(_SPACES) if args.space == "both" else [args.space]
     _check_precision(args.precision)
+    if not args.float and q.denominator == 1 and q >= 2:
+        _check_w_digits(state, q.numerator, spaces)
     records = _compute_records(state, q, spaces, args.float, args.precision)
     _emit(records, args.format, sys.stdout)
     return EXIT_OK
@@ -196,6 +220,11 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_RESOURCE
+    for D in dims:
+        for state in enumerate_states(D, args.nmax):
+            for q in qset:
+                if q >= 2:  # verify_state refuses lower orders itself
+                    _check_w_digits(state, q, _SPACES)
     failures: list[dict] = []
     reports: list[dict] = []
     verdict_count = 0
@@ -312,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except TermBudgetExceeded as exc:
+    except (TermBudgetExceeded, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except oracle.QuadratureError as exc:

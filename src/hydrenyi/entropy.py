@@ -8,10 +8,11 @@ oracle compare arguments structurally.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from hydrenyi.exactnum import (
     DEFAULT_PRECISION_BITS,
@@ -30,6 +31,7 @@ from hydrenyi.hyperfun import (
 from hydrenyi.states import (
     HydrogenicState,
     ValidationError,
+    check_chain,
     check_momentum_order,
     validate,
 )
@@ -226,6 +228,7 @@ def angular_entropy(D: int, mu: tuple[int, ...], q: int) -> EntropyValue:
     sum.
     """
     q = _check_integer_order(q)
+    check_chain(D, mu)
     if D == 2:
         l = abs(mu[0])
     else:
@@ -307,6 +310,302 @@ def momentum_entropy(state: HydrogenicState, q: int) -> RenyiBreakdown:
     radial = radial_momentum_entropy(state, q)
     angular = angular_entropy(state.D, state.mu, q)
     return RenyiBreakdown(radial=radial, angular=angular, total=radial + angular)
+
+
+# -- digit bound --------------------------------------------------------------
+#
+# An upper bound on the decimal digits of each W above, from the quantum
+# numbers alone, before any Gamma value or sum is formed.  The Gamma values,
+# Pochhammer symbols and integer powers are written as a ledger of factorial
+# and integer powers, prod m!^e a^f, whose reduced numerator and denominator
+# follow exactly from Legendre's formula v_p(m!) = sum_i floor(m / p^i).
+# What cannot be factored that way adds its digits in full: the powers of
+# the charge, and each terminating sum S, as the integer S * M for a
+# multiple M of its denominator (M enters the ledger as a divisor) whose
+# size is bounded by M times the sum of the absolute values of the terms.
+
+# Orders whose factorials pass this argument get no finite bound: sieving
+# the primes up to it and reducing over them would take about a second.
+_SIEVE_LIMIT = 2 * 10**5
+
+
+class _DigitLedger:
+    """prod m!^e * prod a^f * prod lcm(1..x)^g over a few m, a and x, times
+    integers whose log10 is only bounded.
+
+    Each entry also adds its size to a first bound, in natural logarithms,
+    that lets no factor cancel another.
+    """
+
+    def __init__(self):
+        self.factorials: list[tuple[int, int]] = []  # (m, e), m repeating
+        self.integers: list[tuple[int, int]] = []
+        self.lcms: list[tuple[int, int]] = []
+        self.twos = 0  # the power of 2, kept apart: most entries carry one
+        self.num_ln = self.den_ln = 0.0
+        self.extra_num = 0.0  # log10 bounds of factors outside the ledger
+        self.extra_den = 0.0
+        self.sums: list[tuple[_DigitLedger, float]] = []
+
+    def _size(self, ln_value: float) -> None:
+        if ln_value > 0:
+            self.num_ln += ln_value
+        else:
+            self.den_ln -= ln_value
+
+    def fact(self, m: int, e: int) -> None:
+        if m > 1:
+            self.factorials.append((m, e))
+            self._size(e * math.lgamma(m + 1))
+
+    def integer(self, a: int, e: int) -> None:
+        if a == 2:
+            self.twos += e
+        elif a > 1:
+            self.integers.append((a, e))
+            self._size(e * math.log(a))
+
+    def lcm(self, x: int, e: int) -> None:
+        """lcm(1..x)^e, at most e^(1.03883 x) (Rosser and Schoenfeld,
+        Illinois J. Math. 6, 1962)."""
+        self.lcms.append((x, e))
+        self._size(e * 1.03883 * x)
+
+    def rising(self, p: int, d: int, k: int, e: int) -> None:
+        """rising_product(p, d, k)^e for p >= 1 and d in (1, 2)."""
+        if d == 1:
+            if k:
+                self.factorials += ((p + k - 1, e), (p - 1, -e))
+                # (p)_k^|e| counts in full on its side
+                self._size(e * (math.lgamma(p + k) - math.lgamma(p)))
+        elif p % 2 == 0:  # 2^k (p/2)_k
+            self.integer(2, k * e)
+            self.rising(p // 2, 1, k, e)
+        else:  # (p + 2k - 2)!! / (p - 2)!!, with N!! = (N+1)! / (2^((N+1)/2) ((N+1)/2)!)
+            self.rising(p, 1, 2 * k, e)
+            self.integer(2, -k * e)
+            self.rising((p + 1) // 2, 1, k, -e)
+
+    def gamma(self, twice: int, e: int) -> None:
+        """Gamma(twice/2)^e without its power of sqrt(pi)."""
+        if twice % 2 == 0:
+            self.fact(twice // 2 - 1, e)
+        else:  # Gamma(m + 1/2) = (2m)! / (4^m m!) sqrt(pi)
+            m = twice // 2
+            self.fact(2 * m, e)
+            self.fact(m, -e)
+            self.integer(2, -2 * m * e)
+
+    def terminating_sum(self, multiple: _DigitLedger, log10_abs_sum: float) -> None:
+        """A sum S with S * M an integer for M = multiple's value, and
+        sum |terms| <= 10^log10_abs_sum: M divides the ledger, and S * M adds
+        at most log10 M + log10_abs_sum digits to the numerator."""
+        self.factorials += [(m, -e) for m, e in multiple.factorials]
+        self.integers += [(a, -e) for a, e in multiple.integers]
+        self.lcms += [(x, -e) for x, e in multiple.lcms]
+        self.twos -= multiple.twos
+        self.den_ln += multiple.num_ln
+        self.sums.append((multiple, log10_abs_sum))
+
+    def _merged(self) -> list[tuple[int, int]]:
+        """The factorial powers with equal m combined, and none of power 0."""
+        merged: dict[int, int] = {}
+        for m, e in self.factorials:
+            merged[m] = merged.get(m, 0) + e
+        return [(m, e) for m, e in merged.items() if e]
+
+    def _valuations(self) -> Callable[[int], int]:
+        """The function p -> exponent of the prime p in the ledger's value."""
+        factorials, integers, lcms, twos = self._merged(), self.integers, self.lcms, self.twos
+
+        def valuation(p: int) -> int:
+            v = twos if p == 2 else 0
+            for m, e in factorials:
+                power = p
+                while power <= m:
+                    v += e * (m // power)
+                    power *= p
+            for a, e in integers:
+                while a % p == 0:
+                    v += e
+                    a //= p
+            for x, e in lcms:
+                power = p
+                while power <= x:
+                    v += e
+                    power *= p
+            return v
+
+        return valuation
+
+    def crude_digits(self) -> tuple[float, float]:
+        """Like digits, with no factor cancelling another."""
+        twos = self.twos * math.log(2)
+        num = (self.num_ln + max(twos, 0)) / math.log(10) + self.extra_num + 2
+        den = (self.den_ln - min(twos, 0)) / math.log(10) + self.extra_den + 2
+        for multiple, log10_abs in self.sums:
+            num += multiple.crude_digits()[0] + log10_abs
+        return num, den
+
+    def digits(self) -> tuple[float, float]:
+        """Upper bounds on the digits of the reduced numerator and
+        denominator of the ledger's value."""
+        arguments = [m for m, _ in self._merged()] + [a for a, _ in self.integers]
+        top = max([2, *arguments, *(x for x, _ in self.lcms)])
+        if top > _SIEVE_LIMIT:
+            return math.inf, math.inf
+        sieve = bytearray([1]) * (top + 1)
+        sieve[:2] = b"\x00\x00"
+        for p in range(2, math.isqrt(top) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+        valuation = self._valuations()
+        multiples = [multiple._valuations() for multiple, _ in self.sums]
+        num, den = self.extra_num, self.extra_den
+        for p in itertools.compress(range(top + 1), sieve):
+            log_p = math.log10(p)
+            v = valuation(p)
+            if v > 0:
+                num += v * log_p
+            elif v < 0:
+                den -= v * log_p
+            for multiple in multiples:
+                num += multiple(p) * log_p
+        num += sum(log10_abs for _, log10_abs in self.sums)
+        # the float sums round; one digit more covers that and floor(log10) + 1
+        return num + 2, den + 2
+
+
+def _log10_rising(p: float, k: int) -> float:
+    return (math.lgamma(p + k) - math.lgamma(p)) / math.log(10)
+
+
+def _daoust_digits(out: _DigitLedger, a2: int, d0: int, c: int, e2: int, k: int, q: int) -> None:
+    """The terminating Srivastava-Daoust sum with a0 = a2/2 <= d0, one group
+    of 2q axes (-k, c; e2/2) at x = 1 and c >= e2/2.
+
+    Its terms are rho_s prod_i (-1)^m_i binom(k, m_i) (c)_m_i / (e)_m_i with
+    rho_s = (a0)_s / (d0)_s <= 1 and s = sum_i m_i <= N = 2qk, so their
+    absolute values sum to at most (2^k (c)_k / (e)_k)^(2q).  The product
+    over i has its denominator in rising_product(e2, 2, k)^(2q).  rho_s is
+    rising_product(a2, 2, s) / (2^s (d0)_s): for an odd prime p, the two
+    runs of s factors hold equally many multiples of p^j up to one, so p
+    divides the denominator at most floor(log_p X) times, X the largest
+    factor; the same holds for p = 2 when a2 is even, and an odd a2 adds at
+    most 2N more factors of 2.  So every term is cleared by
+    lcm(1..X) 2^(2N) rising_product(e2, 2, k)^(2q).
+    """
+    n_total = 2 * q * k
+    multiple = _DigitLedger()
+    if a2 % 2:
+        multiple.lcm(max(d0 + n_total - 1, a2 + 2 * n_total - 2), 1)
+        multiple.integer(2, 2 * n_total)
+    else:
+        multiple.lcm(max(d0, a2 // 2) + n_total - 1, 1)
+    multiple.rising(e2, 2, k, 2 * q)
+    per_axis = k * math.log10(2) + _log10_rising(c, k) - _log10_rising(e2 / 2, k)
+    out.terminating_sum(multiple, 2 * q * per_axis)
+
+
+def _lauricella_digits(out: _DigitLedger, a: int, c: int, k: int, q: int) -> None:
+    """The terminating Lauricella sum with integers a, c >= 1 and one group
+    of 2q axes (-k, c) at x = 1/q.  Its terms are
+    (a)_|m| prod_i (-1)^m_i binom(k, m_i) / ((c)_m_i q^m_i), so
+    ((c)_k q^k)^(2q) clears every denominator, and the absolute terms sum to
+    at most (a)_(2qk) (1 + 1/(cq))^(2qk)."""
+    multiple = _DigitLedger()
+    multiple.rising(c, 1, k, 2 * q)
+    multiple.integer(q, 2 * q * k)
+    log10_abs = _log10_rising(a, 2 * q * k) + 2 * q * k * math.log10(1 + 1 / (c * q))
+    out.terminating_sum(multiple, log10_abs)
+
+
+def _radial_digits(state: HydrogenicState, q: int, space: str, l: int) -> _DigitLedger:
+    D, n, Z = state.D, state.n, state.Z
+    k, two_eta, scale_power = n - l - 1, 2 * n + D - 3, D * (q - 1)
+    out = _DigitLedger()
+    out.rising(n - l, 1, 2 * l + D - 2, q)
+    out.integer(two_eta, -q if space == "position" else q)
+    if space == "position":
+        # (4Z / 2eta)^(D(q-1)) Gamma(D+2lq) / (q^(D+2lq) Gamma(2l+D-1)^(2q))
+        out.integer(4, scale_power)
+        out.integer(two_eta, -scale_power)
+        out.integer(q, -(D + 2 * l * q))
+        out.gamma(2 * (D + 2 * l * q), 1)
+        out.gamma(2 * (2 * l + D - 1), -2 * q)
+        top, bottom = Z.numerator, Z.denominator
+        if k:
+            _lauricella_digits(out, 2 * l * q + D, 2 * l + D - 1, k, q)
+    else:
+        # (2eta / 2Z)^(D(q-1)) 2^(2q-1) Gamma(D/2+ql) Gamma(q(D+l+1)-D/2)
+        #   / (Gamma(l+D/2)^(2q) Gamma(q(D+2l+1)))
+        out.integer(two_eta, scale_power)
+        out.integer(2, 2 * q - 1 - scale_power)
+        out.gamma(D + 2 * q * l, 1)
+        out.gamma(2 * q * (D + l + 1) - D, 1)
+        out.gamma(D + 2 * l, -2 * q)
+        out.gamma(2 * q * (D + 2 * l + 1), -1)
+        top, bottom = Z.denominator, Z.numerator
+        if k:
+            _daoust_digits(out, 2 * l * q + D, q * (2 * l + D + 1), n + l + D - 2, 2 * l + D, k, q)
+    out.extra_num += scale_power * math.log10(top)
+    out.extra_den += scale_power * math.log10(bottom)
+    return out
+
+
+def _angular_digits(D: int, mu: tuple[int, ...], q: int, l: int) -> _DigitLedger:
+    m = abs(mu[-1])
+    out = _DigitLedger()
+    # Gamma(l+D/2)^q (qm)! / (2^(q-1) Gamma(ql+D/2) m!^q)
+    out.gamma(2 * l + D, q)
+    out.gamma(2 * q * l + D, -1)
+    out.fact(q * m, 1)
+    out.fact(m, -q)
+    out.integer(2, 1 - q)
+    for alpha, mu_j, mu_j1 in _chain_segments(D, tuple(mu)):
+        k = mu_j - mu_j1
+        if not k:
+            continue
+        a2 = 2 * alpha.numerator // alpha.denominator
+        # angular_pochhammer_factor
+        out.rising(a2 + 2 * mu_j1 + 1, 1, 2 * k, q)
+        out.rising(2 * q * mu_j1 + a2 + 2, 2, q * k, 1)
+        out.fact(k, -q)
+        out.rising(a2 + mu_j + mu_j1, 1, k, -q)
+        out.rising(a2 + 2 * mu_j1 + 2, 2, k, -q)
+        # angular_daoust_factor
+        _daoust_digits(
+            out, a2 + 2 * q * mu_j1 + 1, 2 * q * mu_j1 + a2 + 1, a2 + mu_j1 + mu_j,
+            a2 + 2 * mu_j1 + 1, k, q,
+        )
+    return out
+
+
+def w_digits_bound(
+    state: HydrogenicState, q: int, spaces: "tuple[str, ...]", enough: float = 0.0
+) -> float:
+    """An upper bound on the decimal digits of the numerator and of the
+    denominator of the radial, angular and total W of each space, for a
+    valid state, from the quantum numbers alone.
+
+    A first bound lets no factor cancel another; when it exceeds ``enough``
+    the prefactors are reduced exactly by Legendre's formula, which sieves
+    the primes up to the largest factorial (the bound is infinite past
+    _SIEVE_LIMIT).  The sums are bounded generously either way: the bound
+    can exceed the true size of a W with a nontrivial sum severalfold.
+    """
+    q = _check_integer_order(q)
+    if q > _SIEVE_LIMIT:  # q! is in every radial ledger
+        return math.inf
+    l = state.l
+    angular = _angular_digits(state.D, state.mu, q, l)
+    radials = [_radial_digits(state, q, space, l) for space in spaces]
+    for digits in (_DigitLedger.crude_digits, _DigitLedger.digits):
+        an, ad = digits(angular)
+        bound = max(max(rn + an, rd + ad) for rn, rd in map(digits, radials))
+        if bound <= enough:
+            break
+    return bound
 
 
 # -- quasi-spherical shortcuts (l = n-1, whole chain equal) ------------------

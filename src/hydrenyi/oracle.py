@@ -21,7 +21,7 @@ from typing import Literal, NamedTuple
 import mpmath
 
 from hydrenyi import entropy
-from hydrenyi.exactnum import ExactScalar, gamma_exact, to_float
+from hydrenyi.exactnum import ExactScalar, HalfInt, gamma_exact, to_float
 from hydrenyi.polynomials import (
     PolyExact,
     gegenbauer,
@@ -32,6 +32,7 @@ from hydrenyi.polynomials import (
 )
 from hydrenyi.states import (
     HydrogenicState,
+    check_chain,
     check_momentum_order,
     radial_momentum_log_density,
     radial_momentum_norm_squared,
@@ -54,6 +55,38 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
 
 
+class _Monomial:
+    """A running product num/den * pi^(half/2) in integers.
+
+    Each exact oracle folds its norms, Gamma values and integrals into one
+    of these and makes a single ExactScalar of it at the end.
+    """
+
+    __slots__ = ("num", "den", "half")
+
+    def __init__(self, num: int = 1, den: int = 1, half: int = 0):
+        self.num, self.den, self.half = num, den, half
+
+    def times(self, num: int, den: int = 1, power: int = 1, half: int = 0) -> None:
+        """Multiply by (num/den * pi^(half/2))^power; a negative power divides."""
+        if power < 0:
+            num, den, half, power = den, num, -half, -power
+        self.num *= num**power
+        self.den *= den**power
+        self.half += half * power
+
+    def times_rational(self, r: Fraction, power: int = 1) -> None:
+        self.times(r.numerator, r.denominator, power)
+
+    def times_gamma(self, twice: int, power: int = 1) -> None:
+        """Multiply by Gamma(twice/2)^power, from gamma_exact."""
+        r, half = gamma_exact(HalfInt(twice)).monomial()
+        self.times(r.numerator, r.denominator, power, half)
+
+    def scalar(self) -> ExactScalar:
+        return ExactScalar.pi_power(self.half, Fraction(self.num, self.den))
+
+
 @dataclass(frozen=True)
 class MomentBasis:
     """Closed-form moments of one of the three weights the oracles need.
@@ -69,31 +102,35 @@ class MomentBasis:
     kind: str
     params: tuple[Fraction, ...] = ()
 
-    def moment(self, k: int) -> ExactScalar:
+    def times_moment(self, out: _Monomial, k: int) -> None:
+        """Multiply out by moment(k); k even for gegenbauer."""
         if self.kind == "laguerre":
-            return ExactScalar.from_rational(math.factorial(k))
-        if self.kind == "gegenbauer":
-            if k % 2 == 1:
-                return ExactScalar(0)
-            (s,) = self.params
-            half = k // 2
-            return (
-                gamma_exact(half + Fraction(1, 2))
-                * gamma_exact(s + 1)
-                / gamma_exact(half + s + Fraction(3, 2))
-            )
-        if self.kind == "jacobi-shifted":
+            out.times(math.factorial(k))
+        elif self.kind == "gegenbauer":
+            twice_s = HalfInt.from_value(self.params[0]).twice_value
+            out.times_gamma(k + 1)
+            out.times_gamma(twice_s + 2)
+            out.times_gamma(k + twice_s + 3, -1)
+        elif self.kind == "jacobi-shifted":
             a, b = self.params
             exponent = a + b + k + 1
             if exponent.denominator != 1:
                 raise ValueError("shifted moment needs an integer total 2-power")
-            return (
-                ExactScalar.from_rational(Fraction(2) ** exponent.numerator)
-                * gamma_exact(a + 1)
-                * gamma_exact(b + k + 1)
-                / gamma_exact(a + b + k + 2)
-            )
-        raise ValueError(f"unknown moment basis {self.kind!r}")
+            twice_a = HalfInt.from_value(a).twice_value
+            twice_b = HalfInt.from_value(b).twice_value
+            out.times(2, 1, exponent.numerator)
+            out.times_gamma(twice_a + 2)
+            out.times_gamma(twice_b + 2 * k + 2)
+            out.times_gamma(twice_a + twice_b + 2 * k + 4, -1)
+        else:
+            raise ValueError(f"unknown moment basis {self.kind!r}")
+
+    def moment(self, k: int) -> ExactScalar:
+        if self.kind == "gegenbauer" and k % 2 == 1:
+            return ExactScalar(0)
+        out = _Monomial()
+        self.times_moment(out, k)
+        return out.scalar()
 
     def _ratios(self, count: int) -> list[tuple[int, int]]:
         """(num, den) with moment(step (j+1)) / moment(step j) = num/den for
@@ -117,33 +154,29 @@ class MomentBasis:
             ]
         raise ValueError(f"unknown moment basis {self.kind!r}")
 
-    def integrate(self, coeffs: "list[Fraction] | tuple[Fraction, ...]") -> ExactScalar:
-        """sum_k coeffs[k] * moment(k), as moment(0) times one rational.
+    def integrate(self, poly: PolyExact) -> Fraction:
+        """sum_k [x^k]poly * moment(k) / moment(0), as one rational.
 
-        With moment(k) = moment(0) * prod_{j<k} num_j/den_j, the sum is taken
-        in integers over prod_j den_j: term k carries the prefix product of
-        the numerators and the suffix product of the denominators, and the
-        coefficients are scaled by the lcm of their own denominators.  For
-        gegenbauer only the even coefficients count.
+        With moment(k) = moment(0) * prod_{j<k} num_j/den_j, the numerators
+        of poly are summed in integers over den * prod_j den_j: term k
+        carries the prefix product of the ratio numerators and the suffix
+        product of their denominators.  For gegenbauer only the even
+        coefficients count.
         """
-        if self.kind == "gegenbauer":
-            coeffs = coeffs[::2]
-        if not any(coeffs):
-            return ExactScalar(0)
-        ratios = self._ratios(len(coeffs) - 1)
-        den = 1
-        for c in coeffs:
-            den = math.lcm(den, c.denominator)
-        suffix = [1] * len(coeffs)
+        nums = poly.nums[::2] if self.kind == "gegenbauer" else poly.nums
+        ratios = self._ratios(len(nums) - 1)
+        if not nums:
+            return Fraction(0)
+        suffix = [1] * len(nums)
         for j in range(len(ratios) - 1, -1, -1):
             suffix[j] = suffix[j + 1] * ratios[j][1]
         total, prefix = 0, 1
-        for k, c in enumerate(coeffs):
+        for k, c in enumerate(nums):
             if c:
-                total += c.numerator * (den // c.denominator) * prefix * suffix[k]
+                total += c * prefix * suffix[k]
             if k < len(ratios):
                 prefix *= ratios[k][0]
-        return self.moment(0) * Fraction(total, den * suffix[0])
+        return Fraction(total, poly.den * suffix[0])
 
 
 def _check_order(q, minimum: int = 1) -> int:
@@ -155,83 +188,82 @@ def _check_order(q, minimum: int = 1) -> int:
 
 def radial_position_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
     """Entropic moment of the radial position density by termwise factorial
-    moments of the expanded Laguerre power."""
+    moments of the expanded Laguerre power:
+    lambda^(D(1-q)) (lambda^D N^2)^q q^-(2lq+D) times the integral."""
     q = _check_order(q)
     d = validate(state)
     l, D = d.l, state.D
-    poly = poly_pow(
-        laguerre(state.n - l - 1, 2 * l + D - 2).scale_arg(Fraction(1, q)), 2 * q
-    ).shift_degree(2 * l * q + D - 1)
-    integral = MomentBasis("laguerre").integrate(poly.coeffs)
-    norm = radial_norm_squared(state)
-    scale = d.lam ** (D * (1 - q)) * norm**q * Fraction(1, q ** (2 * l * q + D))
-    return integral * scale
+    # scaled after powering, the convolution runs on smaller numerators
+    poly = (
+        poly_pow(laguerre(state.n - l - 1, 2 * l + D - 2), 2 * q)
+        .scale_arg(Fraction(1, q))
+        .shift_degree(2 * l * q + D - 1)
+    )
+    basis = MomentBasis("laguerre")
+    w = _Monomial()
+    basis.times_moment(w, 0)
+    w.times_rational(basis.integrate(poly))
+    w.times_rational(d.lam, D * (1 - q))
+    w.times_rational(radial_norm_squared(state, d), q)
+    w.times(1, q, 2 * l * q + D)
+    return w.scalar()
 
 
 def angular_w_exact(D: int, mu: tuple[int, ...], q: int) -> ExactScalar:
     """Entropic moment of a hyperspherical harmonic by even Beta moments of
-    the expanded Gegenbauer powers."""
+    the expanded Gegenbauer powers: 2 pi times, per chain segment, its
+    integral and its squared norm to the power q."""
     q = _check_order(q)
+    check_chain(D, mu)
     chain = tuple(mu[:-1]) + (abs(mu[-1]),)
-    inv_pi = ExactScalar.pi_power(-2, 1)
-    norm2 = ExactScalar.pi_power(-2, Fraction(1, 2))  # the 1/(2 pi) phi factor
-    value = ExactScalar.pi_power(2, 2)  # the 2*pi from the phi integral
+    w = _Monomial(2, 1, 2)  # the 2*pi from the phi integral
+    norm = _Monomial(1, 2, -2)  # the 1/(2 pi) phi factor
     for j in range(1, D - 1):
         two_alpha = D - j - 1
-        alpha = Fraction(two_alpha, 2)
         mu_j, mu_j1 = chain[j - 1], chain[j]
         k = mu_j - mu_j1
-        factor = (
-            (alpha + mu_j)
-            * math.factorial(k)
-            * Fraction(2) ** (two_alpha + 2 * mu_j1 - 1)
+        # (alpha + mu_j) k! 2^(2 alpha + 2 mu_j1 - 1) Gamma(alpha + mu_j1)^2
+        #   / (pi Gamma(2 alpha + mu_j + mu_j1))
+        norm.times(
+            (two_alpha + 2 * mu_j) * math.factorial(k) << (two_alpha + 2 * mu_j1 - 1),
+            2,
+            half=-2,
         )
-        norm_j = (
-            ExactScalar.from_rational(factor)
-            * gamma_exact(alpha + mu_j1) ** 2
-            * inv_pi
-            / gamma_exact(2 * alpha + mu_j + mu_j1)
-        )
-        norm2 = norm2 * norm_j
-        power = poly_pow(gegenbauer(k, alpha + mu_j1), 2 * q)
-        assert not any(power.coeffs[1::2]), "odd moments of an even power must vanish"
-        basis = MomentBasis("gegenbauer", (q * mu_j1 + alpha - Fraction(1, 2),))
-        value = value * basis.integrate(power.coeffs)
-    return value * norm2**q
-
-
-def _shifted_basis_coeffs(poly: PolyExact) -> list[Fraction]:
-    """Rewrite sum a_m y^m as sum s_k (1+y)^k, with y^m = ((1+y) - 1)^m
-    expanded in integers over the lcm of the denominators of the a_m."""
-    den = 1
-    for a in poly.coeffs:
-        den = math.lcm(den, a.denominator)
-    out = [0] * (poly.degree + 1 if poly.coeffs else 1)
-    for m, a in enumerate(poly.coeffs):
-        if a == 0:
-            continue
-        scaled = a.numerator * (den // a.denominator)
-        for k in range(m + 1):
-            term = scaled * math.comb(m, k)
-            out[k] += -term if (m - k) % 2 else term
-    return [Fraction(c, den) for c in out]
+        norm.times_gamma(two_alpha + 2 * mu_j1, 2)
+        norm.times_gamma(2 * (two_alpha + mu_j + mu_j1), -1)
+        power = poly_pow(gegenbauer(k, Fraction(two_alpha + 2 * mu_j1, 2)), 2 * q)
+        assert not any(power.nums[1::2]), "odd moments of an even power must vanish"
+        basis = MomentBasis("gegenbauer", (Fraction(2 * q * mu_j1 + two_alpha - 1, 2),))
+        basis.times_moment(w, 0)
+        w.times_rational(basis.integrate(power))
+    w.times(norm.num, norm.den, q, norm.half)
+    return w.scalar()
 
 
 def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
     """Entropic moment of the radial momentum density by Beta moments in the
-    shifted (1+y)^k basis."""
+    shifted (1+y)^k basis: the Gegenbauer polynomial P(y) is written as
+    Q(1+y) with Q(z) = P(z-1) before it is raised to the power 2q."""
     q = _check_order(q)
     d = validate(state)
     l, D = d.l, state.D
-    power = poly_pow(gegenbauer(state.n - l - 1, d.L + 1), 2 * q)
-    shifted = _shifted_basis_coeffs(power)
-    a_exp = l * q + Fraction(D, 2) - 1
-    b_exp = D * (q - Fraction(1, 2)) + q * (l + 1) - 1
-    integral = MomentBasis("jacobi-shifted", (a_exp, b_exp)).integrate(shifted)
-    k_squared = radial_momentum_norm_squared(state, d)
-    two_power = Fraction(1, 2 ** (q * (2 * l + D + 1)))
-    scale = ExactScalar.from_rational((state.Z / d.eta) ** D * two_power)
-    return k_squared**q * scale * integral
+    power = poly_pow(gegenbauer(state.n - l - 1, d.L + 1).translate(-1), 2 * q)
+    basis = MomentBasis(
+        "jacobi-shifted",
+        (  # a = lq + D/2 - 1, b = D(q - 1/2) + q(l+1) - 1
+            Fraction(2 * l * q + D - 2, 2),
+            Fraction(2 * D * q - D + 2 * q * (l + 1) - 2, 2),
+        ),
+    )
+    w = _Monomial()
+    basis.times_moment(w, 0)
+    w.times_rational(basis.integrate(power))
+    k_squared, half = radial_momentum_norm_squared(state, d).monomial()
+    w.times(k_squared.numerator, k_squared.denominator, q, half)
+    # (Z/eta)^D 2^-(q(2l+D+1))
+    w.times(state.Z.numerator * d.eta.denominator, state.Z.denominator * d.eta.numerator, D)
+    w.times(1, 1 << (q * (2 * l + D + 1)))
+    return w.scalar()
 
 
 # -- floating-point path for real orders -------------------------------------
@@ -510,7 +542,7 @@ def position_radial_power_integral(
     lam = float(d.lam)
     with mpmath.workdps(QUADRATURE_DPS):
         # ln N^2 for the density as a function of r / lam
-        norm = radial_norm_squared(state) / d.lam**D
+        norm = radial_norm_squared(state, d) / d.lam**D
         log_norm = float(mpmath.log(mpmath.mpf(norm.numerator) / norm.denominator))
     log_poly = laguerre_log_abs(k, alpha)
     q = float(q)

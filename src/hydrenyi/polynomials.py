@@ -1,10 +1,11 @@
 """Classical orthogonal polynomials with exact rational coefficients.
 
-Laguerre comes from its closed-form coefficients; Gegenbauer and Jacobi come
-from their three-term recurrences, which keeps every intermediate Gamma away
-from nonpositive arguments.  The two power-linearization routines exist to
-cross-check the hypergeometric route used by the entropy formulas; the
-production path never calls them.  The float evaluators at the end serve the
+A polynomial is integer numerators over one common denominator.  Laguerre
+and Gegenbauer come from their explicit coefficient sums, built in integers;
+Jacobi comes from its three-term recurrence, which keeps every intermediate
+Gamma away from nonpositive arguments.  The two power-linearization routines
+exist to cross-check the hypergeometric route used by the entropy formulas;
+the production path never calls them.  The float evaluators at the end serve the
 pointwise densities and the real-order quadrature.
 """
 
@@ -15,54 +16,83 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from hydrenyi import kernels
-from hydrenyi.exactnum import RationalLike, pochhammer
+from hydrenyi.exactnum import RationalLike, pochhammer, rising_product
 from hydrenyi.hyperfun import LauricellaSpec, lauricella_fa
 
 
 class PolyExact:
-    """Dense univariate polynomial over exact rationals, index = degree."""
+    """Dense univariate polynomial over the rationals, index = degree.
 
-    __slots__ = ("coeffs",)
+    Stored as integer numerators ``nums`` over one positive common
+    denominator ``den``, in lowest terms (no prime divides den and every
+    numerator); ``coeffs`` is the Fraction view.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence[RationalLike]):
-        trimmed = [Fraction(c) for c in coeffs]
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        self.coeffs = tuple(trimmed)
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
+        self._set([c.numerator * (den // c.denominator) for c in fracs], den)
+
+    @classmethod
+    def over(cls, nums: Sequence[int], den: int) -> "PolyExact":
+        """The polynomial sum_k nums[k]/den x^k, for integers nums and den > 0."""
+        out = object.__new__(cls)
+        out._set(list(nums), den)
+        return out
+
+    def _set(self, nums: list[int], den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        common = math.gcd(den, *nums)
+        if common > 1:
+            nums = [c // common for c in nums]
+            den //= common
+        self.nums = tuple(nums)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
+    def _combine(self, other: "PolyExact", sign: int) -> "PolyExact":
+        den = math.lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [sign * c * (den // other.den) for c in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        for k, c in enumerate(b):
+            a[k] += c
+        return PolyExact.over(a, den)
+
     def __add__(self, other: "PolyExact") -> "PolyExact":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return PolyExact(
-            [self.coeff(k) + other.coeff(k) for k in range(size)] or [0]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PolyExact") -> "PolyExact":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return PolyExact(
-            [self.coeff(k) - other.coeff(k) for k in range(size)] or [0]
-        )
+        return self._combine(other, -1)
 
     def __mul__(self, other: "PolyExact | RationalLike") -> "PolyExact":
         if isinstance(other, (int, Fraction)):
-            return PolyExact([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
+            r = Fraction(other)
+            return PolyExact.over([c * r.numerator for c in self.nums], self.den * r.denominator)
+        if not self.nums or not other.nums:
             return PolyExact([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyExact(out)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums):
+                    out[i + j] += a * b
+        return PolyExact.over(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -77,22 +107,35 @@ class PolyExact:
 
     def shift_degree(self, k: int) -> "PolyExact":
         """Multiply by x**k."""
-        if not self.coeffs:
+        if not self.nums:
             return self
-        return PolyExact([Fraction(0)] * k + list(self.coeffs))
+        return PolyExact.over([0] * k + list(self.nums), self.den)
 
     def scale_arg(self, t: RationalLike) -> "PolyExact":
         """Substitute x -> t*x."""
         t = Fraction(t)
-        return PolyExact([c * t**k for k, c in enumerate(self.coeffs)])
+        top, bottom, degree = t.numerator, t.denominator, self.degree
+        return PolyExact.over(
+            [c * top**k * bottom ** (degree - k) for k, c in enumerate(self.nums)],
+            self.den * bottom ** max(degree, 0),
+        )
+
+    def translate(self, c: int) -> "PolyExact":
+        """Substitute x -> x + c for an integer c, by a Taylor shift of the
+        numerators: degree^2 / 2 integer multiply-adds."""
+        a = list(self.nums)
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += c * a[j + 1]
+        return PolyExact.over(a, self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyExact):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"PolyExact({[str(c) for c in self.coeffs]})"
@@ -101,33 +144,51 @@ class PolyExact:
 def laguerre(n: int, alpha: RationalLike) -> PolyExact:
     """Generalized Laguerre polynomial, orthogonal (not orthonormal) form.
 
-    Coefficient of x**k is (-1)**k binom(n+alpha, n-k) / k!.
+    Coefficient of x**j is (-1)**j binom(n+alpha, n-j) / j!.  With
+    alpha = a/b that is (-1)**j binom(n, j) b**j prod_{m=j+1..n} (a + m b)
+    over the common denominator n! b**n.
     """
     alpha = Fraction(alpha)
     if alpha <= -1:
         raise ValueError("laguerre requires alpha > -1")
-    coeffs = []
-    for k in range(n + 1):
-        binom = pochhammer(alpha + k + 1, n - k) / math.factorial(n - k)
-        coeffs.append(Fraction(-1) ** k * binom / math.factorial(k))
-    return PolyExact(coeffs)
+    a, b = alpha.numerator, alpha.denominator
+    tails = [1] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        tails[j] = tails[j + 1] * (a + (j + 1) * b)
+    nums = []
+    binom = b_power = 1
+    for j in range(n + 1):
+        term = binom * b_power * tails[j]
+        nums.append(-term if j % 2 else term)
+        binom = binom * (n - j) // (j + 1)
+        b_power *= b
+    return PolyExact.over(nums, math.factorial(n) * b**n)
 
 
 def gegenbauer(n: int, lam: RationalLike) -> PolyExact:
-    """Gegenbauer polynomial via the three-term recurrence."""
+    """Gegenbauer polynomial C_n^(lam).
+
+    Coefficient of x**(n-2m) is (-1)**m 2**(n-2m) (lam)_(n-m) / (m! (n-2m)!).
+    With lam = a/b that is (-1)**m 2**(n-2m) b**m a(a+b)...(a+(n-m-1)b)
+    n!/(m! (n-2m)!) over the common denominator n! b**n.
+    """
     lam = Fraction(lam)
     if n > 0 and (lam <= Fraction(-1, 2) or lam == 0):
         raise ValueError("gegenbauer requires lambda > -1/2, lambda != 0")
-    prev = PolyExact([1])
-    if n == 0:
-        return prev
-    cur = PolyExact([0, 2 * lam])
-    for k in range(2, n + 1):
-        nxt = PolyExact([0, Fraction(2 * (k + lam - 1), k)]) * cur - PolyExact(
-            [Fraction(k + 2 * lam - 2, k)]
-        ) * prev
-        prev, cur = cur, nxt
-    return cur
+    a, b = lam.numerator, lam.denominator
+    half = n // 2
+    rising = [1] * (half + 1)
+    rising[half] = rising_product(a, b, n - half)
+    for m in range(half - 1, -1, -1):
+        rising[m] = rising[m + 1] * (a + (n - m - 1) * b)
+    nums = [0] * (n + 1)
+    weight = b_power = 1  # n!/(m! (n-2m)!) and b**m
+    for m in range(half + 1):
+        term = (weight * b_power * rising[m]) << (n - 2 * m)
+        nums[n - 2 * m] = -term if m % 2 else term
+        weight = weight * (n - 2 * m) * (n - 2 * m - 1) // (m + 1)
+        b_power *= b
+    return PolyExact.over(nums, math.factorial(n) * b**n)
 
 
 # Float evaluation.  Monomial coefficients of these polynomials alternate in
@@ -211,27 +272,20 @@ def gegenbauer_as_jacobi(kappa: int, lam: RationalLike) -> tuple[Fraction, PolyE
 
 
 def poly_pow(p: PolyExact, r: int) -> PolyExact:
-    """Exact r-th power by repeated convolution.
-
-    The convolutions run in integers: p is scaled by the lcm of its
-    coefficient denominators, and the power divided by its r-th power once.
-    """
+    """Exact r-th power by repeated convolution of the integer numerators,
+    over the r-th power of the denominator."""
     if r < 1:
         raise ValueError("poly_pow requires r >= 1")
-    den = 1
-    for c in p.coeffs:
-        den = math.lcm(den, c.denominator)
-    out = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    base = [(j, b) for j, b in enumerate(out) if b]
+    out = list(p.nums)
+    base = [(j, b) for j, b in enumerate(p.nums) if b]
     for _ in range(r - 1):
-        nxt = [0] * (len(out) + len(p.coeffs) - 1)
+        nxt = [0] * (len(out) + len(p.nums) - 1)
         for i, a in enumerate(out):
             if a:
                 for j, b in base:
                     nxt[i + j] += a * b
         out = nxt
-    scale = den**r
-    return PolyExact([Fraction(c, scale) for c in out])
+    return PolyExact.over(out, p.den**r)
 
 
 def laguerre_power_linearization(

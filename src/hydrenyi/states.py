@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from hydrenyi.exactnum import ExactScalar, RationalLike, gamma_exact, log_float
+from hydrenyi.exactnum import ExactScalar, HalfInt, RationalLike, gamma_exact, log_float
 from hydrenyi.polynomials import gegenbauer_log_abs, laguerre_log_abs
 
 
@@ -110,33 +110,36 @@ class DerivedQuantum:
     m_abs: int
 
 
+def check_chain(D: int, mu: "tuple[int, ...]") -> None:
+    """Check the dimension and the mu chain of a hyperspherical harmonic:
+    D >= 2, D-1 entries and mu1 >= mu2 >= ... >= |mu_{D-1}|; name the first
+    violated constraint.  The angular closed form and its oracle call this
+    on every evaluation, so it is only integer comparisons."""
+    if D < 2:
+        raise ValidationError(f"dimension must satisfy D >= 2, got D={D}")
+    if len(mu) != D - 1:
+        raise ValidationError(f"mu chain must have D-1={D - 1} entries, got {len(mu)}")
+    for j in range(D - 3):
+        if mu[j] < mu[j + 1]:
+            raise ValidationError(
+                f"chain violation: mu{j + 1}={mu[j]} < mu{j + 2}={mu[j + 1]}"
+            )
+    if D >= 3 and mu[D - 3] < abs(mu[D - 2]):
+        raise ValidationError(
+            f"chain violation: mu{D - 2}={mu[D - 3]} < |mu{D - 1}|={abs(mu[D - 2])}"
+        )
+
+
 def validate(state: HydrogenicState) -> DerivedQuantum:
     """Check every quantum-number constraint; name the first violated one."""
-    if state.D < 2:
-        raise ValidationError(f"dimension must satisfy D >= 2, got D={state.D}")
+    check_chain(state.D, state.mu)
     if state.n < 1:
         raise ValidationError(f"principal number must satisfy n >= 1, got n={state.n}")
-    if len(state.mu) != state.D - 1:
-        raise ValidationError(
-            f"mu chain must have D-1={state.D - 1} entries, got {len(state.mu)}"
-        )
     if state.Z <= 0:
         raise ValidationError(f"nuclear charge must be positive, got Z={state.Z}")
     l = state.l
     if not 0 <= l <= state.n - 1:
         raise ValidationError(f"orbital number must satisfy 0 <= l <= n-1, got l={l}")
-    if state.D >= 3:
-        chain = state.mu
-        for j in range(state.D - 3):
-            if chain[j] < chain[j + 1]:
-                raise ValidationError(
-                    f"chain violation: mu{j + 1}={chain[j]} < mu{j + 2}={chain[j + 1]}"
-                )
-        if chain[state.D - 3] < abs(chain[state.D - 2]):
-            raise ValidationError(
-                f"chain violation: mu{state.D - 2}={chain[state.D - 3]} < "
-                f"|mu{state.D - 1}|={abs(chain[state.D - 2])}"
-            )
     eta = state.n + Fraction(state.D - 3, 2)
     L = l + Fraction(state.D - 3, 2)
     lam = eta / (2 * state.Z)
@@ -150,10 +153,9 @@ def energy(state: HydrogenicState) -> Fraction:
     return -state.Z**2 / (2 * d.eta**2)
 
 
-def radial_norm_squared(state: HydrogenicState) -> Fraction:
+def radial_norm_squared(state: HydrogenicState, d: DerivedQuantum) -> Fraction:
     """lambda**D times N^2, i.e. the rational part of the squared radial
-    normalization constant."""
-    d = validate(state)
+    normalization constant, for a state and its d = validate(state)."""
     return Fraction(
         math.factorial(state.n - d.l - 1),
         math.factorial(state.n + d.l + state.D - 3),
@@ -174,7 +176,8 @@ def radial_momentum_norm_squared(state: HydrogenicState, d: DerivedQuantum) -> E
         * d.eta ** (D + 1)
         / state.Z**D
     )
-    return ExactScalar.pi_power(-2, rational) * gamma_exact(Fraction(2 * l + D - 1, 2)) ** 2
+    gamma, half = gamma_exact(HalfInt(2 * l + D - 1)).monomial()
+    return ExactScalar.pi_power(2 * half - 2, rational * gamma**2)
 
 
 def radial_momentum_log_density(
@@ -233,7 +236,7 @@ def radial_density_position(state: HydrogenicState, r: float) -> float:
     lam = float(d.lam)
     rt = r / lam
     log_poly = laguerre_log_abs(state.n - d.l - 1, 2 * d.l + state.D - 2)
-    norm2 = float(radial_norm_squared(state)) / lam**state.D
+    norm2 = float(radial_norm_squared(state, d)) / lam**state.D
     return norm2 * rt ** (2 * d.l) * math.exp(2 * log_poly(rt) - rt)
 
 

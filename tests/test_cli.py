@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 from hydrenyi import cli, entropy, oracle
 from hydrenyi.exactnum import parse_scalar
@@ -320,6 +321,45 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--dmax", "1000000000", "--nmax", "0")
         assert code == 0
         assert json.loads(out)["summary"]["states"] == 0
+
+
+class TestDigitCap:
+    def test_large_orders_exit_three_at_once(self, capsys):
+        for q in ("1000", "10000", "1e400"):
+            started = time.perf_counter()
+            code, out, err = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", q)
+            assert time.perf_counter() - started < 5  # q = 10000 ran past 60 s
+            assert code == 3
+            assert out == ""
+            assert err.count("\n") == 1 and str(cli.MAX_W_DIGITS) in err
+
+    def test_order_300_still_answers(self, capsys):
+        state = HydrogenicState(3, 2, (1, 0), 1)
+        code, out, _ = run(capsys, "compute", state.literal(), "--q", "300")
+        assert code == 0
+        records = json.loads(out)
+        angular = entropy.angular_entropy(3, (1, 0), 300)
+        for record, radial in zip(
+            records,
+            (
+                entropy.radial_position_entropy(state, 300),
+                entropy.radial_momentum_entropy(state, 300),
+            ),
+        ):
+            assert parse_scalar(record["w"]) == (radial + angular).w
+
+    def test_one_space_is_bounded_alone(self, capsys):
+        # the momentum W stays shorter than the position one here
+        code, _, _ = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", "700", "--space", "momentum")
+        assert code == 0
+        code, _, err = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", "700")
+        assert code == 3 and err.count("\n") == 1
+
+    def test_verify_order_list_is_bounded(self, capsys):
+        code, out, err = run(capsys, "verify", "--qset", "2,1000", "--dmax", "3", "--nmax", "2")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and str(cli.MAX_W_DIGITS) in err
 
 
 class TestSum:

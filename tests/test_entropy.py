@@ -162,6 +162,141 @@ class TestIntegerPrefactors:
         assert "gamma_exact" in source
 
 
+def _decimal_digits(x: int) -> int:
+    # past 4300 digits str(x) is refused, so compare with powers of ten
+    digits = max(1, int(x.bit_length() * math.log10(2)))
+    while 10**digits <= x:
+        digits += 1
+    while digits > 1 and 10 ** (digits - 1) > x:
+        digits -= 1
+    return digits
+
+
+def _digits(w: ExactScalar) -> int:
+    r, _ = w.monomial()
+    return max(_decimal_digits(abs(r.numerator)), _decimal_digits(r.denominator))
+
+
+def _true_digits(state: HydrogenicState, q: int, space: str) -> int:
+    if space == "position":
+        radial = radial_position_entropy(state, q).w
+    else:
+        radial = radial_momentum_entropy(state, q).w
+    angular = angular_entropy(state.D, state.mu, q).w
+    return max(_digits(radial), _digits(angular), _digits(radial * angular))
+
+
+class TestDigitBound:
+    """w_digits_bound never falls below the digits of a W it bounds."""
+
+    @pytest.mark.parametrize("D", [2, 3, 4, 5])
+    def test_bounds_every_w_of_the_grid(self, D):
+        for state in enumerate_states(D, 4):
+            for q in (2, 3, 7):
+                for space in ("position", "momentum"):
+                    true = _true_digits(state, q, space)
+                    assert entropy.w_digits_bound(state, q, (space,)) >= true
+                    assert entropy.w_digits_bound(state, q, (space,), math.inf) >= true
+
+    @pytest.mark.parametrize(
+        "literal,q",
+        [
+            ("D=3,n=2,mu=1,0", 300),
+            ("D=3,n=5,mu=0,0", 100),
+            ("D=5,n=4,mu=1,1,0,0", 100),
+            ("D=4,n=5,mu=2,1,-1,Z=5/2", 40),
+            ("D=3,n=6,mu=5,-5,Z=3", 200),
+            ("D=6,n=4,mu=3,1,1,0,0", 30),
+            ("D=2,n=7,mu=-3,Z=7/3", 60),
+        ],
+    )
+    def test_bounds_large_orders(self, literal, q):
+        state = HydrogenicState.parse(literal)
+        bound = entropy.w_digits_bound(state, q, ("position", "momentum"))
+        true = max(_true_digits(state, q, space) for space in ("position", "momentum"))
+        assert true <= bound <= 3 * true + 400
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rising_products_reduce_exactly(self, d):
+        # a ledger without sums or extras is exact up to its two-digit margin
+        for p in range(1, 10):
+            for k in range(8):
+                ledger = entropy._DigitLedger()
+                ledger.rising(p, d, k, 1)
+                ledger.rising(p + 3, d, k, -2)
+                value = F(
+                    entropy.rising_product(p, d, k), entropy.rising_product(p + 3, d, k) ** 2
+                )
+                num, den = ledger.digits()
+                assert len(str(value.numerator)) <= num <= len(str(value.numerator)) + 2
+                assert len(str(value.denominator)) <= den <= len(str(value.denominator)) + 2
+
+    def test_gamma_values_reduce_exactly(self):
+        for twice in range(1, 60):
+            ledger = entropy._DigitLedger()
+            ledger.gamma(twice, 3)
+            ledger.gamma(twice + 7, -1)
+            value = (gamma_exact(F(twice, 2)) ** 3 / gamma_exact(F(twice + 7, 2))).monomial()[0]
+            num, den = ledger.digits()
+            assert len(str(value.numerator)) <= num <= len(str(value.numerator)) + 2
+            assert len(str(value.denominator)) <= den <= len(str(value.denominator)) + 2
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_sums_are_cleared_by_their_multiples(self, q):
+        # each sum S times its denominator multiple M is an integer, and
+        # |S M| <= M 10^log10_abs
+        def value(ledger) -> Fraction:
+            out = F(2) ** ledger.twos
+            for m, e in ledger.factorials:
+                out *= F(math.factorial(m)) ** e
+            for a, e in ledger.integers:
+                out *= F(a) ** e
+            for x, e in ledger.lcms:
+                out *= F(math.lcm(*range(1, x + 1))) ** e
+            return out
+
+        def check(add_sum, exact: Fraction) -> None:
+            ledger = entropy._DigitLedger()
+            add_sum(ledger)
+            ((multiple, log10_abs),) = ledger.sums
+            cleared = exact * value(multiple)
+            assert cleared.denominator == 1
+            assert math.log10(abs(cleared) or 1) <= math.log10(value(multiple)) + log10_abs + 1e-9
+
+        for D in range(2, 6):
+            for n in range(2, 6):
+                for l in range(n - 1):
+                    k = n - l - 1
+                    check(
+                        lambda out: entropy._lauricella_digits(
+                            out, 2 * l * q + D, 2 * l + D - 1, k, q
+                        ),
+                        entropy.radial_lauricella_factor(D, n, l, q),
+                    )
+                    check(
+                        lambda out: entropy._daoust_digits(
+                            out, 2 * l * q + D, q * (2 * l + D + 1), n + l + D - 2, 2 * l + D, k, q
+                        ),
+                        entropy.momentum_daoust_factor(D, n, l, q),
+                    )
+        for a2 in range(1, 5):
+            for mu_j1 in range(3):
+                for k in range(1, 4):
+                    mu_j = mu_j1 + k
+                    check(
+                        lambda out: entropy._daoust_digits(
+                            out, a2 + 2 * q * mu_j1 + 1, 2 * q * mu_j1 + a2 + 1, a2 + mu_j1 + mu_j,
+                            a2 + 2 * mu_j1 + 1, k, q,
+                        ),
+                        entropy.angular_daoust_factor(F(a2, 2), mu_j, mu_j1, q),
+                    )
+
+    def test_huge_orders_are_unbounded_at_once(self):
+        state = HydrogenicState(3, 2, (1, 0), 1)
+        assert entropy.w_digits_bound(state, 10**400, ("position",)) == math.inf
+        assert entropy.w_digits_bound(state, 10**5, ("momentum",)) == math.inf
+
+
 class TestTables:
     @pytest.mark.parametrize("key", sorted(TABLE_POSITION))
     def test_position_cells(self, key):

@@ -21,8 +21,13 @@ from hydrenyi.oracle import (
     renyi_float,
     verify_state,
 )
-from hydrenyi.polynomials import PolyExact, gegenbauer, laguerre
-from hydrenyi.states import HydrogenicState, enumerate_states, radial_norm_squared
+from hydrenyi.polynomials import PolyExact, gegenbauer, laguerre, poly_pow
+from hydrenyi.states import (
+    HydrogenicState,
+    ValidationError,
+    enumerate_states,
+    radial_norm_squared,
+)
 
 F = Fraction
 
@@ -53,7 +58,11 @@ class TestMomentBasis:
         with pytest.raises(ValueError):
             MomentBasis("chebyshev").moment(0)
         with pytest.raises(ValueError):
-            MomentBasis("chebyshev").integrate([F(1), F(2)])
+            MomentBasis("chebyshev").integrate(PolyExact([F(1), F(2)]))
+
+
+def _integrated(basis: MomentBasis, coeffs) -> ExactScalar:
+    return basis.moment(0) * basis.integrate(PolyExact(coeffs))
 
 
 def _summed_moments(basis: MomentBasis, coeffs) -> ExactScalar:
@@ -90,17 +99,17 @@ class TestMomentIntegrate:
     @given(rational_vectors)
     def test_laguerre(self, coeffs):
         basis = MomentBasis("laguerre")
-        assert basis.integrate(coeffs) == _summed_moments(basis, coeffs)
+        assert _integrated(basis, coeffs) == _summed_moments(basis, coeffs)
 
     @given(rational_vectors, gegenbauer_params)
     def test_gegenbauer(self, coeffs, s):
         basis = MomentBasis("gegenbauer", (s,))
-        assert basis.integrate(coeffs) == _summed_moments(basis, coeffs)
+        assert _integrated(basis, coeffs) == _summed_moments(basis, coeffs)
 
     @given(rational_vectors, shifted_params())
     def test_jacobi_shifted(self, coeffs, params):
         basis = MomentBasis("jacobi-shifted", params)
-        assert basis.integrate(coeffs) == _summed_moments(basis, coeffs)
+        assert _integrated(basis, coeffs) == _summed_moments(basis, coeffs)
 
     @pytest.mark.parametrize(
         "basis",
@@ -120,17 +129,31 @@ class TestMomentIntegrate:
             [F(0)],
             [F((-1) ** k * (k + 1), 2 * k + 1) for k in range(41)],
         ):
-            assert basis.integrate(coeffs) == _summed_moments(basis, coeffs)
+            assert _integrated(basis, coeffs) == _summed_moments(basis, coeffs)
 
-    def test_shifted_basis_coefficients(self):
-        # sum a_m y^m == sum s_k (1+y)^k, checked as polynomials in y
-        poly = PolyExact([F(3, 4), F(-2), F(0), F(5, 6), F(0), F(-1, 10)])
-        shifted = oracle._shifted_basis_coeffs(poly)
-        rebuilt = PolyExact([0])
-        for k, c in enumerate(shifted):
-            rebuilt = rebuilt + PolyExact([1, 1]) ** k * c
-        assert rebuilt == poly
-        assert oracle._shifted_basis_coeffs(PolyExact([])) == [F(0)]
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_shift_then_power_equals_power_then_shift(self, r):
+        # the momentum oracle writes P(y) = Q(1+y) with Q(z) = P(z-1) and
+        # powers Q; the reference powers P and then rewrites sum a_m y^m as
+        # sum s_k (1+y)^k through y^m = ((1+y) - 1)^m
+        def power_then_shift(poly: PolyExact) -> list[Fraction]:
+            power = poly_pow(poly, r)
+            out = [F(0)] * (power.degree + 1)
+            for m, a in enumerate(power.coeffs):
+                for k in range(m + 1):
+                    out[k] += a * math.comb(m, k) * (-1) ** (m - k)
+            return out
+
+        polys = [gegenbauer(k, lam) for k in range(9) for lam in (F(1, 2), F(1), F(7, 2))]
+        polys += [
+            PolyExact([F(3, 4), F(-2), F(0), F(5, 6), F(0), F(-1, 10)]),
+            PolyExact([F(0)] * 8 + [F(-5, 3)]),
+            PolyExact([7]),
+            PolyExact([]),
+        ]
+        for poly in polys:
+            shifted = poly_pow(poly.translate(-1), r)
+            assert list(shifted.coeffs) == power_then_shift(poly), poly
 
 
 class TestExactOracles:
@@ -150,9 +173,9 @@ class TestExactOracles:
             surface = ExactScalar.pi_power(D, 2) / gamma_exact(F(D, 2))
             assert angular_w_exact(D, (0,) * (D - 1), q) == surface ** (1 - q)
 
-    @pytest.mark.parametrize("D", [2, 3, 4, 5])
+    @pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
     def test_unit_normalization_at_first_order(self, D):
-        for state in enumerate_states(D, 3):
+        for state in enumerate_states(D, 4):
             assert radial_position_w_exact(state, 1) == ExactScalar(1)
             assert radial_momentum_w_exact(state, 1) == ExactScalar(1)
             assert angular_w_exact(state.D, state.mu, 1) == ExactScalar(1)
@@ -183,6 +206,24 @@ class TestExactOracles:
     def test_zeroth_order_rejected(self):
         with pytest.raises(ValueError):
             radial_position_w_exact(GROUND, 0)
+
+
+class TestBadChains:
+    """The angular closed form and its oracle refuse a bad chain with the
+    message validate gives for a state with that chain."""
+
+    @pytest.mark.parametrize(
+        "D,mu", [(3, (1,)), (3, (0, 1)), (4, (1, 2, 0)), (4, (2, 1, -2)), (1, ())]
+    )
+    @pytest.mark.parametrize(
+        "angular", [entropy.angular_entropy, angular_w_exact], ids=["closed", "oracle"]
+    )
+    def test_validation_error_like_validate(self, D, mu, angular):
+        with pytest.raises(ValidationError) as expected:
+            oracle.validate(HydrogenicState(D, 9, mu, 1))
+        with pytest.raises(ValidationError) as raised:
+            angular(D, mu, 2)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestFloatOracle:
@@ -436,7 +477,7 @@ class TestFloatIntegrands:
         poly = laguerre(11, 1)
         with mpmath.workdps(50):
             lam = mpmath.mpf(d.lam.numerator) / d.lam.denominator
-            norm = radial_norm_squared(state)
+            norm = radial_norm_squared(state, d)
             norm2 = mpmath.mpf(norm.numerator) / norm.denominator / lam**3
             coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
             for r in (0.3, 7.0, 150.0, 1e34, 1e300):
@@ -531,6 +572,7 @@ def _sweep_chains(D: int, l: int) -> list[tuple[int, ...]]:
 
 
 SWEEP_ORDERS = (2, 3, 4, 5, 6)
+WIDE_ORDERS = (7, 8, 9, 10)
 
 
 def _assert_verified(cases) -> None:
@@ -563,6 +605,35 @@ class TestClosedFormsAgainstOracle:
     @pytest.mark.parametrize("D", range(2, 9))
     def test_subset(self, D, n):
         _assert_verified(_sweep_subset(D, n))
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "D=3,n=20,mu=0,0",
+            "D=5,n=20,mu=0,0,0,0",
+            "D=3,n=20,mu=10,-5,Z=5/2",
+            "D=4,n=20,mu=19,10,-3",
+            "D=6,n=20,mu=5,3,3,1,0",
+        ],
+    )
+    def test_spot_checks_at_n20_q10(self, literal):
+        _assert_verified([(HydrogenicState.parse(literal), 10)])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("l", [0, 38])
+    def test_spot_checks_at_n40_q20(self, l):
+        _assert_verified([(HydrogenicState(3, 40, (l, 0), 1), 20)])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", range(1, 21))
+    @pytest.mark.parametrize("D", range(2, 7))
+    def test_wide_grid(self, D, n):
+        # every l and chain shape at n up to 20, the orders 7..10 in turn
+        _assert_verified(
+            (HydrogenicState(D, n, chain, 1), WIDE_ORDERS[(n + l + i) % len(WIDE_ORDERS)])
+            for l in range(n)
+            for i, chain in enumerate(_sweep_chains(D, l))
+        )
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n", range(1, 13))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hydrenyi import oracle
-from hydrenyi.exactnum import ExactScalar, gamma_exact
+from hydrenyi.exactnum import ExactScalar, gamma_exact, pochhammer
 from hydrenyi.polynomials import (
     PolyExact,
     gegenbauer,
@@ -111,6 +111,72 @@ class TestGegenbauer:
     def test_zero_lambda_rejected(self):
         with pytest.raises(ValueError):
             gegenbauer(2, 0)
+
+
+def _gegenbauer_by_recurrence(k_max: int, lam: Fraction) -> list[list[Fraction]]:
+    """C_0..C_k_max from (k) C_k = 2(k+lam-1) x C_(k-1) - (k+2lam-2) C_(k-2),
+    as Fraction lists."""
+    polys = [[F(1)], [F(0), 2 * lam]]
+    for k in range(2, k_max + 1):
+        prev, cur = polys[-2], polys[-1]
+        nxt = [F(0)] + [F(2 * (k + lam - 1), k) * c for c in cur]
+        for j, c in enumerate(prev):
+            nxt[j] -= F(k + 2 * lam - 2, k) * c
+        polys.append(nxt)
+    return polys[: k_max + 1]
+
+
+def _laguerre_by_binomials(k: int, alpha: Fraction) -> list[Fraction]:
+    """(-1)^j binom(k+alpha, k-j) / j! with the binomial as a Pochhammer ratio."""
+    return [
+        F(-1) ** j * pochhammer(alpha + j + 1, k - j) / math.factorial(k - j) / math.factorial(j)
+        for j in range(k + 1)
+    ]
+
+
+def _trimmed(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return tuple(coeffs)
+
+
+class TestIntegerConstructions:
+    """The explicit-sum constructions in integers against the Fraction
+    recurrence and binomial formula, with zero tolerance."""
+
+    @pytest.mark.parametrize(
+        "lam", [F(1), F(2), F(5), F(1, 2), F(3, 2), F(7, 2), F(1, 3), F(-1, 4), F(5, 7)]
+    )
+    def test_gegenbauer_matches_recurrence(self, lam):
+        for k, reference in enumerate(_gegenbauer_by_recurrence(30, lam)):
+            assert gegenbauer(k, lam).coeffs == _trimmed(reference), k
+
+    @pytest.mark.parametrize(
+        "alpha", [F(0), F(1), F(4), F(1, 2), F(-1, 2), F(2, 3), F(-5, 7), F(13, 4)]
+    )
+    def test_laguerre_matches_binomials(self, alpha):
+        for k in range(31):
+            assert laguerre(k, alpha).coeffs == _trimmed(_laguerre_by_binomials(k, alpha)), k
+
+    def test_lowest_terms(self):
+        # one common denominator, shared by no prime with every numerator
+        for poly in (laguerre(12, F(2, 3)), gegenbauer(9, F(5, 2)), PolyExact([F(2, 4), 3])):
+            assert poly.den > 0
+            assert math.gcd(poly.den, *poly.nums) == 1
+            assert poly == PolyExact(poly.coeffs)
+        assert PolyExact.over([6, 0, 4, 0], 8) == PolyExact([F(3, 4), 0, F(1, 2)])
+        assert PolyExact.over([0, 0], 5) == PolyExact([]) and PolyExact([]).degree == -1
+
+    def test_translate_substitutes(self):
+        poly = PolyExact([F(3, 4), F(-2), F(0), F(5, 6), F(1, 7)])
+        for c in (-3, -1, 0, 2):
+            moved = poly.translate(c)
+            for x in (F(-2), F(1, 3), F(5)):
+                assert _value(moved, x) == _value(poly, x + c)
+
+
+def _value(poly: PolyExact, x: Fraction) -> Fraction:
+    return sum((c * x**k for k, c in enumerate(poly.coeffs)), F(0))
 
 
 class TestJacobi:

@@ -201,7 +201,7 @@ class TestDensities:
         # between the zeros here
         state = HydrogenicState(5, 20, (0, 0, 0, 0), 1)
         d = validate(state)
-        norm2 = radial_norm_squared(state) / d.lam**5
+        norm2 = radial_norm_squared(state, d) / d.lam**5
         with mpmath.workdps(50):
 
             def mp(x: Fraction):
