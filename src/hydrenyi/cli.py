@@ -4,12 +4,12 @@ Subcommands: compute (entropies of one state), table (the published q = 2
 hydrogen tables), verify (closed form vs oracle sweep), sum (uncertainty
 sum against its dimensional bound).  Output is JSON by default, CSV behind
 --format=csv.  Exit codes: 0 ok, 1 verification failure, 2 usage error
-(including a real order at which the momentum entropy diverges, an empty
-verify --qset, and a --precision outside MIN_PRECISION_BITS to
-MAX_PRECISION_BITS), 3 resource cap exceeded (the term cap of the sums, a
-verify sweep over more than MAX_VERIFY_VERDICTS verdicts, or an exact W that
-could need more than MAX_W_DIGITS digits), 4 the float path missed its error
-target.
+(including a real order at which the momentum entropy diverges or that is
+too large for a float, an empty verify --qset, and a --precision outside
+MIN_PRECISION_BITS to MAX_PRECISION_BITS), 3 resource cap exceeded (the term
+cap of the sums, a verify sweep over more than MAX_VERIFY_VERDICTS verdicts,
+or an exact W of compute, verify or the exact side of sum that could need
+more than MAX_W_DIGITS digits), 4 the float path missed its error target.
 """
 
 from __future__ import annotations
@@ -265,6 +265,11 @@ def cmd_sum(args) -> int:
         p = entropy.conjugate_order(q)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    # at most one side is exact: an integer order >= 2 has a conjugate below 1
+    if q.denominator == 1 and q >= 2:
+        _check_w_digits(state, q.numerator, ["position"])
+    if p.denominator == 1 and p >= 2:
+        _check_w_digits(state, p.numerator, ["momentum"])
     result = entropy.uncertainty_sum(state, q)
     record = {
         "state": state.literal(),

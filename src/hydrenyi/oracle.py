@@ -339,9 +339,18 @@ _SEGMENT_REL_TARGET = QUADRATURE_REL_TARGET * 1e-4
 
 # mpmath's tanh-sinh rule at QUADRATURE_DPS (that many bits of precision)
 # ends a level where a node's distance to the endpoint, 1 - |x|, falls to
-# 2^-(prec+10); the float rule keeps that node set.
+# 2^-(prec+10); the float rule's levels have that node set, but it evaluates
+# the nodes of the endpoint region only while their terms still count.
 _QUADRATURE_PREC = mpmath.libmp.dps_to_prec(QUADRATURE_DPS)
 _NODE_LIMIT = 2.0 ** -(_QUADRATURE_PREC + 10)
+
+# The endpoint region is 1 - |x| <= _ENDPOINT_REGION.  There every integrand
+# here is monotone (bounded at a finite endpoint, decaying in a tail) while
+# the weights fall double-exponentially, so once a term is <= _NEGLIGIBLE
+# times the sum of its side so far, the terms beyond it add less than a
+# rounding of that sum (Bailey, Jeyabalan & Li, Experimental Math. 14, 2005).
+_ENDPOINT_REGION = 2.0**-20
+_NEGLIGIBLE = 2.0**-64
 
 # A deep tail runs the nodes of an [a, inf) segment on towards x = -1 down to
 # this distance, where the node a - 1 + 2/(1+x) is about 2^1001 and its
@@ -412,12 +421,14 @@ class _FloatTanhSinh:
     """Tanh-sinh quadrature in floats, in the shape of an mpmath rule so that
     mpmath.quad drives it (mpmath.quad calls only its summation).
 
-    Each segment stops once the estimated relative error of its last levels
-    is <= _SEGMENT_REL_TARGET, and reports that estimate, but not less than
-    rel_floor, times |I_seg|.  Every integrand here is non-negative, so a
-    relative bound on each segment bounds the sum too.  With deep_tail the
-    nodes of an [a, inf) segment run towards infinity down to
-    _DEEP_NODE_LIMIT instead of _NODE_LIMIT.
+    Each level walks each side of a segment outward from the centre and
+    stops that side in the endpoint region once its terms no longer count
+    (see _terms).  Each segment stops once the estimated relative error of
+    its last levels is <= _SEGMENT_REL_TARGET, and reports that estimate, but
+    not less than rel_floor, times |I_seg|.  Every integrand here is
+    non-negative, so a relative bound on each segment bounds the sum too.
+    With deep_tail the nodes of an [a, inf) segment run towards infinity down
+    to _DEEP_NODE_LIMIT instead of _NODE_LIMIT.
     """
 
     def __init__(self, rel_floor: float = _FLOAT_REL_FLOOR, deep_tail: bool = False):
@@ -425,25 +436,45 @@ class _FloatTanhSinh:
         self.tail_limit = _DEEP_NODE_LIMIT if deep_tail else _NODE_LIMIT
 
     def _terms(self, f, a: float, b: float, level: int) -> list[float]:
-        """w f(x) for the nodes this level adds on [a, b]."""
+        """w f(x) for the nodes this level adds on [a, b].
+
+        Each side runs every node outside the endpoint region and stops at
+        its first node inside whose term is <= _NEGLIGIBLE times the side's
+        sum so far on this level.  A side whose sum is still 0 does not stop,
+        so mass right against an endpoint is still found at every level.
+        """
         comps, weights = _level_nodes(level, _NODE_LIMIT)
+        terms = []
         if b == math.inf:
-            # x -> a - 1 + 2/(1+x), with weight 2/(1+x)^2
-            terms = [
-                w * 2 / (2 - c) ** 2 * f(a + c / (2 - c)) for c, w in zip(comps, weights)
-            ]
-            tail = _level_nodes(level, self.tail_limit)
-            terms += [w / c * (2 / c) * f(a + (2 - c) / c) for c, w in zip(*tail)]
             if level == 1:
                 terms.append(math.pi * f(a + 1))
+            # x -> a - 1 + 2/(1+x), with weight 2/(1+x)^2
+            running = 0.0
+            for c, w in zip(comps, weights):
+                term = w * 2 / (2 - c) ** 2 * f(a + c / (2 - c))
+                terms.append(term)
+                if c <= _ENDPOINT_REGION and 0 < running and term <= _NEGLIGIBLE * running:
+                    break
+                running += term
+            running = 0.0
+            for c, w in zip(*_level_nodes(level, self.tail_limit)):
+                term = w / c * (2 / c) * f(a + (2 - c) / c)
+                terms.append(term)
+                if c <= _ENDPOINT_REGION and 0 < running and term <= _NEGLIGIBLE * running:
+                    break
+                running += term
             return terms
         half = 0.5 * (b - a)
-        terms = []
-        for c, w in zip(comps, weights):
-            terms.append(half * w * f(b - half * c))
-            terms.append(half * w * f(a + half * c))
         if level == 1:
             terms.append(half * math.pi / 2 * f(a + half))
+        for end, step in ((b, -half), (a, half)):
+            running = 0.0
+            for c, w in zip(comps, weights):
+                term = half * w * f(end + step * c)
+                terms.append(term)
+                if c <= _ENDPOINT_REGION and 0 < running and term <= _NEGLIGIBLE * running:
+                    break
+                running += term
         return terms
 
     def _segment(self, f, a: float, b: float, max_degree: int) -> tuple[float, float]:
@@ -644,9 +675,14 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
     density power, with a propagated error estimate.
 
     In momentum space the entropy is infinite for q <= D/(2l+2D+2) (see
-    states.check_momentum_order); such orders raise ValueError.
+    states.check_momentum_order); such orders raise ValueError, as do orders
+    too large for a float.
     """
-    order, q = q, float(q)
+    order = q
+    try:
+        q = float(order)
+    except OverflowError:
+        raise ValueError("q is too large for the float path (above 1.8e308)") from None
     if q <= 0 or q == 1:
         raise ValueError(f"need real q > 0, q != 1, got {q}")
     d = validate(state)

@@ -78,6 +78,13 @@ class TestCompute:
         assert record["provenance"] == "oracle-float"
         assert record["error"] < 1e-10
 
+    def test_order_too_large_for_a_float_exits_two(self, capsys):
+        # float(q) overflowed into a traceback
+        code, out, err = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", "1e400", "--float")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "too large" in err
+
     def test_repeated_key_exits_two(self, capsys):
         code, _, err = run(capsys, "compute", "D=3,D=4,n=2,mu=1,0,1")
         assert code == 2
@@ -386,6 +393,25 @@ class TestSum:
         code, _, err = run(capsys, "sum", "D=3,n=1,mu=0,0", "--q", "1/2")
         assert code == 2
         assert "1/2" in err
+
+    def test_large_exact_orders_exit_three_at_once(self, capsys):
+        # the exact side is bounded like compute: position at q, momentum at
+        # p = q / (2q - 1); q = 10000 ran past 30 s
+        for q in ("1000", "10000", "1e400", "5000/9999"):
+            started = time.perf_counter()
+            code, out, err = run(capsys, "sum", "D=3,n=2,mu=1,0", "--q", q)
+            assert time.perf_counter() - started < 5
+            assert code == 3
+            assert out == ""
+            assert err.count("\n") == 1 and str(cli.MAX_W_DIGITS) in err
+
+    def test_order_300_still_answers(self, capsys):
+        state = HydrogenicState(3, 2, (1, 0), 1)
+        code, out, _ = run(capsys, "sum", state.literal(), "--q", "300")
+        assert code == 0
+        record = json.loads(out)
+        assert record["p"] == "300/599"
+        assert record["sum"] == entropy.uncertainty_sum(state, 300).total
 
 
 class TestUsage:
