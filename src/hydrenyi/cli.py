@@ -9,7 +9,8 @@ too large for a float, an empty verify --qset, and a --precision outside
 MIN_PRECISION_BITS to MAX_PRECISION_BITS), 3 resource cap exceeded (the term
 cap of the sums, a verify sweep over more than MAX_VERIFY_VERDICTS verdicts,
 or an exact W of compute, verify or the exact side of sum that could need
-more than MAX_W_DIGITS digits), 4 the float path missed its error target.
+more than MAX_W_DIGITS digits), 4 the float path missed its error target or
+an integral of it came out zero.
 """
 
 from __future__ import annotations
@@ -350,10 +351,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except oracle.QuadratureError as exc:
-        print(
-            f"error: {exc}; entropy {exc.value:.12g} +/- {exc.estimate:.2e}",
-            file=sys.stderr,
-        )
+        if exc.value is None:
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            print(
+                f"error: {exc}; entropy {exc.value:.12g} +/- {exc.estimate:.2e}",
+                file=sys.stderr,
+            )
         return EXIT_NUMERICAL
     except (UsageError, ValidationError, HypergeometricSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

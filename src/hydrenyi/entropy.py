@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 from hydrenyi.exactnum import (
     DEFAULT_PRECISION_BITS,
     ExactScalar,
+    exact_rational,
     gamma_exact,
     log_float,
     pochhammer,  # unused here; perfbench/tracing.py wraps entropy.pochhammer
@@ -82,7 +83,7 @@ class RenyiBreakdown:
 
 
 def _check_integer_order(q) -> int:
-    q = Fraction(q)
+    q = exact_rational(q)
     if q.denominator != 1 or q < 2:
         raise ValueError(f"closed forms need an integer order q >= 2, got {q}")
     return q.numerator

@@ -36,7 +36,7 @@ class HalfInt:
     def from_value(cls, value: "HalfInt | RationalLike") -> "HalfInt":
         if isinstance(value, HalfInt):
             return value
-        frac = Fraction(value)
+        frac = exact_rational(value)
         if frac.denominator not in (1, 2):
             raise ValueError(f"{value} is not an integer or half-integer")
         return cls(frac.numerator * (2 // frac.denominator))
@@ -61,6 +61,12 @@ class HalfInt:
 
     def __repr__(self) -> str:
         return f"HalfInt({self.twice_value})"
+
+
+def exact_rational(value) -> RationalLike:
+    """An int or a Fraction unchanged, anything else (a bool too) through
+    Fraction, which rejects what is not a rational."""
+    return value if type(value) in (int, Fraction) else Fraction(value)
 
 
 def as_rational(value: "HalfInt | RationalLike") -> Fraction:
@@ -112,7 +118,8 @@ class ExactScalar:
     @classmethod
     def pi_power(cls, k: int, coeff: RationalLike = 1) -> "ExactScalar":
         """The monomial ``coeff * pi**(k/2)``."""
-        coeff = Fraction(coeff)
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
         return cls._canonical({int(k): coeff} if coeff else {})
 
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
@@ -330,20 +337,26 @@ def parse_scalar(text: str) -> ExactScalar:
     return ExactScalar(terms)
 
 
-def gamma_exact(x: "HalfInt | RationalLike") -> ExactScalar:
-    """Gamma at a positive integer or half-integer argument.
+def gamma_integers(twice: int) -> tuple[int, int, int]:
+    """Gamma(twice/2) at a positive integer or half-integer as integers
+    (num, den, half) in lowest terms, Gamma = num/den * pi^(half/2).
 
-    Integer arguments give a factorial; half-integer arguments give a
-    rational multiple of sqrt(pi) via Gamma(m + 1/2) = (2m)!/(4^m m!) sqrt(pi).
+    Integer arguments give a factorial; half-integer arguments give
+    Gamma(m + 1/2) = (2m-1)!! / 2^m sqrt(pi), whose odd numerator leaves
+    the power of two in lowest terms.
     """
-    h = HalfInt.from_value(x)
-    if h.twice_value <= 0:
-        raise ValueError(f"gamma_exact requires a positive argument, got {h.value}")
-    if h.is_integer:
-        return ExactScalar.from_rational(math.factorial(h.twice_value // 2 - 1))
-    m = (h.twice_value - 1) // 2
-    coeff = Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
-    return ExactScalar.pi_power(1, coeff)
+    if twice <= 0:
+        raise ValueError(f"gamma_exact requires a positive argument, got {Fraction(twice, 2)}")
+    if twice % 2 == 0:
+        return math.factorial(twice // 2 - 1), 1, 0
+    return math.prod(range(1, twice - 1, 2)), 1 << (twice // 2), 1
+
+
+def gamma_exact(x: "HalfInt | RationalLike") -> ExactScalar:
+    """Gamma at a positive integer or half-integer argument, from
+    gamma_integers."""
+    num, den, half = gamma_integers(HalfInt.from_value(x).twice_value)
+    return ExactScalar.pi_power(half, Fraction(num, den))
 
 
 def rising_product(p: int, d: int, k: int) -> int:

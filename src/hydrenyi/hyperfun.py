@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from hydrenyi import kernels
-from hydrenyi.exactnum import RationalLike
+from hydrenyi.exactnum import RationalLike, exact_rational
 
 TERM_CAP_ENV = "HYDRENYI_TERM_CAP"
 DEFAULT_TERM_CAP = 10**8
@@ -102,19 +102,22 @@ class LauricellaSpec:
     ``multiplicity`` identical axes with parameters b, c and argument x.
     """
 
-    a: Fraction
-    groups: tuple[tuple[Fraction, Fraction, Fraction, int], ...]
+    a: RationalLike
+    groups: tuple[tuple[RationalLike, RationalLike, RationalLike, int], ...]
 
     def __init__(
         self,
         a: RationalLike,
         groups: Iterable[tuple[RationalLike, RationalLike, RationalLike, int]],
     ):
-        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "a", exact_rational(a))
         object.__setattr__(
             self,
             "groups",
-            tuple((Fraction(b), Fraction(c), Fraction(x), mult) for b, c, x, mult in groups),
+            tuple(
+                (exact_rational(b), exact_rational(c), exact_rational(x), mult)
+                for b, c, x, mult in groups
+            ),
         )
 
     def group_bounds(self) -> list[int]:
@@ -141,9 +144,9 @@ class SrivastavaDaoustSpec:
     ``multiplicity`` identical axes.
     """
 
-    a0: Fraction
-    d0: Fraction
-    groups: tuple[tuple[Fraction, Fraction, Fraction, Fraction, int], ...]
+    a0: RationalLike
+    d0: RationalLike
+    groups: tuple[tuple[RationalLike, RationalLike, RationalLike, RationalLike, int], ...]
 
     def __init__(
         self,
@@ -153,13 +156,13 @@ class SrivastavaDaoustSpec:
             tuple[RationalLike, RationalLike, RationalLike, RationalLike, int]
         ],
     ):
-        object.__setattr__(self, "a0", Fraction(a0))
-        object.__setattr__(self, "d0", Fraction(d0))
+        object.__setattr__(self, "a0", exact_rational(a0))
+        object.__setattr__(self, "d0", exact_rational(d0))
         object.__setattr__(
             self,
             "groups",
             tuple(
-                (Fraction(b), Fraction(c), Fraction(e), Fraction(x), mult)
+                (exact_rational(b), exact_rational(c), exact_rational(e), exact_rational(x), mult)
                 for b, c, e, x, mult in groups
             ),
         )

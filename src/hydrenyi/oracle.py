@@ -21,7 +21,7 @@ from typing import Literal, NamedTuple
 import mpmath
 
 from hydrenyi import entropy
-from hydrenyi.exactnum import ExactScalar, HalfInt, gamma_exact, to_float
+from hydrenyi.exactnum import ExactScalar, HalfInt, exact_rational, gamma_integers, to_float
 from hydrenyi.polynomials import (
     PolyExact,
     gegenbauer,
@@ -47,9 +47,11 @@ QUADRATURE_REL_TARGET = 1e-10
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to reach the relative error target."""
+    """Quadrature failed to reach the relative error target.  value and
+    estimate are the entropy and its error estimate, or None when an
+    integral came out zero and there is no entropy to report."""
 
-    def __init__(self, message: str, value: float, estimate: float):
+    def __init__(self, message: str, value: float | None = None, estimate: float | None = None):
         super().__init__(message)
         self.value = value
         self.estimate = estimate
@@ -79,9 +81,9 @@ class _Monomial:
         self.times(r.numerator, r.denominator, power)
 
     def times_gamma(self, twice: int, power: int = 1) -> None:
-        """Multiply by Gamma(twice/2)^power, from gamma_exact."""
-        r, half = gamma_exact(HalfInt(twice)).monomial()
-        self.times(r.numerator, r.denominator, power, half)
+        """Multiply by Gamma(twice/2)^power, from gamma_integers."""
+        num, den, half = gamma_integers(twice)
+        self.times(num, den, power, half)
 
     def scalar(self) -> ExactScalar:
         return ExactScalar.pi_power(self.half, Fraction(self.num, self.den))
@@ -113,12 +115,11 @@ class MomentBasis:
             out.times_gamma(k + twice_s + 3, -1)
         elif self.kind == "jacobi-shifted":
             a, b = self.params
-            exponent = a + b + k + 1
-            if exponent.denominator != 1:
-                raise ValueError("shifted moment needs an integer total 2-power")
             twice_a = HalfInt.from_value(a).twice_value
             twice_b = HalfInt.from_value(b).twice_value
-            out.times(2, 1, exponent.numerator)
+            if (twice_a + twice_b) % 2:
+                raise ValueError("shifted moment needs an integer total 2-power")
+            out.times(2, 1, (twice_a + twice_b) // 2 + k + 1)
             out.times_gamma(twice_a + 2)
             out.times_gamma(twice_b + 2 * k + 2)
             out.times_gamma(twice_a + twice_b + 2 * k + 4, -1)
@@ -180,7 +181,7 @@ class MomentBasis:
 
 
 def _check_order(q, minimum: int = 1) -> int:
-    q = Fraction(q)
+    q = exact_rational(q)
     if q.denominator != 1 or q < minimum:
         raise ValueError(f"oracle needs integer q >= {minimum}, got {q}")
     return q.numerator
@@ -203,7 +204,8 @@ def radial_position_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
     w = _Monomial()
     basis.times_moment(w, 0)
     w.times_rational(basis.integrate(poly))
-    w.times_rational(d.lam, D * (1 - q))
+    # lambda = eta / (2Z) = (2n+D-3) / (4Z)
+    w.times((2 * state.n + D - 3) * state.Z.denominator, 4 * state.Z.numerator, D * (1 - q))
     w.times_rational(radial_norm_squared(state, d), q)
     w.times(1, q, 2 * l * q + D)
     return w.scalar()
@@ -247,7 +249,8 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
     q = _check_order(q)
     d = validate(state)
     l, D = d.l, state.D
-    power = poly_pow(gegenbauer(state.n - l - 1, d.L + 1).translate(-1), 2 * q)
+    # L + 1 = l + (D-1)/2
+    power = poly_pow(gegenbauer(state.n - l - 1, Fraction(2 * l + D - 1, 2)).translate(-1), 2 * q)
     basis = MomentBasis(
         "jacobi-shifted",
         (  # a = lq + D/2 - 1, b = D(q - 1/2) + q(l+1) - 1
@@ -260,8 +263,8 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
     w.times_rational(basis.integrate(power))
     k_squared, half = radial_momentum_norm_squared(state, d).monomial()
     w.times(k_squared.numerator, k_squared.denominator, q, half)
-    # (Z/eta)^D 2^-(q(2l+D+1))
-    w.times(state.Z.numerator * d.eta.denominator, state.Z.denominator * d.eta.numerator, D)
+    # (Z/eta)^D = (2Z / (2n+D-3))^D, and 2^-(q(2l+D+1))
+    w.times(2 * state.Z.numerator, state.Z.denominator * (2 * state.n + D - 3), D)
     w.times(1, 1 << (q * (2 * l + D + 1)))
     return w.scalar()
 
@@ -670,6 +673,16 @@ class FloatEntropy(NamedTuple):
     error: float
 
 
+def _check_positive(integral: mpmath.mpf, name: str) -> None:
+    """The integral of a positive density's power is positive; the rule
+    answers 0 when every node misses a peak narrower than its spacing."""
+    if not integral > 0:  # a NaN fails too
+        raise QuadratureError(
+            f"the {name} integral came out zero (the quadrature nodes missed "
+            "the density's mass); no finite entropy follows from it"
+        )
+
+
 def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
     """Renyi entropy of any real order q > 0, q != 1, by quadrature of the
     density power, with a propagated error estimate.
@@ -694,6 +707,7 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
         radial, radial_err = momentum_radial_power_integral(state, q)
     else:
         raise ValueError(f"unknown space {space!r}")
+    _check_positive(radial, f"radial {space}")
     with mpmath.workdps(QUADRATURE_DPS):
         chain = state.canonical_mu()
         if all(m == chain[0] for m in chain):
@@ -711,6 +725,7 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
             angular_rel_err = mpmath.mpf(0)
         else:
             angular, angular_err = angular_power_integral(state.D, state.mu, q)
+            _check_positive(angular, "angular")
             log_angular = mpmath.log(angular)
             angular_rel_err = abs(angular_err / angular)
         rel = abs(radial_err / radial) + angular_rel_err
@@ -732,11 +747,23 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One comparison of a closed-form W with the oracle's W.  The two
+    scalars are kept, and ``closed`` and ``oracle`` render them when read:
+    a passing sweep without --full never reads them."""
+
     name: str
-    closed: str
-    oracle: str
+    closed_w: ExactScalar
+    oracle_w: ExactScalar
     equal: bool
     residual: float
+
+    @property
+    def closed(self) -> str:
+        return self.closed_w.render()
+
+    @property
+    def oracle(self) -> str:
+        return self.oracle_w.render()
 
     def to_dict(self) -> dict:
         return {
@@ -779,7 +806,7 @@ def _compare(name: str, closed: ExactScalar, oracle: ExactScalar) -> CheckResult
     else:
         a, b = to_float(closed), to_float(oracle)
         residual = abs(a - b) / max(abs(a), abs(b), 1e-300)
-    return CheckResult(name, closed.render(), oracle.render(), equal, residual)
+    return CheckResult(name, closed, oracle, equal, residual)
 
 
 def verify_state(state: HydrogenicState, q: int) -> StateVerdict:

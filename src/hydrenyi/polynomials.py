@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from hydrenyi import kernels
-from hydrenyi.exactnum import RationalLike, pochhammer, rising_product
+from hydrenyi.exactnum import RationalLike, exact_rational, pochhammer, rising_product
 from hydrenyi.hyperfun import LauricellaSpec, lauricella_fa
 
 
@@ -113,7 +113,7 @@ class PolyExact:
 
     def scale_arg(self, t: RationalLike) -> "PolyExact":
         """Substitute x -> t*x."""
-        t = Fraction(t)
+        t = exact_rational(t)
         top, bottom, degree = t.numerator, t.denominator, self.degree
         return PolyExact.over(
             [c * top**k * bottom ** (degree - k) for k, c in enumerate(self.nums)],
@@ -148,10 +148,10 @@ def laguerre(n: int, alpha: RationalLike) -> PolyExact:
     alpha = a/b that is (-1)**j binom(n, j) b**j prod_{m=j+1..n} (a + m b)
     over the common denominator n! b**n.
     """
-    alpha = Fraction(alpha)
-    if alpha <= -1:
-        raise ValueError("laguerre requires alpha > -1")
+    alpha = exact_rational(alpha)
     a, b = alpha.numerator, alpha.denominator
+    if a <= -b:
+        raise ValueError("laguerre requires alpha > -1")
     tails = [1] * (n + 1)
     for j in range(n - 1, -1, -1):
         tails[j] = tails[j + 1] * (a + (j + 1) * b)
@@ -172,10 +172,10 @@ def gegenbauer(n: int, lam: RationalLike) -> PolyExact:
     With lam = a/b that is (-1)**m 2**(n-2m) b**m a(a+b)...(a+(n-m-1)b)
     n!/(m! (n-2m)!) over the common denominator n! b**n.
     """
-    lam = Fraction(lam)
-    if n > 0 and (lam <= Fraction(-1, 2) or lam == 0):
-        raise ValueError("gegenbauer requires lambda > -1/2, lambda != 0")
+    lam = exact_rational(lam)
     a, b = lam.numerator, lam.denominator
+    if n > 0 and (2 * a <= -b or a == 0):
+        raise ValueError("gegenbauer requires lambda > -1/2, lambda != 0")
     half = n // 2
     rising = [1] * (half + 1)
     rising[half] = rising_product(a, b, n - half)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from hydrenyi.exactnum import ExactScalar, HalfInt, RationalLike, gamma_exact, log_float
+from hydrenyi.exactnum import ExactScalar, RationalLike, gamma_integers, log_float
 from hydrenyi.polynomials import gegenbauer_log_abs, laguerre_log_abs
 
 
@@ -98,16 +98,41 @@ class HydrogenicState:
         return self.literal()
 
 
-@dataclass(frozen=True)
 class DerivedQuantum:
-    """Spectral quantities derived from a validated state."""
+    """Spectral quantities derived from a validated state.
 
-    eta: Fraction
-    L: Fraction
-    lam: Fraction
-    alphas: tuple[Fraction, ...]
-    l: int
-    m_abs: int
+    l and m_abs are integers; eta = n + (D-3)/2, L = l + (D-3)/2,
+    lam = eta / (2Z) and alphas = ((D-j-1)/2 for j = 1..D-2) are Fractions
+    built when read, since most callers read only l.
+    """
+
+    __slots__ = ("_state", "l")
+
+    def __init__(self, state: HydrogenicState, l: int):
+        self._state = state
+        self.l = l
+
+    @property
+    def m_abs(self) -> int:
+        return self._state.m_abs
+
+    @property
+    def eta(self) -> Fraction:
+        return Fraction(2 * self._state.n + self._state.D - 3, 2)
+
+    @property
+    def L(self) -> Fraction:
+        return Fraction(2 * self.l + self._state.D - 3, 2)
+
+    @property
+    def lam(self) -> Fraction:
+        Z = self._state.Z
+        return Fraction((2 * self._state.n + self._state.D - 3) * Z.denominator, 4 * Z.numerator)
+
+    @property
+    def alphas(self) -> tuple[Fraction, ...]:
+        D = self._state.D
+        return tuple(Fraction(D - j - 1, 2) for j in range(1, D - 1))
 
 
 def check_chain(D: int, mu: "tuple[int, ...]") -> None:
@@ -135,16 +160,12 @@ def validate(state: HydrogenicState) -> DerivedQuantum:
     check_chain(state.D, state.mu)
     if state.n < 1:
         raise ValidationError(f"principal number must satisfy n >= 1, got n={state.n}")
-    if state.Z <= 0:
+    if state.Z.numerator <= 0:  # a Fraction's denominator is positive
         raise ValidationError(f"nuclear charge must be positive, got Z={state.Z}")
     l = state.l
     if not 0 <= l <= state.n - 1:
         raise ValidationError(f"orbital number must satisfy 0 <= l <= n-1, got l={l}")
-    eta = state.n + Fraction(state.D - 3, 2)
-    L = l + Fraction(state.D - 3, 2)
-    lam = eta / (2 * state.Z)
-    alphas = tuple(Fraction(state.D - j - 1, 2) for j in range(1, state.D - 1))
-    return DerivedQuantum(eta=eta, L=L, lam=lam, alphas=alphas, l=l, m_abs=state.m_abs)
+    return DerivedQuantum(state, l)
 
 
 def energy(state: HydrogenicState) -> Fraction:
@@ -158,26 +179,26 @@ def radial_norm_squared(state: HydrogenicState, d: DerivedQuantum) -> Fraction:
     normalization constant, for a state and its d = validate(state)."""
     return Fraction(
         math.factorial(state.n - d.l - 1),
-        math.factorial(state.n + d.l + state.D - 3),
-    ) / (2 * d.eta)
+        math.factorial(state.n + d.l + state.D - 3) * (2 * state.n + state.D - 3),
+    )
 
 
 def radial_momentum_norm_squared(state: HydrogenicState, d: DerivedQuantum) -> ExactScalar:
     """K^2, the squared normalization of the radial momentum density, for a
     state and its d = validate(state):
     Z^-D 2^(4l+2D) (n-l-1)! Gamma(l+(D-1)/2)^2 eta^(D+1) / (2 pi (n+l+D-3)!)."""
-    l, D = d.l, state.D
-    # the rational part, with the 1/2 of 1/(2 pi) in the power of two
-    rational = (
-        Fraction(
-            2 ** (4 * l + 2 * D - 1) * math.factorial(state.n - l - 1),
-            math.factorial(state.n + l + D - 3),
-        )
-        * d.eta ** (D + 1)
-        / state.Z**D
-    )
-    gamma, half = gamma_exact(HalfInt(2 * l + D - 1)).monomial()
-    return ExactScalar.pi_power(2 * half - 2, rational * gamma**2)
+    l, D, Z = d.l, state.D, state.Z
+    gamma_num, gamma_den, half = gamma_integers(2 * l + D - 1)
+    # eta^(D+1) is (2n+D-3)^(D+1) / 2^(D+1), and the 1/2 of 1/(2 pi) joins
+    # the power of two
+    num = (
+        math.factorial(state.n - l - 1)
+        * (2 * state.n + D - 3) ** (D + 1)
+        * Z.denominator**D
+        * gamma_num**2
+    ) << (4 * l + D - 2)
+    den = math.factorial(state.n + l + D - 3) * Z.numerator**D * gamma_den**2
+    return ExactScalar.pi_power(2 * half - 2, Fraction(num, den))
 
 
 def radial_momentum_log_density(

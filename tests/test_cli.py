@@ -169,6 +169,19 @@ class TestCompute:
         assert err.count("\n") == 1
         assert "relative error" in err and "Traceback" not in err
 
+    def test_zero_integral_exits_four(self, capsys):
+        # at p = 2500000.5 every quadrature node misses the radial momentum
+        # density's peak and the rule answers 0 +/- 0
+        code, out, err = run(
+            capsys, "compute", "D=3,n=2,mu=1,0", "--q", "2500000.5", "--float",
+            "--space", "momentum",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "came out zero" in err and "no finite entropy" in err
+        assert "Traceback" not in err and "+/-" not in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "compute", "D=3,n=1,mu=0,0", "--format", "csv", "--space", "position"
@@ -388,6 +401,16 @@ class TestSum:
         low = json.loads(out3)
         high = json.loads(out40)
         assert high["margin"] / 40 < low["margin"] / 3
+
+    def test_zero_integral_on_the_conjugate_side_exits_four(self, capsys):
+        # q = 0.5000001 has the conjugate p = 2500000.5, where the radial
+        # momentum integral comes out zero
+        code, out, err = run(capsys, "sum", "D=3,n=2,mu=1,0", "--q", "0.5000001")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "came out zero" in err and "no finite entropy" in err
+        assert "Traceback" not in err and "+/-" not in err
 
     def test_half_order_exits_two(self, capsys):
         code, _, err = run(capsys, "sum", "D=3,n=1,mu=0,0", "--q", "1/2")

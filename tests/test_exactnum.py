@@ -1,13 +1,16 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from hydrenyi import entropy
 from hydrenyi.exactnum import (
     ExactScalar,
     HalfInt,
     gamma_exact,
+    gamma_integers,
     parse_scalar,
     pochhammer,
     to_float,
@@ -41,6 +44,26 @@ class TestGammaExact:
     def test_quarter_rejected(self):
         with pytest.raises(ValueError):
             gamma_exact(F(1, 4))
+
+    def test_integer_form(self):
+        # the oracle's Gamma against gamma_exact, the closed forms' own
+        # _gamma_parts and mpmath, in lowest terms
+        with mpmath.workdps(60):
+            for twice in range(1, 401):
+                num, den, half = gamma_integers(twice)
+                assert math.gcd(num, den) == 1 and half == twice % 2
+                value = F(num, den)
+                assert ExactScalar.pi_power(half, value) == gamma_exact(F(twice, 2))
+                parts_num, parts_den, parts_half = entropy._gamma_parts(twice)
+                assert (F(parts_num, parts_den), parts_half) == (value, half)
+                approx = mpmath.mpf(num) / den * mpmath.sqrt(mpmath.pi) ** half
+                exact = mpmath.gamma(mpmath.mpf(twice) / 2)
+                assert abs(approx / exact - 1) < mpmath.mpf(10) ** -50
+
+    @pytest.mark.parametrize("twice", [0, -1, -2])
+    def test_integer_form_nonpositive_rejected(self, twice):
+        with pytest.raises(ValueError, match="positive argument"):
+            gamma_integers(twice)
 
     @given(st.integers(min_value=1, max_value=100))
     def test_recurrence(self, twice):

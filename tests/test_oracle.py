@@ -208,6 +208,42 @@ class TestExactOracles:
             radial_position_w_exact(GROUND, 0)
 
 
+def _order_check_at_parent(q, minimum: int, message: str) -> int:
+    """The order checks as they were, with every order through Fraction."""
+    q = Fraction(q)
+    if q.denominator != 1 or q < minimum:
+        raise ValueError(f"{message} >= {minimum}, got {q}")
+    return q.numerator
+
+
+class TestOrderChecks:
+    """The integer fast paths accept, reject and return what the checks
+    through Fraction did."""
+
+    @pytest.mark.parametrize(
+        "q", [2, 3, 1, 0, -2, True, False, 2.0, F(4, 2), F(5, 2), "2"], ids=repr
+    )
+    @pytest.mark.parametrize(
+        "check, minimum, message",
+        [
+            (lambda q: oracle._check_order(q), 1, "oracle needs integer q"),
+            (lambda q: oracle._check_order(q, minimum=2), 2, "oracle needs integer q"),
+            (entropy._check_integer_order, 2, "closed forms need an integer order q"),
+        ],
+        ids=["oracle", "oracle-verify", "closed"],
+    )
+    def test_same_as_through_fraction(self, q, check, minimum, message):
+        try:
+            expected = _order_check_at_parent(q, minimum, message)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                check(q)
+            assert str(raised.value) == str(exc)
+        else:
+            value = check(q)
+            assert value == expected and type(value) is int
+
+
 class TestBadChains:
     """The angular closed form and its oracle refuse a bad chain with the
     message validate gives for a state with that chain."""
@@ -289,6 +325,19 @@ class TestFloatOracle:
             renyi_float(GROUND, 2, "position")
         assert info.value.estimate > 0
         assert "target" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "target, state, name",
+        [
+            ("_quad", GROUND, "radial position"),
+            ("angular_power_integral", HydrogenicState(3, 3, (2, 0)), "angular"),
+        ],
+    )
+    def test_zero_integral_raises_without_an_estimate(self, monkeypatch, target, state, name):
+        monkeypatch.setattr(f"hydrenyi.oracle.{target}", lambda *args: (mpmath.mpf(0),) * 2)
+        with pytest.raises(QuadratureError, match=f"the {name} integral came out zero") as info:
+            renyi_float(state, 1.5, "position")
+        assert info.value.value is None and info.value.estimate is None
 
 
 class TestDivergence:
@@ -535,6 +584,42 @@ class TestVerifyState:
             "momentum_total",
         }
         assert all(check.residual == 0.0 for check in verdict.checks)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_checks_render_their_scalars_when_read(self, monkeypatch, perturbed):
+        if perturbed:  # a wrong closed form, so that closed and oracle differ
+            honest = entropy.rising_product
+            monkeypatch.setattr(
+                "hydrenyi.entropy.rising_product",
+                lambda p, d, k: honest(p, d, k) * (2 if k == 3 else 1),
+            )
+        state, q = HydrogenicState(4, 3, (2, 1, -1), F(5, 2)), 3
+        verdict = verify_state(state, q)
+        sides = {
+            "closed": (
+                entropy.radial_position_entropy(state, q).w,
+                entropy.angular_entropy(state.D, state.mu, q).w,
+                entropy.radial_momentum_entropy(state, q).w,
+            ),
+            "oracle": (
+                radial_position_w_exact(state, q),
+                angular_w_exact(state.D, state.mu, q),
+                radial_momentum_w_exact(state, q),
+            ),
+        }
+        for side, (position, angular, momentum) in sides.items():
+            expected = [position, angular, momentum, position * angular, momentum * angular]
+            for check, w in zip(verdict.checks, expected):
+                assert getattr(check, side) == getattr(check, f"{side}_w").render() == w.render()
+        assert verdict.all_equal is not perturbed
+        for check in verdict.checks:
+            assert check.to_dict() == {
+                "name": check.name,
+                "closed": check.closed,
+                "oracle": check.oracle,
+                "equal": check.closed == check.oracle,
+                "residual": check.residual,
+            }
 
     def test_json_round_trip(self):
         verdict = verify_state(GROUND, 3)

@@ -76,6 +76,15 @@ class TestLaguerre:
     def test_quadratic(self):
         assert laguerre(2, 0) == PolyExact([1, -2, F(1, 2)])
 
+    def test_parameter_bound_and_forms(self):
+        # alpha > -1, from an int, a Fraction, a float or a string alike
+        for alpha in (-1, F(-1), F(-3, 2), -1.0, "-1", F(-7, 5)):
+            with pytest.raises(ValueError, match="alpha > -1"):
+                laguerre(2, alpha)
+        assert laguerre(1, F(-999, 1000)) == PolyExact([F(1, 1000), -1])
+        for alpha in (0.5, "1/2", False):
+            assert laguerre(3, alpha) == laguerre(3, F(alpha))
+
     def test_orthogonality_and_norm(self):
         alpha = F(3)
         for m in range(7):
@@ -111,6 +120,18 @@ class TestGegenbauer:
     def test_zero_lambda_rejected(self):
         with pytest.raises(ValueError):
             gegenbauer(2, 0)
+
+    def test_parameter_bound_and_forms(self):
+        # lambda > -1/2 and lambda != 0, from an int, a Fraction, a float or
+        # a string alike
+        for lam in (F(-1, 2), F(-3, 4), -1, "-1/2", -0.5, F(0)):
+            with pytest.raises(ValueError, match="lambda > -1/2"):
+                gegenbauer(3, lam)
+        assert gegenbauer(0, F(-1, 2)) == PolyExact([1])
+        for lam in (F(-1, 4), F(-499, 1000)):
+            assert gegenbauer(3, lam).coeffs[3] == 8 * lam * (lam + 1) * (lam + 2) / 6
+        for lam in (1.5, "3/2", True):
+            assert gegenbauer(4, lam) == gegenbauer(4, F(lam))
 
 
 def _gegenbauer_by_recurrence(k_max: int, lam: Fraction) -> list[list[Fraction]]:

@@ -35,6 +35,31 @@ class TestValidate:
         assert d.lam == F(1, 2)
         assert d.alphas == (F(1, 2),)
 
+    @pytest.mark.parametrize("D", range(2, 9))
+    def test_derived_fields_match_their_definitions(self, D):
+        # eta, L, lam and alphas are built when read; they keep the values
+        # and types of the definitions written out here
+        for n in range(1, 9):
+            for l in range(n):
+                if D == 2:
+                    chains = [(l,), (-l,)]
+                else:
+                    chains = [(l,) + (0,) * (D - 2), (l,) * (D - 2) + (-l,)]
+                for mu in chains:
+                    for Z in (F(1), F(3), F(2, 3)):
+                        d = validate(HydrogenicState(D, n, mu, Z))
+                        eta = n + F(D - 3, 2)
+                        expected = {
+                            "eta": eta,
+                            "L": l + F(D - 3, 2),
+                            "lam": eta / (2 * Z),
+                            "alphas": tuple(F(D - j - 1, 2) for j in range(1, D - 1)),
+                        }
+                        for name, value in expected.items():
+                            assert getattr(d, name) == value
+                        assert all(type(v) is F for v in (d.eta, d.L, d.lam, *d.alphas))
+                        assert (d.l, d.m_abs) == (l, abs(mu[-1]))
+
     def test_table_row_state(self):
         d = validate(HydrogenicState(3, 3, (2, 2), 1))
         assert d.eta == 3
