@@ -45,10 +45,6 @@ class HalfInt:
     def value(self) -> Fraction:
         return Fraction(self.twice_value, 2)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_value % 2 == 0
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, HalfInt):
             return self.twice_value == other.twice_value
