@@ -18,7 +18,6 @@ from hydrenyi.entropy import (
 )
 from hydrenyi.exactnum import (
     ExactScalar,
-    HalfInt,
     gamma_exact,
     parse_scalar,
     pochhammer,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EntropyValue",
     "ExactScalar",
-    "HalfInt",
     "HydrogenicState",
     "RenyiBreakdown",
     "UncertaintySum",

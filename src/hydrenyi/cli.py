@@ -5,8 +5,9 @@ hydrogen tables), verify (closed form vs oracle sweep), sum (uncertainty
 sum against its dimensional bound).  Output is JSON by default, CSV behind
 --format=csv.  Exit codes: 0 ok, 1 verification failure, 2 usage error
 (including a real order at which the momentum entropy diverges or that is
-too large for a float, an empty verify --qset, and a --precision outside
-MIN_PRECISION_BITS to MAX_PRECISION_BITS), 3 resource cap exceeded (the term
+too large or too small for a float, a verify --qset that is empty or not
+integers, and a --precision outside MIN_PRECISION_BITS to
+MAX_PRECISION_BITS), 3 resource cap exceeded (the term
 cap of the sums, a verify sweep over more than MAX_VERIFY_VERDICTS verdicts,
 or an exact W of compute, verify or the exact side of sum that could need
 more than MAX_W_DIGITS digits), 4 the float path missed its error target or
@@ -205,7 +206,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    qset = [int(q) for q in args.qset.split(",") if q]
+    try:
+        qset = [int(q) for q in args.qset.split(",") if q]
+    except ValueError:
+        raise UsageError(f"--qset takes comma-separated integers, got {args.qset!r}") from None
     if not qset:
         # the verdict cap counts states times orders, which is then 0
         raise UsageError("verify needs at least one order in --qset")

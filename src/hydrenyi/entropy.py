@@ -98,7 +98,7 @@ def _entropy_coef(q: int) -> Fraction:
 # Each closed form folds its Gamma values, Pochhammer symbols and rational
 # powers into one integer numerator, one integer denominator and one pi
 # half-exponent, and makes one ExactScalar of them at the end.  The oracle
-# builds the same factors from exactnum.gamma_exact instead, so a wrong
+# builds the same factors from exactnum.gamma_integers instead, so a wrong
 # Gamma on either side shows up as a mismatch.
 
 

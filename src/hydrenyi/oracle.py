@@ -21,7 +21,7 @@ from typing import Literal, NamedTuple
 import mpmath
 
 from hydrenyi import entropy
-from hydrenyi.exactnum import ExactScalar, HalfInt, exact_rational, gamma_integers, to_float
+from hydrenyi.exactnum import ExactScalar, exact_rational, gamma_integers, to_float, twice_value
 from hydrenyi.polynomials import (
     PolyExact,
     gegenbauer,
@@ -77,9 +77,6 @@ class _Monomial:
         self.den *= den**power
         self.half += half * power
 
-    def times_rational(self, r: Fraction, power: int = 1) -> None:
-        self.times(r.numerator, r.denominator, power)
-
     def times_gamma(self, twice: int, power: int = 1) -> None:
         """Multiply by Gamma(twice/2)^power, from gamma_integers."""
         num, den, half = gamma_integers(twice)
@@ -109,14 +106,13 @@ class MomentBasis:
         if self.kind == "laguerre":
             out.times(math.factorial(k))
         elif self.kind == "gegenbauer":
-            twice_s = HalfInt.from_value(self.params[0]).twice_value
+            twice_s = twice_value(self.params[0])
             out.times_gamma(k + 1)
             out.times_gamma(twice_s + 2)
             out.times_gamma(k + twice_s + 3, -1)
         elif self.kind == "jacobi-shifted":
             a, b = self.params
-            twice_a = HalfInt.from_value(a).twice_value
-            twice_b = HalfInt.from_value(b).twice_value
+            twice_a, twice_b = twice_value(a), twice_value(b)
             if (twice_a + twice_b) % 2:
                 raise ValueError("shifted moment needs an integer total 2-power")
             out.times(2, 1, (twice_a + twice_b) // 2 + k + 1)
@@ -155,8 +151,9 @@ class MomentBasis:
             ]
         raise ValueError(f"unknown moment basis {self.kind!r}")
 
-    def integrate(self, poly: PolyExact) -> Fraction:
-        """sum_k [x^k]poly * moment(k) / moment(0), as one rational.
+    def integrate(self, poly: PolyExact) -> tuple[int, int]:
+        """sum_k [x^k]poly * moment(k) / moment(0), as an integer numerator
+        and denominator, not reduced.
 
         With moment(k) = moment(0) * prod_{j<k} num_j/den_j, the numerators
         of poly are summed in integers over den * prod_j den_j: term k
@@ -167,7 +164,7 @@ class MomentBasis:
         nums = poly.nums[::2] if self.kind == "gegenbauer" else poly.nums
         ratios = self._ratios(len(nums) - 1)
         if not nums:
-            return Fraction(0)
+            return 0, 1
         suffix = [1] * len(nums)
         for j in range(len(ratios) - 1, -1, -1):
             suffix[j] = suffix[j + 1] * ratios[j][1]
@@ -177,7 +174,7 @@ class MomentBasis:
                 total += c * prefix * suffix[k]
             if k < len(ratios):
                 prefix *= ratios[k][0]
-        return Fraction(total, poly.den * suffix[0])
+        return total, poly.den * suffix[0]
 
 
 def _check_order(q, minimum: int = 1) -> int:
@@ -203,10 +200,11 @@ def radial_position_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
     basis = MomentBasis("laguerre")
     w = _Monomial()
     basis.times_moment(w, 0)
-    w.times_rational(basis.integrate(poly))
+    w.times(*basis.integrate(poly))
     # lambda = eta / (2Z) = (2n+D-3) / (4Z)
     w.times((2 * state.n + D - 3) * state.Z.denominator, 4 * state.Z.numerator, D * (1 - q))
-    w.times_rational(radial_norm_squared(state, d), q)
+    norm = radial_norm_squared(state, d)
+    w.times(norm.numerator, norm.denominator, q)
     w.times(1, q, 2 * l * q + D)
     return w.scalar()
 
@@ -237,7 +235,7 @@ def angular_w_exact(D: int, mu: tuple[int, ...], q: int) -> ExactScalar:
         assert not any(power.nums[1::2]), "odd moments of an even power must vanish"
         basis = MomentBasis("gegenbauer", (Fraction(2 * q * mu_j1 + two_alpha - 1, 2),))
         basis.times_moment(w, 0)
-        w.times_rational(basis.integrate(power))
+        w.times(*basis.integrate(power))
     w.times(norm.num, norm.den, q, norm.half)
     return w.scalar()
 
@@ -260,7 +258,7 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
     )
     w = _Monomial()
     basis.times_moment(w, 0)
-    w.times_rational(basis.integrate(power))
+    w.times(*basis.integrate(power))
     k_squared, half = radial_momentum_norm_squared(state, d).monomial()
     w.times(k_squared.numerator, k_squared.denominator, q, half)
     # (Z/eta)^D = (2Z / (2n+D-3))^D, and 2^-(q(2l+D+1))
@@ -689,26 +687,38 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
 
     In momentum space the entropy is infinite for q <= D/(2l+2D+2) (see
     states.check_momentum_order); such orders raise ValueError, as do orders
-    too large for a float.
+    too large or too small for a float.
+
+    The integrals run on the state at Z = 1, whose density lives at r ~ 1:
+    the density at charge Z is Z^D rho(Z r) in position space and
+    Z^-D gamma(p / Z) in momentum space, so the entropy is the one at Z = 1
+    minus (position) or plus (momentum) D ln Z.
     """
     order = q
     try:
         q = float(order)
     except OverflowError:
         raise ValueError("q is too large for the float path (above 1.8e308)") from None
+    if q == 0 and order > 0:
+        raise ValueError("q is too small for the float path (below 4.9e-324)")
     if q <= 0 or q == 1:
         raise ValueError(f"need real q > 0, q != 1, got {q}")
     d = validate(state)
     if space == "momentum":
         check_momentum_order(state.D, d.l, order)
+    unit = state if state.Z == 1 else HydrogenicState(state.D, state.n, state.mu)
     if space == "position":
-        radial, radial_err = position_radial_power_integral(state, q)
+        radial, radial_err = position_radial_power_integral(unit, q)
+        sign = -1
     elif space == "momentum":
-        radial, radial_err = momentum_radial_power_integral(state, q)
+        radial, radial_err = momentum_radial_power_integral(unit, q)
+        sign = 1
     else:
         raise ValueError(f"unknown space {space!r}")
     _check_positive(radial, f"radial {space}")
     with mpmath.workdps(QUADRATURE_DPS):
+        Z = state.Z
+        shift = sign * state.D * (mpmath.log(Z.numerator) - mpmath.log(Z.denominator))
         chain = state.canonical_mu()
         if all(m == chain[0] for m in chain):
             # Gamma-closed angular factor, exact for any real order.
@@ -729,7 +739,7 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
             log_angular = mpmath.log(angular)
             angular_rel_err = abs(angular_err / angular)
         rel = abs(radial_err / radial) + angular_rel_err
-        entropy_value = (mpmath.log(radial) + log_angular) / (1 - q)
+        entropy_value = (mpmath.log(radial) + log_angular) / (1 - q) + shift
         err = float(rel / abs(1 - q))
         result = FloatEntropy(float(entropy_value), err)
     if not rel <= QUADRATURE_REL_TARGET:  # a NaN estimate fails too

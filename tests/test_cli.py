@@ -3,6 +3,8 @@ import io
 import json
 import time
 
+import pytest
+
 from hydrenyi import cli, entropy, oracle
 from hydrenyi.exactnum import parse_scalar
 from hydrenyi.states import HydrogenicState
@@ -84,6 +86,13 @@ class TestCompute:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "too large" in err
+
+    def test_order_too_small_for_a_float_exits_two(self, capsys):
+        # float(q) rounded to 0.0 and the message read "got 0.0"
+        code, out, err = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", "1e-400", "--float")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "too small for the float path" in err
 
     def test_repeated_key_exits_two(self, capsys):
         code, _, err = run(capsys, "compute", "D=3,D=4,n=2,mu=1,0,1")
@@ -435,6 +444,44 @@ class TestSum:
         record = json.loads(out)
         assert record["p"] == "300/599"
         assert record["sum"] == entropy.uncertainty_sum(state, 300).total
+
+
+GROUND_LITERAL = "D=3,n=1,mu=0,0"
+# the float path at charges far from 1 ended in wrong values, exit 4, exit 2
+# with messages about max() or the math domain, or an OverflowError traceback
+CHARGES = ["2/3", "1e60", "1e-60", "1e300", "1e-300", "1e320", "1e-320", "1e400", "1e-400"]
+SWEEP = (
+    [
+        (("compute", f"{GROUND_LITERAL},Z={Z}", "--q", "0.7", "--float"), cli.EXIT_OK)
+        for Z in CHARGES
+    ]
+    + [(("sum", f"{GROUND_LITERAL},Z={Z}", "--q", "0.7"), cli.EXIT_OK) for Z in CHARGES]
+    + [
+        (("compute", GROUND_LITERAL, "--q", "nan"), cli.EXIT_USAGE),
+        (("compute", GROUND_LITERAL, "--q", "inf"), cli.EXIT_USAGE),
+        (("compute", GROUND_LITERAL, "--q", "nan", "--float"), cli.EXIT_USAGE),
+        (("compute", GROUND_LITERAL, "--q", "inf", "--float"), cli.EXIT_USAGE),
+        (("sum", GROUND_LITERAL, "--q", "nan"), cli.EXIT_USAGE),
+        (("compute", GROUND_LITERAL, "--q", "1e-400", "--float"), cli.EXIT_USAGE),
+        (("compute", GROUND_LITERAL, "--q", "1e400", "--float"), cli.EXIT_USAGE),
+        (("verify", "--qset", "2,x"), cli.EXIT_USAGE),
+        (("compute", "D=1,n=1,mu=0"), cli.EXIT_USAGE),
+        (("sum", "D=1,n=1,mu=0"), cli.EXIT_USAGE),
+        (("compute", "D=1,n=1"), cli.EXIT_USAGE),
+    ]
+)
+
+
+@pytest.mark.parametrize("argv, expected", SWEEP, ids=[" ".join(argv) for argv, _ in SWEEP])
+def test_every_input_answers_or_fails_in_one_line(capsys, argv, expected):
+    # an exception escaping main is what prints a traceback
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    if code == cli.EXIT_OK:
+        assert out and err == ""
+    else:
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestUsage:

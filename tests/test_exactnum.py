@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from hydrenyi import entropy
 from hydrenyi.exactnum import (
     ExactScalar,
-    HalfInt,
     gamma_exact,
     gamma_integers,
     parse_scalar,
@@ -19,8 +18,8 @@ from hydrenyi.exactnum import (
 F = Fraction
 
 
-def scalar(*terms):
-    return ExactScalar({k: F(r) for k, r in terms})
+def scalar(half, coef):
+    return ExactScalar.pi_power(half, F(coef))
 
 
 class TestGammaExact:
@@ -30,11 +29,11 @@ class TestGammaExact:
         assert gamma_exact(7) == ExactScalar(720)
 
     def test_half_gives_sqrt_pi(self):
-        assert gamma_exact(F(1, 2)) == scalar((1, 1))
+        assert gamma_exact(F(1, 2)) == scalar(1, 1)
 
     def test_thirteen_halves(self):
         # repeated Gamma(z+1) = z Gamma(z) down from Gamma(1/2)
-        assert gamma_exact(F(13, 2)) == scalar((1, F(10395, 64)))
+        assert gamma_exact(F(13, 2)) == scalar(1, F(10395, 64))
 
     @pytest.mark.parametrize("bad", [0, -1, F(-1, 2)])
     def test_nonpositive_rejected(self, bad):
@@ -67,9 +66,9 @@ class TestGammaExact:
 
     @given(st.integers(min_value=1, max_value=100))
     def test_recurrence(self, twice):
-        x = HalfInt(twice)
+        x = F(twice, 2)
         lhs = gamma_exact(F(twice + 2, 2))
-        rhs = ExactScalar(x.value) * gamma_exact(x)
+        rhs = ExactScalar(x) * gamma_exact(x)
         assert lhs == rhs
 
 
@@ -115,81 +114,72 @@ class TestPochhammer:
         assert value == expected
 
 
-small_fraction = st.fractions(min_value=-50, max_value=50, max_denominator=12)
-scalars = st.dictionaries(
-    st.integers(min_value=-4, max_value=4), small_fraction, max_size=4
-).map(ExactScalar)
+# coefficients with zero among them, half-exponents odd, even and negative
+coefficients = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-50, max_value=50, max_denominator=12)
+)
+scalars = st.builds(ExactScalar.pi_power, st.integers(min_value=-9, max_value=9), coefficients)
+nonzero_scalars = scalars.filter(bool)
+exponents = st.integers(min_value=-4, max_value=4)
 
 
 class TestExactScalar:
     def test_sqrt_pi_squares_to_pi(self):
-        assert scalar((1, 2)) * scalar((1, 3)) == scalar((2, 6))
-
-    def test_cancellation_prunes_zero_terms(self):
-        left = ExactScalar(1) + scalar((1, 1))
-        assert left + scalar((1, -1)) == ExactScalar(1)
+        assert scalar(1, 2) * scalar(1, 3) == scalar(2, 6)
 
     def test_table_argument_inversion(self):
-        value = scalar((-4, F(33, 16)))
-        assert value ** -1 == scalar((4, F(16, 33)))
-
-    def test_division_requires_monomial(self):
-        two_terms = ExactScalar(1) + scalar((1, 1))
-        with pytest.raises(ValueError):
-            ExactScalar(1) / two_terms
-        with pytest.raises(ZeroDivisionError):
-            ExactScalar(1) / ExactScalar(0)
+        value = scalar(-4, F(33, 16))
+        assert value ** -1 == scalar(4, F(16, 33))
 
     def test_monomial_negative_power(self):
-        assert scalar((2, 2)) ** -2 == scalar((-4, F(1, 4)))
+        assert scalar(2, 2) ** -2 == scalar(-4, F(1, 4))
 
-    def test_nonmonomial_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            (ExactScalar(1) + scalar((1, 1))) ** -1
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            ExactScalar(1) / ExactScalar(0)
+        with pytest.raises(ZeroDivisionError):
+            ExactScalar(0) ** -1
 
     @given(scalars, scalars)
     def test_commutative(self, a, b):
-        assert a + b == b + a
         assert a * b == b * a
 
-    @given(scalars, scalars, scalars)
-    def test_associative_distributive(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
+    @given(scalars, scalars, scalars, exponents)
+    def test_associative_distributive(self, a, b, c, k):
+        # products associate, and a nonnegative power distributes over them
         assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert (a * b) ** abs(k) == a ** abs(k) * b ** abs(k)
 
-    @given(scalars)
-    def test_additive_identity_inverse(self, a):
-        assert a + ExactScalar(0) == a
-        assert a + (-a) == ExactScalar(0)
+    @given(nonzero_scalars, exponents, exponents)
+    def test_inverse_and_powers(self, x, a, b):
+        assert x * x.inverse() == 1
+        assert x / x == ExactScalar(1)
+        assert (x**a) ** b == x ** (a * b)
 
-    def test_cancelling_sum_and_product_store_no_zero_term(self):
-        one_plus = ExactScalar(1) + scalar((1, 1))
-        one_minus = ExactScalar(1) + scalar((1, -1))
-        product = one_plus * one_minus  # the sqrt(pi) terms cancel
-        assert product.terms() == ((0, F(1)), (2, F(-1)))
-        total = scalar((1, F(2, 3)), (4, 5)) + scalar((1, F(-2, 3)))
-        assert total.terms() == ((4, F(5)),)
-        assert (one_plus - one_plus).terms() == ()
+    @given(scalars, scalars)
+    def test_equality_and_hash_agree(self, a, b):
+        r, half = a.monomial()
+        fresh = ExactScalar.pi_power(half, r)
+        assert fresh == a and hash(fresh) == hash(a)
+        assert (a == b) == (a.monomial() == b.monomial())
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_zero_has_one_form(self):
+        zero = ExactScalar(0)
+        for other in (ExactScalar.pi_power(3, 0), ExactScalar.pi_power(-4, 0), scalar(5, 2) * 0):
+            assert other == zero and hash(other) == hash(zero)
+            assert other.monomial() == (F(0), 0)
+        assert ExactScalar.pi_power(3, 0) == 0
 
     @given(scalars, scalars)
     def test_results_are_canonical(self, a, b):
-        # against a term map summed raw and canonicalised by the constructor
-        raw_sum: dict[int, Fraction] = {}
-        raw_product: dict[int, Fraction] = {}
-        for k, r in a.terms() + b.terms():
-            raw_sum[k] = raw_sum.get(k, F(0)) + r
-        for ka, ra in a.terms():
-            for kb, rb in b.terms():
-                raw_product[ka + kb] = raw_product.get(ka + kb, F(0)) + ra * rb
-        for result, raw in ((a + b, raw_sum), (a * b, raw_product)):
-            fresh = ExactScalar(raw)
-            assert all(type(r) is Fraction and r != 0 for _, r in result.terms())
-            assert result == fresh
-            assert hash(result) == hash(fresh)
-        for result in (-a, a - b):
-            assert all(r != 0 for _, r in result.terms())
-            assert result == ExactScalar(dict(result.terms()))
+        # every result holds a Fraction coefficient, and zero at exponent 0
+        for result in (a * b, a * 3, F(2, 7) * a):
+            r, half = result.monomial()
+            assert type(r) is Fraction
+            assert r or half == 0
+            assert result == ExactScalar.pi_power(half, r)
 
     def test_constructors_drop_zero(self):
         assert ExactScalar.from_rational(0).terms() == ()
@@ -200,10 +190,10 @@ class TestExactScalar:
 
 class TestToFloat:
     def test_eight_pi(self):
-        assert to_float(scalar((2, 8))) == pytest.approx(25.132741228718345, abs=1e-14)
+        assert to_float(scalar(2, 8)) == pytest.approx(25.132741228718345, abs=1e-14)
 
     def test_table_two_argument(self):
-        assert to_float(scalar((4, F(16, 33)))) == pytest.approx(
+        assert to_float(scalar(4, F(16, 33))) == pytest.approx(
             4.785262739922113, abs=1e-14
         )
 
@@ -214,13 +204,12 @@ class TestToFloat:
         with pytest.raises(ValueError):
             to_float(ExactScalar(1), precision_bits=32)
 
-    @given(scalars, scalars)
-    def test_additive_within_ulps(self, a, b):
+    @given(nonzero_scalars, nonzero_scalars)
+    def test_multiplicative_within_ulps(self, a, b):
         fa, fb = to_float(a), to_float(b)
-        combined = to_float(a + b)
-        # ulp at the scale of the addends; cancellation cannot do better
-        tolerance = 4 * math.ulp(max(abs(fa), abs(fb), abs(combined), 1e-300))
-        assert abs(combined - (fa + fb)) <= tolerance
+        combined = to_float(a * b)
+        # each factor and the product are rounded once
+        assert abs(combined - fa * fb) <= 4 * math.ulp(abs(combined))
 
 
 class TestRendering:
@@ -228,12 +217,10 @@ class TestRendering:
         "value,text",
         [
             (ExactScalar(0), "0"),
-            (ExactScalar(F(2048, 5)) * scalar((2, 1)), "2048/5*pi"),
-            (scalar((4, F(16, 33))), "16/33*pi^2"),
-            (scalar((1, 1)), "pi^(1/2)"),
-            (scalar((-1, F(-3, 2))), "-3/2*pi^(-1/2)"),
-            (scalar((0, 1), (2, -1)), "1 - pi"),
-            (scalar((-4, 2), (3, F(1, 7))), "2*pi^(-2) + 1/7*pi^(3/2)"),
+            (ExactScalar(F(2048, 5)) * scalar(2, 1), "2048/5*pi"),
+            (scalar(4, F(16, 33)), "16/33*pi^2"),
+            (scalar(1, 1), "pi^(1/2)"),
+            (scalar(-1, F(-3, 2)), "-3/2*pi^(-1/2)"),
         ],
     )
     def test_render(self, value, text):
@@ -244,7 +231,10 @@ class TestRendering:
     def test_round_trip(self, a):
         assert parse_scalar(a.render()) == a
 
-    def test_terms_sorted_ascending(self):
-        value = scalar((3, 1), (-2, 1), (0, 5))
-        ks = [k for k, _ in value.terms()]
-        assert ks == sorted(ks)
+    @pytest.mark.parametrize(
+        "text",
+        ["1 - pi", "2*pi^(-2) + 1/7*pi^(3/2)", "1 + pi^(1/2)", "pi + pi^2", "-pi - 1", ""],
+    )
+    def test_sums_are_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_scalar(text)

@@ -62,16 +62,22 @@ class TestMomentBasis:
 
 
 def _integrated(basis: MomentBasis, coeffs) -> ExactScalar:
-    return basis.moment(0) * basis.integrate(PolyExact(coeffs))
+    num, den = basis.integrate(PolyExact(coeffs))
+    return basis.moment(0) * F(num, den)
 
 
 def _summed_moments(basis: MomentBasis, coeffs) -> ExactScalar:
-    """The definition integrate must reproduce: sum_k c_k moment(k)."""
-    total = ExactScalar(0)
+    """The definition integrate must reproduce: sum_k c_k moment(k).  The
+    nonzero moments of one basis share one power of pi, so their
+    coefficients add."""
+    half = basis.moment(0).monomial()[1]
+    total = F(0)
     for k, c in enumerate(coeffs):
-        if c:
-            total = total + basis.moment(k) * c
-    return total
+        r, k_half = basis.moment(k).monomial()
+        if r:
+            assert k_half == half, (k, k_half, half)
+            total += c * r
+    return ExactScalar.pi_power(half, total)
 
 
 # zeros, negatives and large denominators, up to the degrees the oracle meets
@@ -338,6 +344,59 @@ class TestFloatOracle:
         with pytest.raises(QuadratureError, match=f"the {name} integral came out zero") as info:
             renyi_float(state, 1.5, "position")
         assert info.value.value is None and info.value.estimate is None
+
+
+# charges whose density lives far from r ~ 1, past the float range too
+CHARGES = ["2/3", "1e60", "1e-60", "1e300", "1e-300", "1e400", "1e-400"]
+
+
+def _log_charge(Z: Fraction) -> float:
+    with mpmath.workdps(40):
+        return float(mpmath.log(Z.numerator) - mpmath.log(Z.denominator))
+
+
+class TestFloatChargeScaling:
+    """The density at charge Z is Z^D rho(Z r) in position space and
+    Z^-D gamma(p / Z) in momentum space, so the entropy is the one at Z = 1
+    minus (position) or plus (momentum) D ln Z."""
+
+    @pytest.mark.parametrize("space, sign", [("position", -1), ("momentum", 1)])
+    @pytest.mark.parametrize("charge", CHARGES)
+    def test_unit_charge_value_shifted(self, charge, space, sign):
+        Z = F(charge)
+        for D, n, mu, q in ((3, 1, (0, 0), 0.7), (4, 3, (1, 1, 0), 2.5), (3, 3, (2, 1), 1.5)):
+            base = renyi_float(HydrogenicState(D, n, mu), q, space)
+            result = renyi_float(HydrogenicState(D, n, mu, Z), q, space)
+            expected = base.value + sign * D * _log_charge(Z)
+            tol = result.error + 1e-12 * max(1.0, abs(expected))
+            assert abs(result.value - expected) <= tol, (D, n, mu, q)
+            assert result.error == base.error
+
+    @pytest.mark.parametrize("charge", [c for c in CHARGES if "400" not in c])
+    def test_matches_the_gamma_only_shortcuts(self, charge):
+        # the shortcuts take Z as a float
+        Z = F(charge)
+        for D, n, q in ((3, 1, 0.7), (3, 2, 2.5), (5, 3, 0.6)):
+            state = HydrogenicState(D, n, (n - 1,) * (D - 1), Z)
+            for space, shortcut in (
+                ("position", entropy.ns_position_entropy),
+                ("momentum", entropy.ns_momentum_entropy),
+            ):
+                result = renyi_float(state, q, space)
+                expected = shortcut(n, D, Z, q)
+                assert abs(result.value - expected) <= result.error + 1e-12 * max(
+                    1.0, abs(expected)
+                ), (D, n, q, space)
+
+    @pytest.mark.parametrize("charge", CHARGES)
+    def test_uncertainty_sum_is_independent_of_charge(self, charge):
+        Z = F(charge)
+        for q in (F(7, 10), F(2)):
+            state = HydrogenicState(3, 2, (1, 0))
+            base = entropy.uncertainty_sum(state, q).total
+            scaled = entropy.uncertainty_sum(HydrogenicState(3, 2, (1, 0), Z), q).total
+            # the two sides cancel a shift of about 2 D |ln Z|
+            assert abs(scaled - base) <= 1e-12 * max(1.0, 6 * abs(_log_charge(Z)))
 
 
 class TestDivergence:

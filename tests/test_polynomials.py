@@ -37,19 +37,30 @@ def expand_in_basis(target: PolyExact, basis: list[PolyExact]) -> list[Fraction]
     return coeffs
 
 
+def monomial_sum(parts) -> ExactScalar:
+    """Sum of monomials that share one power of pi: their coefficients add.
+    Zero parts carry no power of pi and are skipped."""
+    total, half = F(0), None
+    for part in parts:
+        r, k = part.monomial()
+        if not r:
+            continue
+        assert half is None or k == half, (k, half)
+        total, half = total + r, k
+    return ExactScalar.pi_power(half or 0, total)
+
+
 def laguerre_weight_integral(poly: PolyExact, alpha: Fraction) -> ExactScalar:
     """Exact integral of poly(x) x^alpha e^-x over (0, inf) for integer alpha."""
-    total = ExactScalar(0)
-    for k, c in enumerate(poly.coeffs):
-        if c:
-            total = total + gamma_exact(F(alpha) + k + 1) * c
-    return total
+    return monomial_sum(
+        gamma_exact(F(alpha) + k + 1) * c for k, c in enumerate(poly.coeffs) if c
+    )
 
 
 def jacobi_weight_integral(poly: PolyExact, a: Fraction, b: Fraction) -> ExactScalar:
     """Exact integral of poly(x) (1-x)^a (1+x)^b over (-1, 1)."""
-    total = ExactScalar(0)
     a, b = F(a), F(b)
+    parts = []
     for m, coeff in enumerate(poly.coeffs):
         if not coeff:
             continue
@@ -57,13 +68,13 @@ def jacobi_weight_integral(poly: PolyExact, a: Fraction, b: Fraction) -> ExactSc
         for k in range(m + 1):
             shifted = coeff * math.comb(m, k) * F(-1) ** (m - k)
             exponent = a + b + k + 1
-            total = total + (
+            parts.append(
                 ExactScalar.from_rational(F(2) ** exponent.numerator * shifted)
                 * gamma_exact(a + 1)
                 * gamma_exact(b + k + 1)
                 / gamma_exact(a + b + k + 2)
             )
-    return total
+    return monomial_sum(parts)
 
 
 class TestLaguerre:
