@@ -270,11 +270,13 @@ def cmd_sum(args) -> int:
         p = entropy.conjugate_order(q)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    # at most one side is exact: an integer order >= 2 has a conjugate below 1
+    # at most one side is exact: an integer order >= 2 has a conjugate below 1;
+    # uncertainty_sum builds it at Z = 1
+    unit = state.unit_charge()
     if q.denominator == 1 and q >= 2:
-        _check_w_digits(state, q.numerator, ["position"])
+        _check_w_digits(unit, q.numerator, ["position"])
     if p.denominator == 1 and p >= 2:
-        _check_w_digits(state, p.numerator, ["momentum"])
+        _check_w_digits(unit, p.numerator, ["momentum"])
     result = entropy.uncertainty_sum(state, q)
     record = {
         "state": state.literal(),

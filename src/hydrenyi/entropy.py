@@ -612,6 +612,12 @@ def w_digits_bound(
 # -- quasi-spherical shortcuts (l = n-1, whole chain equal) ------------------
 
 
+def _log_charge(Z: Fraction) -> float:
+    """ln Z from the integers of Z, so any positive charge has a logarithm;
+    exactly 0.0 at Z = 1."""
+    return math.log(Z.numerator) - math.log(Z.denominator)
+
+
 def _require_ns_inputs(n: int, D: int, Z) -> tuple[Fraction, Fraction]:
     if n < 1 or D < 2:
         raise ValidationError("ns shortcut needs n >= 1 and D >= 2")
@@ -692,12 +698,12 @@ def ns_position_entropy(n: int, D: int, Z, q: float) -> float:
         raise ValueError("need q > 0, q != 1")
     eta, Z = _require_ns_inputs(n, D, Z)
     radial = (
-        D * math.log(float(eta) / (2 * float(Z)))
+        D * math.log(float(eta) / 2)
         - q / (1 - q) * math.lgamma(2 * float(eta) + 1)
         + (math.lgamma(D + 2 * n * q - 2 * q) - (D + 2 * n * q - 2 * q) * math.log(q))
         / (1 - q)
     )
-    return radial + _ns_angular_float(n, D, q)
+    return radial + _ns_angular_float(n, D, q) - D * _log_charge(Z)
 
 
 def ns_momentum_entropy(n: int, D: int, Z, q: float) -> float:
@@ -710,7 +716,7 @@ def ns_momentum_entropy(n: int, D: int, Z, q: float) -> float:
     eta, Z = _require_ns_inputs(n, D, Z)
     check_momentum_order(D, n - 1, order)
     radial = (
-        D * math.log(float(Z) / float(eta))
+        D * math.log(1 / float(eta))
         + q / (1 - q) * (math.log(4.0) + math.lgamma(2 * float(eta) + 1))
         + (
             math.lgamma(D / 2.0 + q * n - q)
@@ -721,7 +727,7 @@ def ns_momentum_entropy(n: int, D: int, Z, q: float) -> float:
         )
         / (1 - q)
     )
-    return radial + _ns_angular_float(n, D, q)
+    return radial + _ns_angular_float(n, D, q) + D * _log_charge(Z)
 
 
 def ground_state_radial_position_entropy(D: int, Z, q: float) -> float:
@@ -735,8 +741,8 @@ def ground_state_radial_position_entropy(D: int, Z, q: float) -> float:
         raise ValueError("need q > 0, q != 1")
     _, Z = _require_ns_inputs(1, D, Z)
     return math.lgamma(D) + D * (
-        math.log((D - 1) / (4 * float(Z))) - math.log(q) / (1 - q)
-    )
+        math.log((D - 1) / 4) - math.log(q) / (1 - q)
+    ) - D * _log_charge(Z)
 
 
 def ground_state_radial_position_w(D: int, Z, q: int) -> ExactScalar:
@@ -760,7 +766,7 @@ def ground_state_radial_momentum_entropy(D: int, Z, q: float) -> float:
     _, Z = _require_ns_inputs(1, D, Z)
     check_momentum_order(D, 0, order)
     return (
-        D * math.log(2 * float(Z) / (D - 1))
+        D * math.log(2 / (D - 1))
         + q / (1 - q) * (math.log(4.0) + math.lgamma(D))
         + (
             (1 - 2 * q) * math.lgamma(D / 2.0)
@@ -769,7 +775,7 @@ def ground_state_radial_momentum_entropy(D: int, Z, q: float) -> float:
             - math.lgamma(D * q + q)
         )
         / (1 - q)
-    )
+    ) + D * _log_charge(Z)
 
 
 # -- position-momentum uncertainty sum ---------------------------------------
@@ -808,21 +814,24 @@ def uncertainty_sum(state: HydrogenicState, q) -> UncertaintySum:
     """Joint position-momentum Renyi sum against its dimensional lower bound.
 
     Exact closed forms serve integer orders >= 2; the conjugate side falls
-    back to the floating integration oracle otherwise.
+    back to the floating integration oracle otherwise.  The sum does not
+    depend on Z (position loses D ln Z, momentum gains it), so both sides
+    are computed at Z = 1, where nothing cancels.
     """
     from hydrenyi import oracle
 
     q = Fraction(q)
     p = conjugate_order(q)
     validate(state)
+    unit = state.unit_charge()
     if q.denominator == 1 and q >= 2:
-        position = position_entropy(state, int(q)).total.value
+        position = position_entropy(unit, int(q)).total.value
     else:
-        position = oracle.renyi_float(state, q, "position").value
+        position = oracle.renyi_float(unit, q, "position").value
     if p.denominator == 1 and p >= 2:
-        momentum = momentum_entropy(state, int(p)).total.value
+        momentum = momentum_entropy(unit, int(p)).total.value
     else:
-        momentum = oracle.renyi_float(state, p, "momentum").value
+        momentum = oracle.renyi_float(unit, p, "momentum").value
     total = position + momentum
     bound = uncertainty_bound(state.D, q)
     return UncertaintySum(total, bound, total >= bound - UNCERTAINTY_TOLERANCE)
@@ -830,11 +839,13 @@ def uncertainty_sum(state: HydrogenicState, q) -> UncertaintySum:
 
 def ns_uncertainty_sum(n: int, D: int, Z, q) -> UncertaintySum:
     """Uncertainty sum for a quasi-spherical state from the Gamma-only
-    shortcuts; usable at any D without quadrature."""
+    shortcuts; usable at any D without quadrature.  Like uncertainty_sum,
+    both sides are taken at Z = 1."""
     q = Fraction(q)
     p = conjugate_order(q)
-    total = ns_position_entropy(n, D, Z, float(q)) + ns_momentum_entropy(
-        n, D, Z, float(p)
+    _require_ns_inputs(n, D, Z)
+    total = ns_position_entropy(n, D, 1, float(q)) + ns_momentum_entropy(
+        n, D, 1, float(p)
     )
     bound = uncertainty_bound(D, q)
     return UncertaintySum(total, bound, total >= bound - UNCERTAINTY_TOLERANCE)

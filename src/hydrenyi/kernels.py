@@ -12,9 +12,11 @@ its multiplicity by J.C.P. Miller's recurrence for powers of a power series
 The cost is polynomial in the degrees and multiplicities, not the
 prod (k_i + 1) terms of the box.
 
-Every term sequence is held as integers over one common denominator and
-reduced by its content once; the powers and products after that take no
-gcd, and the caller reduces the final ratio once.
+Every axis term sequence is held as integers over one common denominator
+and reduced by its content once, which keeps the inputs to the powers
+small; the powers and products after that take no gcd.  The coupled factor
+is never tabulated: the sum against it runs by nested evaluation from the
+top coefficient down, and the caller reduces the final ratio once.
 """
 
 from __future__ import annotations
@@ -35,16 +37,17 @@ def rising_steps(
     upper: Sequence[Fraction], lower: Sequence[Fraction], x: Fraction, count: int
 ) -> list[tuple[int, int]]:
     """Integer (numerator, denominator) pairs of the term ratios
-    prod (u + j) / prod (v + j) * x for j = 0..count-1."""
-    scale_num = x.numerator * math.prod(v.denominator for v in lower)
-    scale_den = x.denominator * math.prod(u.denominator for u in upper)
-    return [
-        (
-            scale_num * math.prod(u.numerator + j * u.denominator for u in upper),
-            scale_den * math.prod(v.numerator + j * v.denominator for v in lower),
-        )
-        for j in range(count)
-    ]
+    prod (u + j) / prod (v + j) * x for j = 0..count-1, built one parameter
+    at a time over all j."""
+    nums = [x.numerator * math.prod(v.denominator for v in lower)] * count
+    dens = [x.denominator * math.prod(u.denominator for u in upper)] * count
+    for u in upper:
+        a, b = u.numerator, u.denominator
+        nums = [c * (a + j * b) for j, c in enumerate(nums)]
+    for v in lower:
+        a, b = v.numerator, v.denominator
+        dens = [c * (a + j * b) for j, c in enumerate(dens)]
+    return list(zip(nums, dens))
 
 
 def hypergeometric_terms(steps: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
@@ -116,14 +119,21 @@ def coupled_sum(
 ) -> tuple[int, int]:
     """Numerator and denominator (not reduced) of sum_s g(s) [t^s] prod_i
     P_i(t)**r_i, with g(s) = prod (a)_s / prod (d)_s over the coupled
-    parameters and P_i the polynomial of one axis group."""
+    parameters and P_i the polynomial of one axis group.
+
+    The sum against g runs by nested evaluation from the top,
+    c_s + (n_s / d_s) * (c_{s+1} + ...), in integers and with no gcd."""
     powers, den = [], 1
     for upper, lower, x, bound, mult in axes:
         terms, d = hypergeometric_terms(rising_steps(upper, lower, x, bound))
         powers.append(power(terms, mult))
         den *= d**mult
-    product = functools.reduce(multiply, powers)
-    g, g_den = hypergeometric_terms(
-        rising_steps(coupled_upper, coupled_lower, Fraction(1), len(product) - 1)
-    )
-    return sum(a * b for a, b in zip(g, product)), den * g_den
+    *rest, num = functools.reduce(multiply, powers)
+    g_den = 1
+    for c, (n, d) in zip(
+        reversed(rest),
+        reversed(rising_steps(coupled_upper, coupled_lower, Fraction(1), len(rest))),
+    ):
+        g_den *= d
+        num = c * g_den + n * num
+    return num, den * g_den

@@ -5,6 +5,13 @@ For integer order q every integral reduces to exact factorial or Beta
 moments of polynomial expansions, so closed form and oracle can be compared
 structurally with zero tolerance.  For real q an adaptive extended-precision
 quadrature evaluates the same integrals numerically.
+
+What stays independent: the oracle takes its polynomials from the explicit
+coefficient sums of ``laguerre`` and ``gegenbauer`` and its moments from the
+weight, while the closed forms take their terms from ``rising_steps`` and
+the Pochhammer factor g(s).  Both raise a polynomial to a power by the same
+recurrence, written twice on purpose (``polynomials.poly_pow`` here) and
+each tested against repeated convolution.
 """
 
 from __future__ import annotations
@@ -191,7 +198,7 @@ def radial_position_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
     q = _check_order(q)
     d = validate(state)
     l, D = d.l, state.D
-    # scaled after powering, the convolution runs on smaller numerators
+    # scaled after powering, the recurrence runs on smaller numerators
     poly = (
         poly_pow(laguerre(state.n - l - 1, 2 * l + D - 2), 2 * q)
         .scale_arg(Fraction(1, q))
@@ -706,7 +713,7 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
     d = validate(state)
     if space == "momentum":
         check_momentum_order(state.D, d.l, order)
-    unit = state if state.Z == 1 else HydrogenicState(state.D, state.n, state.mu)
+    unit = state.unit_charge()
     if space == "position":
         radial, radial_err = position_radial_power_integral(unit, q)
         sign = -1

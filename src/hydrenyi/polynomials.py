@@ -3,10 +3,12 @@
 A polynomial is integer numerators over one common denominator.  Laguerre
 and Gegenbauer come from their explicit coefficient sums, built in integers;
 Jacobi comes from its three-term recurrence, which keeps every intermediate
-Gamma away from nonpositive arguments.  The two power-linearization routines
-exist to cross-check the hypergeometric route used by the entropy formulas;
-the production path never calls them.  The float evaluators at the end serve the
-pointwise densities and the real-order quadrature.
+Gamma away from nonpositive arguments.  ``poly_pow`` raises the oracle's
+polynomials to a power by a recurrence on their numerators.  The two
+power-linearization routines exist to cross-check the hypergeometric route
+used by the entropy formulas; the production path never calls them.  The
+float evaluators at the end serve the pointwise densities and the
+real-order quadrature.
 """
 
 from __future__ import annotations
@@ -272,20 +274,32 @@ def gegenbauer_as_jacobi(kappa: int, lam: RationalLike) -> tuple[Fraction, PolyE
 
 
 def poly_pow(p: PolyExact, r: int) -> PolyExact:
-    """Exact r-th power by repeated convolution of the integer numerators,
-    over the r-th power of the denominator."""
+    """Exact r-th power, over the r-th power of the denominator.
+
+    Write the integer numerators as x^v Q(x) with Q(0) != 0; odd
+    Gegenbauer polynomials have v = 1.  Comparing coefficients of x^(s-1)
+    in Q (Q^r)' = r Q' Q^r gives each coefficient of Q^r from the k before
+    it: s Q_0 c_s = sum_{j=1..k} ((r+1) j - s) Q_j c_(s-j), an exact
+    integer division.  This is J.C.P. Miller's recurrence; the closed forms
+    keep their own copy, so the oracle shares no code with them.
+    """
     if r < 1:
         raise ValueError("poly_pow requires r >= 1")
-    out = list(p.nums)
-    base = [(j, b) for j, b in enumerate(p.nums) if b]
-    for _ in range(r - 1):
-        nxt = [0] * (len(out) + len(p.nums) - 1)
-        for i, a in enumerate(out):
-            if a:
-                for j, b in base:
-                    nxt[i + j] += a * b
-        out = nxt
-    return PolyExact.over(out, p.den**r)
+    if not p.nums:
+        return p
+    v = next(j for j, c in enumerate(p.nums) if c)
+    base = p.nums[v:]
+    b0, k = base[0], len(base) - 1
+    steps = [(j, (r + 1) * j, c) for j, c in enumerate(base) if j and c]
+    out = [b0**r]
+    for s in range(1, r * k + 1):
+        acc = 0
+        for j, weight, c in steps:
+            if j > s:
+                break
+            acc += (weight - s) * c * out[s - j]
+        out.append(acc // (s * b0))
+    return PolyExact.over([0] * (r * v) + out, p.den**r)
 
 
 def laguerre_power_linearization(

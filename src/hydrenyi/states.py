@@ -51,6 +51,10 @@ class HydrogenicState:
         every density and entropy depends on the chain only through this."""
         return self.mu[:-1] + (abs(self.mu[-1]),)
 
+    def unit_charge(self) -> "HydrogenicState":
+        """The same state at Z = 1."""
+        return self if self.Z == 1 else HydrogenicState(self.D, self.n, self.mu)
+
     def is_ns(self) -> bool:
         """Quasi-spherical: l = n-1 and the whole chain equal."""
         chain = self.canonical_mu()

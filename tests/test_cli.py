@@ -437,6 +437,20 @@ class TestSum:
             assert out == ""
             assert err.count("\n") == 1 and str(cli.MAX_W_DIGITS) in err
 
+    @pytest.mark.parametrize("q", ["0.7", "2"])
+    def test_charge_leaves_the_output_unchanged(self, capsys, q):
+        # both sides are taken at Z = 1: at Z = 1e400 the float sides once
+        # cancelled -D ln Z against +D ln Z to only 3e-13, and at Z = 1e2000
+        # the digit cap counted the W at that charge, which is never built
+        def without_state(out):
+            return [line for line in out.splitlines() if '"state"' not in line]
+
+        _, base, _ = run(capsys, "sum", GROUND_LITERAL, "--q", q)
+        for Z in ("7/3", "1e400", "1e-400", "1e2000"):
+            code, out, _ = run(capsys, "sum", f"{GROUND_LITERAL},Z={Z}", "--q", q)
+            assert code == 0
+            assert without_state(out) == without_state(base)
+
     def test_order_300_still_answers(self, capsys):
         state = HydrogenicState(3, 2, (1, 0), 1)
         code, out, _ = run(capsys, "sum", state.literal(), "--q", "300")

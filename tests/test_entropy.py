@@ -372,11 +372,42 @@ class TestZScaling:
                 assert mom == base_mom * F(Z) ** (D * (1 - q))
 
     def test_uncertainty_sum_charge_free(self):
-        sums = [
-            uncertainty_sum(HydrogenicState(3, 2, (1, 0), Z), 2).total
-            for Z in (1, 2, F(5, 2))
-        ]
-        assert max(sums) - min(sums) < 1e-9
+        # both sides are taken at Z = 1, so no -D ln Z and +D ln Z cancel
+        charges = (1, 2, F(5, 2), F(10**400), F(1, 10**400))
+        for q in (2, F(7, 10)):
+            sums = {uncertainty_sum(HydrogenicState(3, 2, (1, 0), Z), q).total for Z in charges}
+            assert len(sums) == 1
+            assert len({entropy.ns_uncertainty_sum(2, 3, Z, q).total for Z in charges}) == 1
+
+    @pytest.mark.parametrize(
+        "Z, log_z",
+        [
+            (F(2, 3), math.log(2 / 3)),
+            (F(10**60), 60 * math.log(10)),
+            (F(1, 10**60), -60 * math.log(10)),
+            (F(10**400), 400 * math.log(10)),
+            (F(1, 10**400), -400 * math.log(10)),
+        ],
+    )
+    def test_gamma_only_shortcuts_at_any_charge(self, Z, log_z):
+        # float(Z) overflowed above 1.8e308 and was 0 below 4.9e-324
+        for D in (3, 5):
+            for q in (0.7, 2.5):
+                shifted = [
+                    (entropy.ground_state_radial_position_entropy, (D,), -1),
+                    (entropy.ground_state_radial_momentum_entropy, (D,), 1),
+                ] + [
+                    (shortcut, (n, D), sign)
+                    for n in (1, 3)
+                    for shortcut, sign in (
+                        (entropy.ns_position_entropy, -1),
+                        (entropy.ns_momentum_entropy, 1),
+                    )
+                ]
+                for shortcut, head, sign in shifted:
+                    value = shortcut(*head, Z, q)
+                    expected = shortcut(*head, 1, q) + sign * D * log_z
+                    assert abs(value - expected) <= 1e-12 * max(1, abs(value))
 
 
 class TestNsShortcuts:

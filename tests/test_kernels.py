@@ -10,8 +10,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from hydrenyi import kernels, oracle
+from hydrenyi import kernels, oracle, polynomials
 from hydrenyi.exactnum import pochhammer
 from hydrenyi.hyperfun import (
     HypergeometricSpecError,
@@ -141,3 +142,24 @@ def test_work_counts_miller_loop():
 
 def test_oracle_keeps_its_own_convolution():
     assert "kernels" not in inspect.getsource(oracle)
+
+
+def test_poly_pow_keeps_its_own_recurrence():
+    assert "kernels" not in inspect.getsource(polynomials.poly_pow)
+
+
+_params = st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=7), max_size=3)
+
+
+@given(_params, _params, st.fractions(min_value=-5, max_value=5, max_denominator=9),
+       st.integers(min_value=0, max_value=7))
+def test_rising_steps_match_the_per_step_products(upper, lower, x, count):
+    scale_num = x.numerator * math.prod(v.denominator for v in lower)
+    scale_den = x.denominator * math.prod(u.denominator for u in upper)
+    assert kernels.rising_steps(upper, lower, x, count) == [
+        (
+            scale_num * math.prod(u.numerator + j * u.denominator for u in upper),
+            scale_den * math.prod(v.numerator + j * v.denominator for v in lower),
+        )
+        for j in range(count)
+    ]

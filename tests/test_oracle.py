@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -765,10 +766,23 @@ class TestClosedFormsAgainstOracle:
     def test_spot_checks_at_n20_q10(self, literal):
         _assert_verified([(HydrogenicState.parse(literal), 10)])
 
-    @pytest.mark.slow
-    @pytest.mark.parametrize("l", [0, 38])
+    @pytest.mark.parametrize("l", [0, 20, 38, 39])
     def test_spot_checks_at_n40_q20(self, l):
         _assert_verified([(HydrogenicState(3, 40, (l, 0), 1), 20)])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("D", range(2, 6))
+    def test_sampled_at_scale(self, D, seed):
+        # beyond the grids below: n in 21..40 and q in 11..20, any l and chain
+        rng = random.Random(100 * D + seed)
+        cases = []
+        for _ in range(4):
+            n = rng.randint(21, 40)
+            l = rng.randrange(n)
+            chain = rng.choice(_sweep_chains(D, l))
+            cases.append((HydrogenicState(D, n, chain, 1), rng.randint(11, 20)))
+        _assert_verified(cases)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n", range(1, 21))

@@ -285,6 +285,22 @@ class TestPolyPow:
         p = PolyExact(coeffs)
         assert poly_pow(p, r) == p**r
 
+    @given(
+        st.sampled_from(["laguerre", "gegenbauer", "translated gegenbauer"]),
+        st.integers(min_value=0, max_value=8),
+        st.fractions(min_value=F(1, 2), max_value=12, max_denominator=2),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_oracle_polynomials_match_repeated_product(self, family, k, param, r):
+        # odd and even Gegenbauer degrees; odd ones vanish at 0
+        if family == "laguerre":
+            p = laguerre(k, param)
+        else:
+            p = gegenbauer(k, param)
+            if family == "translated gegenbauer":
+                p = p.translate(-1)
+        assert poly_pow(p, r) == p**r
+
     def test_gegenbauer_power_keeps_its_parity(self):
         power = poly_pow(gegenbauer(5, F(7, 2)), 6)
         assert power == gegenbauer(5, F(7, 2)) ** 6
