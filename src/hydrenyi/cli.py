@@ -6,12 +6,15 @@ sum against its dimensional bound).  Output is JSON by default, CSV behind
 --format=csv.  Exit codes: 0 ok, 1 verification failure, 2 usage error
 (including a real order at which the momentum entropy diverges or that is
 too large or too small for a float, a verify --qset that is empty or not
-integers, and a --precision outside MIN_PRECISION_BITS to
-MAX_PRECISION_BITS), 3 resource cap exceeded (the term
+integers, a --precision outside MIN_PRECISION_BITS to MAX_PRECISION_BITS,
+and a charge Z whose numerator or denominator has more digits than Python
+converts to a string, 4,300 by default), 3 resource cap exceeded (the term
 cap of the sums, a verify sweep over more than MAX_VERIFY_VERDICTS verdicts,
 or an exact W of compute, verify or the exact side of sum that could need
 more than MAX_W_DIGITS digits), 4 the float path missed its error target or
-an integral of it came out zero.
+an integral of it came out zero.  A reader that closes the output pipe
+early, such as ``head``, ends the process by SIGPIPE where the platform has
+one, as it ends other filters: status 141 in a POSIX shell, and no traceback.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import signal
 import sys
 from fractions import Fraction
 
@@ -94,10 +98,20 @@ def _check_precision(bits: int) -> None:
         raise UsageError(f"precision must be at most {MAX_PRECISION_BITS} bits, got {bits}")
 
 
-def _parse_state(text: str) -> HydrogenicState:
+def _parse_state(text: str) -> tuple[HydrogenicState, str]:
+    """The validated state of a literal, and its canonical literal for the
+    records, rendered once."""
     state = HydrogenicState.parse(text)
     validate(state)
-    return state
+    try:
+        literal = state.literal()
+    except ValueError:
+        # D, n and mu were parsed from digits, so only Z can pass the limit
+        raise UsageError(
+            "the charge Z may have at most "
+            f"{sys.get_int_max_str_digits()} digits in its numerator and denominator"
+        ) from None
+    return state, literal
 
 
 def _emit(records: list[dict], fmt: str, stream) -> None:
@@ -119,7 +133,12 @@ def _emit(records: list[dict], fmt: str, stream) -> None:
 
 
 def _compute_records(
-    state: HydrogenicState, q: Fraction, spaces: list[str], use_float: bool, bits: int
+    state: HydrogenicState,
+    literal: str,
+    q: Fraction,
+    spaces: list[str],
+    use_float: bool,
+    bits: int,
 ) -> list[dict]:
     records = []
     angular = None  # the same in both spaces, so built once
@@ -128,7 +147,7 @@ def _compute_records(
             result = oracle.renyi_float(state, q, space)  # type: ignore[arg-type]
             records.append(
                 {
-                    "state": state.literal(),
+                    "state": literal,
                     "space": space,
                     "q": str(q),
                     "entropy": result.value,
@@ -151,7 +170,7 @@ def _compute_records(
         total = radial + angular
         records.append(
             {
-                "state": state.literal(),
+                "state": literal,
                 "space": space,
                 "q": str(q),
                 "w": total.w.render(),
@@ -166,13 +185,13 @@ def _compute_records(
 
 
 def cmd_compute(args) -> int:
-    state = _parse_state(args.state)
+    state, literal = _parse_state(args.state)
     q = _parse_q(args.q)
     spaces = list(_SPACES) if args.space == "both" else [args.space]
     _check_precision(args.precision)
     if not args.float and q.denominator == 1 and q >= 2:
         _check_w_digits(state, q.numerator, spaces)
-    records = _compute_records(state, q, spaces, args.float, args.precision)
+    records = _compute_records(state, literal, q, spaces, args.float, args.precision)
     _emit(records, args.format, sys.stdout)
     return EXIT_OK
 
@@ -264,7 +283,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sum(args) -> int:
-    state = _parse_state(args.state)
+    state, literal = _parse_state(args.state)
     q = _parse_q(args.q)
     try:
         p = entropy.conjugate_order(q)
@@ -279,7 +298,7 @@ def cmd_sum(args) -> int:
         _check_w_digits(unit, p.numerator, ["momentum"])
     result = entropy.uncertainty_sum(state, q)
     record = {
-        "state": state.literal(),
+        "state": literal,
         "q": str(q),
         "p": str(p),
         "sum": result.total,
@@ -371,6 +390,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

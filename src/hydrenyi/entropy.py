@@ -130,12 +130,11 @@ def _gamma_product(*factors: tuple[int, int]) -> tuple[int, int, int]:
 
 def radial_lauricella_factor(D: int, n: int, l: int, q: int) -> Fraction:
     """The terminating 2q-axis Lauricella sum entering the radial position
-    entropy; equals 1 when l = n - 1.  Its 2q axes are identical: one group."""
+    entropy; equals 1 when l = n - 1.  Its 2q axes are identical."""
     if l == n - 1:
         return Fraction(1)
     spec = LauricellaSpec(
-        a=2 * l * q + D,
-        groups=((-(n - l - 1), 2 * l + D - 1, Fraction(1, q), 2 * q),),
+        a=2 * l * q + D, b=-(n - l - 1), c=2 * l + D - 1, x=Fraction(1, q), mult=2 * q
     )
     return lauricella_fa(spec)
 
@@ -207,7 +206,7 @@ def angular_pochhammer_factor(alpha: Fraction, mu_j: int, mu_j1: int, q: int) ->
 def angular_daoust_factor(alpha: Fraction, mu_j: int, mu_j1: int, q: int) -> Fraction:
     """The terminating Srivastava-Daoust sum attached to one angular degree
     of freedom; equals 1 when the two chain entries coincide.  Its 2q axes
-    are identical: one group."""
+    are identical."""
     k = mu_j - mu_j1
     if k == 0:
         return Fraction(1)
@@ -215,7 +214,11 @@ def angular_daoust_factor(alpha: Fraction, mu_j: int, mu_j1: int, q: int) -> Fra
     spec = SrivastavaDaoustSpec(
         a0=Fraction(a2 + 2 * q * mu_j1 + 1, 2),
         d0=2 * q * mu_j1 + a2 + 1,
-        groups=((-k, a2 + mu_j1 + mu_j, Fraction(a2 + 2 * mu_j1 + 1, 2), 1, 2 * q),),
+        b=-k,
+        c=a2 + mu_j1 + mu_j,
+        e=Fraction(a2 + 2 * mu_j1 + 1, 2),
+        x=1,
+        mult=2 * q,
     )
     return srivastava_daoust(spec)
 
@@ -258,7 +261,7 @@ def position_entropy(state: HydrogenicState, q: int) -> RenyiBreakdown:
 
 def momentum_daoust_factor(D: int, n: int, l: int, q: int) -> Fraction:
     """The terminating Srivastava-Daoust sum entering the radial momentum
-    entropy; equals 1 when l = n - 1.  Its 2q axes are identical: one group.
+    entropy; equals 1 when l = n - 1.  Its 2q axes are identical.
 
     With eta = n + (D-3)/2 and L = l + (D-3)/2 the parameters are
     a0 = (L + 3/2) q + D(1-q)/2, d0 = q (2L + 4), c = eta + L + 1 and
@@ -269,7 +272,11 @@ def momentum_daoust_factor(D: int, n: int, l: int, q: int) -> Fraction:
     spec = SrivastavaDaoustSpec(
         a0=Fraction(2 * l * q + D, 2),
         d0=q * (2 * l + D + 1),
-        groups=((-(n - l - 1), n + l + D - 2, Fraction(2 * l + D, 2), 1, 2 * q),),
+        b=-(n - l - 1),
+        c=n + l + D - 2,
+        e=Fraction(2 * l + D, 2),
+        x=1,
+        mult=2 * q,
     )
     return srivastava_daoust(spec)
 
@@ -730,54 +737,6 @@ def ns_momentum_entropy(n: int, D: int, Z, q: float) -> float:
     return radial + _ns_angular_float(n, D, q) + D * _log_charge(Z)
 
 
-def ground_state_radial_position_entropy(D: int, Z, q: float) -> float:
-    """Radial position entropy of the ground state.
-
-    The leading term is ln Gamma(D); substituting n = 1 into the
-    quasi-spherical formula confirms the logarithm belongs there.
-    """
-    q = float(q)
-    if q <= 0 or q == 1:
-        raise ValueError("need q > 0, q != 1")
-    _, Z = _require_ns_inputs(1, D, Z)
-    return math.lgamma(D) + D * (
-        math.log((D - 1) / 4) - math.log(q) / (1 - q)
-    ) - D * _log_charge(Z)
-
-
-def ground_state_radial_position_w(D: int, Z, q: int) -> ExactScalar:
-    """Exact entropy argument matching ground_state_radial_position_entropy."""
-    q = _check_integer_order(q)
-    _, Z = _require_ns_inputs(1, D, Z)
-    lam = Fraction(D - 1) / (4 * Z)
-    return ExactScalar.from_rational(
-        lam ** (D * (1 - q))
-        * Fraction(1, math.factorial(D - 1) ** (q - 1))
-        * Fraction(1, q**D)
-    )
-
-
-def ground_state_radial_momentum_entropy(D: int, Z, q: float) -> float:
-    """Radial momentum entropy of the ground state, Gamma-only form;
-    infinite, so a ValueError, for q <= D/(2D+2)."""
-    order, q = q, float(q)
-    if q <= 0 or q == 1:
-        raise ValueError("need q > 0, q != 1")
-    _, Z = _require_ns_inputs(1, D, Z)
-    check_momentum_order(D, 0, order)
-    return (
-        D * math.log(2 / (D - 1))
-        + q / (1 - q) * (math.log(4.0) + math.lgamma(D))
-        + (
-            (1 - 2 * q) * math.lgamma(D / 2.0)
-            + math.lgamma(D * (q - 0.5) + q)
-            - math.log(2.0)
-            - math.lgamma(D * q + q)
-        )
-        / (1 - q)
-    ) + D * _log_charge(Z)
-
-
 # -- position-momentum uncertainty sum ---------------------------------------
 
 
@@ -834,18 +793,4 @@ def uncertainty_sum(state: HydrogenicState, q) -> UncertaintySum:
         momentum = oracle.renyi_float(unit, p, "momentum").value
     total = position + momentum
     bound = uncertainty_bound(state.D, q)
-    return UncertaintySum(total, bound, total >= bound - UNCERTAINTY_TOLERANCE)
-
-
-def ns_uncertainty_sum(n: int, D: int, Z, q) -> UncertaintySum:
-    """Uncertainty sum for a quasi-spherical state from the Gamma-only
-    shortcuts; usable at any D without quadrature.  Like uncertainty_sum,
-    both sides are taken at Z = 1."""
-    q = Fraction(q)
-    p = conjugate_order(q)
-    _require_ns_inputs(n, D, Z)
-    total = ns_position_entropy(n, D, 1, float(q)) + ns_momentum_entropy(
-        n, D, 1, float(p)
-    )
-    bound = uncertainty_bound(D, q)
     return UncertaintySum(total, bound, total >= bound - UNCERTAINTY_TOLERANCE)

@@ -1,36 +1,30 @@
-"""Terminating hypergeometric sums as one univariate polynomial product.
+"""Terminating hypergeometric sums as one univariate polynomial power.
 
-The Lauricella F_A and Srivastava-Daoust sums used here have the form
+The Lauricella F_A and Srivastava-Daoust sums used here have r identical
+axes and the form
 
-    F = sum over 0 <= j_i <= k_i of g(|j|) * prod_i f_i(j_i),
+    F = sum over 0 <= j_i <= k of g(|j|) * prod_i f(j_i),
 
 where the coupled factor g depends on the multi-index only through
-|j| = j_1 + ... + j_m.  Hence F = sum_s g(s) [t^s] prod_i P_i(t) with
-P_i(t) = sum_j f_i(j) t^j.  Identical axes share one polynomial, raised to
-its multiplicity by J.C.P. Miller's recurrence for powers of a power series
-(Knuth, TAOCP vol. 2, sec. 4.7), and the powers are multiplied together.
-The cost is polynomial in the degrees and multiplicities, not the
-prod (k_i + 1) terms of the box.
+|j| = j_1 + ... + j_r.  Hence F = sum_s g(s) [t^s] P(t)^r with
+P(t) = sum_j f(j) t^j, and P is raised to its power by J.C.P. Miller's
+recurrence for powers of a power series (Knuth, TAOCP vol. 2, sec. 4.7).
+The cost is polynomial in k and r, not the (k + 1)^r terms of the box.
 
-Every axis term sequence is held as integers over one common denominator
-and reduced by its content once, which keeps the inputs to the powers
-small; the powers and products after that take no gcd.  The coupled factor
-is never tabulated: the sum against it runs by nested evaluation from the
-top coefficient down, and the caller reduces the final ratio once.
+The axis term sequence is held as integers over one common denominator
+and reduced by its content once, which keeps the input to the power small;
+the power and the sum after that take no gcd.  The coupled factor is never
+tabulated: the sum against it runs by nested evaluation from the top
+coefficient down, and the caller reduces the final ratio once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Sequence
 
 BACKEND = "python"
-
-# One axis: (upper, lower, x, bound, multiplicity), the term being
-# prod (u)_j / prod (v)_j * x^j for 0 <= j <= bound.
-Axis = tuple[Sequence[Fraction], Sequence[Fraction], Fraction, int, int]
 
 
 def rising_steps(
@@ -91,44 +85,29 @@ def power_products(k: int, r: int) -> int:
     return k * (k + 1) // 2 + (r - 1) * k * k
 
 
-def multiply(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def coupled_sum_products(axes: Sequence[tuple[int, int]]) -> int:
-    """Coefficient products coupled_sum does for groups of (bound,
-    multiplicity): the powers, the products of the powers and the final
-    sum against the coupled factor."""
-    (k, r), *rest = axes
-    count, degree = power_products(k, r), r * k
-    for k, r in rest:
-        count += power_products(k, r) + (degree + 1) * (r * k + 1)
-        degree += r * k
-    return count + degree + 1
+def coupled_sum_products(k: int, r: int) -> int:
+    """Coefficient products coupled_sum does for r axes of bound k: the
+    power and the final sum against the coupled factor."""
+    return power_products(k, r) + r * k + 1
 
 
 def coupled_sum(
     coupled_upper: Sequence[Fraction],
     coupled_lower: Sequence[Fraction],
-    axes: Sequence[Axis],
+    upper: Sequence[Fraction],
+    lower: Sequence[Fraction],
+    x: Fraction,
+    bound: int,
+    mult: int,
 ) -> tuple[int, int]:
-    """Numerator and denominator (not reduced) of sum_s g(s) [t^s] prod_i
-    P_i(t)**r_i, with g(s) = prod (a)_s / prod (d)_s over the coupled
-    parameters and P_i the polynomial of one axis group.
+    """Numerator and denominator (not reduced) of sum_s g(s) [t^s] P(t)**mult,
+    with g(s) = prod (a)_s / prod (d)_s over the coupled parameters and
+    P(t) = sum_j prod (u)_j / prod (v)_j * (x t)^j for 0 <= j <= bound.
 
     The sum against g runs by nested evaluation from the top,
     c_s + (n_s / d_s) * (c_{s+1} + ...), in integers and with no gcd."""
-    powers, den = [], 1
-    for upper, lower, x, bound, mult in axes:
-        terms, d = hypergeometric_terms(rising_steps(upper, lower, x, bound))
-        powers.append(power(terms, mult))
-        den *= d**mult
-    *rest, num = functools.reduce(multiply, powers)
+    terms, den = hypergeometric_terms(rising_steps(upper, lower, x, bound))
+    *rest, num = power(terms, mult)
     g_den = 1
     for c, (n, d) in zip(
         reversed(rest),
@@ -136,4 +115,4 @@ def coupled_sum(
     ):
         g_den *= d
         num = c * g_den + n * num
-    return num, den * g_den
+    return num, den**mult * g_den

@@ -17,7 +17,6 @@ each tested against repeated convolution.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 import time
@@ -811,9 +810,6 @@ class StateVerdict:
             "elapsed_ms": self.elapsed_ms,
             "checks": [check.to_dict() for check in self.checks],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _compare(name: str, closed: ExactScalar, oracle: ExactScalar) -> CheckResult:

@@ -1,14 +1,11 @@
 """Classical orthogonal polynomials with exact rational coefficients.
 
 A polynomial is integer numerators over one common denominator.  Laguerre
-and Gegenbauer come from their explicit coefficient sums, built in integers;
-Jacobi comes from its three-term recurrence, which keeps every intermediate
-Gamma away from nonpositive arguments.  ``poly_pow`` raises the oracle's
-polynomials to a power by a recurrence on their numerators.  The two
-power-linearization routines exist to cross-check the hypergeometric route
-used by the entropy formulas; the production path never calls them.  The
-float evaluators at the end serve the pointwise densities and the
-real-order quadrature.
+and Gegenbauer come from their explicit coefficient sums, built in integers.
+``poly_pow`` raises the oracle's polynomials to a power by a recurrence on
+their numerators.  This module serves the oracle, so it imports none of the
+hypergeometric sum code that the closed forms use.  The float evaluators at
+the end serve the real-order quadrature.
 """
 
 from __future__ import annotations
@@ -17,9 +14,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from hydrenyi import kernels
-from hydrenyi.exactnum import RationalLike, exact_rational, pochhammer, rising_product
-from hydrenyi.hyperfun import LauricellaSpec, lauricella_fa
+from hydrenyi.exactnum import RationalLike, exact_rational, rising_product
 
 
 class PolyExact:
@@ -240,39 +235,6 @@ def gegenbauer_log_abs(n: int, lam: float) -> Callable[[float], float]:
     return log_abs
 
 
-def jacobi(n: int, alpha: RationalLike, beta: RationalLike) -> PolyExact:
-    """Jacobi polynomial via the three-term recurrence."""
-    a = Fraction(alpha)
-    b = Fraction(beta)
-    if a <= -1 or b <= -1:
-        raise ValueError("jacobi requires alpha, beta > -1")
-    prev = PolyExact([1])
-    if n == 0:
-        return prev
-    cur = PolyExact([Fraction(a - b, 2), Fraction(a + b + 2, 2)])
-    for k in range(2, n + 1):
-        c1 = 2 * k * (k + a + b) * (2 * k + a + b - 2)
-        c2 = (2 * k + a + b - 1) * (a * a - b * b)
-        c3 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
-        c4 = 2 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
-        nxt = (PolyExact([c2, c3]) * cur - PolyExact([c4]) * prev) * (Fraction(1) / c1)
-        prev, cur = cur, nxt
-    return cur
-
-
-def gegenbauer_as_jacobi(kappa: int, lam: RationalLike) -> tuple[Fraction, PolyExact]:
-    """Rational scale s and Jacobi polynomial P such that s*P = gegenbauer.
-
-    The Gamma-ratio prefactor collapses to the rational (2 lam)_kappa /
-    (lam + 1/2)_kappa because the sqrt(pi) parts cancel.
-    """
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("gegenbauer_as_jacobi requires lambda > 0")
-    scale = pochhammer(2 * lam, kappa) / pochhammer(lam + Fraction(1, 2), kappa)
-    return scale, jacobi(kappa, lam - Fraction(1, 2), lam - Fraction(1, 2))
-
-
 def poly_pow(p: PolyExact, r: int) -> PolyExact:
     """Exact r-th power, over the r-th power of the denominator.
 
@@ -300,82 +262,3 @@ def poly_pow(p: PolyExact, r: int) -> PolyExact:
             acc += (weight - s) * c * out[s - j]
         out.append(acc // (s * b0))
     return PolyExact.over([0] * (r * v) + out, p.den**r)
-
-
-def laguerre_power_linearization(
-    a: int,
-    r: int,
-    t: RationalLike,
-    k: int,
-    alpha: RationalLike,
-    gamma: RationalLike,
-    i_max: int,
-) -> list[Fraction]:
-    """Coefficients c_i expanding y**a * laguerre(k, alpha)(t*y)**r in the
-    laguerre(i, gamma) basis, for i = 0..i_max.
-
-    Each coefficient is one terminating Lauricella sum with r+1 axes: one
-    group of r identical axes of order k for the power, plus one axis of
-    order i for the target index.
-    """
-    if a < 0:
-        raise ValueError("the monomial degree a must be a nonnegative integer")
-    t = Fraction(t)
-    alpha = Fraction(alpha)
-    gamma = Fraction(gamma)
-    ratio = pochhammer(alpha + 1, k) / math.factorial(k)
-    prefactor = pochhammer(gamma + 1, a) * ratio**r
-    power = ((-k, alpha + 1, t, r),) if r else ()
-    out = []
-    for i in range(i_max + 1):
-        spec = LauricellaSpec(a=gamma + a + 1, groups=power + ((-i, gamma + 1, 1, 1),))
-        out.append(prefactor * lauricella_fa(spec))
-    return out
-
-
-def jacobi_power_linearization(
-    kappa: int,
-    q: int,
-    alpha: RationalLike,
-    beta: RationalLike,
-    gamma: RationalLike,
-    delta: RationalLike,
-    i_max: int,
-) -> list[Fraction]:
-    """Coefficients expanding jacobi(kappa, alpha, beta)**(2q) in the
-    jacobi(i, gamma, delta) basis, for i = 0..i_max."""
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    gamma = Fraction(gamma)
-    delta = Fraction(delta)
-    r = 2 * q
-    base = (pochhammer(alpha + 1, kappa) / math.factorial(kappa)) ** r
-
-    # The r power axes share one term table and enter the coupled factor only
-    # through their sum s, so they collapse into one polynomial power.
-    terms, den = kernels.hypergeometric_terms(
-        kernels.rising_steps(
-            (Fraction(-kappa), alpha + beta + kappa + 1),
-            (alpha + 1, Fraction(1)),
-            Fraction(1),
-            kappa,
-        )
-    )
-    power = [Fraction(c, den**r) for c in kernels.power(terms, r)]
-
-    out = []
-    for i in range(i_max + 1):
-        head = Fraction(gamma + delta + 2 * i + 1) / (gamma + delta + i + 1)
-        last = [
-            pochhammer(-i, j) / (pochhammer(gamma + 1, j) * math.factorial(j))
-            for j in range(i + 1)
-        ]
-        top = [pochhammer(gamma + 1, s) for s in range(r * kappa + i + 1)]
-        total = sum(
-            power[s]
-            / pochhammer(gamma + delta + i + 2, s)
-            * sum(last[j] * top[s + j] for j in range(i + 1))
-            for s in range(r * kappa + 1)
-        )
-        out.append(base * head * total)
-    return out

@@ -2,10 +2,8 @@
 
 A state is (D, n, mu-chain, Z) with l = mu[0] and the chain constraint
 mu1 >= mu2 >= ... >= mu[D-3] >= |mu[D-2]| >= 0.  For D = 2 the chain is the
-single entry mu1 and l = |mu1|.  The pointwise density evaluators here are
-plain floats and evaluate the polynomials by their three-term recurrences,
-as the oracle's real-order integrands do; the radial momentum density and
-its normalization are shared with the oracle.
+single entry mu1 and l = |mu1|.  The radial normalizations and the
+log-domain radial momentum density here are shared with the oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from hydrenyi.exactnum import ExactScalar, RationalLike, gamma_integers, log_float
-from hydrenyi.polynomials import gegenbauer_log_abs, laguerre_log_abs
+from hydrenyi.polynomials import gegenbauer_log_abs
 
 
 class ValidationError(ValueError):
@@ -172,12 +170,6 @@ def validate(state: HydrogenicState) -> DerivedQuantum:
     return DerivedQuantum(state, l)
 
 
-def energy(state: HydrogenicState) -> Fraction:
-    """Bound-state energy -Z^2 / (2 eta^2); depends on (D, n, Z) only."""
-    d = validate(state)
-    return -state.Z**2 / (2 * d.eta**2)
-
-
 def radial_norm_squared(state: HydrogenicState, d: DerivedQuantum) -> Fraction:
     """lambda**D times N^2, i.e. the rational part of the squared radial
     normalization constant, for a state and its d = validate(state)."""
@@ -251,60 +243,6 @@ def check_momentum_order(D: int, l: int, q) -> None:
             f"momentum entropy diverges for q <= {threshold} at D={D}, l={l} "
             f"(the density decays as p^-{decay}); got q={float(q):g}"
         )
-
-
-def radial_density_position(state: HydrogenicState, r: float) -> float:
-    """Radial position density factor; integrates to 1 against r**(D-1) dr."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    d = validate(state)
-    lam = float(d.lam)
-    rt = r / lam
-    log_poly = laguerre_log_abs(state.n - d.l - 1, 2 * d.l + state.D - 2)
-    norm2 = float(radial_norm_squared(state, d)) / lam**state.D
-    return norm2 * rt ** (2 * d.l) * math.exp(2 * log_poly(rt) - rt)
-
-
-def radial_density_momentum(state: HydrogenicState, p: float) -> float:
-    """Radial momentum density factor; integrates to 1 against p**(D-1) dp."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return math.exp(radial_momentum_log_density(state, validate(state))(p))
-
-
-def angular_density(state: HydrogenicState, angles: "list[float] | tuple[float, ...]") -> float:
-    """Squared modulus of the hyperspherical harmonic at the given angles.
-
-    angles holds theta_1..theta_{D-2} in [0, pi) and phi last; the modulus is
-    phi-independent.  For D = 2 the value is the uniform 1/(2 pi).
-    """
-    d = validate(state)
-    if len(angles) != state.D - 1:
-        raise ValueError(f"need D-1={state.D - 1} angles, got {len(angles)}")
-    chain = state.canonical_mu()
-    # the norms overflow floats at large degree (Gamma(100.5)^2 ~ 1e315), so
-    # the value is formed as a logarithm and exponentiated once
-    log_value = -math.log(2 * math.pi)
-    for j in range(1, state.D - 1):
-        alpha = d.alphas[j - 1]
-        alpha_f = float(alpha)
-        mu_j, mu_j1 = chain[j - 1], chain[j]
-        theta = angles[j - 1]
-        sin_theta = abs(math.sin(theta))
-        if mu_j1 and not sin_theta:
-            return 0.0
-        log_poly = gegenbauer_log_abs(mu_j - mu_j1, float(alpha + mu_j1))
-        log_value += (
-            math.log(alpha_f + mu_j)
-            + math.lgamma(mu_j - mu_j1 + 1)
-            + 2 * math.lgamma(alpha_f + mu_j1)
-            - math.log(math.pi)
-            - (1 - 2 * alpha_f - 2 * mu_j1) * math.log(2.0)
-            - math.lgamma(2 * alpha_f + mu_j + mu_j1)
-            + 2 * log_poly(math.cos(theta))
-            + (2 * mu_j1 * math.log(sin_theta) if mu_j1 else 0.0)
-        )
-    return math.exp(log_value)
 
 
 def mu_chains(D: int, n: int) -> Iterator[tuple[int, ...]]:

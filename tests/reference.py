@@ -1,0 +1,311 @@
+"""Reference code that only the tests call.
+
+The brute-force box sum that the hypergeometric kernel is checked against,
+the pointwise densities and the energy of a state, the ground-state and
+quasi-spherical uncertainty shortcuts, and the paper's own power
+linearizations of Laguerre and Jacobi polynomials.  The library and the
+CLI call none of it.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+from typing import Callable, Sequence
+
+from hydrenyi import kernels
+from hydrenyi.entropy import (
+    UNCERTAINTY_TOLERANCE,
+    UncertaintySum,
+    _check_integer_order,
+    _log_charge,
+    _require_ns_inputs,
+    conjugate_order,
+    ns_momentum_entropy,
+    ns_position_entropy,
+    uncertainty_bound,
+)
+from hydrenyi.exactnum import ExactScalar, RationalLike, pochhammer
+from hydrenyi.hyperfun import LauricellaSpec, lauricella_fa
+from hydrenyi.polynomials import PolyExact, gegenbauer_log_abs, laguerre_log_abs
+from hydrenyi.states import (
+    HydrogenicState,
+    check_momentum_order,
+    radial_momentum_log_density,
+    radial_norm_squared,
+    validate,
+)
+
+# -- sums -----------------------------------------------------------------------
+
+
+def multi_index_sum(
+    bounds: Sequence[int], term: Callable[[tuple[int, ...]], Fraction]
+) -> Fraction:
+    """Exact sum of term(j) over the multi-index box prod [0, bounds[i]].
+
+    Iterates in lexicographic order; the result is order-independent because
+    the arithmetic is exact.  The empty box has exactly one point.
+    """
+    acc = Fraction(0)
+    for idx in itertools.product(*(range(bound + 1) for bound in bounds)):
+        acc += term(idx)
+    return acc
+
+
+# -- states ---------------------------------------------------------------------
+
+
+def energy(state: HydrogenicState) -> Fraction:
+    """Bound-state energy -Z^2 / (2 eta^2); depends on (D, n, Z) only."""
+    d = validate(state)
+    return -state.Z**2 / (2 * d.eta**2)
+
+
+def radial_density_position(state: HydrogenicState, r: float) -> float:
+    """Radial position density factor; integrates to 1 against r**(D-1) dr."""
+    if r <= 0:
+        raise ValueError("r must be positive")
+    d = validate(state)
+    lam = float(d.lam)
+    rt = r / lam
+    log_poly = laguerre_log_abs(state.n - d.l - 1, 2 * d.l + state.D - 2)
+    norm2 = float(radial_norm_squared(state, d)) / lam**state.D
+    return norm2 * rt ** (2 * d.l) * math.exp(2 * log_poly(rt) - rt)
+
+
+def radial_density_momentum(state: HydrogenicState, p: float) -> float:
+    """Radial momentum density factor; integrates to 1 against p**(D-1) dp."""
+    if p <= 0:
+        raise ValueError("p must be positive")
+    return math.exp(radial_momentum_log_density(state, validate(state))(p))
+
+
+def angular_density(state: HydrogenicState, angles: "list[float] | tuple[float, ...]") -> float:
+    """Squared modulus of the hyperspherical harmonic at the given angles.
+
+    angles holds theta_1..theta_{D-2} in [0, pi) and phi last; the modulus is
+    phi-independent.  For D = 2 the value is the uniform 1/(2 pi).
+    """
+    d = validate(state)
+    if len(angles) != state.D - 1:
+        raise ValueError(f"need D-1={state.D - 1} angles, got {len(angles)}")
+    chain = state.canonical_mu()
+    # the norms overflow floats at large degree (Gamma(100.5)^2 ~ 1e315), so
+    # the value is formed as a logarithm and exponentiated once
+    log_value = -math.log(2 * math.pi)
+    for j in range(1, state.D - 1):
+        alpha = d.alphas[j - 1]
+        alpha_f = float(alpha)
+        mu_j, mu_j1 = chain[j - 1], chain[j]
+        theta = angles[j - 1]
+        sin_theta = abs(math.sin(theta))
+        if mu_j1 and not sin_theta:
+            return 0.0
+        log_poly = gegenbauer_log_abs(mu_j - mu_j1, float(alpha + mu_j1))
+        log_value += (
+            math.log(alpha_f + mu_j)
+            + math.lgamma(mu_j - mu_j1 + 1)
+            + 2 * math.lgamma(alpha_f + mu_j1)
+            - math.log(math.pi)
+            - (1 - 2 * alpha_f - 2 * mu_j1) * math.log(2.0)
+            - math.lgamma(2 * alpha_f + mu_j + mu_j1)
+            + 2 * log_poly(math.cos(theta))
+            + (2 * mu_j1 * math.log(sin_theta) if mu_j1 else 0.0)
+        )
+    return math.exp(log_value)
+
+
+# -- ground-state and quasi-spherical shortcuts ---------------------------------
+
+
+def ground_state_radial_position_entropy(D: int, Z, q: float) -> float:
+    """Radial position entropy of the ground state.
+
+    The leading term is ln Gamma(D); substituting n = 1 into the
+    quasi-spherical formula confirms the logarithm belongs there.
+    """
+    q = float(q)
+    if q <= 0 or q == 1:
+        raise ValueError("need q > 0, q != 1")
+    _, Z = _require_ns_inputs(1, D, Z)
+    return math.lgamma(D) + D * (
+        math.log((D - 1) / 4) - math.log(q) / (1 - q)
+    ) - D * _log_charge(Z)
+
+
+def ground_state_radial_position_w(D: int, Z, q: int) -> ExactScalar:
+    """Exact entropy argument matching ground_state_radial_position_entropy."""
+    q = _check_integer_order(q)
+    _, Z = _require_ns_inputs(1, D, Z)
+    lam = Fraction(D - 1) / (4 * Z)
+    return ExactScalar.from_rational(
+        lam ** (D * (1 - q))
+        * Fraction(1, math.factorial(D - 1) ** (q - 1))
+        * Fraction(1, q**D)
+    )
+
+
+def ground_state_radial_momentum_entropy(D: int, Z, q: float) -> float:
+    """Radial momentum entropy of the ground state, Gamma-only form;
+    infinite, so a ValueError, for q <= D/(2D+2)."""
+    order, q = q, float(q)
+    if q <= 0 or q == 1:
+        raise ValueError("need q > 0, q != 1")
+    _, Z = _require_ns_inputs(1, D, Z)
+    check_momentum_order(D, 0, order)
+    return (
+        D * math.log(2 / (D - 1))
+        + q / (1 - q) * (math.log(4.0) + math.lgamma(D))
+        + (
+            (1 - 2 * q) * math.lgamma(D / 2.0)
+            + math.lgamma(D * (q - 0.5) + q)
+            - math.log(2.0)
+            - math.lgamma(D * q + q)
+        )
+        / (1 - q)
+    ) + D * _log_charge(Z)
+
+
+def ns_uncertainty_sum(n: int, D: int, Z, q) -> UncertaintySum:
+    """Uncertainty sum for a quasi-spherical state from the Gamma-only
+    shortcuts; usable at any D without quadrature.  Like uncertainty_sum,
+    both sides are taken at Z = 1."""
+    q = Fraction(q)
+    p = conjugate_order(q)
+    _require_ns_inputs(n, D, Z)
+    total = ns_position_entropy(n, D, 1, float(q)) + ns_momentum_entropy(
+        n, D, 1, float(p)
+    )
+    bound = uncertainty_bound(D, q)
+    return UncertaintySum(total, bound, total >= bound - UNCERTAINTY_TOLERANCE)
+
+
+# -- Jacobi polynomials and the power linearizations ----------------------------
+
+
+def jacobi(n: int, alpha: RationalLike, beta: RationalLike) -> PolyExact:
+    """Jacobi polynomial via the three-term recurrence, which keeps every
+    intermediate Gamma away from nonpositive arguments."""
+    a = Fraction(alpha)
+    b = Fraction(beta)
+    if a <= -1 or b <= -1:
+        raise ValueError("jacobi requires alpha, beta > -1")
+    prev = PolyExact([1])
+    if n == 0:
+        return prev
+    cur = PolyExact([Fraction(a - b, 2), Fraction(a + b + 2, 2)])
+    for k in range(2, n + 1):
+        c1 = 2 * k * (k + a + b) * (2 * k + a + b - 2)
+        c2 = (2 * k + a + b - 1) * (a * a - b * b)
+        c3 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
+        c4 = 2 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
+        nxt = (PolyExact([c2, c3]) * cur - PolyExact([c4]) * prev) * (Fraction(1) / c1)
+        prev, cur = cur, nxt
+    return cur
+
+
+def gegenbauer_as_jacobi(kappa: int, lam: RationalLike) -> tuple[Fraction, PolyExact]:
+    """Rational scale s and Jacobi polynomial P such that s*P = gegenbauer.
+
+    The Gamma-ratio prefactor collapses to the rational (2 lam)_kappa /
+    (lam + 1/2)_kappa because the sqrt(pi) parts cancel.
+    """
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise ValueError("gegenbauer_as_jacobi requires lambda > 0")
+    scale = pochhammer(2 * lam, kappa) / pochhammer(lam + Fraction(1, 2), kappa)
+    return scale, jacobi(kappa, lam - Fraction(1, 2), lam - Fraction(1, 2))
+
+
+def laguerre_power_linearization(
+    a: int,
+    r: int,
+    t: RationalLike,
+    k: int,
+    alpha: RationalLike,
+    gamma: RationalLike,
+    i_max: int,
+) -> list[Fraction]:
+    """Coefficients c_i expanding y**a * laguerre(k, alpha)(t*y)**r in the
+    laguerre(i, gamma) basis, for i = 0..i_max.
+
+    Each coefficient is one terminating Lauricella sum with r identical
+    axes of order k for the power and one axis of order i for the target
+    index.  With A = gamma + a + 1 the index axis is summed out term by
+    term, (A)_(s+m) = (A)_m (A+m)_s:
+    c_i = prefactor * sum_m (-i)_m (A)_m / ((gamma+1)_m m!) F_A(A+m),
+    F_A over the r power axes alone.
+    """
+    if a < 0:
+        raise ValueError("the monomial degree a must be a nonnegative integer")
+    t = Fraction(t)
+    alpha = Fraction(alpha)
+    gamma = Fraction(gamma)
+    ratio = pochhammer(alpha + 1, k) / math.factorial(k)
+    prefactor = pochhammer(gamma + 1, a) * ratio**r
+    top = gamma + a + 1
+    powers = [
+        lauricella_fa(LauricellaSpec(top + m, -k, alpha + 1, t, r)) if r else Fraction(1)
+        for m in range(i_max + 1)
+    ]
+    out = []
+    for i in range(i_max + 1):
+        total = sum(
+            pochhammer(-i, m)
+            * pochhammer(top, m)
+            / (pochhammer(gamma + 1, m) * math.factorial(m))
+            * powers[m]
+            for m in range(i + 1)
+        )
+        out.append(prefactor * total)
+    return out
+
+
+def jacobi_power_linearization(
+    kappa: int,
+    q: int,
+    alpha: RationalLike,
+    beta: RationalLike,
+    gamma: RationalLike,
+    delta: RationalLike,
+    i_max: int,
+) -> list[Fraction]:
+    """Coefficients expanding jacobi(kappa, alpha, beta)**(2q) in the
+    jacobi(i, gamma, delta) basis, for i = 0..i_max."""
+    alpha = Fraction(alpha)
+    beta = Fraction(beta)
+    gamma = Fraction(gamma)
+    delta = Fraction(delta)
+    r = 2 * q
+    base = (pochhammer(alpha + 1, kappa) / math.factorial(kappa)) ** r
+
+    # The r power axes share one term table and enter the coupled factor only
+    # through their sum s, so they collapse into one polynomial power.
+    terms, den = kernels.hypergeometric_terms(
+        kernels.rising_steps(
+            (Fraction(-kappa), alpha + beta + kappa + 1),
+            (alpha + 1, Fraction(1)),
+            Fraction(1),
+            kappa,
+        )
+    )
+    power = [Fraction(c, den**r) for c in kernels.power(terms, r)]
+
+    out = []
+    for i in range(i_max + 1):
+        head = Fraction(gamma + delta + 2 * i + 1) / (gamma + delta + i + 1)
+        last = [
+            pochhammer(-i, j) / (pochhammer(gamma + 1, j) * math.factorial(j))
+            for j in range(i + 1)
+        ]
+        top = [pochhammer(gamma + 1, s) for s in range(r * kappa + i + 1)]
+        total = sum(
+            power[s]
+            / pochhammer(gamma + delta + i + 2, s)
+            * sum(last[j] * top[s + j] for j in range(i + 1))
+            for s in range(r * kappa + 1)
+        )
+        out.append(base * head * total)
+    return out

@@ -1,7 +1,12 @@
 import csv
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -463,7 +468,9 @@ class TestSum:
 GROUND_LITERAL = "D=3,n=1,mu=0,0"
 # the float path at charges far from 1 ended in wrong values, exit 4, exit 2
 # with messages about max() or the math domain, or an OverflowError traceback
-CHARGES = ["2/3", "1e60", "1e-60", "1e300", "1e-300", "1e320", "1e-320", "1e400", "1e-400"]
+CHARGES = [
+    "2/3", "1e60", "1e-60", "1e300", "1e-300", "1e320", "1e-320", "1e400", "1e-400", "1e4000"
+]
 SWEEP = (
     [
         (("compute", f"{GROUND_LITERAL},Z={Z}", "--q", "0.7", "--float"), cli.EXIT_OK)
@@ -482,6 +489,8 @@ SWEEP = (
         (("compute", "D=1,n=1,mu=0"), cli.EXIT_USAGE),
         (("sum", "D=1,n=1,mu=0"), cli.EXIT_USAGE),
         (("compute", "D=1,n=1"), cli.EXIT_USAGE),
+        (("compute", f"{GROUND_LITERAL},Z=1e5000", "--q", "0.7", "--float"), cli.EXIT_USAGE),
+        (("sum", f"{GROUND_LITERAL},Z=1e-5000", "--q", "0.7"), cli.EXIT_USAGE),
     ]
 )
 
@@ -496,6 +505,37 @@ def test_every_input_answers_or_fails_in_one_line(capsys, argv, expected):
     else:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["compute", "sum"])
+def test_charge_past_the_digit_limit_names_the_charge(capsys, command):
+    # Python turns an integer of more than 4,300 digits into a string only
+    # past sys.set_int_max_str_digits, which the message once told users to call
+    float_flag = ["--float"] if command == "compute" else []
+    code, _, err = run(capsys, command, f"{GROUND_LITERAL},Z=1e5000", "--q", "0.7", *float_flag)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: the charge Z may have at most 4300 digits")
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_reader_closing_the_pipe_early_ends_by_sigpipe():
+    # verify --full writes about 390 KB, more than a pipe holds, so the
+    # writer is still writing when the reader goes
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "hydrenyi", "verify", "--full"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.read(50)
+        proc.stdout.close()
+        proc.wait(timeout=120)
+        err = proc.stderr.read()
+    assert proc.returncode == -signal.SIGPIPE
+    assert b"Traceback" not in err
 
 
 class TestUsage:

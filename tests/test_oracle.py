@@ -683,7 +683,7 @@ class TestVerifyState:
 
     def test_json_round_trip(self):
         verdict = verify_state(GROUND, 3)
-        parsed = json.loads(verdict.to_json())
+        parsed = json.loads(json.dumps(verdict.to_dict(), sort_keys=True))
         assert parsed["all_equal"] is True
         assert parsed["state"] == "D=3,n=1,mu=0,0,Z=1"
         assert len(parsed["checks"]) == 5

@@ -9,14 +9,17 @@ from hydrenyi.exactnum import ExactScalar, gamma_exact, pochhammer
 from hydrenyi.polynomials import (
     PolyExact,
     gegenbauer,
-    gegenbauer_as_jacobi,
     gegenbauer_log_abs,
-    jacobi,
-    jacobi_power_linearization,
     laguerre,
     laguerre_log_abs,
-    laguerre_power_linearization,
     poly_pow,
+)
+
+from reference import (
+    gegenbauer_as_jacobi,
+    jacobi,
+    jacobi_power_linearization,
+    laguerre_power_linearization,
 )
 
 F = Fraction

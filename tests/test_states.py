@@ -11,17 +11,20 @@ from hydrenyi.polynomials import gegenbauer, laguerre
 from hydrenyi.states import (
     HydrogenicState,
     ValidationError,
-    angular_density,
     count_states,
-    energy,
     enumerate_states,
     mu_chains,
-    radial_density_momentum,
-    radial_density_position,
     radial_momentum_log_density,
     radial_momentum_norm_squared,
     radial_norm_squared,
     validate,
+)
+
+from reference import (
+    angular_density,
+    energy,
+    radial_density_momentum,
+    radial_density_position,
 )
 
 F = Fraction
