@@ -33,6 +33,7 @@ from hydrenyi.states import (
     HydrogenicState,
     ValidationError,
     count_states,
+    digit_limit_error,
     enumerate_states,
     validate,
 )
@@ -70,12 +71,21 @@ class ResourceError(Exception):
     pass
 
 
+def _brief(value) -> str:
+    """A value as text, or the start and the length of a long one."""
+    text = str(value)
+    return text if len(text) <= 12 else f"{text[:6]}...({len(text)} chars)"
+
+
 def _check_w_digits(state: HydrogenicState, q: int, spaces) -> None:
     bound = entropy.w_digits_bound(state, q, tuple(spaces), MAX_W_DIGITS)
     if bound > MAX_W_DIGITS:
+        mu = ",".join(map(str, state.mu))
+        Z = state.Z
         raise ResourceError(
-            f"the exact W of {state.literal()} at q={q} could need more than "
-            f"{MAX_W_DIGITS} digits"
+            f"the exact W of D={_brief(state.D)},n={_brief(state.n)},mu={_brief(mu)} with "
+            f"a charge Z of {len(str(Z.numerator))}/{len(str(Z.denominator))} digits at "
+            f"q={_brief(q)} could need more than {MAX_W_DIGITS} digits"
         )
 
 
@@ -107,17 +117,18 @@ def _parse_state(text: str) -> tuple[HydrogenicState, str]:
         literal = state.literal()
     except ValueError:
         # D, n and mu were parsed from digits, so only Z can pass the limit
-        raise UsageError(
-            "the charge Z may have at most "
-            f"{sys.get_int_max_str_digits()} digits in its numerator and denominator"
-        ) from None
+        raise digit_limit_error("Z") from None
     return state, literal
+
+
+def _write_json(value, stream) -> None:
+    """Indented JSON and a newline in one write."""
+    stream.write(json.dumps(value, sort_keys=True, indent=2) + "\n")
 
 
 def _emit(records: list[dict], fmt: str, stream) -> None:
     if fmt == "json":
-        json.dump(records, stream, sort_keys=True, indent=2)
-        stream.write("\n")
+        _write_json(records, stream)
         return
     if fmt == "csv":
         columns: list[str] = []
@@ -167,6 +178,7 @@ def _compute_records(
         )
         if angular is None:
             angular = entropy.angular_entropy(state.D, state.mu, int(q))
+            angular_exact = angular.exact_str()
         total = radial + angular
         records.append(
             {
@@ -177,7 +189,7 @@ def _compute_records(
                 "entropy_exact": total.exact_str(),
                 "entropy": total.value_at(bits),
                 "radial_exact": radial.exact_str(),
-                "angular_exact": angular.exact_str(),
+                "angular_exact": angular_exact,
                 "provenance": "closed-form",
             }
         )
@@ -277,8 +289,7 @@ def cmd_verify(args) -> int:
         output["failing"] = failures
     if args.full:
         output["reports"] = reports
-    json.dump(output, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    _write_json(output, sys.stdout)
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
@@ -306,8 +317,7 @@ def cmd_sum(args) -> int:
         "margin": result.total - result.bound,
         "satisfied": result.satisfied,
     }
-    json.dump(record, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    _write_json(record, sys.stdout)
     return EXIT_OK
 
 

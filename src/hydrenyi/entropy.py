@@ -337,23 +337,19 @@ def momentum_entropy(state: HydrogenicState, q: int) -> RenyiBreakdown:
 _SIEVE_LIMIT = 2 * 10**5
 
 
-class _DigitLedger:
-    """prod m!^e * prod a^f * prod lcm(1..x)^g over a few m, a and x, times
-    integers whose log10 is only bounded.
+class _SizeLedger:
+    """The sizes of a ledger's entries, in natural logarithms, for a first
+    bound that lets no factor cancel another.
 
-    Each entry also adds its size to a first bound, in natural logarithms,
-    that lets no factor cancel another.
+    _DigitLedger keeps the entries themselves; both take the same calls.
     """
 
     def __init__(self):
-        self.factorials: list[tuple[int, int]] = []  # (m, e), m repeating
-        self.integers: list[tuple[int, int]] = []
-        self.lcms: list[tuple[int, int]] = []
         self.twos = 0  # the power of 2, kept apart: most entries carry one
         self.num_ln = self.den_ln = 0.0
         self.extra_num = 0.0  # log10 bounds of factors outside the ledger
         self.extra_den = 0.0
-        self.sums: list[tuple[_DigitLedger, float]] = []
+        self.sum_digits: list[float] = []  # crude digits of each S * M
 
     def _size(self, ln_value: float) -> None:
         if ln_value > 0:
@@ -363,35 +359,31 @@ class _DigitLedger:
 
     def fact(self, m: int, e: int) -> None:
         if m > 1:
-            self.factorials.append((m, e))
             self._size(e * math.lgamma(m + 1))
 
     def integer(self, a: int, e: int) -> None:
         if a == 2:
             self.twos += e
         elif a > 1:
-            self.integers.append((a, e))
             self._size(e * math.log(a))
 
     def lcm(self, x: int, e: int) -> None:
         """lcm(1..x)^e, at most e^(1.03883 x) (Rosser and Schoenfeld,
         Illinois J. Math. 6, 1962)."""
-        self.lcms.append((x, e))
         self._size(e * 1.03883 * x)
 
     def rising(self, p: int, d: int, k: int, e: int) -> None:
         """rising_product(p, d, k)^e for p >= 1 and d in (1, 2)."""
         if d == 1:
             if k:
-                self.factorials += ((p + k - 1, e), (p - 1, -e))
                 # (p)_k^|e| counts in full on its side
                 self._size(e * (math.lgamma(p + k) - math.lgamma(p)))
         elif p % 2 == 0:  # 2^k (p/2)_k
-            self.integer(2, k * e)
+            self.twos += k * e
             self.rising(p // 2, 1, k, e)
         else:  # (p + 2k - 2)!! / (p - 2)!!, with N!! = (N+1)! / (2^((N+1)/2) ((N+1)/2)!)
             self.rising(p, 1, 2 * k, e)
-            self.integer(2, -k * e)
+            self.twos -= k * e
             self.rising((p + 1) // 2, 1, k, -e)
 
     def gamma(self, twice: int, e: int) -> None:
@@ -402,18 +394,64 @@ class _DigitLedger:
             m = twice // 2
             self.fact(2 * m, e)
             self.fact(m, -e)
-            self.integer(2, -2 * m * e)
+            self.twos -= 2 * m * e
 
-    def terminating_sum(self, multiple: _DigitLedger, log10_abs_sum: float) -> None:
+    def terminating_sum(self, multiple: "_SizeLedger", log10_abs_sum: float) -> None:
         """A sum S with S * M an integer for M = multiple's value, and
         sum |terms| <= 10^log10_abs_sum: M divides the ledger, and S * M adds
         at most log10 M + log10_abs_sum digits to the numerator."""
+        self.twos -= multiple.twos
+        self.den_ln += multiple.num_ln
+        self.sum_digits.append(multiple.crude_digits()[0] + log10_abs_sum)
+
+    def crude_digits(self) -> tuple[float, float]:
+        """Upper bounds on the digits of the numerator and denominator of
+        the ledger's value, with no factor cancelling another."""
+        twos = self.twos * math.log(2)
+        num = (self.num_ln + max(twos, 0)) / math.log(10) + self.extra_num + 2
+        den = (self.den_ln - min(twos, 0)) / math.log(10) + self.extra_den + 2
+        for digits in self.sum_digits:
+            num += digits
+        return num, den
+
+
+class _DigitLedger(_SizeLedger):
+    """prod m!^e * prod a^f * prod lcm(1..x)^g over a few m, a and x, times
+    integers whose log10 is only bounded, kept entry by entry so that
+    digits() can reduce them exactly."""
+
+    def __init__(self):
+        super().__init__()
+        self.factorials: list[tuple[int, int]] = []  # (m, e), m repeating
+        self.integers: list[tuple[int, int]] = []
+        self.lcms: list[tuple[int, int]] = []
+        self.sums: list[tuple[_DigitLedger, float]] = []
+
+    def fact(self, m: int, e: int) -> None:
+        if m > 1:
+            self.factorials.append((m, e))
+        super().fact(m, e)
+
+    def integer(self, a: int, e: int) -> None:
+        if a > 2:
+            self.integers.append((a, e))
+        super().integer(a, e)
+
+    def lcm(self, x: int, e: int) -> None:
+        self.lcms.append((x, e))
+        super().lcm(x, e)
+
+    def rising(self, p: int, d: int, k: int, e: int) -> None:
+        if d == 1 and k:
+            self.factorials += ((p + k - 1, e), (p - 1, -e))
+        super().rising(p, d, k, e)
+
+    def terminating_sum(self, multiple: "_DigitLedger", log10_abs_sum: float) -> None:
         self.factorials += [(m, -e) for m, e in multiple.factorials]
         self.integers += [(a, -e) for a, e in multiple.integers]
         self.lcms += [(x, -e) for x, e in multiple.lcms]
-        self.twos -= multiple.twos
-        self.den_ln += multiple.num_ln
         self.sums.append((multiple, log10_abs_sum))
+        super().terminating_sum(multiple, log10_abs_sum)
 
     def _merged(self) -> list[tuple[int, int]]:
         """The factorial powers with equal m combined, and none of power 0."""
@@ -445,15 +483,6 @@ class _DigitLedger:
             return v
 
         return valuation
-
-    def crude_digits(self) -> tuple[float, float]:
-        """Like digits, with no factor cancelling another."""
-        twos = self.twos * math.log(2)
-        num = (self.num_ln + max(twos, 0)) / math.log(10) + self.extra_num + 2
-        den = (self.den_ln - min(twos, 0)) / math.log(10) + self.extra_den + 2
-        for multiple, log10_abs in self.sums:
-            num += multiple.crude_digits()[0] + log10_abs
-        return num, den
 
     def digits(self) -> tuple[float, float]:
         """Upper bounds on the digits of the reduced numerator and
@@ -488,7 +517,7 @@ def _log10_rising(p: float, k: int) -> float:
     return (math.lgamma(p + k) - math.lgamma(p)) / math.log(10)
 
 
-def _daoust_digits(out: _DigitLedger, a2: int, d0: int, c: int, e2: int, k: int, q: int) -> None:
+def _daoust_digits(out: _SizeLedger, a2: int, d0: int, c: int, e2: int, k: int, q: int) -> None:
     """The terminating Srivastava-Daoust sum with a0 = a2/2 <= d0, one group
     of 2q axes (-k, c; e2/2) at x = 1 and c >= e2/2.
 
@@ -504,7 +533,7 @@ def _daoust_digits(out: _DigitLedger, a2: int, d0: int, c: int, e2: int, k: int,
     lcm(1..X) 2^(2N) rising_product(e2, 2, k)^(2q).
     """
     n_total = 2 * q * k
-    multiple = _DigitLedger()
+    multiple = type(out)()
     if a2 % 2:
         multiple.lcm(max(d0 + n_total - 1, a2 + 2 * n_total - 2), 1)
         multiple.integer(2, 2 * n_total)
@@ -515,23 +544,24 @@ def _daoust_digits(out: _DigitLedger, a2: int, d0: int, c: int, e2: int, k: int,
     out.terminating_sum(multiple, 2 * q * per_axis)
 
 
-def _lauricella_digits(out: _DigitLedger, a: int, c: int, k: int, q: int) -> None:
+def _lauricella_digits(out: _SizeLedger, a: int, c: int, k: int, q: int) -> None:
     """The terminating Lauricella sum with integers a, c >= 1 and one group
     of 2q axes (-k, c) at x = 1/q.  Its terms are
     (a)_|m| prod_i (-1)^m_i binom(k, m_i) / ((c)_m_i q^m_i), so
     ((c)_k q^k)^(2q) clears every denominator, and the absolute terms sum to
     at most (a)_(2qk) (1 + 1/(cq))^(2qk)."""
-    multiple = _DigitLedger()
+    multiple = type(out)()
     multiple.rising(c, 1, k, 2 * q)
     multiple.integer(q, 2 * q * k)
     log10_abs = _log10_rising(a, 2 * q * k) + 2 * q * k * math.log10(1 + 1 / (c * q))
     out.terminating_sum(multiple, log10_abs)
 
 
-def _radial_digits(state: HydrogenicState, q: int, space: str, l: int) -> _DigitLedger:
+def _radial_digits(
+    out: _SizeLedger, state: HydrogenicState, q: int, space: str, l: int
+) -> _SizeLedger:
     D, n, Z = state.D, state.n, state.Z
     k, two_eta, scale_power = n - l - 1, 2 * n + D - 3, D * (q - 1)
-    out = _DigitLedger()
     out.rising(n - l, 1, 2 * l + D - 2, q)
     out.integer(two_eta, -q if space == "position" else q)
     if space == "position":
@@ -561,9 +591,8 @@ def _radial_digits(state: HydrogenicState, q: int, space: str, l: int) -> _Digit
     return out
 
 
-def _angular_digits(D: int, mu: tuple[int, ...], q: int, l: int) -> _DigitLedger:
+def _angular_digits(out: _SizeLedger, D: int, mu: tuple[int, ...], q: int, l: int) -> _SizeLedger:
     m = abs(mu[-1])
-    out = _DigitLedger()
     # Gamma(l+D/2)^q (qm)! / (2^(q-1) Gamma(ql+D/2) m!^q)
     out.gamma(2 * l + D, q)
     out.gamma(2 * q * l + D, -1)
@@ -596,24 +625,33 @@ def w_digits_bound(
     denominator of the radial, angular and total W of each space, for a
     valid state, from the quantum numbers alone.
 
-    A first bound lets no factor cancel another; when it exceeds ``enough``
-    the prefactors are reduced exactly by Legendre's formula, which sieves
-    the primes up to the largest factorial (the bound is infinite past
-    _SIEVE_LIMIT).  The sums are bounded generously either way: the bound
-    can exceed the true size of a W with a nontrivial sum severalfold.
+    A first bound from the sizes of the factors lets no factor cancel
+    another; only when it exceeds ``enough`` are the factors kept and the
+    prefactors reduced exactly by Legendre's formula, which sieves the primes
+    up to the largest factorial (the bound is infinite past _SIEVE_LIMIT).
+    The sums are bounded generously either way: the bound can exceed the
+    true size of a W with a nontrivial sum severalfold.
     """
     q = _check_integer_order(q)
     if q > _SIEVE_LIMIT:  # q! is in every radial ledger
         return math.inf
-    l = state.l
-    angular = _angular_digits(state.D, state.mu, q, l)
-    radials = [_radial_digits(state, q, space, l) for space in spaces]
-    for digits in (_DigitLedger.crude_digits, _DigitLedger.digits):
-        an, ad = digits(angular)
-        bound = max(max(rn + an, rd + ad) for rn, rd in map(digits, radials))
-        if bound <= enough:
-            break
+    try:
+        bound = _digits_bound(_SizeLedger, _SizeLedger.crude_digits, state, q, spaces)
+    except OverflowError:  # a quantum number past the range of a float
+        return math.inf
+    if bound > enough:
+        bound = _digits_bound(_DigitLedger, _DigitLedger.digits, state, q, spaces)
     return bound
+
+
+def _digits_bound(ledger, digits, state: HydrogenicState, q: int, spaces) -> float:
+    """The largest digits() of the total W over the spaces, radial plus
+    angular, which also bounds each part; each part's factors are entered
+    in a fresh ledger()."""
+    l = state.l
+    an, ad = digits(_angular_digits(ledger(), state.D, state.mu, q, l))
+    radials = (digits(_radial_digits(ledger(), state, q, space, l)) for space in spaces)
+    return max(max(rn + an, rd + ad) for rn, rd in radials)
 
 
 # -- quasi-spherical shortcuts (l = n-1, whole chain equal) ------------------

@@ -15,10 +15,16 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
+from mpmath.libmp import from_int, from_rational, mpf_add, mpf_log, mpf_mul, mpf_pi, mpf_shift
+from mpmath.libmp import to_float as to_float_raw
 
 RationalLike = Union[int, Fraction]
 
 DEFAULT_PRECISION_BITS = 128
+
+# log_float adds ln r and (k/2) ln pi, which may nearly cancel; these bits
+# keep the float it rounds to the nearest of ln W.
+_LOG_GUARD_BITS = 20
 
 
 def exact_rational(value) -> RationalLike:
@@ -241,12 +247,21 @@ def to_float(a: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> fl
 
 
 def log_float(a: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> float:
-    """Natural log of a positive scalar, evaluated at extended precision.
+    """Natural log of a positive scalar r * pi^(k/2), as ln r + (k/2) ln pi
+    on mpmath's raw values at precision_bits plus _LOG_GUARD_BITS, rounded
+    once to the nearest float.
 
-    Works far outside double range because the argument never leaves mpf.
+    Works far outside double range because r never becomes a float.
     """
-    with mpmath.workprec(precision_bits):
-        value = to_mpf(a, precision_bits)
-        if value <= 0:
-            raise ValueError(f"log of non-positive scalar {a.render()}")
-        return float(mpmath.log(value))
+    if precision_bits < 53:
+        raise ValueError("precision must be at least 53 bits")
+    r, k = a.monomial()
+    if r <= 0:
+        raise ValueError(f"log of non-positive scalar {a.render()}")
+    wp = precision_bits + _LOG_GUARD_BITS
+    value = mpf_log(from_rational(r.numerator, r.denominator, wp, "n"), wp, "n")
+    if k:
+        half_ln_pi = mpf_shift(mpf_log(mpf_pi(wp), wp, "n"), -1)
+        value = mpf_add(value, mpf_mul(from_int(k), half_ln_pi, wp, "n"), wp, "n")
+    # to_float's default rounding is toward zero
+    return to_float_raw(value, rnd="n")

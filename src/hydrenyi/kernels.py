@@ -6,16 +6,19 @@ axes and the form
     F = sum over 0 <= j_i <= k of g(|j|) * prod_i f(j_i),
 
 where the coupled factor g depends on the multi-index only through
-|j| = j_1 + ... + j_r.  Hence F = sum_s g(s) [t^s] P(t)^r with
-P(t) = sum_j f(j) t^j, and P is raised to its power by J.C.P. Miller's
-recurrence for powers of a power series (Knuth, TAOCP vol. 2, sec. 4.7).
-The cost is polynomial in k and r, not the (k + 1)^r terms of the box.
+|j| = j_1 + ... + j_r, and f(j) = h(j) x^j.  Hence
+F = sum_s g(s) x^s [u^s] Q(u)^r with Q(u) = sum_j h(j) u^j, and Q is raised
+to its power by J.C.P. Miller's recurrence for powers of a power series
+(Knuth, TAOCP vol. 2, sec. 4.7).  The cost is polynomial in k and r, not
+the (k + 1)^r terms of the box.
 
 The axis term sequence is held as integers over one common denominator
 and reduced by its content once, which keeps the input to the power small;
-the power and the sum after that take no gcd.  The coupled factor is never
-tabulated: the sum against it runs by nested evaluation from the top
-coefficient down, and the caller reduces the final ratio once.
+the argument x stays out of it, since x = 1/q would add bits to every
+coefficient of the power.  The power and the sum after it take no gcd.
+The coupled factor is never tabulated: the sum against g(s) x^s runs by
+nested evaluation from the top coefficient down, and the caller reduces the
+final ratio once.
 """
 
 from __future__ import annotations
@@ -62,24 +65,28 @@ def hypergeometric_terms(steps: Sequence[tuple[int, int]]) -> tuple[list[int], i
 
 def power(p: Sequence[int], r: int) -> list[int]:
     """Coefficients of p(t)**r for r >= 1 and p[0] != 0, by Miller's
-    recurrence s p_0 c_s = sum_j ((r+1) j - s) p_j c_{s-j}."""
+    recurrence s p_0 c_s = sum_j ((r+1) j - s) p_j c_{s-j}, over the nonzero
+    p_j only."""
     if r == 1:
         return list(p)
     k = len(p) - 1
     p0 = p[0]
+    steps = [(j, (r + 1) * j, c) for j, c in enumerate(p) if j and c]
     out = [p0**r]
     for s in range(1, r * k + 1):
         acc = 0
-        for j in range(1, min(s, k) + 1):
-            if p[j]:
-                acc += ((r + 1) * j - s) * p[j] * out[s - j]
+        for j, weight, c in steps:
+            if j > s:
+                break
+            acc += (weight - s) * c * out[s - j]
         # exact: the coefficients of an integer polynomial's power are integers
         out.append(acc // (s * p0))
     return out
 
 
 def power_products(k: int, r: int) -> int:
-    """Coefficient products power() does for a degree-k polynomial."""
+    """Coefficient products power() does for a degree-k polynomial with no
+    zero coefficient."""
     if r == 1:
         return 0
     return k * (k + 1) // 2 + (r - 1) * k * k
@@ -100,18 +107,18 @@ def coupled_sum(
     bound: int,
     mult: int,
 ) -> tuple[int, int]:
-    """Numerator and denominator (not reduced) of sum_s g(s) [t^s] P(t)**mult,
-    with g(s) = prod (a)_s / prod (d)_s over the coupled parameters and
-    P(t) = sum_j prod (u)_j / prod (v)_j * (x t)^j for 0 <= j <= bound.
+    """Numerator and denominator (not reduced) of
+    sum_s g(s) x^s [u^s] Q(u)**mult, with g(s) = prod (a)_s / prod (d)_s over
+    the coupled parameters and Q(u) = sum_j prod (u)_j / prod (v)_j u^j for
+    0 <= j <= bound.
 
-    The sum against g runs by nested evaluation from the top,
+    The sum against g(s) x^s runs by nested evaluation from the top,
     c_s + (n_s / d_s) * (c_{s+1} + ...), in integers and with no gcd."""
-    terms, den = hypergeometric_terms(rising_steps(upper, lower, x, bound))
+    terms, den = hypergeometric_terms(rising_steps(upper, lower, Fraction(1), bound))
     *rest, num = power(terms, mult)
     g_den = 1
     for c, (n, d) in zip(
-        reversed(rest),
-        reversed(rising_steps(coupled_upper, coupled_lower, Fraction(1), len(rest))),
+        reversed(rest), reversed(rising_steps(coupled_upper, coupled_lower, x, len(rest)))
     ):
         g_den *= d
         num = c * g_den + n * num

@@ -9,6 +9,8 @@ log-domain radial momentum density here are shared with the oracle.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -19,6 +21,32 @@ from hydrenyi.polynomials import gegenbauer_log_abs
 
 class ValidationError(ValueError):
     """A quantum-number constraint is violated; the message names it."""
+
+
+_KEY_NAMES = {
+    "D": "the dimension D",
+    "n": "the principal quantum number n",
+    "mu": "each entry of mu",
+    "Z": "the charge Z",
+}
+
+
+def digit_limit_error(key: str) -> ValidationError:
+    """The error for a value of a state literal's key with more digits than
+    Python converts between integers and strings, 4,300 by default."""
+    where = " in its numerator and denominator" if key == "Z" else ""
+    return ValidationError(
+        f"{_KEY_NAMES[key]} may have at most {sys.get_int_max_str_digits()} digits{where}"
+    )
+
+
+def _over_digit_limit(text: str) -> bool:
+    """Whether int() or Fraction() refuses a run of digits of text for
+    Python's limit on integer string conversion (0 means none)."""
+    limit = sys.get_int_max_str_digits()
+    return bool(limit) and any(
+        len(run.replace("_", "")) > limit for run in re.findall(r"[\d_]+", text)
+    )
 
 
 @dataclass(frozen=True)
@@ -93,6 +121,9 @@ class HydrogenicState:
             mu = tuple(int(m) for m in fields["mu"])
             Z = Fraction(fields["Z"][0]) if "Z" in fields else Fraction(1)
         except (ValueError, ZeroDivisionError) as exc:
+            for key in ("D", "n", "mu", "Z"):
+                if any(_over_digit_limit(value) for value in fields.get(key, ())):
+                    raise digit_limit_error(key) from None
             raise ValidationError(f"bad state literal value: {exc}") from exc
         return cls(D, n, mu, Z)
 

@@ -1,7 +1,7 @@
 """Reference code that only the tests call.
 
 The brute-force box sum that the hypergeometric kernel is checked against,
-the pointwise densities and the energy of a state, the ground-state and
+the logarithm of a scalar through its mpf value, the pointwise densities and the energy of a state, the ground-state and
 quasi-spherical uncertainty shortcuts, and the paper's own power
 linearizations of Laguerre and Jacobi polynomials.  The library and the
 CLI call none of it.
@@ -13,6 +13,8 @@ import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Sequence
+
+import mpmath
 
 from hydrenyi import kernels
 from hydrenyi.entropy import (
@@ -26,7 +28,7 @@ from hydrenyi.entropy import (
     ns_position_entropy,
     uncertainty_bound,
 )
-from hydrenyi.exactnum import ExactScalar, RationalLike, pochhammer
+from hydrenyi.exactnum import ExactScalar, RationalLike, pochhammer, to_mpf
 from hydrenyi.hyperfun import LauricellaSpec, lauricella_fa
 from hydrenyi.polynomials import PolyExact, gegenbauer_log_abs, laguerre_log_abs
 from hydrenyi.states import (
@@ -52,6 +54,17 @@ def multi_index_sum(
     for idx in itertools.product(*(range(bound + 1) for bound in bounds)):
         acc += term(idx)
     return acc
+
+
+# -- scalars --------------------------------------------------------------------
+
+
+def log_float_through_mpf(a: ExactScalar, precision_bits: int) -> float:
+    """ln of a positive scalar as the log of its mpf value r * pi^(k/2),
+    each step rounded at precision_bits; exactnum.log_float adds ln r and
+    (k/2) ln pi instead."""
+    with mpmath.workprec(precision_bits):
+        return float(mpmath.log(to_mpf(a, precision_bits)))
 
 
 # -- states ---------------------------------------------------------------------

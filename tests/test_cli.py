@@ -389,6 +389,24 @@ class TestDigitCap:
         code, _, err = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", "700")
         assert code == 3 and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "literal, q",
+        [
+            ("D=3,n=1,mu=0,0,Z=1e1500", "2"),
+            ("D=3,n=2,mu=1,0", "1" * 4300),
+            (f"D=3,n={'2' * 4300},mu={'1' * 4300},0,Z=1/{'7' * 4300}", "2"),
+            ("D=60,n=9," + "mu=" + ",".join(["8"] * 59), "300"),
+        ],
+    )
+    def test_refusal_is_one_short_line(self, capsys, literal, q):
+        # the message once held the state literal, Z written out in full
+        code, out, err = run(capsys, "compute", literal, "--q", q)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) <= 200
+        assert err.startswith("error: the exact W of D=") and str(cli.MAX_W_DIGITS) in err
+
     def test_verify_order_list_is_bounded(self, capsys):
         code, out, err = run(capsys, "verify", "--qset", "2,1000", "--dmax", "3", "--nmax", "2")
         assert code == 3
@@ -492,10 +510,24 @@ SWEEP = (
         (("compute", f"{GROUND_LITERAL},Z=1e5000", "--q", "0.7", "--float"), cli.EXIT_USAGE),
         (("sum", f"{GROUND_LITERAL},Z=1e-5000", "--q", "0.7"), cli.EXIT_USAGE),
     ]
+    + [
+        ((command, literal, "--q", "2"), cli.EXIT_USAGE)
+        for command in ("compute", "sum")
+        for literal in (
+            f"D={'3' * 4301},n=1,mu=0,0",
+            f"D=3,n={'1' * 4301},mu=0,0",
+            f"D=3,n=2,mu=1,{'0' * 4301}",
+            f"{GROUND_LITERAL},Z={'1' * 4301}",
+        )
+    ]
 )
 
 
-@pytest.mark.parametrize("argv, expected", SWEEP, ids=[" ".join(argv) for argv, _ in SWEEP])
+def _sweep_id(argv) -> str:
+    return " ".join(a if len(a) <= 40 else f"{a[:16]}...({len(a)} chars)" for a in argv)
+
+
+@pytest.mark.parametrize("argv, expected", SWEEP, ids=[_sweep_id(argv) for argv, _ in SWEEP])
 def test_every_input_answers_or_fails_in_one_line(capsys, argv, expected):
     # an exception escaping main is what prints a traceback
     code, out, err = run(capsys, *argv)

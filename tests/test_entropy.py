@@ -301,6 +301,23 @@ class TestDigitBound:
         assert entropy.w_digits_bound(state, 10**400, ("position",)) == math.inf
         assert entropy.w_digits_bound(state, 10**5, ("momentum",)) == math.inf
 
+    def test_numbers_past_a_float_are_unbounded(self):
+        # math.lgamma raised OverflowError on them
+        for state in (
+            HydrogenicState(3, 10**400, (0, 0)),
+            HydrogenicState(3, 10**400, (10**300, 0)),
+        ):
+            for space in ("position", "momentum"):
+                assert entropy.w_digits_bound(state, 2, (space,)) == math.inf
+
+    def test_first_pass_keeps_no_entries(self):
+        # the second pass alone reduces the prefactors, so only it keeps them
+        state = HydrogenicState(5, 8, (1, 0, 0, 0), 3)
+        size = entropy._radial_digits(entropy._SizeLedger(), state, 3, "position", 1)
+        full = entropy._radial_digits(entropy._DigitLedger(), state, 3, "position", 1)
+        assert not hasattr(size, "factorials") and full.factorials
+        assert size.crude_digits() == full.crude_digits()
+
 
 class TestTables:
     @pytest.mark.parametrize("key", sorted(TABLE_POSITION))

@@ -10,10 +10,13 @@ from hydrenyi.exactnum import (
     ExactScalar,
     gamma_exact,
     gamma_integers,
+    log_float,
     parse_scalar,
     pochhammer,
     to_float,
 )
+
+from reference import log_float_through_mpf
 
 F = Fraction
 
@@ -210,6 +213,55 @@ class TestToFloat:
         combined = to_float(a * b)
         # each factor and the product are rounded once
         assert abs(combined - fa * fb) <= 4 * math.ulp(abs(combined))
+
+
+# W of every size an exact request meets, and far smaller and larger ones
+monomials = st.builds(
+    lambda num, den, half: ExactScalar.pi_power(half, F(num, den)),
+    st.integers(min_value=1, max_value=2**2000),
+    st.integers(min_value=1, max_value=2**2000),
+    st.integers(min_value=-40, max_value=40),
+)
+
+
+def _ln_w(a: ExactScalar) -> mpmath.mpf:
+    r, half = a.monomial()
+    with mpmath.workprec(1100):
+        return mpmath.log(r.numerator) - mpmath.log(r.denominator) + half * mpmath.log(mpmath.pi) / 2
+
+
+class TestLogFloat:
+    @given(monomials, st.sampled_from([128, 256, 1024]))
+    def test_matches_the_log_of_the_mpf_value(self, a, bits):
+        assert log_float(a, bits) == log_float_through_mpf(a, bits)
+
+    @given(monomials, st.sampled_from([53, 64]))
+    def test_nearest_float_at_low_precision(self, a, bits):
+        # below about 2^-bits / |ln W| the log of the rounded value r pi^(k/2)
+        # misses ln W by ulps; the sum with guard bits does not
+        value, expected = log_float(a, bits), _ln_w(a)
+        assert abs(value - expected) <= 0.501 * math.ulp(float(expected))
+        assert abs(value - expected) <= abs(log_float_through_mpf(a, bits) - expected)
+
+    def test_small_w_move_toward_ln_w_at_low_precision(self):
+        moved = 0
+        for num in range(1, 25):
+            for den in range(1, 25):
+                for half in range(-4, 5):
+                    a = ExactScalar.pi_power(half, F(num, den))
+                    old = log_float_through_mpf(a, 53)
+                    if log_float(a, 53) != old:
+                        moved += 1
+                        expected = _ln_w(a)
+                        assert abs(log_float(a, 53) - expected) < abs(old - expected)
+        assert moved  # the check above ran
+
+    def test_rejects_what_has_no_log(self):
+        for a in (ExactScalar(0), scalar(1, -2)):
+            with pytest.raises(ValueError, match="non-positive"):
+                log_float(a)
+        with pytest.raises(ValueError, match="53 bits"):
+            log_float(scalar(0, 2), precision_bits=52)
 
 
 class TestRendering:

@@ -102,12 +102,7 @@ def test_matches_brute_force_box_sum():
     assert names == {"lauricella_fa", "srivastava_daoust"}
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_power_matches_repeated_product(seed):
-    rng = random.Random(seed)
-    p = [rng.choice([-3, 1, 2, 5])]
-    p += [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
-    r = rng.randint(1, 6)
+def _repeated_product(p, r):
     expected = [1]
     for _ in range(r):
         product = [0] * (len(expected) + len(p) - 1)
@@ -115,7 +110,34 @@ def test_power_matches_repeated_product(seed):
             for j, b in enumerate(p):
                 product[i + j] += a * b
         expected = product
-    assert kernels.power(p, r) == expected
+    return expected
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_power_matches_repeated_product(seed):
+    rng = random.Random(seed)
+    p = [rng.choice([-3, 1, 2, 5])]
+    p += [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+    r = rng.randint(1, 6)
+    assert kernels.power(p, r) == _repeated_product(p, r)
+
+
+@given(
+    st.sampled_from([-3, -1, 1, 2, 5]),
+    st.lists(st.sampled_from([0, 0, 0, -7, -1, 1, 4]), max_size=8),
+    st.integers(min_value=1, max_value=7),
+)
+def test_power_skips_zero_coefficients(p0, rest, r):
+    # the loop runs over the nonzero coefficients only, and stops at the
+    # first one past s
+    p = [p0] + rest
+    assert kernels.power(p, r) == _repeated_product(p, r)
+
+
+@pytest.mark.parametrize("p", [[1, 0, 0, 3], [2, 0, 5, 0], [-1, 0, 0, 0, 0, 7], [3, 0, 0]])
+def test_power_with_zero_interior_coefficients(p):
+    for r in range(1, 7):
+        assert kernels.power(p, r) == _repeated_product(p, r)
 
 
 def test_work_counts_miller_loop():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -157,6 +158,31 @@ class TestLiteral:
             HydrogenicState.parse("D=3,n=1,mu=0,0,Zed=5")
         with pytest.raises(ValidationError, match="unknown key 'l'"):
             HydrogenicState.parse("D=3,n=2,l=1,mu=1,0")
+
+    @pytest.mark.parametrize(
+        "literal, name",
+        [
+            ("D={long},n=1,mu=0,0", "the dimension D"),
+            ("D=3,n={long},mu=0,0", "the principal quantum number n"),
+            ("D=3,n=2,mu=1,{long}", "each entry of mu"),
+            ("D=3,n=1,mu=0,0,Z={long}", "the charge Z"),
+            ("D=3,n=1,mu=0,0,Z=1/{long}", "the charge Z"),
+            ("D=3,n=1,mu=0,0,Z=1.{long}", "the charge Z"),
+            ("D=3,n=1,mu=0,0,Z=1e{long}", "the charge Z"),
+        ],
+    )
+    def test_parse_names_a_number_past_the_digit_limit(self, literal, name):
+        # int() and Fraction() refuse more than 4,300 digits in a row
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValidationError) as info:
+            HydrogenicState.parse(literal.format(long="1" * (limit + 1)))
+        assert str(info.value).startswith(f"{name} may have at most {limit} digits")
+
+    def test_parse_reads_numbers_at_the_digit_limit(self):
+        # a run of digits at the limit converts, as do two runs each at it
+        limit = sys.get_int_max_str_digits()
+        state = HydrogenicState.parse(f"D=3,n={'1' * limit},mu=0,0,Z=1.{'1' * limit}")
+        assert state.n == int("1" * limit)
 
 
 class TestDensities:
