@@ -32,6 +32,7 @@ from hydrenyi.hyperfun import HypergeometricSpecError, TermBudgetExceeded
 from hydrenyi.states import (
     HydrogenicState,
     ValidationError,
+    brief,
     count_states,
     digit_limit_error,
     enumerate_states,
@@ -71,31 +72,22 @@ class ResourceError(Exception):
     pass
 
 
-def _brief(value) -> str:
-    """A value as text, or the start and the length of a long one."""
-    text = str(value)
-    return text if len(text) <= 12 else f"{text[:6]}...({len(text)} chars)"
-
-
 def _check_w_digits(state: HydrogenicState, q: int, spaces) -> None:
     bound = entropy.w_digits_bound(state, q, tuple(spaces), MAX_W_DIGITS)
     if bound > MAX_W_DIGITS:
-        mu = ",".join(map(str, state.mu))
-        Z = state.Z
         raise ResourceError(
-            f"the exact W of D={_brief(state.D)},n={_brief(state.n)},mu={_brief(mu)} with "
-            f"a charge Z of {len(str(Z.numerator))}/{len(str(Z.denominator))} digits at "
-            f"q={_brief(q)} could need more than {MAX_W_DIGITS} digits"
+            f"the exact W of D={brief(state.D)},n={brief(state.n)},mu={brief(state.mu)},"
+            f"Z={brief(state.Z)} at q={brief(q)} could need more than {MAX_W_DIGITS} digits"
         )
 
 
 def _parse_q(text: str) -> Fraction:
     try:
         q = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse q={text!r}: {exc}") from exc
+    except (ValueError, ZeroDivisionError):  # whose message repeats the text
+        raise UsageError(f"cannot parse q={brief(text)!r} as a rational number") from None
     if q <= 0:
-        raise UsageError(f"q must be positive, got {q}")
+        raise UsageError(f"q must be positive, got {brief(q)}")
     if q == 1:
         raise UsageError("q = 1 (the Shannon limit) is outside the computable range")
     return q
@@ -169,7 +161,7 @@ def _compute_records(
             continue
         if q.denominator != 1 or q < 2:
             raise UsageError(
-                f"exact closed forms need an integer q >= 2 (got {q}); pass --float"
+                f"exact closed forms need an integer q >= 2 (got {brief(q)}); pass --float"
             )
         radial = (
             entropy.radial_position_entropy(state, int(q))
@@ -240,7 +232,9 @@ def cmd_verify(args) -> int:
     try:
         qset = [int(q) for q in args.qset.split(",") if q]
     except ValueError:
-        raise UsageError(f"--qset takes comma-separated integers, got {args.qset!r}") from None
+        raise UsageError(
+            f"--qset takes comma-separated integers, got {brief(args.qset)!r}"
+        ) from None
     if not qset:
         # the verdict cap counts states times orders, which is then 0
         raise UsageError("verify needs at least one order in --qset")

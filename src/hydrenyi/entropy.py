@@ -32,6 +32,7 @@ from hydrenyi.hyperfun import (
 from hydrenyi.states import (
     HydrogenicState,
     ValidationError,
+    brief,
     check_chain,
     check_momentum_order,
     validate,
@@ -85,7 +86,7 @@ class RenyiBreakdown:
 def _check_integer_order(q) -> int:
     q = exact_rational(q)
     if q.denominator != 1 or q < 2:
-        raise ValueError(f"closed forms need an integer order q >= 2, got {q}")
+        raise ValueError(f"closed forms need an integer order q >= 2, got {brief(q)}")
     return q.numerator
 
 
@@ -93,39 +94,7 @@ def _entropy_coef(q: int) -> Fraction:
     return Fraction(1, 1 - q)
 
 
-# -- prefactors in integers --------------------------------------------------
-#
-# Each closed form folds its Gamma values, Pochhammer symbols and rational
-# powers into one integer numerator, one integer denominator and one pi
-# half-exponent, and makes one ExactScalar of them at the end.  The oracle
-# builds the same factors from exactnum.gamma_integers instead, so a wrong
-# Gamma on either side shows up as a mismatch.
-
-
-def _gamma_parts(twice: int) -> tuple[int, int, int]:
-    """Gamma(twice/2) at a positive integer or half-integer as (num, den, k),
-    Gamma = num/den * pi^(k/2), via Gamma(m + 1/2) = (2m)!/(4^m m!) sqrt(pi)."""
-    if twice < 1:
-        raise ValueError(f"Gamma needs a positive argument, got {Fraction(twice, 2)}")
-    if twice % 2 == 0:
-        return math.factorial(twice // 2 - 1), 1, 0
-    m = twice // 2
-    return math.factorial(2 * m), 4**m * math.factorial(m), 1
-
-
-def _gamma_product(*factors: tuple[int, int]) -> tuple[int, int, int]:
-    """prod Gamma(twice/2)^power over (twice, power) pairs, as (num, den, k)
-    like _gamma_parts; a negative power divides."""
-    num = den = 1
-    half = 0
-    for twice, power in factors:
-        g_num, g_den, g_half = _gamma_parts(twice)
-        if power < 0:
-            g_num, g_den, g_half, power = g_den, g_num, -g_half, -power
-        num *= g_num**power
-        den *= g_den**power
-        half += g_half * power
-    return num, den, half
+# -- the terminating sums ----------------------------------------------------
 
 
 def radial_lauricella_factor(D: int, n: int, l: int, q: int) -> Fraction:
@@ -137,126 +106,6 @@ def radial_lauricella_factor(D: int, n: int, l: int, q: int) -> Fraction:
         a=2 * l * q + D, b=-(n - l - 1), c=2 * l + D - 1, x=Fraction(1, q), mult=2 * q
     )
     return lauricella_fa(spec)
-
-
-def radial_position_entropy(state: HydrogenicState, q: int) -> EntropyValue:
-    """Radial part of the position-space Renyi entropy, exact.
-
-    W = lambda^(D(1-q)) ((eta-L)_(2l+D-2) / (2 eta))^q F_A
-        Gamma(D+2lq) / (q^(D+2lq) Gamma(2l+D-1)^(2q)),
-    with lambda = eta/(2Z), eta - L = n - l and 2 eta = 2n+D-3.
-    """
-    q = _check_integer_order(q)
-    l = validate(state).l
-    D, n, Z = state.D, state.n, state.Z
-    two_eta = 2 * n + D - 3
-    lam_power = D * (q - 1)  # lambda^(D(1-q)) = (4Z / 2eta)^(D(q-1))
-    hyper = radial_lauricella_factor(D, n, l, q)
-    g_num, g_den, _ = _gamma_product(
-        (2 * (D + 2 * l * q), 1), (2 * (2 * l + D - 1), -2 * q)
-    )
-    num = (
-        (4 * Z.numerator) ** lam_power
-        * rising_product(n - l, 1, 2 * l + D - 2) ** q
-        * hyper.numerator
-        * g_num
-    )
-    den = (
-        (two_eta * Z.denominator) ** lam_power
-        * two_eta**q
-        * hyper.denominator
-        * q ** (D + 2 * l * q)
-        * g_den
-    )
-    w = ExactScalar.from_rational(Fraction(num, den))
-    return EntropyValue(_entropy_coef(q), w, Fraction(q))
-
-
-def _chain_segments(D: int, mu: tuple[int, ...]):
-    """Yield (alpha_j, mu_j, mu_{j+1}) for j = 1..D-2 on the canonical chain."""
-    chain = mu[:-1] + (abs(mu[-1]),)
-    for j in range(1, D - 1):
-        alpha = Fraction(D - j - 1, 2)
-        yield alpha, chain[j - 1], chain[j]
-
-
-def angular_pochhammer_factor(alpha: Fraction, mu_j: int, mu_j1: int, q: int) -> Fraction:
-    """The rational Pochhammer block attached to one angular degree of
-    freedom; equals 1 when the two chain entries coincide:
-
-    (2a+2mu'+1)_(2k)^q (q mu'+a+1)_(qk)
-      / (k!^q (2a+mu+mu')_k^q (a+mu'+1)_k^q),  a = alpha, k = mu - mu'.
-    """
-    k = mu_j - mu_j1
-    if k == 0:
-        return Fraction(1)
-    a2 = 2 * alpha.numerator // alpha.denominator
-    # the last two symbols are each over 2^(qk), which cancels
-    num = rising_product(a2 + 2 * mu_j1 + 1, 1, 2 * k) ** q * rising_product(
-        2 * q * mu_j1 + a2 + 2, 2, q * k
-    )
-    den = (
-        math.factorial(k)
-        * rising_product(a2 + mu_j + mu_j1, 1, k)
-        * rising_product(a2 + 2 * mu_j1 + 2, 2, k)
-    ) ** q
-    return Fraction(num, den)
-
-
-def angular_daoust_factor(alpha: Fraction, mu_j: int, mu_j1: int, q: int) -> Fraction:
-    """The terminating Srivastava-Daoust sum attached to one angular degree
-    of freedom; equals 1 when the two chain entries coincide.  Its 2q axes
-    are identical."""
-    k = mu_j - mu_j1
-    if k == 0:
-        return Fraction(1)
-    a2 = 2 * alpha.numerator // alpha.denominator
-    spec = SrivastavaDaoustSpec(
-        a0=Fraction(a2 + 2 * q * mu_j1 + 1, 2),
-        d0=2 * q * mu_j1 + a2 + 1,
-        b=-k,
-        c=a2 + mu_j1 + mu_j,
-        e=Fraction(a2 + 2 * mu_j1 + 1, 2),
-        x=1,
-        mult=2 * q,
-    )
-    return srivastava_daoust(spec)
-
-
-def angular_entropy(D: int, mu: tuple[int, ...], q: int) -> EntropyValue:
-    """Renyi entropy of a hyperspherical harmonic, exact.
-
-    Shared by position and momentum space; depends on the chain only through
-    the canonical (|m|) form.  W = (2 pi^(D/2))^(1-q) Gamma(l+D/2)^q (qm)!
-    / (Gamma(ql+D/2) m!^q) times each chain segment's Pochhammer block and
-    sum.
-    """
-    q = _check_integer_order(q)
-    check_chain(D, mu)
-    if D == 2:
-        l = abs(mu[0])
-    else:
-        l = mu[0]
-    m = abs(mu[-1])
-    num, den, half = _gamma_product((2 * l + D, q), (2 * q * l + D, -1))
-    num *= math.factorial(q * m)
-    den *= 2 ** (q - 1) * math.factorial(m) ** q
-    for alpha, mu_j, mu_j1 in _chain_segments(D, tuple(mu)):
-        for factor in (
-            angular_pochhammer_factor(alpha, mu_j, mu_j1, q),
-            angular_daoust_factor(alpha, mu_j, mu_j1, q),
-        ):
-            num *= factor.numerator
-            den *= factor.denominator
-    w = ExactScalar.pi_power(half + D * (1 - q), Fraction(num, den))
-    return EntropyValue(_entropy_coef(q), w, Fraction(q))
-
-
-def position_entropy(state: HydrogenicState, q: int) -> RenyiBreakdown:
-    """Total position-space Renyi entropy split into radial and angular parts."""
-    radial = radial_position_entropy(state, q)
-    angular = angular_entropy(state.D, state.mu, q)
-    return RenyiBreakdown(radial=radial, angular=angular, total=radial + angular)
 
 
 def momentum_daoust_factor(D: int, n: int, l: int, q: int) -> Fraction:
@@ -281,6 +130,168 @@ def momentum_daoust_factor(D: int, n: int, l: int, q: int) -> Fraction:
     return srivastava_daoust(spec)
 
 
+def angular_daoust_factor(alpha: Fraction, mu_j: int, mu_j1: int, q: int) -> Fraction:
+    """The terminating Srivastava-Daoust sum attached to one angular degree
+    of freedom; equals 1 when the two chain entries coincide.  Its 2q axes
+    are identical."""
+    k = mu_j - mu_j1
+    if k == 0:
+        return Fraction(1)
+    a2 = 2 * alpha.numerator // alpha.denominator
+    spec = SrivastavaDaoustSpec(
+        a0=Fraction(a2 + 2 * q * mu_j1 + 1, 2),
+        d0=2 * q * mu_j1 + a2 + 1,
+        b=-k,
+        c=a2 + mu_j1 + mu_j,
+        e=Fraction(a2 + 2 * mu_j1 + 1, 2),
+        x=1,
+        mult=2 * q,
+    )
+    return srivastava_daoust(spec)
+
+
+# -- the factors of each W ---------------------------------------------------
+#
+# Each W is written once, as a list of calls on a ledger: factorial, integer
+# and rising-product powers, Gamma values, the powers of the charge and the
+# terminating sums.  _ExactLedger multiplies them out into the closed forms;
+# the ledgers of the digit bound below size the same calls.  The oracle
+# builds its factors from exactnum.gamma_integers instead, so a wrong Gamma
+# on either side shows up as a mismatch.
+
+
+def _radial_factors(out, state: HydrogenicState, q: int, space: str, l: int):
+    """The factors of the radial W of a space, entered in out."""
+    D, n, Z = state.D, state.n, state.Z
+    two_eta, scale_power = 2 * n + D - 3, D * (q - 1)
+    out.rising(n - l, 1, 2 * l + D - 2, q)
+    out.integer(two_eta, -q if space == "position" else q)
+    if space == "position":
+        # (4Z / 2eta)^(D(q-1)) Gamma(D+2lq) / (q^(D+2lq) Gamma(2l+D-1)^(2q))
+        out.integer(4, scale_power)
+        out.integer(two_eta, -scale_power)
+        out.integer(q, -(D + 2 * l * q))
+        out.gamma(2 * (D + 2 * l * q), 1)
+        out.gamma(2 * (2 * l + D - 1), -2 * q)
+        out.charge(Z.numerator, Z.denominator, scale_power)
+    else:
+        # (2eta / 2Z)^(D(q-1)) 2^(2q-1) Gamma(D/2+ql) Gamma(q(D+l+1)-D/2)
+        #   / (Gamma(l+D/2)^(2q) Gamma(q(D+2l+1)))
+        out.integer(two_eta, scale_power)
+        out.integer(2, 2 * q - 1 - scale_power)
+        out.gamma(D + 2 * q * l, 1)
+        out.gamma(2 * q * (D + l + 1) - D, 1)
+        out.gamma(D + 2 * l, -2 * q)
+        out.gamma(2 * q * (D + 2 * l + 1), -1)
+        out.charge(Z.denominator, Z.numerator, scale_power)
+    out.radial_sum(space, D, n, l, q)
+    return out
+
+
+def _pochhammer_block(out, a2: int, mu_j: int, mu_j1: int, q: int):
+    """angular_pochhammer_factor of a = a2/2, entered in out."""
+    k = mu_j - mu_j1
+    # the last two symbols of its docstring are each over 2^(qk), which cancels
+    out.rising(a2 + 2 * mu_j1 + 1, 1, 2 * k, q)
+    out.rising(2 * q * mu_j1 + a2 + 2, 2, q * k, 1)
+    out.fact(k, -q)
+    out.rising(a2 + mu_j + mu_j1, 1, k, -q)
+    out.rising(a2 + 2 * mu_j1 + 2, 2, k, -q)
+    return out
+
+
+def _angular_factors(out, D: int, mu: tuple[int, ...], q: int, l: int):
+    """The factors of the angular W but its pi^(D(1-q)/2), entered in out."""
+    m = abs(mu[-1])
+    # Gamma(l+D/2)^q (qm)! / (2^(q-1) Gamma(ql+D/2) m!^q)
+    out.gamma(2 * l + D, q)
+    out.gamma(2 * q * l + D, -1)
+    out.fact(q * m, 1)
+    out.fact(m, -q)
+    out.integer(2, 1 - q)
+    chain = tuple(mu[:-1]) + (m,)
+    for j in range(1, D - 1):  # segment j has alpha_j = (D-j-1)/2
+        mu_j, mu_j1 = chain[j - 1], chain[j]
+        if mu_j != mu_j1:  # both factors of the segment are 1 otherwise
+            _pochhammer_block(out, D - j - 1, mu_j, mu_j1, q)
+            out.angular_sum(D - j - 1, mu_j, mu_j1, q)
+    return out
+
+
+class _Ledger:
+    """What every ledger shares: a Gamma value is a factorial quotient."""
+
+    __slots__ = ()
+
+    def gamma(self, twice: int, e: int) -> None:
+        """Gamma(twice/2)^e, via Gamma(m) = (m-1)! and
+        Gamma(m + 1/2) = (2m)! / (4^m m!) sqrt(pi), for twice >= 1."""
+        m = twice // 2
+        if twice % 2 == 0:
+            self.fact(m - 1, e)
+        else:
+            self.fact(2 * m, e)
+            self.fact(m, -e)
+            self.integer(2, -2 * m * e)
+            self.half += e
+
+
+class _ExactLedger(_Ledger):
+    """The value num/den * pi^(half/2) of a factor list, in integers; a
+    negative power divides.  The sums are looked up in this module when
+    called, so a wrapper set on it sees them."""
+
+    __slots__ = ("num", "den", "half")
+
+    def __init__(self):
+        self.num = self.den = 1
+        self.half = 0
+
+    def integer(self, a: int, e: int) -> None:
+        if e >= 0:
+            self.num *= a**e
+        else:
+            self.den *= a**-e
+
+    def fact(self, m: int, e: int) -> None:
+        self.integer(math.factorial(m), e)
+
+    def rising(self, p: int, d: int, k: int, e: int) -> None:
+        self.integer(rising_product(p, d, k), e)
+
+    def charge(self, top: int, bottom: int, e: int) -> None:
+        self.integer(top, e)
+        self.integer(bottom, -e)
+
+    def radial_sum(self, space: str, D: int, n: int, l: int, q: int) -> None:
+        factor = radial_lauricella_factor if space == "position" else momentum_daoust_factor
+        value = factor(D, n, l, q)
+        self.num, self.den = self.num * value.numerator, self.den * value.denominator
+
+    def angular_sum(self, a2: int, mu_j: int, mu_j1: int, q: int) -> None:
+        value = angular_daoust_factor(Fraction(a2, 2), mu_j, mu_j1, q)
+        self.num, self.den = self.num * value.numerator, self.den * value.denominator
+
+    def scalar(self, half: int = 0) -> ExactScalar:
+        """The value times pi^(half/2)."""
+        return ExactScalar.pi_power(self.half + half, Fraction(self.num, self.den))
+
+
+# -- the closed forms --------------------------------------------------------
+
+
+def radial_position_entropy(state: HydrogenicState, q: int) -> EntropyValue:
+    """Radial part of the position-space Renyi entropy, exact.
+
+    W = lambda^(D(1-q)) ((eta-L)_(2l+D-2) / (2 eta))^q F_A
+        Gamma(D+2lq) / (q^(D+2lq) Gamma(2l+D-1)^(2q)),
+    with lambda = eta/(2Z), eta - L = n - l and 2 eta = 2n+D-3.
+    """
+    q = _check_integer_order(q)
+    w = _radial_factors(_ExactLedger(), state, q, "position", validate(state).l).scalar()
+    return EntropyValue(_entropy_coef(q), w, Fraction(q))
+
+
 def radial_momentum_entropy(state: HydrogenicState, q: int) -> EntropyValue:
     """Radial part of the momentum-space Renyi entropy, exact.
 
@@ -289,27 +300,42 @@ def radial_momentum_entropy(state: HydrogenicState, q: int) -> EntropyValue:
     with eta - L = n - l and 2 eta = 2n+D-3.
     """
     q = _check_integer_order(q)
-    l = validate(state).l
-    D, n, Z = state.D, state.n, state.Z
-    two_eta = 2 * n + D - 3
-    scale_power = D * (q - 1)  # (Z/eta)^(D(1-q)) = (2eta / 2Z)^(D(q-1))
-    hyper = momentum_daoust_factor(D, n, l, q)
-    g_num, g_den, half = _gamma_product(
-        (D + 2 * q * l, 1),
-        (2 * q * (D + l + 1) - D, 1),
-        (D + 2 * l, -2 * q),
-        (2 * q * (D + 2 * l + 1), -1),
-    )
-    num = (
-        (two_eta * Z.denominator) ** scale_power
-        * (two_eta * rising_product(n - l, 1, 2 * l + D - 2)) ** q
-        * hyper.numerator
-        * 2 ** (2 * q - 1)
-        * g_num
-    )
-    den = (2 * Z.numerator) ** scale_power * hyper.denominator * g_den
-    w = ExactScalar.pi_power(half, Fraction(num, den))
+    w = _radial_factors(_ExactLedger(), state, q, "momentum", validate(state).l).scalar()
     return EntropyValue(_entropy_coef(q), w, Fraction(q))
+
+
+def angular_pochhammer_factor(alpha: Fraction, mu_j: int, mu_j1: int, q: int) -> Fraction:
+    """The rational Pochhammer block attached to one angular degree of
+    freedom; equals 1 when the two chain entries coincide:
+
+    (2a+2mu'+1)_(2k)^q (q mu'+a+1)_(qk)
+      / (k!^q (2a+mu+mu')_k^q (a+mu'+1)_k^q),  a = alpha, k = mu - mu'.
+    """
+    a2 = 2 * alpha.numerator // alpha.denominator
+    out = _pochhammer_block(_ExactLedger(), a2, mu_j, mu_j1, q)
+    return Fraction(out.num, out.den)
+
+
+def angular_entropy(D: int, mu: tuple[int, ...], q: int) -> EntropyValue:
+    """Renyi entropy of a hyperspherical harmonic, exact.
+
+    Shared by position and momentum space; depends on the chain only through
+    the canonical (|m|) form.  W = (2 pi^(D/2))^(1-q) Gamma(l+D/2)^q (qm)!
+    / (Gamma(ql+D/2) m!^q) times each chain segment's Pochhammer block and
+    sum.
+    """
+    q = _check_integer_order(q)
+    check_chain(D, mu)
+    l = abs(mu[0]) if D == 2 else mu[0]
+    w = _angular_factors(_ExactLedger(), D, mu, q, l).scalar(D * (1 - q))
+    return EntropyValue(_entropy_coef(q), w, Fraction(q))
+
+
+def position_entropy(state: HydrogenicState, q: int) -> RenyiBreakdown:
+    """Total position-space Renyi entropy split into radial and angular parts."""
+    radial = radial_position_entropy(state, q)
+    angular = angular_entropy(state.D, state.mu, q)
+    return RenyiBreakdown(radial=radial, angular=angular, total=radial + angular)
 
 
 def momentum_entropy(state: HydrogenicState, q: int) -> RenyiBreakdown:
@@ -323,10 +349,11 @@ def momentum_entropy(state: HydrogenicState, q: int) -> RenyiBreakdown:
 # -- digit bound --------------------------------------------------------------
 #
 # An upper bound on the decimal digits of each W above, from the quantum
-# numbers alone, before any Gamma value or sum is formed.  The Gamma values,
-# Pochhammer symbols and integer powers are written as a ledger of factorial
-# and integer powers, prod m!^e a^f, whose reduced numerator and denominator
-# follow exactly from Legendre's formula v_p(m!) = sum_i floor(m / p^i).
+# numbers alone, before any Gamma value or sum is formed: the same factor
+# lists, sized.  The Gamma values, Pochhammer symbols and integer powers
+# become a ledger of factorial and integer powers, prod m!^e a^f, whose
+# reduced numerator and denominator follow exactly from Legendre's formula
+# v_p(m!) = sum_i floor(m / p^i).
 # What cannot be factored that way adds its digits in full: the powers of
 # the charge, and each terminating sum S, as the integer S * M for a
 # multiple M of its denominator (M enters the ledger as a divisor) whose
@@ -337,15 +364,17 @@ def momentum_entropy(state: HydrogenicState, q: int) -> RenyiBreakdown:
 _SIEVE_LIMIT = 2 * 10**5
 
 
-class _SizeLedger:
+class _SizeLedger(_Ledger):
     """The sizes of a ledger's entries, in natural logarithms, for a first
     bound that lets no factor cancel another.
 
-    _DigitLedger keeps the entries themselves; both take the same calls.
+    _DigitLedger keeps the entries themselves; both take the calls that
+    _ExactLedger multiplies out.
     """
 
     def __init__(self):
         self.twos = 0  # the power of 2, kept apart: most entries carry one
+        self.half = 0  # the power of sqrt(pi), which no digit count sees
         self.num_ln = self.den_ln = 0.0
         self.extra_num = 0.0  # log10 bounds of factors outside the ledger
         self.extra_den = 0.0
@@ -386,15 +415,23 @@ class _SizeLedger:
             self.twos -= k * e
             self.rising((p + 1) // 2, 1, k, -e)
 
-    def gamma(self, twice: int, e: int) -> None:
-        """Gamma(twice/2)^e without its power of sqrt(pi)."""
-        if twice % 2 == 0:
-            self.fact(twice // 2 - 1, e)
-        else:  # Gamma(m + 1/2) = (2m)! / (4^m m!) sqrt(pi)
-            m = twice // 2
-            self.fact(2 * m, e)
-            self.fact(m, -e)
-            self.twos -= 2 * m * e
+    def charge(self, top: int, bottom: int, e: int) -> None:
+        """(top / bottom)^e, which adds its digits in full."""
+        self.extra_num += e * math.log10(top)
+        self.extra_den += e * math.log10(bottom)
+
+    def radial_sum(self, space: str, D: int, n: int, l: int, q: int) -> None:
+        k, a = n - l - 1, 2 * l * q + D  # Lauricella's a, and twice Daoust's a0
+        if k and space == "position":
+            _lauricella_digits(self, a, 2 * l + D - 1, k, q)
+        elif k:
+            _daoust_digits(self, a, q * (2 * l + D + 1), n + l + D - 2, 2 * l + D, k, q)
+
+    def angular_sum(self, a2: int, mu_j: int, mu_j1: int, q: int) -> None:
+        _daoust_digits(
+            self, a2 + 2 * q * mu_j1 + 1, 2 * q * mu_j1 + a2 + 1, a2 + mu_j1 + mu_j,
+            a2 + 2 * mu_j1 + 1, mu_j - mu_j1, q,
+        )
 
     def terminating_sum(self, multiple: "_SizeLedger", log10_abs_sum: float) -> None:
         """A sum S with S * M an integer for M = multiple's value, and
@@ -557,67 +594,6 @@ def _lauricella_digits(out: _SizeLedger, a: int, c: int, k: int, q: int) -> None
     out.terminating_sum(multiple, log10_abs)
 
 
-def _radial_digits(
-    out: _SizeLedger, state: HydrogenicState, q: int, space: str, l: int
-) -> _SizeLedger:
-    D, n, Z = state.D, state.n, state.Z
-    k, two_eta, scale_power = n - l - 1, 2 * n + D - 3, D * (q - 1)
-    out.rising(n - l, 1, 2 * l + D - 2, q)
-    out.integer(two_eta, -q if space == "position" else q)
-    if space == "position":
-        # (4Z / 2eta)^(D(q-1)) Gamma(D+2lq) / (q^(D+2lq) Gamma(2l+D-1)^(2q))
-        out.integer(4, scale_power)
-        out.integer(two_eta, -scale_power)
-        out.integer(q, -(D + 2 * l * q))
-        out.gamma(2 * (D + 2 * l * q), 1)
-        out.gamma(2 * (2 * l + D - 1), -2 * q)
-        top, bottom = Z.numerator, Z.denominator
-        if k:
-            _lauricella_digits(out, 2 * l * q + D, 2 * l + D - 1, k, q)
-    else:
-        # (2eta / 2Z)^(D(q-1)) 2^(2q-1) Gamma(D/2+ql) Gamma(q(D+l+1)-D/2)
-        #   / (Gamma(l+D/2)^(2q) Gamma(q(D+2l+1)))
-        out.integer(two_eta, scale_power)
-        out.integer(2, 2 * q - 1 - scale_power)
-        out.gamma(D + 2 * q * l, 1)
-        out.gamma(2 * q * (D + l + 1) - D, 1)
-        out.gamma(D + 2 * l, -2 * q)
-        out.gamma(2 * q * (D + 2 * l + 1), -1)
-        top, bottom = Z.denominator, Z.numerator
-        if k:
-            _daoust_digits(out, 2 * l * q + D, q * (2 * l + D + 1), n + l + D - 2, 2 * l + D, k, q)
-    out.extra_num += scale_power * math.log10(top)
-    out.extra_den += scale_power * math.log10(bottom)
-    return out
-
-
-def _angular_digits(out: _SizeLedger, D: int, mu: tuple[int, ...], q: int, l: int) -> _SizeLedger:
-    m = abs(mu[-1])
-    # Gamma(l+D/2)^q (qm)! / (2^(q-1) Gamma(ql+D/2) m!^q)
-    out.gamma(2 * l + D, q)
-    out.gamma(2 * q * l + D, -1)
-    out.fact(q * m, 1)
-    out.fact(m, -q)
-    out.integer(2, 1 - q)
-    for alpha, mu_j, mu_j1 in _chain_segments(D, tuple(mu)):
-        k = mu_j - mu_j1
-        if not k:
-            continue
-        a2 = 2 * alpha.numerator // alpha.denominator
-        # angular_pochhammer_factor
-        out.rising(a2 + 2 * mu_j1 + 1, 1, 2 * k, q)
-        out.rising(2 * q * mu_j1 + a2 + 2, 2, q * k, 1)
-        out.fact(k, -q)
-        out.rising(a2 + mu_j + mu_j1, 1, k, -q)
-        out.rising(a2 + 2 * mu_j1 + 2, 2, k, -q)
-        # angular_daoust_factor
-        _daoust_digits(
-            out, a2 + 2 * q * mu_j1 + 1, 2 * q * mu_j1 + a2 + 1, a2 + mu_j1 + mu_j,
-            a2 + 2 * mu_j1 + 1, k, q,
-        )
-    return out
-
-
 def w_digits_bound(
     state: HydrogenicState, q: int, spaces: "tuple[str, ...]", enough: float = 0.0
 ) -> float:
@@ -649,8 +625,8 @@ def _digits_bound(ledger, digits, state: HydrogenicState, q: int, spaces) -> flo
     angular, which also bounds each part; each part's factors are entered
     in a fresh ledger()."""
     l = state.l
-    an, ad = digits(_angular_digits(ledger(), state.D, state.mu, q, l))
-    radials = (digits(_radial_digits(ledger(), state, q, space, l)) for space in spaces)
+    an, ad = digits(_angular_factors(ledger(), state.D, state.mu, q, l))
+    radials = (digits(_radial_factors(ledger(), state, q, space, l)) for space in spaces)
     return max(max(rn + an, rd + ad) for rn, rd in radials)
 
 
@@ -791,7 +767,7 @@ def conjugate_order(q: Fraction) -> Fraction:
     """The order p with 1/p + 1/q = 2."""
     q = Fraction(q)
     if q <= Fraction(1, 2):
-        raise ValueError(f"conjugate order undefined for q <= 1/2, got {q}")
+        raise ValueError(f"conjugate order undefined for q <= 1/2, got {brief(q)}")
     if q == 1:
         raise ValueError("q = 1 is excluded")
     return q / (2 * q - 1)

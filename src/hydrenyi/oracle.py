@@ -38,6 +38,7 @@ from hydrenyi.polynomials import (
 )
 from hydrenyi.states import (
     HydrogenicState,
+    brief,
     check_chain,
     check_momentum_order,
     radial_momentum_log_density,
@@ -186,7 +187,7 @@ class MomentBasis:
 def _check_order(q, minimum: int = 1) -> int:
     q = exact_rational(q)
     if q.denominator != 1 or q < minimum:
-        raise ValueError(f"oracle needs integer q >= {minimum}, got {q}")
+        raise ValueError(f"oracle needs integer q >= {minimum}, got {brief(q)}")
     return q.numerator
 
 
@@ -215,33 +216,41 @@ def radial_position_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
     return w.scalar()
 
 
-def angular_w_exact(D: int, mu: tuple[int, ...], q: int) -> ExactScalar:
-    """Entropic moment of a hyperspherical harmonic by even Beta moments of
-    the expanded Gegenbauer powers: 2 pi times, per chain segment, its
-    integral and its squared norm to the power q."""
-    q = _check_order(q)
-    check_chain(D, mu)
-    chain = tuple(mu[:-1]) + (abs(mu[-1]),)
-    w = _Monomial(2, 1, 2)  # the 2*pi from the phi integral
+def _angular_norm_squared(D: int, chain: tuple[int, ...]) -> _Monomial:
+    """The squared norm of the harmonic of a canonical chain: 1/(2 pi) times,
+    per segment, (alpha + mu_j) k! 2^(2 alpha + 2 mu_j1 - 1)
+    Gamma(alpha + mu_j1)^2 / (pi Gamma(2 alpha + mu_j + mu_j1)), k = mu_j - mu_j1."""
     norm = _Monomial(1, 2, -2)  # the 1/(2 pi) phi factor
     for j in range(1, D - 1):
         two_alpha = D - j - 1
         mu_j, mu_j1 = chain[j - 1], chain[j]
-        k = mu_j - mu_j1
-        # (alpha + mu_j) k! 2^(2 alpha + 2 mu_j1 - 1) Gamma(alpha + mu_j1)^2
-        #   / (pi Gamma(2 alpha + mu_j + mu_j1))
         norm.times(
-            (two_alpha + 2 * mu_j) * math.factorial(k) << (two_alpha + 2 * mu_j1 - 1),
+            (two_alpha + 2 * mu_j) * math.factorial(mu_j - mu_j1) << (two_alpha + 2 * mu_j1 - 1),
             2,
             half=-2,
         )
         norm.times_gamma(two_alpha + 2 * mu_j1, 2)
         norm.times_gamma(2 * (two_alpha + mu_j + mu_j1), -1)
-        power = poly_pow(gegenbauer(k, Fraction(two_alpha + 2 * mu_j1, 2)), 2 * q)
+    return norm
+
+
+def angular_w_exact(D: int, mu: tuple[int, ...], q: int) -> ExactScalar:
+    """Entropic moment of a hyperspherical harmonic by even Beta moments of
+    the expanded Gegenbauer powers: 2 pi times, per chain segment, its
+    integral, and the squared norm to the power q."""
+    q = _check_order(q)
+    check_chain(D, mu)
+    chain = tuple(mu[:-1]) + (abs(mu[-1]),)
+    w = _Monomial(2, 1, 2)  # the 2*pi from the phi integral
+    for j in range(1, D - 1):
+        two_alpha = D - j - 1
+        mu_j, mu_j1 = chain[j - 1], chain[j]
+        power = poly_pow(gegenbauer(mu_j - mu_j1, Fraction(two_alpha + 2 * mu_j1, 2)), 2 * q)
         assert not any(power.nums[1::2]), "odd moments of an even power must vanish"
         basis = MomentBasis("gegenbauer", (Fraction(2 * q * mu_j1 + two_alpha - 1, 2),))
         basis.times_moment(w, 0)
         w.times(*basis.integrate(power))
+    norm = _angular_norm_squared(D, chain)
     w.times(norm.num, norm.den, q, norm.half)
     return w.scalar()
 
@@ -627,29 +636,21 @@ def angular_power_integral(
 ) -> tuple[mpmath.mpf, mpmath.mpf]:
     """Integral of |harmonic|^(2q) over the sphere for real q, with error
     estimate.  Axes with equal chain entries use closed Beta factors; the
-    others get adaptive quadrature split at the polynomial roots."""
+    others get adaptive quadrature split at the polynomial roots.  The
+    squared norm is the exact oracle's, read at QUADRATURE_DPS."""
     chain = tuple(mu[:-1]) + (abs(mu[-1]),)
     q = float(q)
     with mpmath.workdps(QUADRATURE_DPS):
         qm = mpmath.mpf(q)
         value = 2 * mpmath.pi
         err_rel = mpmath.mpf(0)
-        norm2 = 1 / (2 * mpmath.pi)
+        norm = _angular_norm_squared(D, chain)
+        norm2 = mpmath.mpf(norm.num) / norm.den * mpmath.pi ** (mpmath.mpf(norm.half) / 2)
         for j in range(1, D - 1):
             alpha = Fraction(D - j - 1, 2)
             alpha_m = mpmath.mpf(alpha.numerator) / alpha.denominator
             mu_j, mu_j1 = chain[j - 1], chain[j]
             k = mu_j - mu_j1
-            norm2 *= (
-                (alpha_m + mu_j)
-                * math.factorial(k)
-                * mpmath.gamma(alpha_m + mu_j1) ** 2
-                / (
-                    mpmath.pi
-                    * mpmath.mpf(2) ** (1 - 2 * alpha_m - 2 * mu_j1)
-                    * mpmath.gamma(2 * alpha_m + mu_j + mu_j1)
-                )
-            )
             s = qm * mu_j1 + alpha_m - mpmath.mpf(1) / 2
             if k == 0:
                 value *= mpmath.beta(mpmath.mpf(1) / 2, s + 1)

@@ -40,6 +40,32 @@ def digit_limit_error(key: str) -> ValidationError:
     )
 
 
+def brief(value) -> str:
+    """An integer, a Fraction, a tuple of integers or a string as text, or
+    as its first six characters and its length when that passes twelve.
+    Integers are measured before they are written, so one past Python's
+    limit on integer strings is never written out whole."""
+    if isinstance(value, Fraction):
+        parts = [value.numerator, "/", value.denominator][: 1 if value.denominator == 1 else 3]
+    elif isinstance(value, tuple):
+        parts = [part for entry in value for part in (",", entry)][1:]
+    else:
+        parts = [value]
+    length, start = 0, ""
+    for part in parts:
+        if isinstance(part, str) or abs(part) < 10**12:
+            text = str(part)
+            length += len(text)
+        else:  # at least 13 digits, the first estimate at most their number
+            magnitude, digits = abs(part), int((abs(part).bit_length() - 1) * math.log10(2))
+            while 10**digits <= magnitude:
+                digits += 1
+            text = "-" * (part < 0) + str(magnitude // 10 ** (digits - 6))
+            length += (part < 0) + digits
+        start += text if len(start) < 13 else ""
+    return start if length <= 12 else f"{start[:6]}...({length} chars)"
+
+
 def _over_digit_limit(text: str) -> bool:
     """Whether int() or Fraction() refuses a run of digits of text for
     Python's limit on integer string conversion (0 means none)."""
@@ -174,17 +200,18 @@ def check_chain(D: int, mu: "tuple[int, ...]") -> None:
     violated constraint.  The angular closed form and its oracle call this
     on every evaluation, so it is only integer comparisons."""
     if D < 2:
-        raise ValidationError(f"dimension must satisfy D >= 2, got D={D}")
+        raise ValidationError(f"dimension must satisfy D >= 2, got D={brief(D)}")
     if len(mu) != D - 1:
-        raise ValidationError(f"mu chain must have D-1={D - 1} entries, got {len(mu)}")
+        raise ValidationError(f"mu chain must have D-1={brief(D - 1)} entries, got {len(mu)}")
     for j in range(D - 3):
         if mu[j] < mu[j + 1]:
             raise ValidationError(
-                f"chain violation: mu{j + 1}={mu[j]} < mu{j + 2}={mu[j + 1]}"
+                f"chain violation: mu{j + 1}={brief(mu[j])} < mu{j + 2}={brief(mu[j + 1])}"
             )
     if D >= 3 and mu[D - 3] < abs(mu[D - 2]):
         raise ValidationError(
-            f"chain violation: mu{D - 2}={mu[D - 3]} < |mu{D - 1}|={abs(mu[D - 2])}"
+            f"chain violation: mu{D - 2}={brief(mu[D - 3])} < "
+            f"|mu{D - 1}|={brief(abs(mu[D - 2]))}"
         )
 
 
@@ -192,12 +219,12 @@ def validate(state: HydrogenicState) -> DerivedQuantum:
     """Check every quantum-number constraint; name the first violated one."""
     check_chain(state.D, state.mu)
     if state.n < 1:
-        raise ValidationError(f"principal number must satisfy n >= 1, got n={state.n}")
+        raise ValidationError(f"principal number must satisfy n >= 1, got n={brief(state.n)}")
     if state.Z.numerator <= 0:  # a Fraction's denominator is positive
-        raise ValidationError(f"nuclear charge must be positive, got Z={state.Z}")
+        raise ValidationError(f"nuclear charge must be positive, got Z={brief(state.Z)}")
     l = state.l
     if not 0 <= l <= state.n - 1:
-        raise ValidationError(f"orbital number must satisfy 0 <= l <= n-1, got l={l}")
+        raise ValidationError(f"orbital number must satisfy 0 <= l <= n-1, got l={brief(l)}")
     return DerivedQuantum(state, l)
 
 
@@ -271,7 +298,8 @@ def check_momentum_order(D: int, l: int, q) -> None:
     exact_q = q if isinstance(q, (int, Fraction)) else Fraction(float(q))
     if exact_q <= threshold:
         raise ValueError(
-            f"momentum entropy diverges for q <= {threshold} at D={D}, l={l} "
+            f"momentum entropy diverges for q <= {brief(threshold)} at D={brief(D)}, "
+            f"l={brief(l)} "
             f"(the density decays as p^-{decay}); got q={float(q):g}"
         )
 

@@ -520,6 +520,28 @@ SWEEP = (
             f"{GROUND_LITERAL},Z={'1' * 4301}",
         )
     ]
+    # each number in a message is shortened: these messages once held it in
+    # full, 4,357 bytes for the first, or gave Python's message on its limit
+    # for integer strings
+    + [
+        (argv, cli.EXIT_USAGE)
+        for argv in (
+            ("compute", f"D=3,n=1,mu={'1' * 4300},0"),
+            ("compute", f"D={'1' * 4300},n=1,mu=0,0"),
+            ("compute", f"D=-{'1' * 4300},n=1,mu=0"),
+            ("compute", f"D=3,n=-{'1' * 4300},mu=0,0"),
+            ("compute", f"D=4,n=1,mu=0,{'1' * 4300},0"),
+            ("compute", f"D=3,n=1,mu=0,-{'1' * 4300}"),
+            ("compute", f"{GROUND_LITERAL},Z=-1e5000"),
+            ("sum", f"{GROUND_LITERAL},Z=-1e5000"),
+            ("compute", GROUND_LITERAL, "--q=-1e5000"),
+            ("compute", GROUND_LITERAL, "--q", "1" * 4301),
+            ("compute", GROUND_LITERAL, "--q", "x" * 5000),
+            ("compute", GROUND_LITERAL, "--q", "1e-5000"),
+            ("sum", GROUND_LITERAL, "--q", "1e-5000"),
+            ("verify", "--qset", f"2,{'1' * 4301}"),
+        )
+    ]
 )
 
 
@@ -537,6 +559,7 @@ def test_every_input_answers_or_fails_in_one_line(capsys, argv, expected):
     else:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+        assert len(err.encode()) <= 200 and "Exceeds the limit" not in err
 
 
 @pytest.mark.parametrize("command", ["compute", "sum"])

@@ -133,19 +133,19 @@ class TestAngular:
 class TestIntegerPrefactors:
     def test_gamma_parts_match_gamma_exact(self):
         for twice in range(1, 401):
-            num, den, k = entropy._gamma_parts(twice)
-            assert ExactScalar.pi_power(k, F(num, den)) == gamma_exact(F(twice, 2))
-
-    def test_gamma_product_divides_on_negative_powers(self):
-        num, den, k = entropy._gamma_product((7, 2), (4, -3), (9, -1))
-        expected = gamma_exact(F(7, 2)) ** 2 / (gamma_exact(2) ** 3 * gamma_exact(F(9, 2)))
-        assert ExactScalar.pi_power(k, F(num, den)) == expected
+            for e in (1, -2):
+                ledger = entropy._ExactLedger()
+                ledger.gamma(twice, e)
+                assert ledger.scalar() == gamma_exact(F(twice, 2)) ** e
+        with pytest.raises(ValueError):
+            entropy._ExactLedger().gamma(0, 1)
 
     @pytest.mark.parametrize("D", [3, 4, 5, 6])
     def test_angular_pochhammer_block_matches_pochhammer_form(self, D):
         for chain in [(3, 1, 0, 0, 0), (4, 4, 2, 1, -1), (5, 2, 2, 2, -2)]:
-            mu = chain[: D - 1]
-            for alpha, mu_j, mu_j1 in entropy._chain_segments(D, mu):
+            mu = chain[: D - 2] + (abs(chain[D - 2]),)
+            for j in range(1, D - 1):
+                alpha, mu_j, mu_j1 = F(D - j - 1, 2), mu[j - 1], mu[j]
                 for q in (2, 3, 5):
                     k = mu_j - mu_j1
                     expected = (
@@ -159,10 +159,10 @@ class TestIntegerPrefactors:
                     assert value == expected
 
     def test_oracle_keeps_gamma_exact(self):
-        # the oracle must not share the closed forms' integer prefactors: it
-        # reads Gamma from exactnum.gamma_integers, as gamma_exact does
+        # the oracle must not share the closed forms' factor lists: it reads
+        # Gamma from exactnum.gamma_integers, as gamma_exact does
         source = inspect.getsource(oracle)
-        for helper in ("_gamma_parts", "_gamma_product"):
+        for helper in ("_ExactLedger", "_radial_factors", "_angular_factors"):
             assert helper not in source
         assert "gamma_integers" in source
 
@@ -189,6 +189,43 @@ def _true_digits(state: HydrogenicState, q: int, space: str) -> int:
         radial = radial_momentum_entropy(state, q).w
     angular = angular_entropy(state.D, state.mu, q).w
     return max(_digits(radial), _digits(angular), _digits(radial * angular))
+
+
+def _ledger_value(ledger) -> Fraction:
+    """The product of a digit ledger's entries, with no sums in it."""
+    out = F(2) ** ledger.twos
+    for m, e in ledger.factorials:
+        out *= F(math.factorial(m)) ** e
+    for a, e in ledger.integers:
+        out *= F(a) ** e
+    for x, e in ledger.lcms:
+        out *= F(math.lcm(*range(1, x + 1))) ** e
+    return out
+
+
+class _NoSums:
+    """Leaves the terminating sums out of a ledger."""
+
+    def radial_sum(self, *args) -> None:
+        pass
+
+    def angular_sum(self, *args) -> None:
+        pass
+
+
+class _Prefactor(_NoSums, entropy._ExactLedger):
+    pass
+
+
+class _PrefactorSizes(_NoSums, entropy._SizeLedger):
+    pass
+
+
+class _PrefactorEntries(_NoSums, entropy._DigitLedger):
+    def charge(self, top: int, bottom: int, e: int) -> None:
+        # kept as entries, so that _ledger_value multiplies them in
+        self.integer(top, e)
+        self.integer(bottom, -e)
 
 
 class TestDigitBound:
@@ -232,6 +269,7 @@ class TestDigitBound:
                 value = F(
                     entropy.rising_product(p, d, k), entropy.rising_product(p + 3, d, k) ** 2
                 )
+                assert _ledger_value(ledger) == value
                 num, den = ledger.digits()
                 assert len(str(value.numerator)) <= num <= len(str(value.numerator)) + 2
                 assert len(str(value.denominator)) <= den <= len(str(value.denominator)) + 2
@@ -250,38 +288,26 @@ class TestDigitBound:
     def test_sums_are_cleared_by_their_multiples(self, q):
         # each sum S times its denominator multiple M is an integer, and
         # |S M| <= M 10^log10_abs
-        def value(ledger) -> Fraction:
-            out = F(2) ** ledger.twos
-            for m, e in ledger.factorials:
-                out *= F(math.factorial(m)) ** e
-            for a, e in ledger.integers:
-                out *= F(a) ** e
-            for x, e in ledger.lcms:
-                out *= F(math.lcm(*range(1, x + 1))) ** e
-            return out
-
         def check(add_sum, exact: Fraction) -> None:
             ledger = entropy._DigitLedger()
             add_sum(ledger)
             ((multiple, log10_abs),) = ledger.sums
-            cleared = exact * value(multiple)
+            cleared = exact * _ledger_value(multiple)
             assert cleared.denominator == 1
-            assert math.log10(abs(cleared) or 1) <= math.log10(value(multiple)) + log10_abs + 1e-9
+            assert (
+                math.log10(abs(cleared) or 1)
+                <= math.log10(_ledger_value(multiple)) + log10_abs + 1e-9
+            )
 
         for D in range(2, 6):
             for n in range(2, 6):
                 for l in range(n - 1):
-                    k = n - l - 1
                     check(
-                        lambda out: entropy._lauricella_digits(
-                            out, 2 * l * q + D, 2 * l + D - 1, k, q
-                        ),
+                        lambda out: out.radial_sum("position", D, n, l, q),
                         entropy.radial_lauricella_factor(D, n, l, q),
                     )
                     check(
-                        lambda out: entropy._daoust_digits(
-                            out, 2 * l * q + D, q * (2 * l + D + 1), n + l + D - 2, 2 * l + D, k, q
-                        ),
+                        lambda out: out.radial_sum("momentum", D, n, l, q),
                         entropy.momentum_daoust_factor(D, n, l, q),
                     )
         for a2 in range(1, 5):
@@ -289,12 +315,41 @@ class TestDigitBound:
                 for k in range(1, 4):
                     mu_j = mu_j1 + k
                     check(
-                        lambda out: entropy._daoust_digits(
-                            out, a2 + 2 * q * mu_j1 + 1, 2 * q * mu_j1 + a2 + 1, a2 + mu_j1 + mu_j,
-                            a2 + 2 * mu_j1 + 1, k, q,
-                        ),
+                        lambda out: out.angular_sum(a2, mu_j, mu_j1, q),
                         entropy.angular_daoust_factor(F(a2, 2), mu_j, mu_j1, q),
                     )
+
+    @pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
+    def test_size_ledgers_agree_with_the_exact_one(self, D):
+        # one factor list, three ledgers: with the sums left out, the digit
+        # ledger's entries multiply out to the exact ledger's integers, which
+        # checks its Gamma and rising_product(p, 2, k) decompositions, and
+        # the first pass's sizes add up to the logarithm of that value
+        def check(enter) -> None:
+            exact = enter(_Prefactor()).scalar()
+            digits = enter(_PrefactorEntries())
+            assert ExactScalar.pi_power(digits.half, _ledger_value(digits)) == exact
+            sizes = enter(_PrefactorSizes())
+            assert sizes.half == digits.half
+            ln_value = (
+                sizes.num_ln
+                - sizes.den_ln
+                + sizes.twos * math.log(2)
+                + (sizes.extra_num - sizes.extra_den) * math.log(10)
+            )
+            ln_exact = math.log(exact.monomial()[0])
+            assert ln_value == pytest.approx(ln_exact, rel=1e-12, abs=1e-9)
+
+        for q in range(2, 6):
+            for n in range(1, 7):
+                for l in range(n):
+                    for Z in (1, F(7, 3)):
+                        state = HydrogenicState(D, n, (l,) + (0,) * (D - 2), Z)
+                        for space in ("position", "momentum"):
+                            check(lambda out: entropy._radial_factors(out, state, q, space, l))
+            for state in enumerate_states(D, 6):
+                if state.mu[-1] >= 0:
+                    check(lambda out: entropy._angular_factors(out, D, state.mu, q, state.l))
 
     def test_huge_orders_are_unbounded_at_once(self):
         state = HydrogenicState(3, 2, (1, 0), 1)
@@ -313,8 +368,8 @@ class TestDigitBound:
     def test_first_pass_keeps_no_entries(self):
         # the second pass alone reduces the prefactors, so only it keeps them
         state = HydrogenicState(5, 8, (1, 0, 0, 0), 3)
-        size = entropy._radial_digits(entropy._SizeLedger(), state, 3, "position", 1)
-        full = entropy._radial_digits(entropy._DigitLedger(), state, 3, "position", 1)
+        size = entropy._radial_factors(entropy._SizeLedger(), state, 3, "position", 1)
+        full = entropy._radial_factors(entropy._DigitLedger(), state, 3, "position", 1)
         assert not hasattr(size, "factorials") and full.factorials
         assert size.crude_digits() == full.crude_digits()
 

@@ -49,15 +49,16 @@ class TestGammaExact:
 
     def test_integer_form(self):
         # the oracle's Gamma against gamma_exact, the closed forms' own
-        # _gamma_parts and mpmath, in lowest terms
+        # _ExactLedger.gamma and mpmath, in lowest terms
         with mpmath.workdps(60):
             for twice in range(1, 401):
                 num, den, half = gamma_integers(twice)
                 assert math.gcd(num, den) == 1 and half == twice % 2
                 value = F(num, den)
                 assert ExactScalar.pi_power(half, value) == gamma_exact(F(twice, 2))
-                parts_num, parts_den, parts_half = entropy._gamma_parts(twice)
-                assert (F(parts_num, parts_den), parts_half) == (value, half)
+                ledger = entropy._ExactLedger()
+                ledger.gamma(twice, 1)
+                assert (F(ledger.num, ledger.den), ledger.half) == (value, half)
                 approx = mpmath.mpf(num) / den * mpmath.sqrt(mpmath.pi) ** half
                 exact = mpmath.gamma(mpmath.mpf(twice) / 2)
                 assert abs(approx / exact - 1) < mpmath.mpf(10) ** -50

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from hydrenyi import oracle
 from hydrenyi.exactnum import to_mpf
@@ -12,6 +13,7 @@ from hydrenyi.polynomials import gegenbauer, laguerre
 from hydrenyi.states import (
     HydrogenicState,
     ValidationError,
+    brief,
     count_states,
     enumerate_states,
     mu_chains,
@@ -183,6 +185,38 @@ class TestLiteral:
         limit = sys.get_int_max_str_digits()
         state = HydrogenicState.parse(f"D=3,n={'1' * limit},mu=0,0,Z=1.{'1' * limit}")
         assert state.n == int("1" * limit)
+
+
+def _shortened(text: str) -> str:
+    return text if len(text) <= 12 else f"{text[:6]}...({len(text)} chars)"
+
+
+_INTEGERS = st.one_of(st.integers(-(10**15), 10**15), st.integers(-(10**80), 10**80))
+
+
+class TestBrief:
+    @given(_INTEGERS)
+    def test_integers_read_as_their_text(self, value):
+        assert brief(value) == _shortened(str(value))
+
+    @given(_INTEGERS, st.integers(1, 10**40))
+    def test_fractions_read_as_their_text(self, num, den):
+        assert brief(F(num, den)) == _shortened(str(F(num, den)))
+
+    @given(st.lists(_INTEGERS, min_size=1, max_size=6))
+    def test_chains_read_as_their_text(self, chain):
+        assert brief(tuple(chain)) == _shortened(",".join(map(str, chain)))
+
+    def test_strings_are_shortened(self):
+        assert brief("2,x") == "2,x"
+        assert brief("1" * 50) == "111111...(50 chars)"
+
+    def test_numbers_past_the_digit_limit_are_measured(self):
+        # str() refuses these, so brief must not write them
+        digits = sys.get_int_max_str_digits() + 700
+        assert brief(-(10**digits)) == f"-10000...({digits + 2} chars)"
+        assert brief(F(7, 10**digits)) == f"7/1000...({digits + 3} chars)"
+        assert brief((10**digits - 1, 0)) == f"999999...({digits + 2} chars)"
 
 
 class TestDensities:
