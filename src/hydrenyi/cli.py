@@ -10,11 +10,13 @@ integers, a --precision outside MIN_PRECISION_BITS to MAX_PRECISION_BITS,
 and a charge Z whose numerator or denominator has more digits than Python
 converts to a string, 4,300 by default), 3 resource cap exceeded (the term
 cap of the sums, a verify sweep over more than MAX_VERIFY_VERDICTS verdicts,
-or an exact W of compute, verify or the exact side of sum that could need
-more than MAX_W_DIGITS digits), 4 the float path missed its error target or
-an integral of it came out zero.  A reader that closes the output pipe
-early, such as ``head``, ends the process by SIGPIPE where the platform has
-one, as it ends other filters: status 141 in a POSIX shell, and no traceback.
+an exact W of compute, verify or the exact side of sum that could need more
+than MAX_W_DIGITS digits, or a state with n past oracle.MAX_FLOAT_N for
+compute --float or the float side of sum), 4 the float path missed its
+error target or an integral of it came out zero.  A reader that closes the
+output pipe early, such as ``head``, ends the process by SIGPIPE where the
+platform has one, as it ends other filters: status 141 in a POSIX shell,
+and no traceback.
 """
 
 from __future__ import annotations
@@ -376,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (TermBudgetExceeded, ResourceError) as exc:
+    except (TermBudgetExceeded, ResourceError, oracle.FloatCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except oracle.QuadratureError as exc:

@@ -288,7 +288,8 @@ def radial_position_entropy(state: HydrogenicState, q: int) -> EntropyValue:
     with lambda = eta/(2Z), eta - L = n - l and 2 eta = 2n+D-3.
     """
     q = _check_integer_order(q)
-    w = _radial_factors(_ExactLedger(), state, q, "position", validate(state).l).scalar()
+    validate(state)
+    w = _radial_factors(_ExactLedger(), state, q, "position", state.l).scalar()
     return EntropyValue(_entropy_coef(q), w, Fraction(q))
 
 
@@ -300,7 +301,8 @@ def radial_momentum_entropy(state: HydrogenicState, q: int) -> EntropyValue:
     with eta - L = n - l and 2 eta = 2n+D-3.
     """
     q = _check_integer_order(q)
-    w = _radial_factors(_ExactLedger(), state, q, "momentum", validate(state).l).scalar()
+    validate(state)
+    w = _radial_factors(_ExactLedger(), state, q, "momentum", state.l).scalar()
     return EntropyValue(_entropy_coef(q), w, Fraction(q))
 
 

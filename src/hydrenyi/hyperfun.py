@@ -11,15 +11,14 @@ spec holds one set of identical axes and their multiplicity, and
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from hydrenyi import kernels
 from hydrenyi.exactnum import RationalLike, exact_rational
 
-TERM_CAP_ENV = "HYDRENYI_TERM_CAP"
-DEFAULT_TERM_CAP = 10**8
+# The most coefficient products one sum may take, counted before any work.
+TERM_CAP = 10**8
 _ONE = Fraction(1)
 
 
@@ -34,19 +33,6 @@ class TermBudgetExceeded(RuntimeError):
         super().__init__(f"sum needs {term_count} coefficient products, cap is {cap}")
         self.term_count = term_count
         self.cap = cap
-
-
-def active_term_cap() -> int:
-    raw = os.environ.get(TERM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_TERM_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{TERM_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"{TERM_CAP_ENV} must be positive, got {cap}")
-    return cap
 
 
 def _termination_bound(b: Fraction, mult: int) -> int:
@@ -70,9 +56,8 @@ def _check_no_pole(param: Fraction, bound: int, role: str) -> None:
 def _check_cap(bound: int, mult: int) -> None:
     """Refuse the sum before any work when the products it needs pass the cap."""
     count = kernels.coupled_sum_products(bound, mult)
-    cap = active_term_cap()
-    if count > cap:
-        raise TermBudgetExceeded(count, cap)
+    if count > TERM_CAP:
+        raise TermBudgetExceeded(count, TERM_CAP)
 
 
 def _hold_exact(spec, names: tuple[str, ...]) -> None:

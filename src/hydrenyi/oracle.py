@@ -27,7 +27,7 @@ from typing import Literal, NamedTuple
 import mpmath
 
 from hydrenyi import entropy
-from hydrenyi.exactnum import ExactScalar, exact_rational, gamma_integers, to_float, twice_value
+from hydrenyi.exactnum import ExactScalar, exact_rational, gamma_integers, to_float
 from hydrenyi.polynomials import (
     PolyExact,
     gegenbauer,
@@ -51,6 +51,17 @@ Space = Literal["position", "momentum"]
 
 QUADRATURE_DPS = 30
 QUADRATURE_REL_TARGET = 1e-10
+
+# The largest principal number the float path takes.  Its cost grows about
+# as n^2: the nodes come from Sturm counts of length n, and the integrand runs
+# a degree-n recurrence on each of n segments.  At n = 800 the slowest call
+# over D in {3, 5}, l in {0, n-1} and both spaces took about 9 s on a 2-vCPU
+# Xeon VM.
+MAX_FLOAT_N = 800
+
+
+class FloatCapExceeded(RuntimeError):
+    """The state's n is past MAX_FLOAT_N; refused before any work."""
 
 
 class QuadratureError(RuntimeError):
@@ -93,95 +104,29 @@ class _Monomial:
         return ExactScalar.pi_power(self.half, Fraction(self.num, self.den))
 
 
-@dataclass(frozen=True)
-class MomentBasis:
-    """Closed-form moments of one of the three weights the oracles need.
+def _moment_sum(
+    nums: tuple[int, ...], den: int, ratios: list[tuple[int, int]]
+) -> tuple[int, int]:
+    """sum_k nums[k]/den * m_k/m_0 as an integer numerator and denominator,
+    not reduced, for the moments m_k of a weight with m_(k+1)/m_k = a_k/b_k,
+    (a_k, b_k) = ratios[k].
 
-    kinds: "laguerre" is x^k e^-x on (0, inf); "gegenbauer" is
-    t^k (1-t^2)^s on (-1, 1) with params (s,); "jacobi-shifted" is
-    (1-y)^a (1+y)^(b+k) on (-1, 1) with params (a, b).
-
-    ``moment`` is the definition; ``integrate`` sums a whole expansion from
-    the rational ratios of consecutive moments.
+    With m_k = m_0 * prod_{j<k} a_j/b_j, the numerators are summed in
+    integers over den * prod_j b_j: term k carries the prefix product of the
+    a_j and the suffix product of the b_j.
     """
-
-    kind: str
-    params: tuple[Fraction, ...] = ()
-
-    def times_moment(self, out: _Monomial, k: int) -> None:
-        """Multiply out by moment(k); k even for gegenbauer."""
-        if self.kind == "laguerre":
-            out.times(math.factorial(k))
-        elif self.kind == "gegenbauer":
-            twice_s = twice_value(self.params[0])
-            out.times_gamma(k + 1)
-            out.times_gamma(twice_s + 2)
-            out.times_gamma(k + twice_s + 3, -1)
-        elif self.kind == "jacobi-shifted":
-            a, b = self.params
-            twice_a, twice_b = twice_value(a), twice_value(b)
-            if (twice_a + twice_b) % 2:
-                raise ValueError("shifted moment needs an integer total 2-power")
-            out.times(2, 1, (twice_a + twice_b) // 2 + k + 1)
-            out.times_gamma(twice_a + 2)
-            out.times_gamma(twice_b + 2 * k + 2)
-            out.times_gamma(twice_a + twice_b + 2 * k + 4, -1)
-        else:
-            raise ValueError(f"unknown moment basis {self.kind!r}")
-
-    def moment(self, k: int) -> ExactScalar:
-        if self.kind == "gegenbauer" and k % 2 == 1:
-            return ExactScalar(0)
-        out = _Monomial()
-        self.times_moment(out, k)
-        return out.scalar()
-
-    def _ratios(self, count: int) -> list[tuple[int, int]]:
-        """(num, den) with moment(step (j+1)) / moment(step j) = num/den for
-        j < count, where a step is one index, or two for gegenbauer (whose
-        odd moments vanish)."""
-        if self.kind == "laguerre":
-            return [(j + 1, 1) for j in range(count)]
-        if self.kind == "gegenbauer":
-            # (2j+1) / (2j+2s+3)
-            (s,) = self.params
-            sn, sd = s.numerator, s.denominator
-            return [((2 * j + 1) * sd, (2 * j + 3) * sd + 2 * sn) for j in range(count)]
-        if self.kind == "jacobi-shifted":
-            # 2(b+j+1) / (a+b+j+2)
-            a, b = self.params
-            c = a + b
-            bn, bd, cn, cd = b.numerator, b.denominator, c.numerator, c.denominator
-            return [
-                (2 * (bn + (j + 1) * bd) * cd, (cn + (j + 2) * cd) * bd)
-                for j in range(count)
-            ]
-        raise ValueError(f"unknown moment basis {self.kind!r}")
-
-    def integrate(self, poly: PolyExact) -> tuple[int, int]:
-        """sum_k [x^k]poly * moment(k) / moment(0), as an integer numerator
-        and denominator, not reduced.
-
-        With moment(k) = moment(0) * prod_{j<k} num_j/den_j, the numerators
-        of poly are summed in integers over den * prod_j den_j: term k
-        carries the prefix product of the ratio numerators and the suffix
-        product of their denominators.  For gegenbauer only the even
-        coefficients count.
-        """
-        nums = poly.nums[::2] if self.kind == "gegenbauer" else poly.nums
-        ratios = self._ratios(len(nums) - 1)
-        if not nums:
-            return 0, 1
-        suffix = [1] * len(nums)
-        for j in range(len(ratios) - 1, -1, -1):
-            suffix[j] = suffix[j + 1] * ratios[j][1]
-        total, prefix = 0, 1
-        for k, c in enumerate(nums):
-            if c:
-                total += c * prefix * suffix[k]
-            if k < len(ratios):
-                prefix *= ratios[k][0]
-        return total, poly.den * suffix[0]
+    if not nums:
+        return 0, 1
+    suffix = [1] * len(nums)
+    for j in range(len(nums) - 2, -1, -1):
+        suffix[j] = suffix[j + 1] * ratios[j][1]
+    total, prefix = 0, 1
+    for k, c in enumerate(nums):
+        if c:
+            total += c * prefix * suffix[k]
+        if k < len(nums) - 1:
+            prefix *= ratios[k][0]
+    return total, den * suffix[0]
 
 
 def _check_order(q, minimum: int = 1) -> int:
@@ -196,21 +141,19 @@ def radial_position_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
     moments of the expanded Laguerre power:
     lambda^(D(1-q)) (lambda^D N^2)^q q^-(2lq+D) times the integral."""
     q = _check_order(q)
-    d = validate(state)
-    l, D = d.l, state.D
+    validate(state)
+    l, D = state.l, state.D
     # scaled after powering, the recurrence runs on smaller numerators
     poly = (
         poly_pow(laguerre(state.n - l - 1, 2 * l + D - 2), 2 * q)
         .scale_arg(Fraction(1, q))
         .shift_degree(2 * l * q + D - 1)
     )
-    basis = MomentBasis("laguerre")
-    w = _Monomial()
-    basis.times_moment(w, 0)
-    w.times(*basis.integrate(poly))
+    # the weight x^k e^-x has moments k!, with 0! = 1
+    w = _Monomial(*_moment_sum(poly.nums, poly.den, [(k + 1, 1) for k in range(poly.degree)]))
     # lambda = eta / (2Z) = (2n+D-3) / (4Z)
     w.times((2 * state.n + D - 3) * state.Z.denominator, 4 * state.Z.numerator, D * (1 - q))
-    norm = radial_norm_squared(state, d)
+    norm = radial_norm_squared(state)
     w.times(norm.numerator, norm.denominator, q)
     w.times(1, q, 2 * l * q + D)
     return w.scalar()
@@ -247,9 +190,16 @@ def angular_w_exact(D: int, mu: tuple[int, ...], q: int) -> ExactScalar:
         mu_j, mu_j1 = chain[j - 1], chain[j]
         power = poly_pow(gegenbauer(mu_j - mu_j1, Fraction(two_alpha + 2 * mu_j1, 2)), 2 * q)
         assert not any(power.nums[1::2]), "odd moments of an even power must vanish"
-        basis = MomentBasis("gegenbauer", (Fraction(2 * q * mu_j1 + two_alpha - 1, 2),))
-        basis.times_moment(w, 0)
-        w.times(*basis.integrate(power))
+        # the weight (1-t^2)^s, s = q mu_j1 + alpha - 1/2, has vanishing odd
+        # moments and even moments t^(2k) in the ratio (2k+1)/(2k+2s+3), from
+        # Gamma(1/2) Gamma(s+1) / Gamma(s+3/2) at k = 0
+        twice_s = 2 * q * mu_j1 + two_alpha - 1
+        w.times_gamma(1)
+        w.times_gamma(twice_s + 2)
+        w.times_gamma(twice_s + 3, -1)
+        even = power.nums[::2]
+        ratios = [(2 * k + 1, 2 * k + twice_s + 3) for k in range(len(even) - 1)]
+        w.times(*_moment_sum(even, power.den, ratios))
     norm = _angular_norm_squared(D, chain)
     w.times(norm.num, norm.den, q, norm.half)
     return w.scalar()
@@ -260,21 +210,24 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
     shifted (1+y)^k basis: the Gegenbauer polynomial P(y) is written as
     Q(1+y) with Q(z) = P(z-1) before it is raised to the power 2q."""
     q = _check_order(q)
-    d = validate(state)
-    l, D = d.l, state.D
+    validate(state)
+    l, D = state.l, state.D
     # L + 1 = l + (D-1)/2
     power = poly_pow(gegenbauer(state.n - l - 1, Fraction(2 * l + D - 1, 2)).translate(-1), 2 * q)
-    basis = MomentBasis(
-        "jacobi-shifted",
-        (  # a = lq + D/2 - 1, b = D(q - 1/2) + q(l+1) - 1
-            Fraction(2 * l * q + D - 2, 2),
-            Fraction(2 * D * q - D + 2 * q * (l + 1) - 2, 2),
-        ),
-    )
+    # the weight (1-y)^a (1+y)^(b+k), a = lq + D/2 - 1 and
+    # b = D(q - 1/2) + q(l+1) - 1, has moments in the ratio
+    # 2(b+k+1)/(a+b+k+2), from 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2)
+    # at k = 0; a + b is an integer
+    twice_a, twice_b = 2 * l * q + D - 2, 2 * D * q - D + 2 * q * (l + 1) - 2
+    a_plus_b = (twice_a + twice_b) // 2
     w = _Monomial()
-    basis.times_moment(w, 0)
-    w.times(*basis.integrate(power))
-    k_squared, half = radial_momentum_norm_squared(state, d).monomial()
+    w.times(2, 1, a_plus_b + 1)
+    w.times_gamma(twice_a + 2)
+    w.times_gamma(twice_b + 2)
+    w.times_gamma(2 * a_plus_b + 4, -1)
+    ratios = [(twice_b + 2 * k + 2, a_plus_b + k + 2) for k in range(power.degree)]
+    w.times(*_moment_sum(power.nums, power.den, ratios))
+    k_squared, half = radial_momentum_norm_squared(state).monomial()
     w.times(k_squared.numerator, k_squared.denominator, q, half)
     # (Z/eta)^D = (2Z / (2n+D-3))^D, and 2^-(q(2l+D+1))
     w.times(2 * state.Z.numerator, state.Z.denominator * (2 * state.n + D - 3), D)
@@ -583,13 +536,13 @@ def position_radial_power_integral(
 ) -> tuple[mpmath.mpf, mpmath.mpf]:
     """Integral of the q-th power of the radial position density against
     r^(D-1) dr, with its quadrature error estimate."""
-    d = validate(state)
-    l, D = d.l, state.D
+    validate(state)
+    l, D = state.l, state.D
     k, alpha = state.n - l - 1, 2 * l + D - 2
-    lam = float(d.lam)
+    lam = float(state.lam)
     with mpmath.workdps(QUADRATURE_DPS):
         # ln N^2 for the density as a function of r / lam
-        norm = radial_norm_squared(state, d) / d.lam**D
+        norm = radial_norm_squared(state) / state.lam**D
         log_norm = float(mpmath.log(mpmath.mpf(norm.numerator) / norm.denominator))
     log_poly = laguerre_log_abs(k, alpha)
     q = float(q)
@@ -599,7 +552,7 @@ def position_radial_power_integral(
         log_density = log_norm + 2 * l * math.log(rt) - rt + 2 * log_poly(rt)
         return q * log_density + (D - 1) * math.log(r)
 
-    scale = lam * float(2 * d.eta)
+    scale = lam * float(2 * state.eta)
     points = (
         [0.0]
         + [lam * r for r in _laguerre_nodes(k, Fraction(alpha))]
@@ -613,18 +566,18 @@ def momentum_radial_power_integral(
 ) -> tuple[mpmath.mpf, mpmath.mpf]:
     """Integral of the q-th power of the radial momentum density against
     p^(D-1) dp, with its quadrature error estimate."""
-    d = validate(state)
-    l, D = d.l, state.D
+    validate(state)
+    l, D = state.l, state.D
     k = state.n - l - 1
-    log_density = radial_momentum_log_density(state, d)
+    log_density = radial_momentum_log_density(state)
     q = float(q)
 
     def log_integrand(p: float) -> float:
         return q * log_density(p) + (D - 1) * math.log(p)
 
-    scale = float(state.Z / d.eta)
+    scale = float(state.Z / state.eta)
     points = [0.0]
-    for y0 in _gegenbauer_nodes(k, d.L + 1):
+    for y0 in _gegenbauer_nodes(k, state.L + 1):
         points.append(scale * math.sqrt((1 - y0) / (1 + y0)))
     points += [scale, 4 * scale]
     deep_tail = (2 * l + 2 * D + 2) * q - D + 1 < _DEEP_TAIL_DECAY
@@ -694,7 +647,8 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
 
     In momentum space the entropy is infinite for q <= D/(2l+2D+2) (see
     states.check_momentum_order); such orders raise ValueError, as do orders
-    too large or too small for a float.
+    too large or too small for a float.  A state with n > MAX_FLOAT_N raises
+    FloatCapExceeded.
 
     The integrals run on the state at Z = 1, whose density lives at r ~ 1:
     the density at charge Z is Z^D rho(Z r) in position space and
@@ -710,9 +664,13 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
         raise ValueError("q is too small for the float path (below 4.9e-324)")
     if q <= 0 or q == 1:
         raise ValueError(f"need real q > 0, q != 1, got {q}")
-    d = validate(state)
+    validate(state)
     if space == "momentum":
-        check_momentum_order(state.D, d.l, order)
+        check_momentum_order(state.D, state.l, order)
+    if state.n > MAX_FLOAT_N:
+        raise FloatCapExceeded(
+            f"the float path takes n <= {MAX_FLOAT_N}, got n={brief(state.n)}"
+        )
     unit = state.unit_charge()
     if space == "position":
         radial, radial_err = position_radial_power_integral(unit, q)

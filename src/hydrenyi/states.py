@@ -98,6 +98,21 @@ class HydrogenicState:
     def m_abs(self) -> int:
         return abs(self.mu[-1])
 
+    @property
+    def eta(self) -> Fraction:
+        """n + (D-3)/2."""
+        return Fraction(2 * self.n + self.D - 3, 2)
+
+    @property
+    def L(self) -> Fraction:
+        """l + (D-3)/2."""
+        return Fraction(2 * self.l + self.D - 3, 2)
+
+    @property
+    def lam(self) -> Fraction:
+        """eta / (2Z), the length scale of the position density."""
+        return self.eta / (2 * self.Z)
+
     def canonical_mu(self) -> tuple[int, ...]:
         """The chain with the last (magnetic) entry replaced by its modulus;
         every density and entropy depends on the chain only through this."""
@@ -157,43 +172,6 @@ class HydrogenicState:
         return self.literal()
 
 
-class DerivedQuantum:
-    """Spectral quantities derived from a validated state.
-
-    l and m_abs are integers; eta = n + (D-3)/2, L = l + (D-3)/2,
-    lam = eta / (2Z) and alphas = ((D-j-1)/2 for j = 1..D-2) are Fractions
-    built when read, since most callers read only l.
-    """
-
-    __slots__ = ("_state", "l")
-
-    def __init__(self, state: HydrogenicState, l: int):
-        self._state = state
-        self.l = l
-
-    @property
-    def m_abs(self) -> int:
-        return self._state.m_abs
-
-    @property
-    def eta(self) -> Fraction:
-        return Fraction(2 * self._state.n + self._state.D - 3, 2)
-
-    @property
-    def L(self) -> Fraction:
-        return Fraction(2 * self.l + self._state.D - 3, 2)
-
-    @property
-    def lam(self) -> Fraction:
-        Z = self._state.Z
-        return Fraction((2 * self._state.n + self._state.D - 3) * Z.denominator, 4 * Z.numerator)
-
-    @property
-    def alphas(self) -> tuple[Fraction, ...]:
-        D = self._state.D
-        return tuple(Fraction(D - j - 1, 2) for j in range(1, D - 1))
-
-
 def check_chain(D: int, mu: "tuple[int, ...]") -> None:
     """Check the dimension and the mu chain of a hyperspherical harmonic:
     D >= 2, D-1 entries and mu1 >= mu2 >= ... >= |mu_{D-1}|; name the first
@@ -215,7 +193,7 @@ def check_chain(D: int, mu: "tuple[int, ...]") -> None:
         )
 
 
-def validate(state: HydrogenicState) -> DerivedQuantum:
+def validate(state: HydrogenicState) -> None:
     """Check every quantum-number constraint; name the first violated one."""
     check_chain(state.D, state.mu)
     if state.n < 1:
@@ -225,23 +203,23 @@ def validate(state: HydrogenicState) -> DerivedQuantum:
     l = state.l
     if not 0 <= l <= state.n - 1:
         raise ValidationError(f"orbital number must satisfy 0 <= l <= n-1, got l={brief(l)}")
-    return DerivedQuantum(state, l)
 
 
-def radial_norm_squared(state: HydrogenicState, d: DerivedQuantum) -> Fraction:
+def radial_norm_squared(state: HydrogenicState) -> Fraction:
     """lambda**D times N^2, i.e. the rational part of the squared radial
-    normalization constant, for a state and its d = validate(state)."""
+    normalization constant, for a validated state."""
+    l = state.l
     return Fraction(
-        math.factorial(state.n - d.l - 1),
-        math.factorial(state.n + d.l + state.D - 3) * (2 * state.n + state.D - 3),
+        math.factorial(state.n - l - 1),
+        math.factorial(state.n + l + state.D - 3) * (2 * state.n + state.D - 3),
     )
 
 
-def radial_momentum_norm_squared(state: HydrogenicState, d: DerivedQuantum) -> ExactScalar:
+def radial_momentum_norm_squared(state: HydrogenicState) -> ExactScalar:
     """K^2, the squared normalization of the radial momentum density, for a
-    state and its d = validate(state):
+    validated state:
     Z^-D 2^(4l+2D) (n-l-1)! Gamma(l+(D-1)/2)^2 eta^(D+1) / (2 pi (n+l+D-3)!)."""
-    l, D, Z = d.l, state.D, state.Z
+    l, D, Z = state.l, state.D, state.Z
     gamma_num, gamma_den, half = gamma_integers(2 * l + D - 1)
     # eta^(D+1) is (2n+D-3)^(D+1) / 2^(D+1), and the 1/2 of 1/(2 pi) joins
     # the power of two
@@ -255,22 +233,20 @@ def radial_momentum_norm_squared(state: HydrogenicState, d: DerivedQuantum) -> E
     return ExactScalar.pi_power(2 * half - 2, Fraction(num, den))
 
 
-def radial_momentum_log_density(
-    state: HydrogenicState, d: DerivedQuantum
-) -> Callable[[float], float]:
+def radial_momentum_log_density(state: HydrogenicState) -> Callable[[float], float]:
     """The function p -> ln of the radial momentum density factor, for a
-    state and its d = validate(state).
+    validated state.
 
     With v = eta p / Z, u = v^2 and y = (1-u)/(1+u) the density is
     K^2 u^l (1+u)^-(2L+4) C(y)^2, C the Gegenbauer polynomial of degree
     n-l-1 and parameter L+1.  Past v = 1 it is formed from 1/v^2, so that u
     cannot overflow.
     """
-    l = d.l
-    log_k2 = log_float(radial_momentum_norm_squared(state, d))
-    v_per_p = float(d.eta / state.Z)
-    decay = float(2 * d.L + 4)
-    log_poly = gegenbauer_log_abs(state.n - l - 1, float(d.L + 1))
+    l, L = state.l, state.L
+    log_k2 = log_float(radial_momentum_norm_squared(state))
+    v_per_p = float(state.eta / state.Z)
+    decay = float(2 * L + 4)
+    log_poly = gegenbauer_log_abs(state.n - l - 1, float(L + 1))
 
     def log_density(p: float) -> float:
         v = v_per_p * p

@@ -1,10 +1,11 @@
 """Reference code that only the tests call.
 
 The brute-force box sum that the hypergeometric kernel is checked against,
-the logarithm of a scalar through its mpf value, the pointwise densities and the energy of a state, the ground-state and
-quasi-spherical uncertainty shortcuts, and the paper's own power
-linearizations of Laguerre and Jacobi polynomials.  The library and the
-CLI call none of it.
+the logarithm of a scalar through its mpf value, the moments of the
+oracle's weights, the pointwise densities and the energy of a state, the
+ground-state and quasi-spherical uncertainty shortcuts, and the paper's own
+power linearizations of Laguerre and Jacobi polynomials.  The library and
+the CLI call none of it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from hydrenyi.entropy import (
     ns_position_entropy,
     uncertainty_bound,
 )
-from hydrenyi.exactnum import ExactScalar, RationalLike, pochhammer, to_mpf
+from hydrenyi.exactnum import ExactScalar, RationalLike, gamma_exact, pochhammer, to_mpf
 from hydrenyi.hyperfun import LauricellaSpec, lauricella_fa
 from hydrenyi.polynomials import PolyExact, gegenbauer_log_abs, laguerre_log_abs
 from hydrenyi.states import (
@@ -67,32 +68,68 @@ def log_float_through_mpf(a: ExactScalar, precision_bits: int) -> float:
         return float(mpmath.log(to_mpf(a, precision_bits)))
 
 
+# -- weight moments ---------------------------------------------------------------
+#
+# The moments of the three weights that the exact oracles integrate against,
+# one at a time from their definitions; the oracles sum them from the ratios
+# of consecutive moments instead.
+
+
+def laguerre_moment(k: int) -> ExactScalar:
+    """int_0^inf x^k e^-x dx = k!."""
+    return ExactScalar(math.factorial(k))
+
+
+def gegenbauer_moment(k: int, s: Fraction) -> ExactScalar:
+    """int_-1^1 t^k (1-t^2)^s dt: 0 for odd k, else the Beta value
+    B((k+1)/2, s+1)."""
+    if k % 2:
+        return ExactScalar(0)
+    half_k = Fraction(k + 1, 2)
+    return gamma_exact(half_k) * gamma_exact(s + 1) / gamma_exact(half_k + s + 1)
+
+
+def shifted_moment(k: int, a: Fraction, b: Fraction) -> ExactScalar:
+    """int_-1^1 (1-y)^a (1+y)^(b+k) dy = 2^(a+b+k+1) B(a+1, b+k+1), for an
+    integer a + b."""
+    power = a + b + k + 1
+    assert power.denominator == 1
+    beta = gamma_exact(a + 1) * gamma_exact(b + k + 1) / gamma_exact(power + 1)
+    return beta * Fraction(2) ** int(power)
+
+
 # -- states ---------------------------------------------------------------------
 
 
 def energy(state: HydrogenicState) -> Fraction:
     """Bound-state energy -Z^2 / (2 eta^2); depends on (D, n, Z) only."""
-    d = validate(state)
-    return -state.Z**2 / (2 * d.eta**2)
+    validate(state)
+    return -state.Z**2 / (2 * state.eta**2)
+
+
+def alphas(D: int) -> tuple[Fraction, ...]:
+    """The Gegenbauer offsets (D-j-1)/2 of the angular segments j = 1..D-2."""
+    return tuple(Fraction(D - j - 1, 2) for j in range(1, D - 1))
 
 
 def radial_density_position(state: HydrogenicState, r: float) -> float:
     """Radial position density factor; integrates to 1 against r**(D-1) dr."""
     if r <= 0:
         raise ValueError("r must be positive")
-    d = validate(state)
-    lam = float(d.lam)
+    validate(state)
+    l, lam = state.l, float(state.lam)
     rt = r / lam
-    log_poly = laguerre_log_abs(state.n - d.l - 1, 2 * d.l + state.D - 2)
-    norm2 = float(radial_norm_squared(state, d)) / lam**state.D
-    return norm2 * rt ** (2 * d.l) * math.exp(2 * log_poly(rt) - rt)
+    log_poly = laguerre_log_abs(state.n - l - 1, 2 * l + state.D - 2)
+    norm2 = float(radial_norm_squared(state)) / lam**state.D
+    return norm2 * rt ** (2 * l) * math.exp(2 * log_poly(rt) - rt)
 
 
 def radial_density_momentum(state: HydrogenicState, p: float) -> float:
     """Radial momentum density factor; integrates to 1 against p**(D-1) dp."""
     if p <= 0:
         raise ValueError("p must be positive")
-    return math.exp(radial_momentum_log_density(state, validate(state))(p))
+    validate(state)
+    return math.exp(radial_momentum_log_density(state)(p))
 
 
 def angular_density(state: HydrogenicState, angles: "list[float] | tuple[float, ...]") -> float:
@@ -101,15 +138,14 @@ def angular_density(state: HydrogenicState, angles: "list[float] | tuple[float, 
     angles holds theta_1..theta_{D-2} in [0, pi) and phi last; the modulus is
     phi-independent.  For D = 2 the value is the uniform 1/(2 pi).
     """
-    d = validate(state)
+    validate(state)
     if len(angles) != state.D - 1:
         raise ValueError(f"need D-1={state.D - 1} angles, got {len(angles)}")
     chain = state.canonical_mu()
     # the norms overflow floats at large degree (Gamma(100.5)^2 ~ 1e315), so
     # the value is formed as a logarithm and exponentiated once
     log_value = -math.log(2 * math.pi)
-    for j in range(1, state.D - 1):
-        alpha = d.alphas[j - 1]
+    for j, alpha in enumerate(alphas(state.D), start=1):
         alpha_f = float(alpha)
         mu_j, mu_j1 = chain[j - 1], chain[j]
         theta = angles[j - 1]

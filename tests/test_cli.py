@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hydrenyi import cli, entropy, oracle
+from hydrenyi import cli, entropy, hyperfun, oracle
 from hydrenyi.exactnum import parse_scalar
 from hydrenyi.states import HydrogenicState
 
@@ -131,11 +131,11 @@ class TestCompute:
         k, r = 9, 10
         work = k * (k + 1) // 2 + (r - 1) * k * k + r * k + 1
         argv = ("compute", "D=3,n=10,mu=0,0", "--q", "5", "--space", "position")
-        monkeypatch.setenv("HYDRENYI_TERM_CAP", str(work - 1))
+        monkeypatch.setattr(hyperfun, "TERM_CAP", work - 1)
         code, _, err = run(capsys, *argv)
         assert code == 3
         assert f"needs {work} coefficient products, cap is {work - 1}" in err
-        monkeypatch.setenv("HYDRENYI_TERM_CAP", str(work))
+        monkeypatch.setattr(hyperfun, "TERM_CAP", work)
         code, _, _ = run(capsys, *argv)
         assert code == 0
 
@@ -311,7 +311,7 @@ class TestVerify:
         assert payload["failing"]
 
     def test_term_cap_exits_three(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYDRENYI_TERM_CAP", "4")
+        monkeypatch.setattr(hyperfun, "TERM_CAP", 4)
         code, _, err = run(capsys, "verify", "--dmax", "3", "--nmax", "3")
         assert code == 3
         assert "cap" in err
@@ -484,6 +484,7 @@ class TestSum:
 
 
 GROUND_LITERAL = "D=3,n=1,mu=0,0"
+HUGE_N_LITERAL = f"D=3,n={10**21},mu=0,0"
 # the float path at charges far from 1 ended in wrong values, exit 4, exit 2
 # with messages about max() or the math domain, or an OverflowError traceback
 CHARGES = [
@@ -509,6 +510,10 @@ SWEEP = (
         (("compute", "D=1,n=1"), cli.EXIT_USAGE),
         (("compute", f"{GROUND_LITERAL},Z=1e5000", "--q", "0.7", "--float"), cli.EXIT_USAGE),
         (("sum", f"{GROUND_LITERAL},Z=1e-5000", "--q", "0.7"), cli.EXIT_USAGE),
+        # n past the float path's cap once ended in an OverflowError from a
+        # factorial, and large valid n ran for minutes
+        (("compute", HUGE_N_LITERAL, "--q", "0.7", "--float"), cli.EXIT_RESOURCE),
+        (("sum", HUGE_N_LITERAL, "--q", "0.7"), cli.EXIT_RESOURCE),
     ]
     + [
         ((command, literal, "--q", "2"), cli.EXIT_USAGE)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hydrenyi import hyperfun
 from hydrenyi.hyperfun import (
     HypergeometricSpecError,
     LauricellaSpec,
@@ -165,7 +166,7 @@ class TestMultiIndexSum:
     def test_squares(self):
         assert multi_index_sum([2], lambda idx: F(idx[0] ** 2)) == 5
 
-    def test_env_cap_applies_to_hyper_sums(self, monkeypatch):
-        monkeypatch.setenv("HYDRENYI_TERM_CAP", "8")
+    def test_cap_applies_to_hyper_sums(self, monkeypatch):
+        monkeypatch.setattr(hyperfun, "TERM_CAP", 8)
         with pytest.raises(TermBudgetExceeded):
             lauricella_fa(LauricellaSpec(3, -1, 2, F(1, 2), 4))

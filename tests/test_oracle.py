@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath
 import pytest
@@ -11,8 +12,8 @@ from mpmath.calculus.quadrature import TanhSinh
 from hydrenyi import entropy, oracle
 from hydrenyi.exactnum import ExactScalar
 from hydrenyi.oracle import (
-    MomentBasis,
     QuadratureError,
+    _moment_sum,
     angular_power_integral,
     angular_w_exact,
     momentum_radial_power_integral,
@@ -30,51 +31,77 @@ from hydrenyi.states import (
     radial_norm_squared,
 )
 
+from reference import gegenbauer_moment, laguerre_moment, shifted_moment
+
 F = Fraction
 
 GROUND = HydrogenicState(3, 1, (0, 0), 1)
 
 
+class _Weight(NamedTuple):
+    """One of the oracles' three weights: its moments from their
+    definitions, the ratio list an oracle hands to _moment_sum, and the
+    step between the moments summed (2 where the odd ones vanish)."""
+
+    moment: Callable[[int], ExactScalar]
+    ratios: Callable[[int], list[tuple[int, int]]]
+    step: int = 1
+
+
+def laguerre_weight() -> _Weight:
+    return _Weight(laguerre_moment, lambda count: [(k + 1, 1) for k in range(count)])
+
+
+def gegenbauer_weight(twice_s: int) -> _Weight:
+    return _Weight(
+        lambda k: gegenbauer_moment(k, F(twice_s, 2)),
+        lambda count: [(2 * j + 1, 2 * j + twice_s + 3) for j in range(count)],
+        2,
+    )
+
+
+def shifted_weight(twice_a: int, twice_b: int) -> _Weight:
+    a_plus_b = (twice_a + twice_b) // 2
+    return _Weight(
+        lambda k: shifted_moment(k, F(twice_a, 2), F(twice_b, 2)),
+        lambda count: [(twice_b + 2 * k + 2, a_plus_b + k + 2) for k in range(count)],
+    )
+
+
 class TestMomentBasis:
+    """The weights' moments from their definitions in reference."""
+
     def test_laguerre_weight(self):
-        basis = MomentBasis("laguerre")
-        assert basis.moment(0) == ExactScalar(1)
-        assert basis.moment(5) == ExactScalar(120)
+        assert laguerre_moment(0) == ExactScalar(1)
+        assert laguerre_moment(5) == ExactScalar(120)
 
     def test_gegenbauer_weight_odd_vanishes(self):
-        basis = MomentBasis("gegenbauer", (F(3, 2),))
-        assert basis.moment(3) == ExactScalar(0)
+        assert gegenbauer_moment(3, F(3, 2)) == ExactScalar(0)
 
     def test_gegenbauer_weight_even(self):
         # int t^2 (1-t^2)^0 dt = 2/3 with s = 0
-        basis = MomentBasis("gegenbauer", (F(0),))
-        assert basis.moment(2) == ExactScalar(F(2, 3))
+        assert gegenbauer_moment(2, F(0)) == ExactScalar(F(2, 3))
 
     def test_shifted_weight(self):
         # int (1-y)(1+y) dy = 4/3
-        basis = MomentBasis("jacobi-shifted", (F(1), F(0)))
-        assert basis.moment(1) == ExactScalar(F(4, 3))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            MomentBasis("chebyshev").moment(0)
-        with pytest.raises(ValueError):
-            MomentBasis("chebyshev").integrate(PolyExact([F(1), F(2)]))
+        assert shifted_moment(1, F(1), F(0)) == ExactScalar(F(4, 3))
 
 
-def _integrated(basis: MomentBasis, coeffs) -> ExactScalar:
-    num, den = basis.integrate(PolyExact(coeffs))
-    return basis.moment(0) * F(num, den)
+def _integrated(weight: _Weight, coeffs) -> ExactScalar:
+    poly = PolyExact(coeffs)
+    nums = poly.nums[:: weight.step]
+    num, den = _moment_sum(nums, poly.den, weight.ratios(len(nums) - 1))
+    return weight.moment(0) * F(num, den)
 
 
-def _summed_moments(basis: MomentBasis, coeffs) -> ExactScalar:
-    """The definition integrate must reproduce: sum_k c_k moment(k).  The
-    nonzero moments of one basis share one power of pi, so their
+def _summed_moments(weight: _Weight, coeffs) -> ExactScalar:
+    """The definition _moment_sum must reproduce: sum_k c_k moment(k).  The
+    nonzero moments of one weight share one power of pi, so their
     coefficients add."""
-    half = basis.moment(0).monomial()[1]
+    half = weight.moment(0).monomial()[1]
     total = F(0)
     for k, c in enumerate(coeffs):
-        r, k_half = basis.moment(k).monomial()
+        r, k_half = weight.moment(k).monomial()
         if r:
             assert k_half == half, (k, k_half, half)
             total += c * r
@@ -88,44 +115,44 @@ rational_vectors = st.lists(
     ),
     max_size=16,
 )
-# s >= 0 in steps of 1/2, as the angular oracle produces
-gegenbauer_params = st.integers(min_value=0, max_value=20).map(lambda t: F(t, 2))
+# 2s >= 0, as the angular oracle produces
+gegenbauer_params = st.integers(min_value=0, max_value=20)
 
 
 @st.composite
 def shifted_params(draw):
-    # a, b > -1 in steps of 1/2 with a + b an integer
+    # 2a, 2b > -2 with a + b an integer
     twice_a = draw(st.integers(min_value=-1, max_value=30))
     twice_b = 2 * draw(st.integers(min_value=0, max_value=15)) - twice_a % 2
-    return F(twice_a, 2), F(twice_b, 2)
+    return twice_a, twice_b
 
 
 class TestMomentIntegrate:
-    """integrate against the moment-by-moment sum, with zero tolerance."""
+    """_moment_sum against the moment-by-moment sum, with zero tolerance."""
 
     @given(rational_vectors)
     def test_laguerre(self, coeffs):
-        basis = MomentBasis("laguerre")
-        assert _integrated(basis, coeffs) == _summed_moments(basis, coeffs)
+        weight = laguerre_weight()
+        assert _integrated(weight, coeffs) == _summed_moments(weight, coeffs)
 
     @given(rational_vectors, gegenbauer_params)
-    def test_gegenbauer(self, coeffs, s):
-        basis = MomentBasis("gegenbauer", (s,))
-        assert _integrated(basis, coeffs) == _summed_moments(basis, coeffs)
+    def test_gegenbauer(self, coeffs, twice_s):
+        weight = gegenbauer_weight(twice_s)
+        assert _integrated(weight, coeffs) == _summed_moments(weight, coeffs)
 
     @given(rational_vectors, shifted_params())
     def test_jacobi_shifted(self, coeffs, params):
-        basis = MomentBasis("jacobi-shifted", params)
-        assert _integrated(basis, coeffs) == _summed_moments(basis, coeffs)
+        weight = shifted_weight(*params)
+        assert _integrated(weight, coeffs) == _summed_moments(weight, coeffs)
 
     @pytest.mark.parametrize(
         "basis",
         [
-            MomentBasis("laguerre"),
-            MomentBasis("gegenbauer", (F(0),)),
-            MomentBasis("gegenbauer", (F(7, 2),)),
-            MomentBasis("jacobi-shifted", (F(-1, 2), F(3, 2))),
-            MomentBasis("jacobi-shifted", (F(2), F(0))),
+            laguerre_weight(),
+            gegenbauer_weight(0),
+            gegenbauer_weight(7),
+            shifted_weight(-1, 3),
+            shifted_weight(4, 0),
         ],
     )
     def test_fixed_vectors(self, basis):
@@ -288,6 +315,19 @@ class TestFloatOracle:
                 ):
                     result = renyi_float(state, q, space)
                     assert result.value == pytest.approx(closed, rel=1e-9)
+
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_refuses_n_past_the_cap_before_any_work(self, monkeypatch, space):
+        # n = 10^21 once ended in an OverflowError from a factorial
+        def no_work(*args):
+            raise AssertionError("the float path started work past its cap")
+
+        monkeypatch.setattr(oracle, "_quad", no_work)
+        monkeypatch.setattr(oracle, "radial_norm_squared", no_work)
+        monkeypatch.setattr(oracle, "radial_momentum_log_density", no_work)
+        for n in (oracle.MAX_FLOAT_N + 1, 10**21):
+            with pytest.raises(oracle.FloatCapExceeded, match=f"n <= {oracle.MAX_FLOAT_N}"):
+                renyi_float(HydrogenicState(3, n, (0, 0)), F(7, 10), space)
 
     def test_real_order_momentum(self):
         result = renyi_float(GROUND, F(2, 3), "momentum")
@@ -584,11 +624,10 @@ class TestFloatIntegrands:
         log_f = _captured_log_integrand(
             monkeypatch, position_radial_power_integral, state, q
         )
-        d = oracle.validate(state)
         poly = laguerre(11, 1)
         with mpmath.workdps(50):
-            lam = mpmath.mpf(d.lam.numerator) / d.lam.denominator
-            norm = radial_norm_squared(state, d)
+            lam = mpmath.mpf(state.lam.numerator) / state.lam.denominator
+            norm = radial_norm_squared(state)
             norm2 = mpmath.mpf(norm.numerator) / norm.denominator / lam**3
             coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
             for r in (0.3, 7.0, 150.0, 1e34, 1e300):
@@ -606,15 +645,14 @@ class TestFloatIntegrands:
         log_f = _captured_log_integrand(
             monkeypatch, momentum_radial_power_integral, state, q
         )
-        d = oracle.validate(state)
         l, D, k = 2, 4, 4
-        poly = gegenbauer(k, d.L + 1)
+        poly = gegenbauer(k, state.L + 1)
         with mpmath.workdps(50):
 
             def mp(x):
                 return mpmath.mpf(x.numerator) / x.denominator
 
-            z, eta = mp(state.Z), mp(d.eta)
+            z, eta = mp(state.Z), mp(state.eta)
             k2 = (
                 z ** (-D) * mpmath.mpf(2) ** (4 * l + 2 * D) * math.factorial(k)
                 * mpmath.gamma(mpmath.mpf(2 * l + D - 1) / 2) ** 2 * eta ** (D + 1)
@@ -625,7 +663,7 @@ class TestFloatIntegrands:
             u = mpmath.mpf(v) ** 2
             y = (1 - u) / (1 + u)
             log_density = (
-                mpmath.log(k2) + l * mpmath.log(u) - mp(2 * d.L + 4) * mpmath.log1p(u)
+                mpmath.log(k2) + l * mpmath.log(u) - mp(2 * state.L + 4) * mpmath.log1p(u)
                 + 2 * mpmath.log(abs(mpmath.polyval(coeffs, y)))
             )
             exact = q * log_density + (D - 1) * mpmath.log(p)

@@ -24,6 +24,7 @@ from hydrenyi.states import (
 )
 
 from reference import (
+    alphas,
     angular_density,
     energy,
     radial_density_momentum,
@@ -35,16 +36,17 @@ F = Fraction
 
 class TestValidate:
     def test_ground_state_derived(self):
-        d = validate(HydrogenicState(3, 1, (0, 0), 1))
-        assert d.eta == 1
-        assert d.L == 0
-        assert d.lam == F(1, 2)
-        assert d.alphas == (F(1, 2),)
+        state = HydrogenicState(3, 1, (0, 0), 1)
+        assert validate(state) is None
+        assert state.eta == 1
+        assert state.L == 0
+        assert state.lam == F(1, 2)
+        assert alphas(3) == (F(1, 2),)
 
     @pytest.mark.parametrize("D", range(2, 9))
     def test_derived_fields_match_their_definitions(self, D):
-        # eta, L, lam and alphas are built when read; they keep the values
-        # and types of the definitions written out here
+        # eta, L and lam are built when read; they keep the values and types
+        # of the definitions written out here
         for n in range(1, 9):
             for l in range(n):
                 if D == 2:
@@ -53,24 +55,25 @@ class TestValidate:
                     chains = [(l,) + (0,) * (D - 2), (l,) * (D - 2) + (-l,)]
                 for mu in chains:
                     for Z in (F(1), F(3), F(2, 3)):
-                        d = validate(HydrogenicState(D, n, mu, Z))
+                        state = HydrogenicState(D, n, mu, Z)
+                        validate(state)
                         eta = n + F(D - 3, 2)
                         expected = {
                             "eta": eta,
                             "L": l + F(D - 3, 2),
                             "lam": eta / (2 * Z),
-                            "alphas": tuple(F(D - j - 1, 2) for j in range(1, D - 1)),
                         }
                         for name, value in expected.items():
-                            assert getattr(d, name) == value
-                        assert all(type(v) is F for v in (d.eta, d.L, d.lam, *d.alphas))
-                        assert (d.l, d.m_abs) == (l, abs(mu[-1]))
+                            assert getattr(state, name) == value
+                        assert all(type(v) is F for v in (state.eta, state.L, state.lam))
+                        assert (state.l, state.m_abs) == (l, abs(mu[-1]))
 
     def test_table_row_state(self):
-        d = validate(HydrogenicState(3, 3, (2, 2), 1))
-        assert d.eta == 3
-        assert d.L == 2
-        assert d.m_abs == 2
+        state = HydrogenicState(3, 3, (2, 2), 1)
+        validate(state)
+        assert state.eta == 3
+        assert state.L == 2
+        assert state.m_abs == 2
 
     def test_chain_violation_named(self):
         with pytest.raises(ValidationError, match="mu1=0 < "):
@@ -93,12 +96,14 @@ class TestValidate:
             validate(HydrogenicState(1, 1, (), 1))
 
     def test_negative_magnetic_allowed(self):
-        d = validate(HydrogenicState(4, 3, (2, 1, -1), 1))
-        assert d.m_abs == 1
+        state = HydrogenicState(4, 3, (2, 1, -1), 1)
+        validate(state)
+        assert state.m_abs == 1
 
     def test_d2_negative_single_entry(self):
-        d = validate(HydrogenicState(2, 3, (-2,), 1))
-        assert d.l == 2
+        state = HydrogenicState(2, 3, (-2,), 1)
+        validate(state)
+        assert state.l == 2
 
     def test_accepts_exactly_the_enumerated_chains(self):
         for D, n in [(3, 3), (4, 3), (5, 2)]:
@@ -288,17 +293,16 @@ class TestDensities:
         # Horner's rule on the monomial coefficients was off by up to 1e-6
         # between the zeros here
         state = HydrogenicState(5, 20, (0, 0, 0, 0), 1)
-        d = validate(state)
-        norm2 = radial_norm_squared(state, d) / d.lam**5
+        norm2 = radial_norm_squared(state) / state.lam**5
         with mpmath.workdps(50):
 
             def mp(x: Fraction):
                 return mpmath.mpf(x.numerator) / x.denominator
 
             coeffs = [mp(c) for c in reversed(laguerre(19, 3).coeffs)]
-            zeros = [float(d.lam) * x for x in oracle._laguerre_nodes(19, F(3))]
+            zeros = [float(state.lam) * x for x in oracle._laguerre_nodes(19, F(3))]
             for r in [(a + b) / 2 for a, b in zip(zeros, zeros[1:])] + [400.0]:
-                rt = mpmath.mpf(r) / mp(d.lam)
+                rt = mpmath.mpf(r) / mp(state.lam)
                 exact = mp(norm2) * mpmath.exp(-rt) * mpmath.polyval(coeffs, rt) ** 2
                 assert radial_density_position(state, r) == pytest.approx(
                     float(exact), rel=1e-12, abs=0
@@ -311,22 +315,21 @@ def _mp(x: Fraction):
 
 def _momentum_norm_mp(state: HydrogenicState):
     """K^2 at the working precision, from mpmath's Gamma function."""
-    d = validate(state)
-    l, D = d.l, state.D
+    l, D = state.l, state.D
     return (
         _mp(state.Z) ** (-D) * mpmath.mpf(2) ** (4 * l + 2 * D)
         * math.factorial(state.n - l - 1)
-        * mpmath.gamma(mpmath.mpf(2 * l + D - 1) / 2) ** 2 * _mp(d.eta) ** (D + 1)
+        * mpmath.gamma(mpmath.mpf(2 * l + D - 1) / 2) ** 2 * _mp(state.eta) ** (D + 1)
         / (2 * mpmath.pi * math.factorial(state.n + l + D - 3))
     )
 
 
 def _momentum_density_mp(state: HydrogenicState, p):
-    d = validate(state)
-    coeffs = [_mp(c) for c in reversed(gegenbauer(state.n - d.l - 1, d.L + 1).coeffs)]
-    u = (_mp(d.eta) * p / _mp(state.Z)) ** 2
+    l, L = state.l, state.L
+    coeffs = [_mp(c) for c in reversed(gegenbauer(state.n - l - 1, L + 1).coeffs)]
+    u = (_mp(state.eta) * p / _mp(state.Z)) ** 2
     poly = mpmath.polyval(coeffs, (1 - u) / (1 + u))
-    return _momentum_norm_mp(state) * u**d.l * (1 + u) ** (-(2 * _mp(d.L) + 4)) * poly**2
+    return _momentum_norm_mp(state) * u**l * (1 + u) ** (-(2 * _mp(L) + 4)) * poly**2
 
 
 MOMENTUM_STATES = [
@@ -347,13 +350,13 @@ class TestMomentumDensity:
             exact = _momentum_density_mp(state, mpmath.mpf(p))
             log_exact = float(mpmath.log(exact))
             exact = float(exact)
-        log_density = radial_momentum_log_density(state, validate(state))
+        log_density = radial_momentum_log_density(state)
         assert log_density(p) == pytest.approx(log_exact, rel=1e-13)
         assert radial_density_momentum(state, p) == pytest.approx(exact, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("state", MOMENTUM_STATES, ids=str)
     def test_norm_is_exact(self, state):
-        k2 = radial_momentum_norm_squared(state, validate(state))
+        k2 = radial_momentum_norm_squared(state)
         assert k2.is_positive_monomial
         with mpmath.workdps(50):
             assert to_mpf(k2, 170) == pytest.approx(_momentum_norm_mp(state), rel=1e-45)
@@ -376,8 +379,9 @@ class TestNormalization:
             for l in range(n):
                 chain = (l,) * (D - 1)
                 state = HydrogenicState(D, n, chain, F(3, 2))
-                d = validate(state)
-                value = _radial_quad(radial_density_position, state, float(4 * d.lam * d.eta))
+                value = _radial_quad(
+                    radial_density_position, state, float(4 * state.lam * state.eta)
+                )
                 assert value == pytest.approx(1.0, rel=1e-10)
 
     @pytest.mark.parametrize("D", [2, 3, 4, 5])
@@ -386,9 +390,8 @@ class TestNormalization:
             for l in range(n):
                 chain = (l,) * (D - 1)
                 state = HydrogenicState(D, n, chain, F(3, 2))
-                d = validate(state)
                 value = _radial_quad(
-                    radial_density_momentum, state, float(state.Z / d.eta)
+                    radial_density_momentum, state, float(state.Z / state.eta)
                 )
                 assert value == pytest.approx(1.0, rel=1e-10)
 
