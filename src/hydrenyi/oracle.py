@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -27,21 +28,13 @@ from typing import Literal, NamedTuple
 import mpmath
 
 from hydrenyi import entropy
-from hydrenyi.exactnum import ExactScalar, exact_rational, gamma_integers, to_float
-from hydrenyi.polynomials import (
-    PolyExact,
-    gegenbauer,
-    gegenbauer_log_abs,
-    laguerre,
-    laguerre_log_abs,
-    poly_pow,
-)
+from hydrenyi.exactnum import ExactScalar, exact_rational, gamma_integers, log_float, to_float
+from hydrenyi.polynomials import PolyExact, gegenbauer, gegenbauer_log_abs, laguerre, poly_pow
 from hydrenyi.states import (
     HydrogenicState,
     brief,
     check_chain,
     check_momentum_order,
-    radial_momentum_log_density,
     radial_momentum_norm_squared,
     radial_norm_squared,
     validate,
@@ -67,7 +60,8 @@ class FloatCapExceeded(RuntimeError):
 class QuadratureError(RuntimeError):
     """Quadrature failed to reach the relative error target.  value and
     estimate are the entropy and its error estimate, or None when an
-    integral came out zero and there is no entropy to report."""
+    integral came out zero or not a number and there is no entropy to
+    report."""
 
     def __init__(self, message: str, value: float | None = None, estimate: float | None = None):
         super().__init__(message)
@@ -249,7 +243,9 @@ def _jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[flo
     The number of eigenvalues below x is the number of negative pivots in the
     LDL^T factorization of the matrix minus x (a Sturm count), so each
     eigenvalue is bracketed and halved until the bracket reaches the float
-    resolution of the matrix, about eps times its norm.
+    resolution of the matrix, about eps times its norm.  The bisection needs
+    only whether that count passes the eigenvalue's index, so the
+    factorization stops at the pivot that decides it.
     """
     if not diag:
         return []
@@ -257,26 +253,25 @@ def _jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[flo
     lo = min(a - radii[j] - radii[j + 1] for j, a in enumerate(diag))
     hi = max(a + radii[j] + radii[j + 1] for j, a in enumerate(diag))
     resolution = sys.float_info.epsilon * max(abs(lo), abs(hi))
-    couplings = [0.0] + off_squared
-
-    def count_below(x: float) -> int:
-        count, pivot = 0, 1.0
-        for a, b in zip(diag, couplings):
-            pivot = a - x - b / pivot
-            if pivot == 0.0:
-                pivot = -sys.float_info.min
-            count += pivot < 0.0
-        return count
+    rows = list(zip(diag, [0.0] + off_squared))
 
     out: list[float] = []
     for index in range(len(diag)):
         a, b = (out[-1] if out else lo), hi
         while b - a > resolution:
             mid = 0.5 * (a + b)
-            if mid in (a, b):
+            if mid == a or mid == b:
                 break
-            if count_below(mid) > index:
-                b = mid
+            negatives, pivot = 0, 1.0
+            for diagonal, coupling in rows:
+                pivot = diagonal - mid - coupling / pivot
+                if pivot <= 0.0:
+                    if pivot == 0.0:
+                        pivot = -sys.float_info.min
+                    negatives += 1
+                    if negatives > index:
+                        b = mid
+                        break
             else:
                 a = mid
         out.append(0.5 * (a + b))
@@ -364,6 +359,37 @@ def _level_nodes(level: int, limit: float) -> tuple[tuple[float, ...], tuple[flo
         j += step
 
 
+# The (node, weight) pairs of one side of a segment, in the order the side
+# runs: complements 1 - |x| on a finite segment, offsets x - a on [a, inf).
+_Side = tuple[tuple[float, float], ...]
+
+
+@functools.lru_cache(maxsize=32)
+def _finite_sides(level: int) -> tuple[_Side, _Side]:
+    """The (complement, weight) pairs of _level_nodes(level, _NODE_LIMIT),
+    as the pairs outside the endpoint region and those inside it."""
+    comps, weights = _level_nodes(level, _NODE_LIMIT)
+    pairs = tuple(zip(comps, weights))
+    cut = sum(c > _ENDPOINT_REGION for c in comps)
+    return pairs[:cut], pairs[cut:]
+
+
+@functools.lru_cache(maxsize=32)
+def _tail_sides(level: int, limit: float) -> tuple[tuple[_Side, _Side], tuple[_Side, _Side]]:
+    """The (x - a, weight) pairs of an [a, inf) segment, whose map is
+    x -> a - 1 + 2/(1+x) with weight 2/(1+x)^2: the side towards a from
+    _level_nodes(level, _NODE_LIMIT), the side towards infinity from
+    _level_nodes(level, limit), each as its pairs outside the endpoint region
+    and those inside it."""
+    comps, weights = _level_nodes(level, _NODE_LIMIT)
+    near = tuple((c / (2 - c), w * 2 / (2 - c) ** 2) for c, w in zip(comps, weights))
+    far = tuple(((2 - c) / c, w / c * (2 / c)) for c, w in zip(*_level_nodes(level, limit)))
+    # both limits lie inside the endpoint region, so the sides share the
+    # nodes outside it
+    cut = sum(c > _ENDPOINT_REGION for c in comps)
+    return (near[:cut], near[cut:]), (far[:cut], far[cut:])
+
+
 def _relative_error(results: list[float]) -> float:
     """The Borwein-Bailey-Girgensohn extrapolation of mpmath's rule, applied
     to the differences |I_k - I_j| / |I_k| of the last levels.
@@ -411,37 +437,35 @@ class _FloatTanhSinh:
         its first node inside whose term is <= _NEGLIGIBLE times the side's
         sum so far on this level.  A side whose sum is still 0 does not stop,
         so mass right against an endpoint is still found at every level.
+        The side's sum runs left to right, as the nodes come.
         """
-        comps, weights = _level_nodes(level, _NODE_LIMIT)
-        terms = []
+        terms: list[float] = []
         if b == math.inf:
             if level == 1:
                 terms.append(math.pi * f(a + 1))
-            # x -> a - 1 + 2/(1+x), with weight 2/(1+x)^2
-            running = 0.0
-            for c, w in zip(comps, weights):
-                term = w * 2 / (2 - c) ** 2 * f(a + c / (2 - c))
-                terms.append(term)
-                if c <= _ENDPOINT_REGION and 0 < running and term <= _NEGLIGIBLE * running:
-                    break
-                running += term
-            running = 0.0
-            for c, w in zip(*_level_nodes(level, self.tail_limit)):
-                term = w / c * (2 / c) * f(a + (2 - c) / c)
-                terms.append(term)
-                if c <= _ENDPOINT_REGION and 0 < running and term <= _NEGLIGIBLE * running:
-                    break
-                running += term
+            for outside, inside in _tail_sides(level, self.tail_limit):
+                side = [w * f(a + offset) for offset, w in outside]
+                running = functools.reduce(operator.add, side, 0.0)
+                terms += side
+                for offset, w in inside:
+                    term = w * f(a + offset)
+                    terms.append(term)
+                    if 0 < running and term <= _NEGLIGIBLE * running:
+                        break
+                    running += term
             return terms
         half = 0.5 * (b - a)
         if level == 1:
             terms.append(half * math.pi / 2 * f(a + half))
+        outside, inside = _finite_sides(level)
         for end, step in ((b, -half), (a, half)):
-            running = 0.0
-            for c, w in zip(comps, weights):
+            side = [half * w * f(end + step * c) for c, w in outside]
+            running = functools.reduce(operator.add, side, 0.0)
+            terms += side
+            for c, w in inside:
                 term = half * w * f(end + step * c)
                 terms.append(term)
-                if c <= _ENDPOINT_REGION and 0 < running and term <= _NEGLIGIBLE * running:
+                if 0 < running and term <= _NEGLIGIBLE * running:
                     break
                 running += term
         return terms
@@ -517,9 +541,10 @@ def _quad_log(
 
         def integrand(x: float, shift: float = shift) -> float:
             log_value = log_f(x)
-            if log_value - shift > 700:
+            shifted = log_value - shift
+            if shifted > 700:
                 raise _ShiftTooLow(log_value)
-            return math.exp(log_value - shift)
+            return math.exp(shifted)
 
         try:
             value, err = _quad(integrand, points, rule)
@@ -544,13 +569,32 @@ def position_radial_power_integral(
         # ln N^2 for the density as a function of r / lam
         norm = radial_norm_squared(state) / state.lam**D
         log_norm = float(mpmath.log(mpmath.mpf(norm.numerator) / norm.denominator))
-    log_poly = laguerre_log_abs(k, alpha)
-    q = float(q)
+    # the Laguerre recurrence (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1}
+    steps = [
+        ((2 * j + 1 + alpha) / (j + 1), 1.0 / (j + 1), (j + alpha) / (j + 1))
+        for j in range(k)
+    ]
+    two_l, dim, q = 2 * l, D - 1, float(q)
 
     def log_integrand(r: float) -> float:
+        """q ln of the density times r^(D-1), with ln|L_k^(alpha)(r/lam)| from
+        the recurrence on L_j(x) / x^j past x = 1, which stays bounded, so
+        that arguments up to the float range do not overflow."""
         rt = r / lam
-        log_density = log_norm + 2 * l * math.log(rt) - rt + 2 * log_poly(rt)
-        return q * log_density + (D - 1) * math.log(r)
+        log_rt = math.log(rt)
+        prev, cur = 0.0, 1.0
+        if rt <= 1.0:
+            for a, b, c in steps:
+                prev, cur = cur, (a - b * rt) * cur - c * prev
+            log_poly = math.log(abs(cur)) if cur else -math.inf
+        else:
+            inv = 1.0 / rt
+            x, inv2 = rt * inv, inv * inv
+            for a, b, c in steps:
+                prev, cur = cur, (a * inv - b * x) * cur - c * inv2 * prev
+            log_poly = math.log(abs(cur)) + k * log_rt if cur else -math.inf
+        log_density = log_norm + two_l * log_rt - rt + 2 * log_poly
+        return q * log_density + dim * math.log(r)
 
     scale = lam * float(2 * state.eta)
     points = (
@@ -567,13 +611,29 @@ def momentum_radial_power_integral(
     """Integral of the q-th power of the radial momentum density against
     p^(D-1) dp, with its quadrature error estimate."""
     validate(state)
-    l, D = state.l, state.D
+    l, D, L = state.l, state.D, state.L
     k = state.n - l - 1
-    log_density = radial_momentum_log_density(state)
-    q = float(q)
+    log_k2 = log_float(radial_momentum_norm_squared(state))
+    v_per_p = float(state.eta / state.Z)
+    decay = float(2 * L + 4)
+    log_poly = gegenbauer_log_abs(k, float(L + 1))
+    two_l, dim, q = 2 * l, D - 1, float(q)
 
     def log_integrand(p: float) -> float:
-        return q * log_density(p) + (D - 1) * math.log(p)
+        """q ln of the density times p^(D-1).  With v = eta p / Z, u = v^2
+        and y = (1-u)/(1+u) the density is K^2 u^l (1+u)^-(2L+4) C(y)^2, C
+        the Gegenbauer polynomial of degree k and parameter L+1.  Past v = 1
+        it is formed from 1/v^2, so that u cannot overflow."""
+        v = v_per_p * p
+        log_v = math.log(v)
+        if v <= 1.0:
+            u = v * v
+            y, log_1pu = (1 - u) / (1 + u), math.log1p(u)
+        else:
+            w = (1 / v) ** 2
+            y, log_1pu = (w - 1) / (w + 1), 2 * log_v + math.log1p(w)
+        log_density = log_k2 + two_l * log_v - decay * log_1pu + 2 * log_poly(y)
+        return q * log_density + dim * math.log(p)
 
     scale = float(state.Z / state.eta)
     points = [0.0]
@@ -633,8 +693,14 @@ class FloatEntropy(NamedTuple):
 
 def _check_positive(integral: mpmath.mpf, name: str) -> None:
     """The integral of a positive density's power is positive; the rule
-    answers 0 when every node misses a peak narrower than its spacing."""
-    if not integral > 0:  # a NaN fails too
+    answers 0 when every node misses a peak narrower than its spacing, and
+    NaN when the integrand was not finite at some node."""
+    if mpmath.isnan(integral):
+        raise QuadratureError(
+            f"the {name} integral is not a number (the integrand was not finite "
+            "at some quadrature node); no finite entropy follows from it"
+        )
+    if not integral > 0:
         raise QuadratureError(
             f"the {name} integral came out zero (the quadrature nodes missed "
             "the density's mass); no finite entropy follows from it"

@@ -4,8 +4,8 @@ A polynomial is integer numerators over one common denominator.  Laguerre
 and Gegenbauer come from their explicit coefficient sums, built in integers.
 ``poly_pow`` raises the oracle's polynomials to a power by a recurrence on
 their numerators.  This module serves the oracle, so it imports none of the
-hypergeometric sum code that the closed forms use.  The float evaluators at
-the end serve the real-order quadrature.
+hypergeometric sum code that the closed forms use.  The float Gegenbauer
+evaluator at the end serves the real-order quadrature.
 """
 
 from __future__ import annotations
@@ -190,47 +190,37 @@ def gegenbauer(n: int, lam: RationalLike) -> PolyExact:
 
 # Float evaluation.  Monomial coefficients of these polynomials alternate in
 # sign, and Horner's rule on them loses digits to cancellation as the degree
-# grows; the three-term recurrences are stable in floats (Gautschi, SIAM Rev.
-# 9, 1967).  Both evaluators return ln|P(x)|, -inf at an exact zero, so that
-# callers can form a density in the log domain and exponentiate once.
+# grows; the three-term recurrence is stable in floats (Gautschi, SIAM Rev.
+# 9, 1967).  The evaluator returns ln|P(x)|, -inf at an exact zero, so that
+# callers can form a density in the log domain and exponentiate once.  The
+# Laguerre recurrence of the position integrand runs inline in
+# oracle.position_radial_power_integral.
 
-
-def laguerre_log_abs(n: int, alpha: float) -> Callable[[float], float]:
-    """The function x -> ln|L_n^(alpha)(x)|, by the recurrence
-    (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1}.
-
-    The recurrence runs on L_j(x) / s^j with s = max(1, |x|), which stays
-    bounded, so arguments up to the float range do not overflow.
-    """
-    steps = [
-        ((2 * j + 1 + alpha) / (j + 1), 1.0 / (j + 1), (j + alpha) / (j + 1))
-        for j in range(n)
-    ]
-
-    def log_abs(x: float) -> float:
-        s = max(1.0, abs(x))
-        inv = 1.0 / s
-        x_scaled, inv2 = x * inv, inv * inv
-        prev, cur = 0.0, 1.0
-        for a, b, c in steps:
-            prev, cur = cur, (a * inv - b * x_scaled) * cur - c * inv2 * prev
-        if not cur:
-            return -math.inf
-        return math.log(abs(cur)) + n * math.log(s)
-
-    return log_abs
+# ln of the largest |C_n^(lam)| on [-1, 1] that the recurrence may reach
+# unscaled; e^600 leaves room below the float range for the recurrence's
+# intermediate terms.
+_GEGENBAUER_LOG_HEADROOM = 600.0
 
 
 def gegenbauer_log_abs(n: int, lam: float) -> Callable[[float], float]:
     """The function x -> ln|C_n^(lam)(x)| on [-1, 1], by the recurrence
-    (j+1) C_{j+1} = 2(j+lam) x C_j - (j+2lam-1) C_{j-1}."""
+    (j+1) C_{j+1} = 2(j+lam) x C_j - (j+2lam-1) C_{j-1}, for lam > 0.
+
+    For lam > 0, |C_n^(lam)| on [-1, 1] peaks at C_n^(lam)(1) =
+    Gamma(2lam+n) / (Gamma(2lam) n!).  Once its log passes the headroom the
+    recurrence starts at 2^-e instead of 1, which is exact, and e ln 2 is
+    added back once; otherwise it would reach inf - inf near x = 1.
+    """
     steps = [(2 * (j + lam) / (j + 1), (j + 2 * lam - 1) / (j + 1)) for j in range(n)]
+    log_peak = math.lgamma(2 * lam + n) - math.lgamma(2 * lam) - math.lgamma(n + 1)
+    e = max(0, math.ceil((log_peak - _GEGENBAUER_LOG_HEADROOM) / math.log(2)))
+    start, offset = math.ldexp(1.0, -e), e * math.log(2)
 
     def log_abs(x: float) -> float:
-        prev, cur = 0.0, 1.0
+        prev, cur = 0.0, start
         for a, c in steps:
             prev, cur = cur, a * x * cur - c * prev
-        return math.log(abs(cur)) if cur else -math.inf
+        return math.log(abs(cur)) + offset if cur else -math.inf
 
     return log_abs
 

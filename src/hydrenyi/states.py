@@ -2,8 +2,8 @@
 
 A state is (D, n, mu-chain, Z) with l = mu[0] and the chain constraint
 mu1 >= mu2 >= ... >= mu[D-3] >= |mu[D-2]| >= 0.  For D = 2 the chain is the
-single entry mu1 and l = |mu1|.  The radial normalizations and the
-log-domain radial momentum density here are shared with the oracle.
+single entry mu1 and l = |mu1|.  The radial normalizations here are shared
+with the oracle.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
-from hydrenyi.exactnum import ExactScalar, RationalLike, gamma_integers, log_float
-from hydrenyi.polynomials import gegenbauer_log_abs
+from hydrenyi.exactnum import ExactScalar, RationalLike, gamma_integers
 
 
 class ValidationError(ValueError):
@@ -231,35 +230,6 @@ def radial_momentum_norm_squared(state: HydrogenicState) -> ExactScalar:
     ) << (4 * l + D - 2)
     den = math.factorial(state.n + l + D - 3) * Z.numerator**D * gamma_den**2
     return ExactScalar.pi_power(2 * half - 2, Fraction(num, den))
-
-
-def radial_momentum_log_density(state: HydrogenicState) -> Callable[[float], float]:
-    """The function p -> ln of the radial momentum density factor, for a
-    validated state.
-
-    With v = eta p / Z, u = v^2 and y = (1-u)/(1+u) the density is
-    K^2 u^l (1+u)^-(2L+4) C(y)^2, C the Gegenbauer polynomial of degree
-    n-l-1 and parameter L+1.  Past v = 1 it is formed from 1/v^2, so that u
-    cannot overflow.
-    """
-    l, L = state.l, state.L
-    log_k2 = log_float(radial_momentum_norm_squared(state))
-    v_per_p = float(state.eta / state.Z)
-    decay = float(2 * L + 4)
-    log_poly = gegenbauer_log_abs(state.n - l - 1, float(L + 1))
-
-    def log_density(p: float) -> float:
-        v = v_per_p * p
-        log_v = math.log(v)
-        if v <= 1.0:
-            u = v * v
-            y, log_1pu = (1 - u) / (1 + u), math.log1p(u)
-        else:
-            w = (1 / v) ** 2
-            y, log_1pu = (w - 1) / (w + 1), 2 * log_v + math.log1p(w)
-        return log_k2 + 2 * l * log_v - decay * log_1pu + 2 * log_poly(y)
-
-    return log_density
 
 
 def check_momentum_order(D: int, l: int, q) -> None:

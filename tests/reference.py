@@ -3,15 +3,18 @@
 The brute-force box sum that the hypergeometric kernel is checked against,
 the logarithm of a scalar through its mpf value, the moments of the
 oracle's weights, the pointwise densities and the energy of a state, the
-ground-state and quasi-spherical uncertainty shortcuts, and the paper's own
-power linearizations of Laguerre and Jacobi polynomials.  The library and
-the CLI call none of it.
+float path's log integrands composed from separate polynomial evaluators
+and its eigenvalue bisection with full Sturm counts, the ground-state and
+quasi-spherical uncertainty shortcuts, and the paper's own power
+linearizations of Laguerre and Jacobi polynomials.  The library and the CLI
+call none of it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -29,13 +32,20 @@ from hydrenyi.entropy import (
     ns_position_entropy,
     uncertainty_bound,
 )
-from hydrenyi.exactnum import ExactScalar, RationalLike, gamma_exact, pochhammer, to_mpf
+from hydrenyi.exactnum import (
+    ExactScalar,
+    RationalLike,
+    gamma_exact,
+    log_float,
+    pochhammer,
+    to_mpf,
+)
 from hydrenyi.hyperfun import LauricellaSpec, lauricella_fa
-from hydrenyi.polynomials import PolyExact, gegenbauer_log_abs, laguerre_log_abs
+from hydrenyi.polynomials import PolyExact, gegenbauer_log_abs
 from hydrenyi.states import (
     HydrogenicState,
     check_momentum_order,
-    radial_momentum_log_density,
+    radial_momentum_norm_squared,
     radial_norm_squared,
     validate,
 )
@@ -96,6 +106,163 @@ def shifted_moment(k: int, a: Fraction, b: Fraction) -> ExactScalar:
     assert power.denominator == 1
     beta = gamma_exact(a + 1) * gamma_exact(b + k + 1) / gamma_exact(power + 1)
     return beta * Fraction(2) ** int(power)
+
+
+# -- the float path, one function per step ----------------------------------------
+#
+# The oracle's float integrands run these recurrences inline, in one closure
+# each; these separate evaluators, composed as the integrands once were, are
+# the reference that those closures must match bit for bit.
+
+
+def laguerre_log_abs(n: int, alpha: float) -> Callable[[float], float]:
+    """The function x -> ln|L_n^(alpha)(x)|, by the recurrence
+    (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1}.
+
+    The recurrence runs on L_j(x) / s^j with s = max(1, |x|), which stays
+    bounded, so arguments up to the float range do not overflow.
+    """
+    steps = [
+        ((2 * j + 1 + alpha) / (j + 1), 1.0 / (j + 1), (j + alpha) / (j + 1))
+        for j in range(n)
+    ]
+
+    def log_abs(x: float) -> float:
+        s = max(1.0, abs(x))
+        inv = 1.0 / s
+        x_scaled, inv2 = x * inv, inv * inv
+        prev, cur = 0.0, 1.0
+        for a, b, c in steps:
+            prev, cur = cur, (a * inv - b * x_scaled) * cur - c * inv2 * prev
+        if not cur:
+            return -math.inf
+        return math.log(abs(cur)) + n * math.log(s)
+
+    return log_abs
+
+
+def gegenbauer_log_abs_unscaled(n: int, lam: float) -> Callable[[float], float]:
+    """The function x -> ln|C_n^(lam)(x)| on [-1, 1], by the recurrence
+    (j+1) C_{j+1} = 2(j+lam) x C_j - (j+2lam-1) C_{j-1} started at 1.  It
+    reaches inf - inf once ln C_n^(lam)(1) passes the float range."""
+    steps = [(2 * (j + lam) / (j + 1), (j + 2 * lam - 1) / (j + 1)) for j in range(n)]
+
+    def log_abs(x: float) -> float:
+        prev, cur = 0.0, 1.0
+        for a, c in steps:
+            prev, cur = cur, a * x * cur - c * prev
+        return math.log(abs(cur)) if cur else -math.inf
+
+    return log_abs
+
+
+def radial_momentum_log_density(state: HydrogenicState) -> Callable[[float], float]:
+    """The function p -> ln of the radial momentum density factor, for a
+    validated state.
+
+    With v = eta p / Z, u = v^2 and y = (1-u)/(1+u) the density is
+    K^2 u^l (1+u)^-(2L+4) C(y)^2, C the Gegenbauer polynomial of degree
+    n-l-1 and parameter L+1.  Past v = 1 it is formed from 1/v^2, so that u
+    cannot overflow.
+    """
+    l, L = state.l, state.L
+    log_k2 = log_float(radial_momentum_norm_squared(state))
+    v_per_p = float(state.eta / state.Z)
+    decay = float(2 * L + 4)
+    log_poly = gegenbauer_log_abs_unscaled(state.n - l - 1, float(L + 1))
+
+    def log_density(p: float) -> float:
+        v = v_per_p * p
+        log_v = math.log(v)
+        if v <= 1.0:
+            u = v * v
+            y, log_1pu = (1 - u) / (1 + u), math.log1p(u)
+        else:
+            w = (1 / v) ** 2
+            y, log_1pu = (w - 1) / (w + 1), 2 * log_v + math.log1p(w)
+        return log_k2 + 2 * l * log_v - decay * log_1pu + 2 * log_poly(y)
+
+    return log_density
+
+
+def position_log_integrand(state: HydrogenicState, q: float) -> Callable[[float], float]:
+    """r -> q ln(radial position density) + (D-1) ln r, the density taken as
+    a function of r / lam with its norm read at 30 digits."""
+    l, D = state.l, state.D
+    lam = float(state.lam)
+    with mpmath.workdps(30):
+        norm = radial_norm_squared(state) / state.lam**D
+        log_norm = float(mpmath.log(mpmath.mpf(norm.numerator) / norm.denominator))
+    log_poly = laguerre_log_abs(state.n - l - 1, 2 * l + D - 2)
+    q = float(q)
+
+    def log_integrand(r: float) -> float:
+        rt = r / lam
+        log_density = log_norm + 2 * l * math.log(rt) - rt + 2 * log_poly(rt)
+        return q * log_density + (D - 1) * math.log(r)
+
+    return log_integrand
+
+
+def momentum_log_integrand(state: HydrogenicState, q: float) -> Callable[[float], float]:
+    """p -> q ln(radial momentum density) + (D-1) ln p."""
+    log_density = radial_momentum_log_density(state)
+    D, q = state.D, float(q)
+
+    def log_integrand(p: float) -> float:
+        return q * log_density(p) + (D - 1) * math.log(p)
+
+    return log_integrand
+
+
+def angular_log_integrand(k: int, lam: float, s: float, q: float) -> Callable[[float], float]:
+    """t -> 2q ln|C_k^(lam)(t)| + s ln(1 - t^2), one chain segment's
+    integrand of the angular power integral."""
+    log_poly = gegenbauer_log_abs_unscaled(k, lam)
+
+    def log_integrand(t: float) -> float:
+        g = (1 - t) * (1 + t)
+        if g == 0:
+            return 2 * q * log_poly(t) if s == 0 else -math.inf
+        return 2 * q * log_poly(t) + s * math.log(g)
+
+    return log_integrand
+
+
+def jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[float]:
+    """Ascending eigenvalues of a symmetric tridiagonal matrix by bisection,
+    each step taking the full Sturm count of negative pivots over the whole
+    LDL^T factorization of the matrix minus x."""
+    if not diag:
+        return []
+    radii = [0.0] + [math.sqrt(b) for b in off_squared] + [0.0]
+    lo = min(a - radii[j] - radii[j + 1] for j, a in enumerate(diag))
+    hi = max(a + radii[j] + radii[j + 1] for j, a in enumerate(diag))
+    resolution = sys.float_info.epsilon * max(abs(lo), abs(hi))
+    couplings = [0.0] + off_squared
+
+    def count_below(x: float) -> int:
+        count, pivot = 0, 1.0
+        for a, b in zip(diag, couplings):
+            pivot = a - x - b / pivot
+            if pivot == 0.0:
+                pivot = -sys.float_info.min
+            count += pivot < 0.0
+        return count
+
+    out: list[float] = []
+    for index in range(len(diag)):
+        a, b = (out[-1] if out else lo), hi
+        while b - a > resolution:
+            mid = 0.5 * (a + b)
+            if mid in (a, b):
+                break
+            if count_below(mid) > index:
+                b = mid
+            else:
+                a = mid
+        out.append(0.5 * (a + b))
+    return out
 
 
 # -- states ---------------------------------------------------------------------

@@ -196,6 +196,19 @@ class TestCompute:
         assert "came out zero" in err and "no finite entropy" in err
         assert "Traceback" not in err and "+/-" not in err
 
+    def test_nan_integral_exits_four(self, capsys, monkeypatch):
+        import mpmath
+
+        monkeypatch.setattr("hydrenyi.oracle._quad", lambda *args: (mpmath.nan, mpmath.nan))
+        code, out, err = run(
+            capsys, "compute", "D=3,n=2,mu=1,0", "--q", "3/2", "--float", "--space", "position"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "not a number" in err and "came out zero" not in err
+        assert "Traceback" not in err and "+/-" not in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "compute", "D=3,n=1,mu=0,0", "--format", "csv", "--space", "position"
@@ -548,6 +561,23 @@ SWEEP = (
         )
     ]
 )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "literal, space", [("D=3,n=760,mu=330,0", "momentum"), ("D=3,n=800,mu=799,280", "position")]
+)
+def test_gegenbauer_factor_past_the_float_range_answers(capsys, literal, space):
+    # the radial momentum factor C_429^(331) and the angular C_519^(280.5)
+    # both peak above e^709; their recurrences once reached inf - inf, and
+    # each input exited 4 with "came out zero"
+    code, out, err = run(capsys, "compute", literal, "--q", "0.7", "--float", "--space", space)
+    assert code == cli.EXIT_OK, err
+    state = HydrogenicState.parse(literal)
+    exact = {"position": entropy.position_entropy, "momentum": entropy.momentum_entropy}[space]
+    expected = exact(state, 2).total.value
+    result = oracle.renyi_float(state, 2, space)
+    assert abs(result.value - expected) <= oracle.QUADRATURE_REL_TARGET * abs(expected)
 
 
 def _sweep_id(argv) -> str:

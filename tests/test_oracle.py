@@ -31,6 +31,7 @@ from hydrenyi.states import (
     radial_norm_squared,
 )
 
+import reference
 from reference import gegenbauer_moment, laguerre_moment, shifted_moment
 
 F = Fraction
@@ -324,7 +325,7 @@ class TestFloatOracle:
 
         monkeypatch.setattr(oracle, "_quad", no_work)
         monkeypatch.setattr(oracle, "radial_norm_squared", no_work)
-        monkeypatch.setattr(oracle, "radial_momentum_log_density", no_work)
+        monkeypatch.setattr(oracle, "radial_momentum_norm_squared", no_work)
         for n in (oracle.MAX_FLOAT_N + 1, 10**21):
             with pytest.raises(oracle.FloatCapExceeded, match=f"n <= {oracle.MAX_FLOAT_N}"):
                 renyi_float(HydrogenicState(3, n, (0, 0)), F(7, 10), space)
@@ -384,6 +385,14 @@ class TestFloatOracle:
         monkeypatch.setattr(f"hydrenyi.oracle.{target}", lambda *args: (mpmath.mpf(0),) * 2)
         with pytest.raises(QuadratureError, match=f"the {name} integral came out zero") as info:
             renyi_float(state, 1.5, "position")
+        assert info.value.value is None and info.value.estimate is None
+
+
+    def test_nan_integral_says_not_a_number(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_quad", lambda *args: (mpmath.nan, mpmath.nan))
+        with pytest.raises(QuadratureError, match="integral is not a number") as info:
+            renyi_float(GROUND, 1.5, "position")
+        assert "came out zero" not in str(info.value)
         assert info.value.value is None and info.value.estimate is None
 
 
@@ -525,6 +534,21 @@ class TestBreakpoints:
             left = _exact_value(poly, Fraction(x - step))
             right = _exact_value(poly, Fraction(x + step))
             assert left * right < 0, (x, left, right)
+
+    @pytest.mark.parametrize("family", ["laguerre", "gegenbauer"])
+    def test_nodes_equal_the_full_count_bisection(self, family, monkeypatch):
+        # the Sturm count stops once it passes the eigenvalue's index; the
+        # bisection takes the same branch at every step, so the same floats
+        nodes_of = NODE_FAMILIES[family][0]
+        params = (
+            [F(0), F(5, 2), F(8), F(41)]
+            if family == "laguerre"
+            else [F(1, 2), F(3, 2), F(9, 2), F(61, 2)]
+        )
+        cases = [(k, param) for k in range(41) for param in params]
+        early = [nodes_of(k, param) for k, param in cases]
+        monkeypatch.setattr(oracle, "_jacobi_eigenvalues", reference.jacobi_eigenvalues)
+        assert early == [nodes_of(k, param) for k, param in cases]
 
     @pytest.mark.parametrize("family,k,param", [c for c in NODE_CASES if c[1] <= 9])
     def test_nodes_agree_with_polyroots(self, family, k, param):
@@ -668,6 +692,120 @@ class TestFloatIntegrands:
             )
             exact = q * log_density + (D - 1) * mpmath.log(p)
         assert log_f(float(p)) == pytest.approx(float(exact), rel=1e-13)
+
+
+def _around(x: float, steps: int = 8) -> list[float]:
+    """x and the steps floats on each side of it."""
+    out, below, above = [x], x, x
+    for _ in range(steps):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+def _radial_probes(unit: float, nodes: list[float], seed: int) -> list[float]:
+    """Points on both sides of unit and of each node, 10^-300 to 10^300 in
+    steps of a quarter decade, and uniform draws up to 60 units."""
+    rng = random.Random(seed)
+    points = [p for x in [unit] + nodes for p in _around(x)]
+    points += [10.0 ** (e / 4) for e in range(-1200, 1201)]
+    points += [rng.uniform(0, 60 * unit) for _ in range(400)]
+    return [p for p in points if p > 0]
+
+
+def _mismatches(closure, reference_closure, points) -> list[tuple[float, float, float]]:
+    out = []
+    for x in points:
+        got, want = closure(x), reference_closure(x)
+        assert not math.isnan(want), x
+        if got != want:
+            out.append((x, got, want))
+    return out
+
+
+BIT_STATES = [
+    HydrogenicState(3, 12, (0, 0), 1),
+    HydrogenicState(3, 7, (3, 1), F(3, 2)),
+    HydrogenicState(2, 6, (-2,), 1),
+    HydrogenicState(4, 9, (2, 1, 0), F(2, 7)),
+    HydrogenicState(5, 11, (4, 2, 1, -1), 1),
+]
+
+
+class TestFloatClosuresBitForBit:
+    """Each integrand closure of the float path against the reference
+    composition of separate evaluators (the unscaled recurrences and the
+    density as its own function): equal floats, not merely close ones, at
+    more than 10^4 points per test and order."""
+
+    @pytest.mark.parametrize("q", [0.3, 2.5])
+    def test_position(self, monkeypatch, q):
+        points_seen = 0
+        for seed, state in enumerate(BIT_STATES):
+            unit = float(state.unit_charge().lam)
+            closure = _captured_log_integrand(
+                monkeypatch, position_radial_power_integral, state.unit_charge(), q
+            )
+            l, D = state.l, state.D
+            nodes = [unit * x for x in oracle._laguerre_nodes(state.n - l - 1, F(2 * l + D - 2))]
+            points = _radial_probes(unit, nodes, seed)
+            expected = reference.position_log_integrand(state.unit_charge(), q)
+            assert _mismatches(closure, expected, points) == []
+            points_seen += len(points)
+        assert points_seen >= 10**4
+
+    @pytest.mark.parametrize("q", [0.7, 4.0])
+    def test_momentum(self, monkeypatch, q):
+        points_seen = 0
+        for seed, state in enumerate(BIT_STATES):
+            closure = _captured_log_integrand(
+                monkeypatch, momentum_radial_power_integral, state, q
+            )
+            unit = float(state.Z / state.eta)  # v = 1
+            nodes = [
+                unit * math.sqrt((1 - y) / (1 + y))
+                for y in oracle._gegenbauer_nodes(state.n - state.l - 1, state.L + 1)
+            ]
+            points = _radial_probes(unit, nodes, seed)
+            expected = reference.momentum_log_integrand(state, q)
+            assert _mismatches(closure, expected, points) == []
+            points_seen += len(points)
+        assert points_seen >= 10**4
+
+    @pytest.mark.parametrize("q", [0.55, 3.0])
+    def test_angular(self, monkeypatch, q):
+        # each segment's closure reads its loop's variables, so it is probed
+        # while its own _quad_log call runs
+        segments, mismatches = [], []
+
+        def probe(log_f, points, q, deep_tail=False):
+            k, lam, s, probes = segments[len(mismatches)]
+            expected = reference.angular_log_integrand(k, float(lam), s, q)
+            mismatches.append(_mismatches(log_f, expected, probes))
+            return mpmath.mpf(1), mpmath.mpf(0)
+
+        monkeypatch.setattr(oracle, "_quad_log", probe)
+        rng = random.Random(7)
+        for D, mu in [(3, (7, 2)), (4, (9, 3, 0)), (5, (4, 2, 1, 0)), (6, (6, 6, 3, 1, -1))]:
+            for j in range(1, D - 1):
+                mu_j, mu_j1 = mu[j - 1], abs(mu[j])
+                if mu_j == mu_j1:
+                    continue
+                k, alpha = mu_j - mu_j1, F(D - j - 1, 2)
+                with mpmath.workdps(oracle.QUADRATURE_DPS):
+                    s = mpmath.mpf(q) * mu_j1 + mpmath.mpf(alpha.numerator) / alpha.denominator
+                    s = float(s - mpmath.mpf(1) / 2)
+                probes = [-1.0, 1.0, 0.0, 5e-324, -5e-324]
+                for x in oracle._gegenbauer_nodes(k, alpha + mu_j1):
+                    probes += _around(x)
+                for e in range(1, 60):
+                    probes += [1 - 2.0**-e, -1 + 2.0**-e]
+                probes += [rng.uniform(-1, 1) for _ in range(1500)]
+                segments.append((k, alpha + mu_j1, s, probes))
+            angular_power_integral(D, mu, q)
+        assert len(mismatches) == len(segments)
+        assert mismatches == [[]] * len(segments)
+        assert sum(len(segment[3]) for segment in segments) >= 10**4
 
 
 class TestVerifyState:

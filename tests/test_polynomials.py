@@ -1,24 +1,19 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
 from hydrenyi import oracle
 from hydrenyi.exactnum import ExactScalar, gamma_exact, pochhammer
-from hydrenyi.polynomials import (
-    PolyExact,
-    gegenbauer,
-    gegenbauer_log_abs,
-    laguerre,
-    laguerre_log_abs,
-    poly_pow,
-)
+from hydrenyi.polynomials import PolyExact, gegenbauer, gegenbauer_log_abs, laguerre, poly_pow
 
 from reference import (
     gegenbauer_as_jacobi,
     jacobi,
     jacobi_power_linearization,
+    laguerre_log_abs,
     laguerre_power_linearization,
 )
 
@@ -398,6 +393,16 @@ class TestFloatRecurrences:
         for x in [-1.0, 1.0] + [(a + b) / 2 for a, b in zip(zeros, zeros[1:])]:
             exact = _exact_log_abs(poly, x)
             assert abs(log_abs(x) - exact) <= RECURRENCE_TOL * max(1.0, abs(exact)), x
+
+    @pytest.mark.parametrize("n, lam", [(429, 331.0), (519, 280.5)])
+    def test_gegenbauer_past_the_float_range(self, n, lam):
+        # ln C_n^(lam)(1) is 727 and 743: started at 1, the recurrence passed
+        # the float range and returned NaN from y = 0.99 on
+        log_abs = gegenbauer_log_abs(n, lam)
+        for y in (0.5, 0.9, 0.99, 0.999999, 1.0):
+            with mpmath.workdps(50):
+                exact = mpmath.log(abs(mpmath.gegenbauer(n, mpmath.mpf(lam), mpmath.mpf(y))))
+            assert log_abs(y) == pytest.approx(float(exact), rel=1e-15), y
 
     def test_laguerre_does_not_overflow(self):
         # L_11^(1)(x) ~ -x^11 / 11!: the unscaled recurrence overflows to inf

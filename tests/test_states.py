@@ -17,7 +17,6 @@ from hydrenyi.states import (
     count_states,
     enumerate_states,
     mu_chains,
-    radial_momentum_log_density,
     radial_momentum_norm_squared,
     radial_norm_squared,
     validate,
@@ -29,6 +28,7 @@ from reference import (
     energy,
     radial_density_momentum,
     radial_density_position,
+    radial_momentum_log_density,
 )
 
 F = Fraction
