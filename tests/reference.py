@@ -41,6 +41,7 @@ from hydrenyi.exactnum import (
     to_mpf,
 )
 from hydrenyi.hyperfun import LauricellaSpec, lauricella_fa
+from hydrenyi.oracle import QUADRATURE_DPS
 from hydrenyi.polynomials import PolyExact, gegenbauer_log_abs
 from hydrenyi.states import (
     HydrogenicState,
@@ -108,11 +109,13 @@ def shifted_moment(k: int, a: Fraction, b: Fraction) -> ExactScalar:
     return beta * Fraction(2) ** int(power)
 
 
-# -- the float path, one function per step ----------------------------------------
+# -- the float path, one function per step --------------------------------------
 #
-# The oracle's float integrands run these recurrences inline, in one closure
-# each; these separate evaluators, composed as the integrands once were, are
-# the reference that those closures must match bit for bit.
+# The oracle's radial integrands are one closure each, with the Laguerre
+# recurrence inline, and its Gegenbauer evaluator is prescaled.  These
+# separate, unscaled evaluators, composed as the integrands once were, are the
+# reference that the closures must match bit for bit wherever the prescale is
+# 2^0.
 
 
 def laguerre_log_abs(n: int, alpha: float) -> Callable[[float], float]:
@@ -187,10 +190,10 @@ def radial_momentum_log_density(state: HydrogenicState) -> Callable[[float], flo
 
 def position_log_integrand(state: HydrogenicState, q: float) -> Callable[[float], float]:
     """r -> q ln(radial position density) + (D-1) ln r, the density taken as
-    a function of r / lam with its norm read at 30 digits."""
+    a function of r / lam with its norm read at QUADRATURE_DPS digits."""
     l, D = state.l, state.D
     lam = float(state.lam)
-    with mpmath.workdps(30):
+    with mpmath.workdps(QUADRATURE_DPS):
         norm = radial_norm_squared(state) / state.lam**D
         log_norm = float(mpmath.log(mpmath.mpf(norm.numerator) / norm.denominator))
     log_poly = laguerre_log_abs(state.n - l - 1, 2 * l + D - 2)
