@@ -15,7 +15,17 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
-from mpmath.libmp import from_int, from_rational, mpf_add, mpf_log, mpf_mul, mpf_pi, mpf_shift
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    from_rational,
+    mpf_add,
+    mpf_log,
+    mpf_mul,
+    mpf_pi,
+    mpf_shift,
+    mpf_sub,
+)
 from mpmath.libmp import to_float as to_float_raw
 
 RationalLike = Union[int, Fraction]
@@ -246,13 +256,9 @@ def to_float(a: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> fl
     return float(to_mpf(a, precision_bits))
 
 
-def log_float(a: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> float:
-    """Natural log of a positive scalar r * pi^(k/2), as ln r + (k/2) ln pi
-    on mpmath's raw values at precision_bits plus _LOG_GUARD_BITS, rounded
-    once to the nearest float.
-
-    Works far outside double range because r never becomes a float.
-    """
+def _log_raw(a: ExactScalar, precision_bits: int) -> tuple:
+    """ln of a positive scalar r * pi^(k/2), as ln r + (k/2) ln pi on
+    mpmath's raw values at precision_bits plus _LOG_GUARD_BITS."""
     if precision_bits < 53:
         raise ValueError("precision must be at least 53 bits")
     r, k = a.monomial()
@@ -263,5 +269,25 @@ def log_float(a: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> f
     if k:
         half_ln_pi = mpf_shift(mpf_log(mpf_pi(wp), wp, "n"), -1)
         value = mpf_add(value, mpf_mul(from_int(k), half_ln_pi, wp, "n"), wp, "n")
+    return value
+
+
+def log_float(a: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> float:
+    """Natural log of a positive scalar r * pi^(k/2), as ln r + (k/2) ln pi
+    on mpmath's raw values at precision_bits plus _LOG_GUARD_BITS, rounded
+    once to the nearest float.
+
+    Works far outside double range because r never becomes a float.
+    """
     # to_float's default rounding is toward zero
-    return to_float_raw(value, rnd="n")
+    return to_float_raw(_log_raw(a, precision_bits), rnd="n")
+
+
+def log_float_parts(a: ExactScalar) -> tuple[float, float]:
+    """ln a as an unevaluated sum hi + lo of two floats: hi is log_float(a)
+    and lo the float nearest to ln a - hi, so that a float sum with ln a can
+    round once."""
+    value = _log_raw(a, DEFAULT_PRECISION_BITS)
+    hi = to_float_raw(value, rnd="n")
+    lo = mpf_sub(value, from_float(hi), DEFAULT_PRECISION_BITS + _LOG_GUARD_BITS, "n")
+    return hi, to_float_raw(lo, rnd="n")

@@ -3,8 +3,8 @@ closed forms.
 
 For integer order q every integral reduces to exact factorial or Beta
 moments of polynomial expansions, so closed form and oracle can be compared
-structurally with zero tolerance.  For real q an adaptive extended-precision
-quadrature evaluates the same integrals numerically.
+structurally with zero tolerance.  For real q an adaptive tanh-sinh
+quadrature in floats evaluates the same integrals numerically.
 
 What stays independent: the oracle takes its polynomials from the explicit
 coefficient sums of ``laguerre`` and ``gegenbauer`` and its moments from the
@@ -28,7 +28,14 @@ from typing import Literal, NamedTuple
 import mpmath
 
 from hydrenyi import entropy
-from hydrenyi.exactnum import ExactScalar, exact_rational, gamma_integers, log_float, to_float
+from hydrenyi.exactnum import (
+    ExactScalar,
+    exact_rational,
+    gamma_integers,
+    log_float,
+    log_float_parts,
+    to_float,
+)
 from hydrenyi.polynomials import PolyExact, gegenbauer, gegenbauer_log_abs, laguerre, poly_pow
 from hydrenyi.states import (
     HydrogenicState,
@@ -232,8 +239,11 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
 # -- floating-point path for real orders -------------------------------------
 #
 # The integrands run in floats and in the log domain: the polynomials by their
-# three-term recurrences, the prefactors once per call at QUADRATURE_DPS.
-# mpmath.quad drives a tanh-sinh rule that sums in floats.
+# three-term recurrences, the position norm once per call at QUADRATURE_DPS.
+# mpmath.quad drives a tanh-sinh rule that sums in floats.  Each integral
+# comes back as (ln I, relative error) in floats, and the entropy is assembled
+# from those logs in floats too: the Gamma and Beta factors by
+# _log_gamma_ratio, the exact constants (the angular norm, Z) by log_float.
 
 
 def _jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[float]:
@@ -515,6 +525,12 @@ def _breakpoints(points: list[float]) -> list[float]:
     return out
 
 
+# ln 2 = _LN2_HI + _LN2_LO with the leading part in 32 bits (fdlibm's split),
+# so that e * _LN2_HI is exact for every float exponent e.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+
 class _ShiftTooLow(Exception):
     """An integrand value exp(log_f - shift) would overflow a float."""
 
@@ -525,14 +541,16 @@ class _ShiftTooLow(Exception):
 
 def _quad_log(
     log_f, points: list[float], q: float, deep_tail: bool = False
-) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """Integral of exp(log_f) over the breakpoints, with its error estimate.
+) -> tuple[float, float]:
+    """Integral I of exp(log_f) over the breakpoints in log form, as
+    (ln I, relative error estimate).
 
     The float integrand is exp(log_f - shift), with shift the largest log_f
     at the midpoints of the finite segments, so that its values stay near 1
-    whatever the scale of the integral; the scale comes back at
-    QUADRATURE_DPS.  A peak that the midpoints miss by more than the float
-    range (orders in the hundreds) raises the shift to it and starts again.
+    whatever the scale of the integral; ln I is ln(value) + shift.  A peak
+    that the midpoints miss by more than the float range (orders in the
+    hundreds) raises the shift to it and starts again.  An integral that
+    came out zero has ln I = -inf, one that is not a number ln I = NaN.
     """
     rule = _FloatTanhSinh(_FLOAT_REL_FLOOR * max(1.0, q), deep_tail)
     finite = [p for p in points if p != math.inf]
@@ -551,16 +569,17 @@ def _quad_log(
             break
         except _ShiftTooLow as exc:
             shift = exc.log_value
-    with mpmath.workdps(QUADRATURE_DPS):
-        scale = mpmath.exp(shift)
-        return value * scale, err * scale
+    if value > 0:
+        # ln value = ln m + e ln 2 for value = m 2^e: the shift and e ln 2
+        # may nearly cancel, and e * _LN2_HI is exact
+        m, e = math.frexp(value)
+        return (shift + e * _LN2_HI) + (math.log(m) + e * _LN2_LO), err / value
+    return (-math.inf if value == 0 else math.nan), math.nan
 
 
-def position_radial_power_integral(
-    state: HydrogenicState, q: float
-) -> tuple[mpmath.mpf, mpmath.mpf]:
+def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[float, float]:
     """Integral of the q-th power of the radial position density against
-    r^(D-1) dr, with its quadrature error estimate."""
+    r^(D-1) dr, as (ln I, relative error estimate)."""
     validate(state)
     l, D = state.l, state.D
     k, alpha = state.n - l - 1, 2 * l + D - 2
@@ -605,11 +624,9 @@ def position_radial_power_integral(
     return _quad_log(log_integrand, _breakpoints(points) + [math.inf], q)
 
 
-def momentum_radial_power_integral(
-    state: HydrogenicState, q: float
-) -> tuple[mpmath.mpf, mpmath.mpf]:
+def momentum_radial_power_integral(state: HydrogenicState, q: float) -> tuple[float, float]:
     """Integral of the q-th power of the radial momentum density against
-    p^(D-1) dp, with its quadrature error estimate."""
+    p^(D-1) dp, as (ln I, relative error estimate)."""
     validate(state)
     l, D, L = state.l, state.D, state.L
     k = state.n - l - 1
@@ -644,46 +661,112 @@ def momentum_radial_power_integral(
     return _quad_log(log_integrand, _breakpoints(points) + [math.inf], q, deep_tail)
 
 
-def angular_power_integral(
-    D: int, mu: tuple[int, ...], q: float
-) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """Integral of |harmonic|^(2q) over the sphere for real q, with error
-    estimate.  Axes with equal chain entries use closed Beta factors; the
-    others get adaptive quadrature split at the polynomial roots.  The
-    squared norm is the exact oracle's, read at QUADRATURE_DPS."""
+# ln Gamma(z + 1/2) - ln Gamma(z) = ln(z)/2 + sum over odd n of c_n z^-n, with
+# c_n = (2^-n - 2) B_(n+1) / (n (n+1)) from the Bernoulli polynomials at 1/2
+# and 0 (DLMF 5.11.8).  From z = 10 on, the terms through z^-15 leave an
+# error below 4e-18.
+_HALF_STEP_SERIES = tuple(
+    float((Fraction(1, 2**n) - 2) * bernoulli / (n * (n + 1)))
+    for n, bernoulli in zip(
+        range(1, 16, 2),
+        (
+            Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+            Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+        ),
+    )
+)
+_HALF_STEP_SERIES_FROM = 9.0
+
+
+def _log_gamma_ratio(x: float, twice_a: int) -> float:
+    """ln Gamma(x + 1 + a) - ln Gamma(x + 1) for x >= 0 and a = twice_a / 2,
+    twice_a >= 0, without forming either ln Gamma, so that no large value
+    cancels.
+
+    The whole steps are the logs of the factors x + a, x + a - 1, ... down
+    to x + 1 + a - floor(a).  The half step ln Gamma(z + 1/2) - ln Gamma(z),
+    z = x + 1, steps z up by its recurrence until x >= _HALF_STEP_SERIES_FROM
+    and takes the asymptotic series there.  fsum adds the parts.
+    """
+    whole, half = divmod(twice_a, 2)
+    base = x + 0.5 * half
+    parts = [math.log(base + i) for i in range(1, whole + 1)]
+    if half:
+        # ln Gamma(z + 1/2) - ln Gamma(z) = that at z + 1 - ln(1 + 1/(2z))
+        while x < _HALF_STEP_SERIES_FROM:
+            parts.append(-math.log1p(0.5 / (x + 1)))
+            x += 1.0
+        w = 1.0 / (x + 1)
+        w2, series = w * w, 0.0
+        for c in reversed(_HALF_STEP_SERIES):
+            series = series * w2 + c
+        parts += [0.5 * math.log(x + 1), series * w]
+    return math.fsum(parts)
+
+
+_HALF_LOG_PI = log_float(ExactScalar.pi_power(1))
+
+
+@functools.lru_cache(maxsize=None)
+def _log_sphere_measure(D: int) -> float:
+    """ln(2 pi^(D/2)), which is ln of the sphere's area times Gamma(D/2)."""
+    return log_float(ExactScalar.pi_power(D, 2))
+
+
+def angular_power_integral(D: int, mu: tuple[int, ...], q: float) -> tuple[float, float]:
+    """Integral I of |harmonic|^(2q) over the sphere for real q, as
+    (ln I, relative error estimate): ln(2 pi), the sum of the logs of the
+    chain segments' integrals and q times the log of the exact oracle's
+    squared norm (by log_float).  A segment with equal chain entries is the
+    Beta factor B(1/2, s + 1), from _log_gamma_ratio; the others get
+    adaptive quadrature split at the polynomial roots, whose relative errors
+    add."""
     chain = tuple(mu[:-1]) + (abs(mu[-1]),)
     q = float(q)
-    with mpmath.workdps(QUADRATURE_DPS):
-        qm = mpmath.mpf(q)
-        value = 2 * mpmath.pi
-        err_rel = mpmath.mpf(0)
-        norm = _angular_norm_squared(D, chain)
-        norm2 = mpmath.mpf(norm.num) / norm.den * mpmath.pi ** (mpmath.mpf(norm.half) / 2)
-        for j in range(1, D - 1):
-            alpha = Fraction(D - j - 1, 2)
-            alpha_m = mpmath.mpf(alpha.numerator) / alpha.denominator
-            mu_j, mu_j1 = chain[j - 1], chain[j]
-            k = mu_j - mu_j1
-            s = qm * mu_j1 + alpha_m - mpmath.mpf(1) / 2
-            if k == 0:
-                value *= mpmath.beta(mpmath.mpf(1) / 2, s + 1)
-                continue
-            log_poly = gegenbauer_log_abs(k, float(alpha + mu_j1))
-            s_float = float(s)
+    num, den = q.as_integer_ratio()
+    log_value = _log_sphere_measure(2)
+    rel = 0.0
+    for j in range(1, D - 1):
+        two_alpha = D - j - 1
+        mu_j, mu_j1 = chain[j - 1], chain[j]
+        k = mu_j - mu_j1
+        # s = q mu_j1 + alpha - 1/2, rounded once
+        try:
+            s = (2 * num * mu_j1 + (two_alpha - 1) * den) / (2 * den)
+        except OverflowError:
+            s = math.inf
+        if k == 0:
+            # B(1/2, s + 1) = Gamma(1/2) Gamma(s + 1) / Gamma(s + 3/2)
+            log_value += _HALF_LOG_PI - _log_gamma_ratio(s, 1)
+            continue
+        lam = Fraction(two_alpha, 2) + mu_j1
+        log_poly = gegenbauer_log_abs(k, float(lam))
 
-            def log_integrand(t: float) -> float:
-                g = (1 - t) * (1 + t)
-                if g == 0:  # a node that rounded onto t = +-1
-                    return 2 * q * log_poly(t) if s_float == 0 else -math.inf
-                return 2 * q * log_poly(t) + s_float * math.log(g)
+        def log_integrand(t: float) -> float:
+            g = (1 - t) * (1 + t)
+            if g == 0:  # a node that rounded onto t = +-1
+                return 2 * q * log_poly(t) if s == 0 else -math.inf
+            return 2 * q * log_poly(t) + s * math.log(g)
 
-            points = [-1.0] + _gegenbauer_nodes(k, alpha + mu_j1) + [1.0]
-            part, err = _quad_log(log_integrand, points, q)
-            value *= part
-            if part != 0:
-                err_rel += abs(err / part)
-        value *= norm2**qm
-        return value, abs(value) * err_rel
+        points = [-1.0] + _gegenbauer_nodes(k, lam) + [1.0]
+        log_part, part_rel = _quad_log(log_integrand, points, q)
+        log_value += log_part
+        rel += part_rel
+    log_value += q * log_float(_angular_norm_squared(D, chain).scalar())
+    return log_value, rel
+
+
+def _plus_log_power(value: float, power: int, Z: Fraction) -> float:
+    """value + power * ln Z, rounded once: power * ln Z is +-ln(Z^|power|)
+    from log_float_parts, and the rounding error of the leading sum is
+    carried exactly (Knuth's two-sum) into the trailing one."""
+    hi, lo = log_float_parts(ExactScalar(Z ** abs(power)))
+    if power < 0:
+        hi, lo = -hi, -lo
+    total = value + hi
+    back = total - value
+    carried = (value - (total - back)) + (hi - back)
+    return total + (carried + lo)
 
 
 class FloatEntropy(NamedTuple):
@@ -691,16 +774,17 @@ class FloatEntropy(NamedTuple):
     error: float
 
 
-def _check_positive(integral: mpmath.mpf, name: str) -> None:
-    """The integral of a positive density's power is positive; the rule
-    answers 0 when every node misses a peak narrower than its spacing, and
-    NaN when the integrand was not finite at some node."""
-    if mpmath.isnan(integral):
+def _check_positive(log_integral: float, name: str) -> None:
+    """The integral of a positive density's power is positive, so its log is
+    finite; the rule answers 0 (ln = -inf) when every node misses a peak
+    narrower than its spacing, and NaN when the integrand was not finite at
+    some node."""
+    if math.isnan(log_integral):
         raise QuadratureError(
             f"the {name} integral is not a number (the integrand was not finite "
             "at some quadrature node); no finite entropy follows from it"
         )
-    if not integral > 0:
+    if log_integral == -math.inf:
         raise QuadratureError(
             f"the {name} integral came out zero (the quadrature nodes missed "
             "the density's mass); no finite entropy follows from it"
@@ -739,44 +823,38 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
         )
     unit = state.unit_charge()
     if space == "position":
-        radial, radial_err = position_radial_power_integral(unit, q)
+        log_radial, radial_rel = position_radial_power_integral(unit, q)
         sign = -1
     elif space == "momentum":
-        radial, radial_err = momentum_radial_power_integral(unit, q)
+        log_radial, radial_rel = momentum_radial_power_integral(unit, q)
         sign = 1
     else:
         raise ValueError(f"unknown space {space!r}")
-    _check_positive(radial, f"radial {space}")
-    with mpmath.workdps(QUADRATURE_DPS):
-        Z = state.Z
-        shift = sign * state.D * (mpmath.log(Z.numerator) - mpmath.log(Z.denominator))
-        chain = state.canonical_mu()
-        if all(m == chain[0] for m in chain):
-            # Gamma-closed angular factor, exact for any real order.
-            l = abs(chain[0])
-            D = state.D
-            log_angular = (1 - q) * (
-                mpmath.log(2) + mpmath.mpf(D) / 2 * mpmath.log(mpmath.pi)
-            ) + (
-                q * mpmath.loggamma(l + mpmath.mpf(D) / 2)
-                + mpmath.loggamma(q * l + 1)
-                - q * mpmath.loggamma(l + 1)
-                - mpmath.loggamma(q * l + mpmath.mpf(D) / 2)
-            )
-            angular_rel_err = mpmath.mpf(0)
-        else:
-            angular, angular_err = angular_power_integral(state.D, state.mu, q)
-            _check_positive(angular, "angular")
-            log_angular = mpmath.log(angular)
-            angular_rel_err = abs(angular_err / angular)
-        rel = abs(radial_err / radial) + angular_rel_err
-        entropy_value = (mpmath.log(radial) + log_angular) / (1 - q) + shift
-        err = float(rel / abs(1 - q))
-        result = FloatEntropy(float(entropy_value), err)
+    _check_positive(log_radial, f"radial {space}")
+    D, chain = state.D, state.canonical_mu()
+    if all(m == chain[0] for m in chain):
+        # Gamma-closed angular factor, exact for any real order:
+        # 2^(1-q) pi^(D(1-q)/2) Gamma(l + D/2)^q Gamma(ql + 1)
+        # / (Gamma(l + 1)^q Gamma(ql + D/2))
+        l = abs(chain[0])
+        log_angular = (
+            (1 - q) * _log_sphere_measure(D)
+            + q * _log_gamma_ratio(l, D - 2)
+            - _log_gamma_ratio(q * l, D - 2)
+        )
+        angular_rel = 0.0
+    else:
+        log_angular, angular_rel = angular_power_integral(D, state.mu, q)
+        _check_positive(log_angular, "angular")
+    rel = float(radial_rel + angular_rel)
+    value = (log_radial + log_angular) / (1 - q)
+    if state.Z != 1:
+        value = _plus_log_power(value, sign * D, state.Z)
+    result = FloatEntropy(value, rel / abs(1 - q))
     if not rel <= QUADRATURE_REL_TARGET:  # a NaN estimate fails too
         raise QuadratureError(
-            f"quadrature reached relative error {float(rel):.2e} "
-            f"(target {QUADRATURE_REL_TARGET:.0e})",
+            f"the integrals' relative error {rel:.2e} misses the quadrature target "
+            f"{QUADRATURE_REL_TARGET:.0e} (the entropy's error is that over |1 - q|)",
             result.value,
             result.error,
         )

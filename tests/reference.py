@@ -3,8 +3,9 @@
 The brute-force box sum that the hypergeometric kernel is checked against,
 the logarithm of a scalar through its mpf value, the moments of the
 oracle's weights, the pointwise densities and the energy of a state, the
-float path's log integrands composed from separate polynomial evaluators
-and its eigenvalue bisection with full Sturm counts, the ground-state and
+float path's log integrands composed from separate polynomial evaluators,
+its eigenvalue bisection with full Sturm counts and its entropy assembled
+from the same integrals at QUADRATURE_DPS digits, the ground-state and
 quasi-spherical uncertainty shortcuts, and the paper's own power
 linearizations of Laguerre and Jacobi polynomials.  The library and the CLI
 call none of it.
@@ -17,10 +18,11 @@ import math
 import sys
 from fractions import Fraction
 from typing import Callable, Sequence
+from unittest import mock
 
 import mpmath
 
-from hydrenyi import kernels
+from hydrenyi import kernels, oracle
 from hydrenyi.entropy import (
     UNCERTAINTY_TOLERANCE,
     UncertaintySum,
@@ -266,6 +268,128 @@ def jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[floa
                 a = mid
         out.append(0.5 * (a + b))
     return out
+
+
+# -- the float path's assembly at QUADRATURE_DPS digits -------------------------
+
+
+def quad_log_at_dps(log_f, points, q, deep_tail=False):
+    """The integral of exp(log_f) and its error estimate as mpf: the same
+    rule and shift as oracle._quad_log, with the scale exp(shift) put back
+    at QUADRATURE_DPS digits."""
+    rule = oracle._FloatTanhSinh(oracle._FLOAT_REL_FLOOR * max(1.0, q), deep_tail)
+    finite = [p for p in points if p != math.inf]
+    shift = max(log_f(0.5 * (a + b)) for a, b in zip(finite, finite[1:]))
+    while True:
+
+        def integrand(x: float, shift: float = shift) -> float:
+            log_value = log_f(x)
+            shifted = log_value - shift
+            if shifted > 700:
+                raise oracle._ShiftTooLow(log_value)
+            return math.exp(shifted)
+
+        try:
+            value, err = oracle._quad(integrand, points, rule)
+            break
+        except oracle._ShiftTooLow as exc:
+            shift = exc.log_value
+    with mpmath.workdps(QUADRATURE_DPS):
+        scale = mpmath.exp(shift)
+        return value * scale, err * scale
+
+
+def angular_power_integral_at_dps(D: int, mu: tuple[int, ...], q: float):
+    """The angular power integral and its error estimate as mpf: Beta
+    factors by mpmath.beta and the squared norm to the power q, all at
+    QUADRATURE_DPS digits."""
+    chain = tuple(mu[:-1]) + (abs(mu[-1]),)
+    q = float(q)
+    with mpmath.workdps(QUADRATURE_DPS):
+        qm = mpmath.mpf(q)
+        value = 2 * mpmath.pi
+        err_rel = mpmath.mpf(0)
+        norm = oracle._angular_norm_squared(D, chain)
+        norm2 = mpmath.mpf(norm.num) / norm.den * mpmath.pi ** (mpmath.mpf(norm.half) / 2)
+        for j in range(1, D - 1):
+            alpha = Fraction(D - j - 1, 2)
+            alpha_m = mpmath.mpf(alpha.numerator) / alpha.denominator
+            mu_j, mu_j1 = chain[j - 1], chain[j]
+            k = mu_j - mu_j1
+            s = qm * mu_j1 + alpha_m - mpmath.mpf(1) / 2
+            if k == 0:
+                value *= mpmath.beta(mpmath.mpf(1) / 2, s + 1)
+                continue
+            log_poly = gegenbauer_log_abs(k, float(alpha + mu_j1))
+            s_float = float(s)
+
+            def log_integrand(t: float) -> float:
+                g = (1 - t) * (1 + t)
+                if g == 0:
+                    return 2 * q * log_poly(t) if s_float == 0 else -math.inf
+                return 2 * q * log_poly(t) + s_float * math.log(g)
+
+            points = [-1.0] + oracle._gegenbauer_nodes(k, alpha + mu_j1) + [1.0]
+            part, err = quad_log_at_dps(log_integrand, points, q)
+            value *= part
+            if part != 0:
+                err_rel += abs(err / part)
+        value *= norm2**qm
+        return value, abs(value) * err_rel
+
+
+def renyi_float_at_dps(state: HydrogenicState, q, space: str) -> oracle.FloatEntropy:
+    """oracle.renyi_float with the same integrals, scaled back and combined
+    with the angular factors, ln Z and each other at QUADRATURE_DPS digits:
+    loggamma for the Gamma-closed angular factor, mpmath.beta for the
+    equal-entry segments.  Raises QuadratureError where renyi_float does,
+    and ValueError for a divergent momentum order; the other inputs that
+    renyi_float refuses are the caller's to avoid."""
+    order, q = q, float(q)
+    if space == "momentum":
+        check_momentum_order(state.D, state.l, order)
+    unit = state.unit_charge()
+    integral = {
+        "position": oracle.position_radial_power_integral,
+        "momentum": oracle.momentum_radial_power_integral,
+    }[space]
+    with mock.patch.object(oracle, "_quad_log", quad_log_at_dps):
+        radial, radial_err = integral(unit, q)
+    sign = -1 if space == "position" else 1
+    _check_positive_at_dps(radial, f"radial {space}")
+    with mpmath.workdps(QUADRATURE_DPS):
+        Z = state.Z
+        shift = sign * state.D * (mpmath.log(Z.numerator) - mpmath.log(Z.denominator))
+        chain = state.canonical_mu()
+        if all(m == chain[0] for m in chain):
+            l, D = abs(chain[0]), state.D
+            log_angular = (1 - q) * (
+                mpmath.log(2) + mpmath.mpf(D) / 2 * mpmath.log(mpmath.pi)
+            ) + (
+                q * mpmath.loggamma(l + mpmath.mpf(D) / 2)
+                + mpmath.loggamma(q * l + 1)
+                - q * mpmath.loggamma(l + 1)
+                - mpmath.loggamma(q * l + mpmath.mpf(D) / 2)
+            )
+            angular_rel_err = mpmath.mpf(0)
+        else:
+            angular, angular_err = angular_power_integral_at_dps(state.D, state.mu, q)
+            _check_positive_at_dps(angular, "angular")
+            log_angular = mpmath.log(angular)
+            angular_rel_err = abs(angular_err / angular)
+        rel = abs(radial_err / radial) + angular_rel_err
+        entropy_value = (mpmath.log(radial) + log_angular) / (1 - q) + shift
+        result = oracle.FloatEntropy(float(entropy_value), float(rel / abs(1 - q)))
+    if not rel <= oracle.QUADRATURE_REL_TARGET:
+        raise oracle.QuadratureError("target missed", result.value, result.error)
+    return result
+
+
+def _check_positive_at_dps(integral, name: str) -> None:
+    if mpmath.isnan(integral):
+        raise oracle.QuadratureError(f"the {name} integral is not a number")
+    if not integral > 0:
+        raise oracle.QuadratureError(f"the {name} integral came out zero")
 
 
 # -- states ---------------------------------------------------------------------

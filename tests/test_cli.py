@@ -183,6 +183,20 @@ class TestCompute:
         assert err.count("\n") == 1
         assert "relative error" in err and "Traceback" not in err
 
+    def test_quadrature_miss_names_whose_error_it_is(self, capsys):
+        # at q = 1e100 the integrals miss the target by far while the
+        # entropy's error, theirs over |1 - q|, is tiny: the message says
+        # which number is which
+        code, out, err = run(
+            capsys, "compute", "D=3,n=2,mu=1,1", "--q", "1e100", "--float", "--space", "position"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "the integrals' relative error 2.84e+86 misses the quadrature target" in err
+        assert "the entropy's error is that over |1 - q|" in err
+        assert err.rstrip().endswith("+/- 2.84e-14")
+
     def test_zero_integral_exits_four(self, capsys):
         # at p = 2500000.5 every quadrature node misses the radial momentum
         # density's peak and the rule answers 0 +/- 0

@@ -11,6 +11,7 @@ from hydrenyi.exactnum import (
     gamma_exact,
     gamma_integers,
     log_float,
+    log_float_parts,
     parse_scalar,
     pochhammer,
     to_float,
@@ -257,10 +258,25 @@ class TestLogFloat:
                         assert abs(log_float(a, 53) - expected) < abs(old - expected)
         assert moved  # the check above ran
 
+    @given(monomials)
+    def test_parts_carry_the_log_past_one_float(self, a):
+        # hi is the nearest float, lo the nearest float to the rest, so
+        # hi + lo misses ln W by no more than an ulp of lo (and the bits
+        # log_float works at)
+        hi, lo = log_float_parts(a)
+        expected = _ln_w(a)
+        assert hi == log_float(a)
+        assert abs(lo) <= 0.5 * math.ulp(hi)
+        with mpmath.workprec(1100):
+            miss = abs(mpmath.mpf(hi) + mpmath.mpf(lo) - expected)
+        assert miss <= math.ulp(lo) + 2.0**-140 * max(1.0, abs(hi))
+
     def test_rejects_what_has_no_log(self):
         for a in (ExactScalar(0), scalar(1, -2)):
             with pytest.raises(ValueError, match="non-positive"):
                 log_float(a)
+            with pytest.raises(ValueError, match="non-positive"):
+                log_float_parts(a)
         with pytest.raises(ValueError, match="53 bits"):
             log_float(scalar(0, 2), precision_bits=52)
 

@@ -7,6 +7,8 @@ Regenerate the file only when the float path is meant to change:
 
     PYTHONPATH=src python tests/test_float_fixture.py
 
+which prints what moved (see summarize) before it rewrites the file.
+
 The rest checks the rule's stop in the endpoint region against the same rule
 with every node of each level evaluated.
 """
@@ -50,6 +52,50 @@ def render_grid() -> str:
 
 def test_float_values_match_fixture():
     assert render_grid().encode() == FIXTURE.read_bytes()
+
+
+def summarize(old: str, new: str) -> str:
+    """What a regeneration moves: the lines that changed, those whose
+    outcome (answer or exception class) changed, and over the lines answered
+    on both sides the largest |new - old| value in units of the old stated
+    error and the largest relative change of the error."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if [line.split(":")[0] for line in old_lines] != [line.split(":")[0] for line in new_lines]:
+        return "the grid itself changed: the lines name different inputs"
+    moved, outcome_changes, worst_value, worst_error = 0, [], 0.0, 0.0
+    for before, after in zip(old_lines, new_lines):
+        if before == after:
+            continue
+        moved += 1
+        key, _, was = before.partition(": ")
+        now = after.partition(": ")[2]
+        if len(was.split()) != 2 or len(now.split()) != 2:
+            outcome_changes.append(f"{key}: {was} -> {now}")
+            continue
+        (value, error), (new_value, new_error) = (map(float, t.split()) for t in (was, now))
+        worst_value = max(worst_value, abs(new_value - value) / error)
+        worst_error = max(worst_error, abs(new_error - error) / error)
+    lines = [
+        f"{moved} of {len(old_lines)} lines moved, {len(outcome_changes)} outcomes changed",
+        f"largest |value change| / stated error: {worst_value:.3g}",
+        f"largest relative change of the error: {worst_error:.3g}",
+    ]
+    return "\n".join(lines + outcome_changes)
+
+
+def test_summarize_names_what_moved():
+    old = "a q=2 position: 1.0 1e-13\nb q=2 position: 2.0 1e-13\nc q=2 position: ValueError\n"
+    new = (
+        "a q=2 position: 1.0 1e-13\nb q=2 position: 2.00000000000001 2e-13\n"
+        "c q=2 position: 3.0 1e-13\n"
+    )
+    assert summarize(old, new).splitlines() == [
+        "2 of 3 lines moved, 1 outcomes changed",
+        f"largest |value change| / stated error: {abs(2.00000000000001 - 2.0) / 1e-13:.3g}",
+        "largest relative change of the error: 1",
+        "c q=2 position: ValueError -> 3.0 1e-13",
+    ]
+    assert summarize(old, "x q=2 position: 1.0 1e-13\n").startswith("the grid itself")
 
 
 class _EveryNode(oracle._FloatTanhSinh):
@@ -193,6 +239,9 @@ def test_grid_byte_identical_to_every_node(D, monkeypatch):
 
 
 if __name__ == "__main__":
+    grid = render_grid()
+    if FIXTURE.exists():
+        print(summarize(FIXTURE.read_text(), grid), file=sys.stderr)
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_bytes(render_grid().encode())
+    FIXTURE.write_bytes(grid.encode())
     print(f"wrote {FIXTURE}", file=sys.stderr)

@@ -1,12 +1,13 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath.calculus.quadrature import TanhSinh
 
 from hydrenyi import entropy, oracle
@@ -32,6 +33,7 @@ from hydrenyi.states import (
 )
 
 import reference
+import test_float_fixture
 from reference import gegenbauer_moment, laguerre_moment, shifted_moment
 
 F = Fraction
@@ -351,18 +353,18 @@ class TestFloatOracle:
 
     def test_angular_quadrature_matches_exact(self):
         for D, chain in [(3, (1, 0)), (4, (2, 1, 0)), (5, (2, 1, 1, 0))]:
-            value, _ = angular_power_integral(D, chain, 2.0)
+            log_value, _ = angular_power_integral(D, chain, 2.0)
             from hydrenyi.exactnum import to_float
 
-            assert float(value) == pytest.approx(
+            assert math.exp(log_value) == pytest.approx(
                 to_float(angular_w_exact(D, chain, 2)), rel=1e-11
             )
 
     def test_radial_integrals_normalize(self):
-        value, _ = position_radial_power_integral(GROUND, 1.0)
-        assert float(value) == pytest.approx(1.0, rel=1e-12)
-        value, _ = momentum_radial_power_integral(GROUND, 1.0)
-        assert float(value) == pytest.approx(1.0, rel=1e-12)
+        log_value, _ = position_radial_power_integral(GROUND, 1.0)
+        assert math.exp(log_value) == pytest.approx(1.0, rel=1e-12)
+        log_value, _ = momentum_radial_power_integral(GROUND, 1.0)
+        assert math.exp(log_value) == pytest.approx(1.0, rel=1e-12)
 
     def test_nonconvergence_raises_with_estimate(self, monkeypatch):
         def shaky_quad(f, points, rule=None):
@@ -382,7 +384,9 @@ class TestFloatOracle:
         ],
     )
     def test_zero_integral_raises_without_an_estimate(self, monkeypatch, target, state, name):
-        monkeypatch.setattr(f"hydrenyi.oracle.{target}", lambda *args: (mpmath.mpf(0),) * 2)
+        # angular_power_integral answers in log form, where zero is ln 0 = -inf
+        zero = (-math.inf, 0.0) if target == "angular_power_integral" else (mpmath.mpf(0),) * 2
+        monkeypatch.setattr(f"hydrenyi.oracle.{target}", lambda *args: zero)
         with pytest.raises(QuadratureError, match=f"the {name} integral came out zero") as info:
             renyi_float(state, 1.5, "position")
         assert info.value.value is None and info.value.estimate is None
@@ -447,6 +451,138 @@ class TestFloatChargeScaling:
             scaled = entropy.uncertainty_sum(HydrogenicState(3, 2, (1, 0), Z), q).total
             # the two sides cancel a shift of about 2 D |ln Z|
             assert abs(scaled - base) <= 1e-12 * max(1.0, 6 * abs(_log_charge(Z)))
+
+
+def _float_outcome(renyi, state, q, space):
+    """(value, error) or the name of the exception class raised."""
+    try:
+        return tuple(renyi(state, q, space))
+    except (ValueError, QuadratureError) as exc:
+        return type(exc).__name__
+
+
+def _assert_assembly_matches_reference(state, q, space):
+    got = _float_outcome(renyi_float, state, q, space)
+    want = _float_outcome(reference.renyi_float_at_dps, state, q, space)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want, (state.literal(), q, space)
+        return
+    assert abs(got[0] - want[0]) <= 0.25 * want[1], (state.literal(), q, space, got, want)
+
+
+# quasi-uniform chains at large l, whose radial k is 0, and a Beta segment at
+# s ~ 400 q next to a degree-400 quadrature segment (slow)
+LARGE_L_STATES = [
+    HydrogenicState(3, 800, (799, 799)),
+    HydrogenicState(5, 400, (399, 399, 399, 399)),
+]
+LARGE_L_ORDERS = (0.55, 2, 7.3)
+
+
+class TestFloatAssembly:
+    """renyi_float assembles each entropy from the logs of its integrals in
+    floats.  Against the same integrals scaled back and combined at
+    QUADRATURE_DPS digits (reference.renyi_float_at_dps): the same outcome
+    class, and a value within a quarter of the stated error."""
+
+    @pytest.mark.parametrize("D", test_float_fixture.DIMENSIONS)
+    def test_fixture_grid(self, D):
+        for state in enumerate_states(D, test_float_fixture.N_MAX):
+            for q in test_float_fixture.ORDERS:
+                for space in test_float_fixture.SPACES:
+                    _assert_assembly_matches_reference(state, Fraction(q), space)
+
+    @pytest.mark.parametrize("charge", CHARGES)
+    def test_charges(self, charge):
+        for D, n, mu, q in ((3, 1, (0, 0), 0.7), (4, 3, (1, 1, 0), 2.5), (3, 3, (2, 1), 1.5)):
+            for space in ("position", "momentum"):
+                _assert_assembly_matches_reference(HydrogenicState(D, n, mu, F(charge)), q, space)
+
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    @pytest.mark.parametrize("q", LARGE_L_ORDERS)
+    @pytest.mark.parametrize("state", LARGE_L_STATES, ids=lambda s: s.literal())
+    def test_large_l(self, state, q, space):
+        _assert_assembly_matches_reference(state, q, space)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    @pytest.mark.parametrize("q", LARGE_L_ORDERS)
+    def test_beta_segment_at_large_s(self, q, space):
+        _assert_assembly_matches_reference(HydrogenicState(4, 401, (400, 400, 0)), q, space)
+
+    @pytest.mark.parametrize("q", LARGE_L_ORDERS)
+    def test_beta_segment_at_large_s_next_to_a_short_one(self, q):
+        # the Beta segment of (400, 400, 0) next to a degree-1 quadrature one
+        for space in ("position", "momentum"):
+            _assert_assembly_matches_reference(HydrogenicState(4, 401, (400, 400, 399)), q, space)
+
+
+_EPS = sys.float_info.epsilon
+
+
+class TestLogGammaRatio:
+    """oracle._log_gamma_ratio(x, twice_a) = ln Gamma(x + 1 + a) - ln Gamma(x + 1)
+    against mpmath's loggamma at 340 digits, enough to resolve the
+    difference at x = 1e300, within 4 eps max(1, |result|)."""
+
+    @staticmethod
+    def _assert_close(x: float, twice_a: int) -> None:
+        got = oracle._log_gamma_ratio(x, twice_a)
+        with mpmath.workdps(340):
+            X = mpmath.mpf(x)
+            want = mpmath.loggamma(X + 1 + mpmath.mpf(twice_a) / 2) - mpmath.loggamma(X + 1)
+            assert abs(got - want) <= 4 * _EPS * max(1, abs(want)), (x, twice_a, got)
+
+    @pytest.mark.parametrize("twice_a", range(8))
+    def test_chosen_points(self, twice_a):
+        cutoff = oracle._HALF_STEP_SERIES_FROM
+        points = [0.0, 1e-9, math.nextafter(cutoff, 0), cutoff, math.nextafter(cutoff, 99)]
+        for x in points + [1e3, 1e12, 1e300]:
+            self._assert_close(x, twice_a)
+
+    def test_random_draws(self):
+        rng = random.Random(17)
+        for _ in range(150):
+            near = rng.uniform(0, 2 * oracle._HALF_STEP_SERIES_FROM)
+            x = rng.choice([near, 10 ** rng.uniform(-12, 300)])
+            self._assert_close(x, rng.randrange(8))
+
+
+@st.composite
+def _quasi_uniform_cases(draw):
+    """A state whose chain entries are all equal, a rational charge, a space
+    and an order: real at l = n - 1 (from just above the momentum threshold
+    D/(2l+2D+2) to 50), an integer otherwise."""
+    D, n = draw(st.integers(2, 6)), draw(st.integers(1, 12))
+    l = draw(st.integers(0, n - 1))
+    mu = (l,) * (D - 2) + (draw(st.sampled_from((l, -l))),)
+    Z = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))
+    space = draw(st.sampled_from(("position", "momentum")))
+    if l == n - 1:
+        threshold = D / (2 * l + 2 * D + 2)
+        q = draw(st.floats(threshold + 0.01, 50).filter(lambda q: q != 1))
+    else:
+        q = draw(st.integers(2, 50))
+    return HydrogenicState(D, n, mu, Z), q, space
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quasi_uniform_cases())
+def test_float_entropy_of_equal_chains(case):
+    # the Gamma-closed angular factor: against the Gamma-only shortcuts at
+    # l = n - 1, against the exact entropy at integer q
+    state, q, space = case
+    result = renyi_float(state, q, space)
+    if state.l == state.n - 1:
+        shortcut = {
+            "position": entropy.ns_position_entropy,
+            "momentum": entropy.ns_momentum_entropy,
+        }[space]
+        expected = shortcut(state.n, state.D, state.Z, q)
+    else:
+        whole = entropy.position_entropy if space == "position" else entropy.momentum_entropy
+        expected = whole(state, q).total.value_at()
+    assert abs(result.value - expected) <= result.error + 1e-12 * max(1.0, abs(expected))
 
 
 class TestDivergence:
@@ -618,12 +754,12 @@ class TestQuadRule:
         # exp(-c (x - x0)^2) on [0, 1]: the midpoint sits 1200 below the
         # peak in the log, past the float range of the first shift
         c, x0 = 5000.0, 0.01
-        value, err = oracle._quad_log(lambda x: -c * (x - x0) ** 2, [0.0, 1.0], 1.0)
+        log_value, rel = oracle._quad_log(lambda x: -c * (x - x0) ** 2, [0.0, 1.0], 1.0)
         exact = math.sqrt(math.pi / c) / 2 * (
             math.erf(math.sqrt(c) * (1 - x0)) + math.erf(math.sqrt(c) * x0)
         )
-        assert float(value) == pytest.approx(exact, rel=1e-13)
-        assert float(err) <= 1e-10 * exact
+        assert math.exp(log_value) == pytest.approx(exact, rel=1e-13)
+        assert rel <= 1e-10
 
 
 def _captured_log_integrand(monkeypatch, integral, state, q):

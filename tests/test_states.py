@@ -400,8 +400,8 @@ class TestNormalization:
         from hydrenyi.oracle import angular_power_integral
 
         for D, chain in [(3, (2, 1)), (4, (2, 1, 0)), (5, (1, 1, 1, -1)), (2, (2,))]:
-            value, _ = angular_power_integral(D, chain, 1.0)
-            assert float(value) == pytest.approx(1.0, rel=1e-12)
+            log_value, _ = angular_power_integral(D, chain, 1.0)
+            assert math.exp(log_value) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestEnumeration:
