@@ -239,7 +239,7 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
 # -- floating-point path for real orders -------------------------------------
 #
 # The integrands run in floats and in the log domain: the polynomials by their
-# three-term recurrences, the position norm once per call at QUADRATURE_DPS.
+# three-term recurrences, the radial norms once per call by log_float.
 # mpmath.quad drives a tanh-sinh rule that sums in floats.  Each integral
 # comes back as (ln I, relative error) in floats, and the entropy is assembled
 # from those logs in floats too: the Gamma and Beta factors by
@@ -313,8 +313,9 @@ _SEGMENT_REL_TARGET = QUADRATURE_REL_TARGET * 1e-4
 
 # mpmath's tanh-sinh rule at QUADRATURE_DPS (that many bits of precision)
 # ends a level where a node's distance to the endpoint, 1 - |x|, falls to
-# 2^-(prec+10); the float rule's levels have that node set, but it evaluates
-# the nodes of the endpoint region only while their terms still count.
+# 2^-(prec+10); the float rule's levels have that node set on finite
+# segments, but it evaluates the nodes of the endpoint region only while their
+# terms still count.
 _QUADRATURE_PREC = mpmath.libmp.dps_to_prec(QUADRATURE_DPS)
 _NODE_LIMIT = 2.0 ** -(_QUADRATURE_PREC + 10)
 
@@ -326,9 +327,10 @@ _NODE_LIMIT = 2.0 ** -(_QUADRATURE_PREC + 10)
 _ENDPOINT_REGION = 2.0**-20
 _NEGLIGIBLE = 2.0**-64
 
-# A deep tail runs the nodes of an [a, inf) segment on towards x = -1 down to
-# this distance, where the node a - 1 + 2/(1+x) is about 2^1001 and its
-# weight still fits in a float.
+# Each level's nodes run down to this distance.  The sides of an [a, inf)
+# segment use all of them, so that a tail decaying as slowly as p^-1.08 runs
+# to the node a - 1 + 2/(1+x) ~ 2^1001, whose weight still fits in a float,
+# unless its terms stop counting first.
 _DEEP_NODE_LIMIT = 2.0**-1000
 
 # The float integrands carry rounding that grows with the order: the
@@ -344,10 +346,10 @@ _FLOAT_REL_FLOOR = 2.0**-45
 _MERGE_REL = 1e-12
 
 
-@functools.lru_cache(maxsize=32)
-def _level_nodes(level: int, limit: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Complements 1 - x and weights w of the positive tanh-sinh nodes that
-    this level adds, down to 1 - x > limit.
+@functools.lru_cache(maxsize=None)
+def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
+    """(1 - x, w) for the positive tanh-sinh nodes x, with weights w, that
+    this level adds, down to 1 - x > _DEEP_NODE_LIMIT.
 
     The node is x = tanh(s) with s = pi/2 sinh(t), for t = 1/2, 1, 3/2, ...
     at level 1 (whose centre x = 0 the rule adds) and for the odd multiples
@@ -355,17 +357,15 @@ def _level_nodes(level: int, limit: float) -> tuple[tuple[float, ...], tuple[flo
     keeps nodes next to an endpoint at full relative precision (Takahasi &
     Mori, Publ. RIMS 9, 1974); the weight is pi/2 cosh(t) / cosh(s)^2.
     """
-    comps: list[float] = []
-    weights: list[float] = []
+    nodes: list[tuple[float, float]] = []
     j, step = 1, (1 if level == 1 else 2)
     while True:
         t = math.ldexp(j, -level)
         e = math.exp(-math.pi * math.sinh(t))
         comp = 2 * e / (1 + e)
-        if comp <= limit:
-            return tuple(comps), tuple(weights)
-        comps.append(comp)
-        weights.append(2 * math.pi * math.cosh(t) * e / (1 + e) ** 2)
+        if comp <= _DEEP_NODE_LIMIT:
+            return tuple(nodes)
+        nodes.append((comp, 2 * math.pi * math.cosh(t) * e / (1 + e) ** 2))
         j += step
 
 
@@ -374,30 +374,27 @@ def _level_nodes(level: int, limit: float) -> tuple[tuple[float, ...], tuple[flo
 _Side = tuple[tuple[float, float], ...]
 
 
-@functools.lru_cache(maxsize=32)
-def _finite_sides(level: int) -> tuple[_Side, _Side]:
-    """The (complement, weight) pairs of _level_nodes(level, _NODE_LIMIT),
-    as the pairs outside the endpoint region and those inside it."""
-    comps, weights = _level_nodes(level, _NODE_LIMIT)
-    pairs = tuple(zip(comps, weights))
-    cut = sum(c > _ENDPOINT_REGION for c in comps)
-    return pairs[:cut], pairs[cut:]
+@functools.lru_cache(maxsize=None)
+def _sides(level: int, tail: bool) -> tuple[tuple[_Side, _Side], ...]:
+    """The two sides of a segment at this level, each as its pairs outside
+    the endpoint region and those inside it.
 
-
-@functools.lru_cache(maxsize=32)
-def _tail_sides(level: int, limit: float) -> tuple[tuple[_Side, _Side], tuple[_Side, _Side]]:
-    """The (x - a, weight) pairs of an [a, inf) segment, whose map is
-    x -> a - 1 + 2/(1+x) with weight 2/(1+x)^2: the side towards a from
-    _level_nodes(level, _NODE_LIMIT), the side towards infinity from
-    _level_nodes(level, limit), each as its pairs outside the endpoint region
-    and those inside it."""
-    comps, weights = _level_nodes(level, _NODE_LIMIT)
-    near = tuple((c / (2 - c), w * 2 / (2 - c) ** 2) for c, w in zip(comps, weights))
-    far = tuple(((2 - c) / c, w / c * (2 / c)) for c, w in zip(*_level_nodes(level, limit)))
-    # both limits lie inside the endpoint region, so the sides share the
-    # nodes outside it
-    cut = sum(c > _ENDPOINT_REGION for c in comps)
-    return (near[:cut], near[cut:]), (far[:cut], far[cut:])
+    A finite segment runs the (complement, weight) pairs with complement
+    > _NODE_LIMIT on both sides.  An [a, inf) segment, whose map is
+    x -> a - 1 + 2/(1+x) with weight 2/(1+x)^2, runs the whole table: the
+    side towards a at x = 1 - c, the side towards infinity at x = c - 1.
+    """
+    nodes = _level_nodes(level)
+    if tail:
+        sides = [
+            tuple((c / (2 - c), w * 2 / (2 - c) ** 2) for c, w in nodes),
+            tuple(((2 - c) / c, w / c * (2 / c)) for c, w in nodes),
+        ]
+    else:
+        finite = tuple((c, w) for c, w in nodes if c > _NODE_LIMIT)
+        sides = [finite, finite]
+    cut = sum(c > _ENDPOINT_REGION for c, _ in nodes)
+    return tuple((side[:cut], side[cut:]) for side in sides)
 
 
 def _relative_error(results: list[float]) -> float:
@@ -432,13 +429,13 @@ class _FloatTanhSinh:
     its last levels is <= _SEGMENT_REL_TARGET, and reports that estimate, but
     not less than rel_floor, times |I_seg|.  Every integrand here is
     non-negative, so a relative bound on each segment bounds the sum too.
-    With deep_tail the nodes of an [a, inf) segment run towards infinity down
-    to _DEEP_NODE_LIMIT instead of _NODE_LIMIT.
+    Finite segments have mpmath's nodes; both sides of an [a, inf) segment
+    run on towards _DEEP_NODE_LIMIT, and the stop ends them long before it
+    wherever the tail decays fast.
     """
 
-    def __init__(self, rel_floor: float = _FLOAT_REL_FLOOR, deep_tail: bool = False):
+    def __init__(self, rel_floor: float = _FLOAT_REL_FLOOR):
         self.rel_floor = rel_floor
-        self.tail_limit = _DEEP_NODE_LIMIT if deep_tail else _NODE_LIMIT
 
     def _terms(self, f, a: float, b: float, level: int) -> list[float]:
         """w f(x) for the nodes this level adds on [a, b].
@@ -447,33 +444,26 @@ class _FloatTanhSinh:
         its first node inside whose term is <= _NEGLIGIBLE times the side's
         sum so far on this level.  A side whose sum is still 0 does not stop,
         so mass right against an endpoint is still found at every level.
-        The side's sum runs left to right, as the nodes come.
+        The side's sum runs left to right, as the nodes come.  A side's
+        term is scale w f(end + step x) for its (x, w) pairs from _sides; on
+        a tail scale and step are 1.0, so the products are exact.
         """
         terms: list[float] = []
         if b == math.inf:
             if level == 1:
                 terms.append(math.pi * f(a + 1))
-            for outside, inside in _tail_sides(level, self.tail_limit):
-                side = [w * f(a + offset) for offset, w in outside]
-                running = functools.reduce(operator.add, side, 0.0)
-                terms += side
-                for offset, w in inside:
-                    term = w * f(a + offset)
-                    terms.append(term)
-                    if 0 < running and term <= _NEGLIGIBLE * running:
-                        break
-                    running += term
-            return terms
-        half = 0.5 * (b - a)
-        if level == 1:
-            terms.append(half * math.pi / 2 * f(a + half))
-        outside, inside = _finite_sides(level)
-        for end, step in ((b, -half), (a, half)):
-            side = [half * w * f(end + step * c) for c, w in outside]
+            ends = ((a, 1.0, 1.0), (a, 1.0, 1.0))
+        else:
+            half = 0.5 * (b - a)
+            if level == 1:
+                terms.append(half * math.pi / 2 * f(a + half))
+            ends = ((b, -half, half), (a, half, half))
+        for (end, step, scale), (outside, inside) in zip(ends, _sides(level, b == math.inf)):
+            side = [scale * w * f(end + step * x) for x, w in outside]
             running = functools.reduce(operator.add, side, 0.0)
             terms += side
-            for c, w in inside:
-                term = half * w * f(end + step * c)
+            for x, w in inside:
+                term = scale * w * f(end + step * x)
                 terms.append(term)
                 if 0 < running and term <= _NEGLIGIBLE * running:
                     break
@@ -500,12 +490,6 @@ class _FloatTanhSinh:
             values.append(value)
             errors.append(max(rel, self.rel_floor) * abs(value))
         return math.fsum(values), math.fsum(errors)
-
-
-# The momentum integrand decays as p^-e.  Cut at p ~ 2/_NODE_LIMIT ~ 2e34,
-# the tail beyond holds about p^(1-e)/(e-1) of it, below 1e-16 for e >= 1.5;
-# slower tails get the deep nodes, which reach p ~ 2^1001.
-_DEEP_TAIL_DECAY = 1.5
 
 
 def _quad(f, points, rule: _FloatTanhSinh = _FloatTanhSinh()) -> tuple[float, float]:
@@ -539,9 +523,7 @@ class _ShiftTooLow(Exception):
         self.log_value = log_value
 
 
-def _quad_log(
-    log_f, points: list[float], q: float, deep_tail: bool = False
-) -> tuple[float, float]:
+def _quad_log(log_f, points: list[float], q: float) -> tuple[float, float]:
     """Integral I of exp(log_f) over the breakpoints in log form, as
     (ln I, relative error estimate).
 
@@ -552,7 +534,7 @@ def _quad_log(
     hundreds) raises the shift to it and starts again.  An integral that
     came out zero has ln I = -inf, one that is not a number ln I = NaN.
     """
-    rule = _FloatTanhSinh(_FLOAT_REL_FLOOR * max(1.0, q), deep_tail)
+    rule = _FloatTanhSinh(_FLOAT_REL_FLOOR * max(1.0, q))
     finite = [p for p in points if p != math.inf]
     shift = max(log_f(0.5 * (a + b)) for a, b in zip(finite, finite[1:]))
     while True:
@@ -584,10 +566,8 @@ def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[fl
     l, D = state.l, state.D
     k, alpha = state.n - l - 1, 2 * l + D - 2
     lam = float(state.lam)
-    with mpmath.workdps(QUADRATURE_DPS):
-        # ln N^2 for the density as a function of r / lam
-        norm = radial_norm_squared(state) / state.lam**D
-        log_norm = float(mpmath.log(mpmath.mpf(norm.numerator) / norm.denominator))
+    # ln N^2 for the density as a function of r / lam
+    log_norm = log_float(ExactScalar(radial_norm_squared(state) / state.lam**D))
     # the Laguerre recurrence (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1}
     steps = [
         ((2 * j + 1 + alpha) / (j + 1), 1.0 / (j + 1), (j + alpha) / (j + 1))
@@ -657,8 +637,7 @@ def momentum_radial_power_integral(state: HydrogenicState, q: float) -> tuple[fl
     for y0 in _gegenbauer_nodes(k, state.L + 1):
         points.append(scale * math.sqrt((1 - y0) / (1 + y0)))
     points += [scale, 4 * scale]
-    deep_tail = (2 * l + 2 * D + 2) * q - D + 1 < _DEEP_TAIL_DECAY
-    return _quad_log(log_integrand, _breakpoints(points) + [math.inf], q, deep_tail)
+    return _quad_log(log_integrand, _breakpoints(points) + [math.inf], q)
 
 
 # ln Gamma(z + 1/2) - ln Gamma(z) = ln(z)/2 + sum over odd n of c_n z^-n, with
@@ -852,11 +831,13 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
         value = _plus_log_power(value, sign * D, state.Z)
     result = FloatEntropy(value, rel / abs(1 - q))
     if not rel <= QUADRATURE_REL_TARGET:  # a NaN estimate fails too
+        # a value that is not finite (q l past the float range) is no entropy
+        value, error = result if math.isfinite(value) else (None, None)
         raise QuadratureError(
             f"the integrals' relative error {rel:.2e} misses the quadrature target "
             f"{QUADRATURE_REL_TARGET:.0e} (the entropy's error is that over |1 - q|)",
-            result.value,
-            result.error,
+            value,
+            error,
         )
     return result
 
@@ -919,6 +900,10 @@ def _compare(name: str, closed: ExactScalar, oracle: ExactScalar) -> CheckResult
     equal = closed == oracle
     if equal:
         residual = 0.0
+    elif closed.is_positive_monomial and oracle.is_positive_monomial:
+        # |a - b| / max(a, b) = 1 - exp(-|ln a - ln b|), from logs that stay
+        # finite where a or b is past the float range
+        residual = -math.expm1(-abs(log_float(closed) - log_float(oracle)))
     else:
         a, b = to_float(closed), to_float(oracle)
         residual = abs(a - b) / max(abs(a), abs(b), 1e-300)

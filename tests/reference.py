@@ -273,11 +273,11 @@ def jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[floa
 # -- the float path's assembly at QUADRATURE_DPS digits -------------------------
 
 
-def quad_log_at_dps(log_f, points, q, deep_tail=False):
+def quad_log_at_dps(log_f, points, q):
     """The integral of exp(log_f) and its error estimate as mpf: the same
     rule and shift as oracle._quad_log, with the scale exp(shift) put back
     at QUADRATURE_DPS digits."""
-    rule = oracle._FloatTanhSinh(oracle._FLOAT_REL_FLOOR * max(1.0, q), deep_tail)
+    rule = oracle._FloatTanhSinh(oracle._FLOAT_REL_FLOOR * max(1.0, q))
     finite = [p for p in points if p != math.inf]
     shift = max(log_f(0.5 * (a + b)) for a, b in zip(finite, finite[1:]))
     while True:

@@ -197,6 +197,19 @@ class TestCompute:
         assert "the entropy's error is that over |1 - q|" in err
         assert err.rstrip().endswith("+/- 2.84e-14")
 
+    def test_quadrature_miss_without_a_finite_entropy(self, capsys):
+        # at q = 1e306, q l overflows a float in the Gamma-closed angular
+        # factor: the miss is reported without an entropy of inf
+        code, out, err = run(
+            capsys, "compute", "D=3,n=800,mu=799,799", "--q", "1e306", "--float",
+            "--space", "position",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "misses the quadrature target" in err
+        assert "inf" not in err and "+/-" not in err
+
     def test_zero_integral_exits_four(self, capsys):
         # at p = 2500000.5 every quadrature node misses the radial momentum
         # density's peak and the rule answers 0 +/- 0

@@ -103,34 +103,29 @@ class _EveryNode(oracle._FloatTanhSinh):
     the stop in the endpoint region."""
 
     def _terms(self, f, a, b, level):
-        comps, weights = oracle._level_nodes(level, oracle._NODE_LIMIT)
+        nodes = oracle._level_nodes(level)
         if b == math.inf:
-            terms = [
-                w * 2 / (2 - c) ** 2 * f(a + c / (2 - c)) for c, w in zip(comps, weights)
-            ]
-            tail = oracle._level_nodes(level, self.tail_limit)
-            terms += [w / c * (2 / c) * f(a + (2 - c) / c) for c, w in zip(*tail)]
+            terms = [w * 2 / (2 - c) ** 2 * f(a + c / (2 - c)) for c, w in nodes]
+            terms += [w / c * (2 / c) * f(a + (2 - c) / c) for c, w in nodes]
             if level == 1:
                 terms.append(math.pi * f(a + 1))
             return terms
         half = 0.5 * (b - a)
         terms = []
-        for c, w in zip(comps, weights):
-            terms.append(half * w * f(b - half * c))
-            terms.append(half * w * f(a + half * c))
+        for c, w in nodes:
+            if c > oracle._NODE_LIMIT:
+                terms.append(half * w * f(b - half * c))
+                terms.append(half * w * f(a + half * c))
         if level == 1:
             terms.append(half * math.pi / 2 * f(a + half))
         return terms
 
 
-def _outside_the_endpoint_region(rule, a, b, level):
+def _outside_the_endpoint_region(a, b, level):
     """The nodes of this level with complement c > _ENDPOINT_REGION."""
-    comps = oracle._level_nodes(level, oracle._NODE_LIMIT)[0]
-    outside = [c for c in comps if c > oracle._ENDPOINT_REGION]
+    outside = [c for c, _ in oracle._level_nodes(level) if c > oracle._ENDPOINT_REGION]
     if b == math.inf:
-        tail = oracle._level_nodes(level, rule.tail_limit)[0]
-        points = [a + c / (2 - c) for c in outside]
-        points += [a + (2 - c) / c for c in tail if c > oracle._ENDPOINT_REGION]
+        points = [a + c / (2 - c) for c in outside] + [a + (2 - c) / c for c in outside]
         return points + [a + 1] * (level == 1)
     half = 0.5 * (b - a)
     points = [b - half * c for c in outside] + [a + half * c for c in outside]
@@ -138,13 +133,13 @@ def _outside_the_endpoint_region(rule, a, b, level):
 
 
 @pytest.mark.parametrize("level", [1, 4, 9])
-@pytest.mark.parametrize("deep_tail", [False, True])
-def test_nodes_outside_the_endpoint_region_always_run(level, deep_tail):
+@pytest.mark.parametrize("tail", [False, True])
+def test_nodes_outside_the_endpoint_region_always_run(level, tail):
     # an integrand that is 1 outside the endpoint region and 0 inside it:
     # each side runs every node outside and stops at its first node inside
-    rule = oracle._FloatTanhSinh(deep_tail=deep_tail)
-    for a, b in [(0.0, 1.0), (-1.0, 0.25), (2.0, math.inf)]:
-        outside = set(_outside_the_endpoint_region(rule, a, b, level))
+    rule = oracle._FloatTanhSinh()
+    for a, b in [(2.0, math.inf)] if tail else [(0.0, 1.0), (-1.0, 0.25)]:
+        outside = set(_outside_the_endpoint_region(a, b, level))
         evaluated = []
         rule._terms(lambda x: evaluated.append(x) or float(x in outside), a, b, level)
         assert outside <= set(evaluated)
@@ -162,9 +157,9 @@ def test_no_stop_before_the_side_sum_is_positive():
             assert sorted(evaluated) == sorted(every)
 
 
-def _against_every_node(f, points, deep_tail=False):
-    value, err = oracle._quad(f, points, oracle._FloatTanhSinh(deep_tail=deep_tail))
-    expected, _ = oracle._quad(f, points, _EveryNode(deep_tail=deep_tail))
+def _against_every_node(f, points):
+    value, err = oracle._quad(f, points, oracle._FloatTanhSinh())
+    expected, _ = oracle._quad(f, points, _EveryNode())
     assert abs(value - expected) <= err
     return value
 
@@ -195,23 +190,30 @@ def test_underflow_away_from_an_endpoint():
 
 
 @pytest.mark.parametrize("D,l", [(3, 0), (4, 1), (5, 2)])
-@pytest.mark.parametrize("above", [Fraction(1, 100), Fraction(1, 20), Fraction(1, 6)])
+@pytest.mark.parametrize(
+    "above", [Fraction(1, 100), Fraction(1, 20), Fraction(1, 6), "e=1.5", "e=1.55"]
+)
 def test_deep_tail_momentum_integrals(D, l, above, monkeypatch):
     # slowly decaying tails, where a term towards infinity shrinks only as a
-    # small power of its node's complement
+    # small power of its node's complement: q lies above the divergence
+    # threshold D/(2l+2D+2) by `above`, or gives the tail p^-e the decay
+    # e = (2l+2D+2) q - D + 1 named, where the stop comes late in the table
     state = HydrogenicState(D, l + 2, (l,) + (0,) * (D - 2))
-    q = Fraction(D, 2 * l + 2 * D + 2) + above
+    if isinstance(above, str):
+        q = (Fraction(above.removeprefix("e=")) + D - 1) / (2 * l + 2 * D + 2)
+    else:
+        q = Fraction(D, 2 * l + 2 * D + 2) + above
     integrand = {}
 
-    def capture(log_f, points, q, deep_tail=False):
-        integrand.update(log_f=log_f, points=points, deep_tail=deep_tail)
+    def capture(log_f, points, q):
+        integrand.update(log_f=log_f, points=points)
         return 1, 0
 
     monkeypatch.setattr(oracle, "_quad_log", capture)
     oracle.momentum_radial_power_integral(state, float(q))
     log_f, points = integrand["log_f"], integrand["points"]
     shift = max(log_f(0.5 * (a + b)) for a, b in zip(points[:-2], points[1:-1]))
-    _against_every_node(lambda p: math.exp(log_f(p) - shift), points, integrand["deep_tail"])
+    _against_every_node(lambda p: math.exp(log_f(p) - shift), points)
 
 
 GRID_ORDERS = (

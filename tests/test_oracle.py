@@ -718,9 +718,10 @@ class TestQuadRule:
         with mpmath.workprec(prec + 40):
             reference = TanhSinh(mpmath.mp).calc_nodes(level, prec)
             positive = [(1 - x, w) for x, w in reference if x > 0]
-        comps, weights = oracle._level_nodes(level, oracle._NODE_LIMIT)
-        assert len(reference) == 2 * len(comps) + (level == 1)
-        for (comp, w), c, v in zip(positive, comps, weights):
+        (outside, inside), _ = oracle._sides(level, False)
+        nodes = outside + inside
+        assert len(reference) == 2 * len(nodes) + (level == 1)
+        for (comp, w), (c, v) in zip(positive, nodes):
             assert c == pytest.approx(float(comp), rel=1e-13, abs=0)
             assert v == pytest.approx(float(w), rel=1e-13, abs=0)
 
@@ -765,7 +766,7 @@ class TestQuadRule:
 def _captured_log_integrand(monkeypatch, integral, state, q):
     captured = {}
 
-    def capture(log_f, points, q, deep_tail=False):
+    def capture(log_f, points, q):
         captured["log_f"] = log_f
         return mpmath.mpf(1), mpmath.mpf(0)
 
@@ -914,7 +915,7 @@ class TestFloatClosuresBitForBit:
         # while its own _quad_log call runs
         segments, mismatches = [], []
 
-        def probe(log_f, points, q, deep_tail=False):
+        def probe(log_f, points, q):
             k, lam, s, probes = segments[len(mismatches)]
             expected = reference.angular_log_integrand(k, float(lam), s, q)
             mismatches.append(_mismatches(log_f, expected, probes))
@@ -1014,6 +1015,10 @@ class TestVerifyState:
         assert not verdict.all_equal
         bad = [check for check in verdict.checks if not check.equal]
         assert bad and all(check.residual > 0 for check in bad)
+        # W past the float range, either way, still reads |a - b| / max(a, b)
+        for big in (ExactScalar(10**400), ExactScalar(F(1, 10**400))):
+            residual = oracle._compare("x", big, big * 2).residual
+            assert residual == pytest.approx(0.5, rel=1e-12)
 
 
 def _sweep_chains(D: int, l: int) -> list[tuple[int, ...]]:
