@@ -8,11 +8,12 @@ sum against its dimensional bound).  Output is JSON by default, CSV behind
 too large or too small for a float, a verify --qset that is empty or not
 integers, a --precision outside MIN_PRECISION_BITS to MAX_PRECISION_BITS,
 and a charge Z whose numerator or denominator has more digits than Python
-converts to a string, 4,300 by default), 3 resource cap exceeded (the term
-cap of the sums, a verify sweep over more than MAX_VERIFY_VERDICTS verdicts,
-an exact W of compute, verify or the exact side of sum that could need more
-than MAX_W_DIGITS digits, or a state with n past oracle.MAX_FLOAT_N for
-compute --float or the float side of sum), 4 the float path missed its
+converts to a string, 4,300 by default), 3 resource cap exceeded (a step
+of the exact closed forms past hyperfun.WORK_CAP, a verify sweep over more
+than MAX_VERIFY_VERDICTS verdicts, an exact W that compute or a verify
+report is about to write with more than MAX_W_DIGITS digits, or a state
+with n past oracle.MAX_FLOAT_N for compute --float or the float side of
+sum), 4 the float path missed its
 error target or an integral of it came out zero or not a number.  A reader
 that closes the output pipe early, such as ``head``, ends the process by
 SIGPIPE where the platform has one, as it ends other filters: status 141 in
@@ -29,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from hydrenyi import entropy, oracle
-from hydrenyi.exactnum import DEFAULT_PRECISION_BITS
+from hydrenyi.exactnum import DEFAULT_PRECISION_BITS, ExactScalar
 from hydrenyi.hyperfun import HypergeometricSpecError, TermBudgetExceeded
 from hydrenyi.states import (
     HydrogenicState,
@@ -57,11 +58,13 @@ MAX_PRECISION_BITS = 4096
 # n^D / D!: --dmax 12 --nmax 12 would be about 4 million of them.
 MAX_VERIFY_VERDICTS = 10_000
 
-# An exact W is rendered as a fraction, and Python converts an integer of
-# more than 4,300 digits to a string only past its own default limit; the
-# digits of W grow about as q log q, and forming them costs more than
-# linearly.  entropy.w_digits_bound bounds them before any work.
+# An exact W is written as a fraction, and Python converts an integer of
+# more than 4,300 digits to a string only past its own default limit (a
+# guard against quadratic-time conversion, CVE-2020-10735).  So each W is
+# checked just before it is written, against the least integer that is too
+# long; how much work forming it may take is hyperfun.WORK_CAP's concern.
 MAX_W_DIGITS = 4300
+_W_LIMIT = 10**MAX_W_DIGITS
 
 _SPACES = ("position", "momentum")
 
@@ -74,13 +77,19 @@ class ResourceError(Exception):
     pass
 
 
-def _check_w_digits(state: HydrogenicState, q: int, spaces) -> None:
-    bound = entropy.w_digits_bound(state, q, tuple(spaces), MAX_W_DIGITS)
-    if bound > MAX_W_DIGITS:
-        raise ResourceError(
-            f"the exact W of D={brief(state.D)},n={brief(state.n)},mu={brief(state.mu)},"
-            f"Z={brief(state.Z)} at q={brief(q)} could need more than {MAX_W_DIGITS} digits"
-        )
+def _check_printable(w: ExactScalar, name) -> None:
+    """Refuse a W whose reduced numerator or denominator has more than
+    MAX_W_DIGITS digits; name() names it in the message."""
+    r, _ = w.monomial()
+    if abs(r.numerator) >= _W_LIMIT or r.denominator >= _W_LIMIT:
+        raise ResourceError(f"the exact W of {name()} has more than {MAX_W_DIGITS} digits")
+
+
+def _check_report(verdict: oracle.StateVerdict) -> None:
+    """Check each W that a verdict's report writes."""
+    for check in verdict.checks:
+        for w in (check.closed_w, check.oracle_w):
+            _check_printable(w, lambda: f"{verdict.state} at q={verdict.q}")
 
 
 def _parse_q(text: str) -> Fraction:
@@ -147,6 +156,13 @@ def _compute_records(
 ) -> list[dict]:
     records = []
     angular = None  # the same in both spaces, so built once
+
+    def name() -> str:
+        return (
+            f"D={brief(state.D)},n={brief(state.n)},mu={brief(state.mu)},"
+            f"Z={brief(state.Z)} at q={brief(q)}"
+        )
+
     for space in spaces:
         if use_float:
             result = oracle.renyi_float(state, q, space)  # type: ignore[arg-type]
@@ -172,8 +188,11 @@ def _compute_records(
         )
         if angular is None:
             angular = entropy.angular_entropy(state.D, state.mu, int(q))
+            _check_printable(angular.w, name)
             angular_exact = angular.exact_str()
         total = radial + angular
+        _check_printable(radial.w, name)
+        _check_printable(total.w, name)
         records.append(
             {
                 "state": literal,
@@ -195,8 +214,6 @@ def cmd_compute(args) -> int:
     q = _parse_q(args.q)
     spaces = list(_SPACES) if args.space == "both" else [args.space]
     _check_precision(args.precision)
-    if not args.float and q.denominator == 1 and q >= 2:
-        _check_w_digits(state, q.numerator, spaces)
     records = _compute_records(state, literal, q, spaces, args.float, args.precision)
     _emit(records, args.format, sys.stdout)
     return EXIT_OK
@@ -252,11 +269,6 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_RESOURCE
-    for D in dims:
-        for state in enumerate_states(D, args.nmax):
-            for q in qset:
-                if q >= 2:  # verify_state refuses lower orders itself
-                    _check_w_digits(state, q, _SPACES)
     failures: list[dict] = []
     reports: list[dict] = []
     verdict_count = 0
@@ -267,6 +279,8 @@ def cmd_verify(args) -> int:
             for q in qset:
                 verdict = oracle.verify_state(state, q)
                 verdict_count += 1
+                if args.full or not verdict.all_equal:
+                    _check_report(verdict)
                 if args.full:
                     reports.append(verdict.to_dict())
                 if not verdict.all_equal:
@@ -296,13 +310,6 @@ def cmd_sum(args) -> int:
         p = entropy.conjugate_order(q)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    # at most one side is exact: an integer order >= 2 has a conjugate below 1;
-    # uncertainty_sum builds it at Z = 1
-    unit = state.unit_charge()
-    if q.denominator == 1 and q >= 2:
-        _check_w_digits(unit, q.numerator, ["position"])
-    if p.denominator == 1 and p >= 2:
-        _check_w_digits(unit, p.numerator, ["momentum"])
     result = entropy.uncertainty_sum(state, q)
     record = {
         "state": literal,

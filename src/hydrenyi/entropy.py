@@ -8,12 +8,12 @@ oracle compare arguments structurally.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
+from hydrenyi import hyperfun
 from hydrenyi.exactnum import (
     DEFAULT_PRECISION_BITS,
     ExactScalar,
@@ -154,10 +154,9 @@ def angular_daoust_factor(alpha: Fraction, mu_j: int, mu_j1: int, q: int) -> Fra
 #
 # Each W is written once, as a list of calls on a ledger: factorial, integer
 # and rising-product powers, Gamma values, the powers of the charge and the
-# terminating sums.  _ExactLedger multiplies them out into the closed forms;
-# the ledgers of the digit bound below size the same calls.  The oracle
-# builds its factors from exactnum.gamma_integers instead, so a wrong Gamma
-# on either side shows up as a mismatch.
+# terminating sums.  _ExactLedger multiplies them out into the closed forms.
+# The oracle builds its factors from exactnum.gamma_integers instead, so a
+# wrong Gamma on either side shows up as a mismatch.
 
 
 def _radial_factors(out, state: HydrogenicState, q: int, space: str, l: int):
@@ -218,10 +217,51 @@ def _angular_factors(out, D: int, mu: tuple[int, ...], q: int, l: int):
     return out
 
 
-class _Ledger:
-    """What every ledger shares: a Gamma value is a factorial quotient."""
+class _ExactLedger:
+    """The value num/den * pi^(half/2) of a factor list, in integers; a
+    negative power divides.  Before each integer is formed, a bound on its
+    bits is added to a running count; the work of the whole product is the
+    square of that count in 32-bit words (CPython's digits hold 30 bits),
+    since reducing num/den at the end is about quadratic in their size, and
+    hyperfun.check_work refuses it once the count passes the bits that
+    hyperfun.WORK_CAP allows.  The sums are looked up in this module when
+    called, so a wrapper set on it sees them."""
 
-    __slots__ = ()
+    __slots__ = ("num", "den", "half", "bits", "free_bits")
+
+    def __init__(self):
+        self.num = self.den = 1
+        self.half = self.bits = 0
+        # (bits >> 5)^2 <= WORK_CAP for every count up to this one
+        self.free_bits = 32 * math.isqrt(hyperfun.WORK_CAP) + 31
+
+    def _refuse(self) -> None:
+        words = self.bits >> 5
+        hyperfun.check_work(words * words)
+
+    def _times(self, a: int, e: int) -> None:
+        if e >= 0:
+            self.num *= a**e
+        else:
+            self.den *= a**-e
+
+    def integer(self, a: int, e: int) -> None:
+        self.bits += abs(e) * a.bit_length()
+        if self.bits > self.free_bits:
+            self._refuse()
+        self._times(a, e)
+
+    def fact(self, m: int, e: int) -> None:
+        self.bits += abs(e) * m * m.bit_length()
+        if self.bits > self.free_bits:
+            self._refuse()
+        self._times(math.factorial(m), e)
+
+    def rising(self, p: int, d: int, k: int, e: int) -> None:
+        self.bits += abs(e) * k * (p + k * d).bit_length()
+        if self.bits > self.free_bits:
+            self._refuse()
+        self._times(rising_product(p, d, k), e)
 
     def gamma(self, twice: int, e: int) -> None:
         """Gamma(twice/2)^e, via Gamma(m) = (m-1)! and
@@ -235,42 +275,22 @@ class _Ledger:
             self.integer(2, -2 * m * e)
             self.half += e
 
-
-class _ExactLedger(_Ledger):
-    """The value num/den * pi^(half/2) of a factor list, in integers; a
-    negative power divides.  The sums are looked up in this module when
-    called, so a wrapper set on it sees them."""
-
-    __slots__ = ("num", "den", "half")
-
-    def __init__(self):
-        self.num = self.den = 1
-        self.half = 0
-
-    def integer(self, a: int, e: int) -> None:
-        if e >= 0:
-            self.num *= a**e
-        else:
-            self.den *= a**-e
-
-    def fact(self, m: int, e: int) -> None:
-        self.integer(math.factorial(m), e)
-
-    def rising(self, p: int, d: int, k: int, e: int) -> None:
-        self.integer(rising_product(p, d, k), e)
-
     def charge(self, top: int, bottom: int, e: int) -> None:
         self.integer(top, e)
         self.integer(bottom, -e)
 
-    def radial_sum(self, space: str, D: int, n: int, l: int, q: int) -> None:
-        factor = radial_lauricella_factor if space == "position" else momentum_daoust_factor
-        value = factor(D, n, l, q)
+    def _sum(self, value: Fraction) -> None:
+        self.bits += value.numerator.bit_length() + value.denominator.bit_length()
+        if self.bits > self.free_bits:
+            self._refuse()
         self.num, self.den = self.num * value.numerator, self.den * value.denominator
 
+    def radial_sum(self, space: str, D: int, n: int, l: int, q: int) -> None:
+        factor = radial_lauricella_factor if space == "position" else momentum_daoust_factor
+        self._sum(factor(D, n, l, q))
+
     def angular_sum(self, a2: int, mu_j: int, mu_j1: int, q: int) -> None:
-        value = angular_daoust_factor(Fraction(a2, 2), mu_j, mu_j1, q)
-        self.num, self.den = self.num * value.numerator, self.den * value.denominator
+        self._sum(angular_daoust_factor(Fraction(a2, 2), mu_j, mu_j1, q))
 
     def scalar(self, half: int = 0) -> ExactScalar:
         """The value times pi^(half/2)."""
@@ -346,290 +366,6 @@ def momentum_entropy(state: HydrogenicState, q: int) -> RenyiBreakdown:
     radial = radial_momentum_entropy(state, q)
     angular = angular_entropy(state.D, state.mu, q)
     return RenyiBreakdown(radial=radial, angular=angular, total=radial + angular)
-
-
-# -- digit bound --------------------------------------------------------------
-#
-# An upper bound on the decimal digits of each W above, from the quantum
-# numbers alone, before any Gamma value or sum is formed: the same factor
-# lists, sized.  The Gamma values, Pochhammer symbols and integer powers
-# become a ledger of factorial and integer powers, prod m!^e a^f, whose
-# reduced numerator and denominator follow exactly from Legendre's formula
-# v_p(m!) = sum_i floor(m / p^i).
-# What cannot be factored that way adds its digits in full: the powers of
-# the charge, and each terminating sum S, as the integer S * M for a
-# multiple M of its denominator (M enters the ledger as a divisor) whose
-# size is bounded by M times the sum of the absolute values of the terms.
-
-# Orders whose factorials pass this argument get no finite bound: sieving
-# the primes up to it and reducing over them would take about a second.
-_SIEVE_LIMIT = 2 * 10**5
-
-
-class _SizeLedger(_Ledger):
-    """The sizes of a ledger's entries, in natural logarithms, for a first
-    bound that lets no factor cancel another.
-
-    _DigitLedger keeps the entries themselves; both take the calls that
-    _ExactLedger multiplies out.
-    """
-
-    def __init__(self):
-        self.twos = 0  # the power of 2, kept apart: most entries carry one
-        self.half = 0  # the power of sqrt(pi), which no digit count sees
-        self.num_ln = self.den_ln = 0.0
-        self.extra_num = 0.0  # log10 bounds of factors outside the ledger
-        self.extra_den = 0.0
-        self.sum_digits: list[float] = []  # crude digits of each S * M
-
-    def _size(self, ln_value: float) -> None:
-        if ln_value > 0:
-            self.num_ln += ln_value
-        else:
-            self.den_ln -= ln_value
-
-    def fact(self, m: int, e: int) -> None:
-        if m > 1:
-            self._size(e * math.lgamma(m + 1))
-
-    def integer(self, a: int, e: int) -> None:
-        if a == 2:
-            self.twos += e
-        elif a > 1:
-            self._size(e * math.log(a))
-
-    def lcm(self, x: int, e: int) -> None:
-        """lcm(1..x)^e, at most e^(1.03883 x) (Rosser and Schoenfeld,
-        Illinois J. Math. 6, 1962)."""
-        self._size(e * 1.03883 * x)
-
-    def rising(self, p: int, d: int, k: int, e: int) -> None:
-        """rising_product(p, d, k)^e for p >= 1 and d in (1, 2)."""
-        if d == 1:
-            if k:
-                # (p)_k^|e| counts in full on its side
-                self._size(e * (math.lgamma(p + k) - math.lgamma(p)))
-        elif p % 2 == 0:  # 2^k (p/2)_k
-            self.twos += k * e
-            self.rising(p // 2, 1, k, e)
-        else:  # (p + 2k - 2)!! / (p - 2)!!, with N!! = (N+1)! / (2^((N+1)/2) ((N+1)/2)!)
-            self.rising(p, 1, 2 * k, e)
-            self.twos -= k * e
-            self.rising((p + 1) // 2, 1, k, -e)
-
-    def charge(self, top: int, bottom: int, e: int) -> None:
-        """(top / bottom)^e, which adds its digits in full."""
-        self.extra_num += e * math.log10(top)
-        self.extra_den += e * math.log10(bottom)
-
-    def radial_sum(self, space: str, D: int, n: int, l: int, q: int) -> None:
-        k, a = n - l - 1, 2 * l * q + D  # Lauricella's a, and twice Daoust's a0
-        if k and space == "position":
-            _lauricella_digits(self, a, 2 * l + D - 1, k, q)
-        elif k:
-            _daoust_digits(self, a, q * (2 * l + D + 1), n + l + D - 2, 2 * l + D, k, q)
-
-    def angular_sum(self, a2: int, mu_j: int, mu_j1: int, q: int) -> None:
-        _daoust_digits(
-            self, a2 + 2 * q * mu_j1 + 1, 2 * q * mu_j1 + a2 + 1, a2 + mu_j1 + mu_j,
-            a2 + 2 * mu_j1 + 1, mu_j - mu_j1, q,
-        )
-
-    def terminating_sum(self, multiple: "_SizeLedger", log10_abs_sum: float) -> None:
-        """A sum S with S * M an integer for M = multiple's value, and
-        sum |terms| <= 10^log10_abs_sum: M divides the ledger, and S * M adds
-        at most log10 M + log10_abs_sum digits to the numerator."""
-        self.twos -= multiple.twos
-        self.den_ln += multiple.num_ln
-        self.sum_digits.append(multiple.crude_digits()[0] + log10_abs_sum)
-
-    def crude_digits(self) -> tuple[float, float]:
-        """Upper bounds on the digits of the numerator and denominator of
-        the ledger's value, with no factor cancelling another."""
-        twos = self.twos * math.log(2)
-        num = (self.num_ln + max(twos, 0)) / math.log(10) + self.extra_num + 2
-        den = (self.den_ln - min(twos, 0)) / math.log(10) + self.extra_den + 2
-        for digits in self.sum_digits:
-            num += digits
-        return num, den
-
-
-class _DigitLedger(_SizeLedger):
-    """prod m!^e * prod a^f * prod lcm(1..x)^g over a few m, a and x, times
-    integers whose log10 is only bounded, kept entry by entry so that
-    digits() can reduce them exactly."""
-
-    def __init__(self):
-        super().__init__()
-        self.factorials: list[tuple[int, int]] = []  # (m, e), m repeating
-        self.integers: list[tuple[int, int]] = []
-        self.lcms: list[tuple[int, int]] = []
-        self.sums: list[tuple[_DigitLedger, float]] = []
-
-    def fact(self, m: int, e: int) -> None:
-        if m > 1:
-            self.factorials.append((m, e))
-        super().fact(m, e)
-
-    def integer(self, a: int, e: int) -> None:
-        if a > 2:
-            self.integers.append((a, e))
-        super().integer(a, e)
-
-    def lcm(self, x: int, e: int) -> None:
-        self.lcms.append((x, e))
-        super().lcm(x, e)
-
-    def rising(self, p: int, d: int, k: int, e: int) -> None:
-        if d == 1 and k:
-            self.factorials += ((p + k - 1, e), (p - 1, -e))
-        super().rising(p, d, k, e)
-
-    def terminating_sum(self, multiple: "_DigitLedger", log10_abs_sum: float) -> None:
-        self.factorials += [(m, -e) for m, e in multiple.factorials]
-        self.integers += [(a, -e) for a, e in multiple.integers]
-        self.lcms += [(x, -e) for x, e in multiple.lcms]
-        self.sums.append((multiple, log10_abs_sum))
-        super().terminating_sum(multiple, log10_abs_sum)
-
-    def _merged(self) -> list[tuple[int, int]]:
-        """The factorial powers with equal m combined, and none of power 0."""
-        merged: dict[int, int] = {}
-        for m, e in self.factorials:
-            merged[m] = merged.get(m, 0) + e
-        return [(m, e) for m, e in merged.items() if e]
-
-    def _valuations(self) -> Callable[[int], int]:
-        """The function p -> exponent of the prime p in the ledger's value."""
-        factorials, integers, lcms, twos = self._merged(), self.integers, self.lcms, self.twos
-
-        def valuation(p: int) -> int:
-            v = twos if p == 2 else 0
-            for m, e in factorials:
-                power = p
-                while power <= m:
-                    v += e * (m // power)
-                    power *= p
-            for a, e in integers:
-                while a % p == 0:
-                    v += e
-                    a //= p
-            for x, e in lcms:
-                power = p
-                while power <= x:
-                    v += e
-                    power *= p
-            return v
-
-        return valuation
-
-    def digits(self) -> tuple[float, float]:
-        """Upper bounds on the digits of the reduced numerator and
-        denominator of the ledger's value."""
-        arguments = [m for m, _ in self._merged()] + [a for a, _ in self.integers]
-        top = max([2, *arguments, *(x for x, _ in self.lcms)])
-        if top > _SIEVE_LIMIT:
-            return math.inf, math.inf
-        sieve = bytearray([1]) * (top + 1)
-        sieve[:2] = b"\x00\x00"
-        for p in range(2, math.isqrt(top) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
-        valuation = self._valuations()
-        multiples = [multiple._valuations() for multiple, _ in self.sums]
-        num, den = self.extra_num, self.extra_den
-        for p in itertools.compress(range(top + 1), sieve):
-            log_p = math.log10(p)
-            v = valuation(p)
-            if v > 0:
-                num += v * log_p
-            elif v < 0:
-                den -= v * log_p
-            for multiple in multiples:
-                num += multiple(p) * log_p
-        num += sum(log10_abs for _, log10_abs in self.sums)
-        # the float sums round; one digit more covers that and floor(log10) + 1
-        return num + 2, den + 2
-
-
-def _log10_rising(p: float, k: int) -> float:
-    return (math.lgamma(p + k) - math.lgamma(p)) / math.log(10)
-
-
-def _daoust_digits(out: _SizeLedger, a2: int, d0: int, c: int, e2: int, k: int, q: int) -> None:
-    """The terminating Srivastava-Daoust sum with a0 = a2/2 <= d0, one group
-    of 2q axes (-k, c; e2/2) at x = 1 and c >= e2/2.
-
-    Its terms are rho_s prod_i (-1)^m_i binom(k, m_i) (c)_m_i / (e)_m_i with
-    rho_s = (a0)_s / (d0)_s <= 1 and s = sum_i m_i <= N = 2qk, so their
-    absolute values sum to at most (2^k (c)_k / (e)_k)^(2q).  The product
-    over i has its denominator in rising_product(e2, 2, k)^(2q).  rho_s is
-    rising_product(a2, 2, s) / (2^s (d0)_s): for an odd prime p, the two
-    runs of s factors hold equally many multiples of p^j up to one, so p
-    divides the denominator at most floor(log_p X) times, X the largest
-    factor; the same holds for p = 2 when a2 is even, and an odd a2 adds at
-    most 2N more factors of 2.  So every term is cleared by
-    lcm(1..X) 2^(2N) rising_product(e2, 2, k)^(2q).
-    """
-    n_total = 2 * q * k
-    multiple = type(out)()
-    if a2 % 2:
-        multiple.lcm(max(d0 + n_total - 1, a2 + 2 * n_total - 2), 1)
-        multiple.integer(2, 2 * n_total)
-    else:
-        multiple.lcm(max(d0, a2 // 2) + n_total - 1, 1)
-    multiple.rising(e2, 2, k, 2 * q)
-    per_axis = k * math.log10(2) + _log10_rising(c, k) - _log10_rising(e2 / 2, k)
-    out.terminating_sum(multiple, 2 * q * per_axis)
-
-
-def _lauricella_digits(out: _SizeLedger, a: int, c: int, k: int, q: int) -> None:
-    """The terminating Lauricella sum with integers a, c >= 1 and one group
-    of 2q axes (-k, c) at x = 1/q.  Its terms are
-    (a)_|m| prod_i (-1)^m_i binom(k, m_i) / ((c)_m_i q^m_i), so
-    ((c)_k q^k)^(2q) clears every denominator, and the absolute terms sum to
-    at most (a)_(2qk) (1 + 1/(cq))^(2qk)."""
-    multiple = type(out)()
-    multiple.rising(c, 1, k, 2 * q)
-    multiple.integer(q, 2 * q * k)
-    log10_abs = _log10_rising(a, 2 * q * k) + 2 * q * k * math.log10(1 + 1 / (c * q))
-    out.terminating_sum(multiple, log10_abs)
-
-
-def w_digits_bound(
-    state: HydrogenicState, q: int, spaces: "tuple[str, ...]", enough: float = 0.0
-) -> float:
-    """An upper bound on the decimal digits of the numerator and of the
-    denominator of the radial, angular and total W of each space, for a
-    valid state, from the quantum numbers alone.
-
-    A first bound from the sizes of the factors lets no factor cancel
-    another; only when it exceeds ``enough`` are the factors kept and the
-    prefactors reduced exactly by Legendre's formula, which sieves the primes
-    up to the largest factorial (the bound is infinite past _SIEVE_LIMIT).
-    The sums are bounded generously either way: the bound can exceed the
-    true size of a W with a nontrivial sum severalfold.
-    """
-    q = _check_integer_order(q)
-    if q > _SIEVE_LIMIT:  # q! is in every radial ledger
-        return math.inf
-    try:
-        bound = _digits_bound(_SizeLedger, _SizeLedger.crude_digits, state, q, spaces)
-    except OverflowError:  # a quantum number past the range of a float
-        return math.inf
-    if bound > enough:
-        bound = _digits_bound(_DigitLedger, _DigitLedger.digits, state, q, spaces)
-    return bound
-
-
-def _digits_bound(ledger, digits, state: HydrogenicState, q: int, spaces) -> float:
-    """The largest digits() of the total W over the spaces, radial plus
-    angular, which also bounds each part; each part's factors are entered
-    in a fresh ledger()."""
-    l = state.l
-    an, ad = digits(_angular_factors(ledger(), state.D, state.mu, q, l))
-    radials = (digits(_radial_factors(ledger(), state, q, space, l)) for space in spaces)
-    return max(max(rn + an, rd + ad) for rn, rd in radials)
 
 
 # -- quasi-spherical shortcuts (l = n-1, whole chain equal) ------------------

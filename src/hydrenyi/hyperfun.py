@@ -16,9 +16,14 @@ from fractions import Fraction
 
 from hydrenyi import kernels
 from hydrenyi.exactnum import RationalLike, exact_rational
+from hydrenyi.states import brief
 
-# The most coefficient products one sum may take, counted before any work.
-TERM_CAP = 10**8
+# The most work one step of the closed forms may take, counted before the
+# step: kernels.coupled_sum_work for a sum, and the square of the 32-bit
+# words that the factors of a W reach for their product (entropy._ExactLedger).
+# It is the largest such work, rounded up, over the states that the former
+# bound on the digits of W let through (README, section "CLI").
+WORK_CAP = 1_200_000_000
 _ONE = Fraction(1)
 
 
@@ -27,12 +32,19 @@ class HypergeometricSpecError(ValueError):
 
 
 class TermBudgetExceeded(RuntimeError):
-    """Raised when a sum would need more coefficient products than the cap."""
+    """Raised when a step of the closed forms would need more work than the
+    cap."""
 
-    def __init__(self, term_count: int, cap: int):
-        super().__init__(f"sum needs {term_count} coefficient products, cap is {cap}")
-        self.term_count = term_count
+    def __init__(self, work: int, cap: int):
+        super().__init__(f"the closed forms need {brief(work)} units of work, cap is {cap}")
+        self.work = work
         self.cap = cap
+
+
+def check_work(work: int) -> None:
+    """Refuse a step before it starts when its work passes WORK_CAP."""
+    if work > WORK_CAP:
+        raise TermBudgetExceeded(work, WORK_CAP)
 
 
 def _termination_bound(b: Fraction, mult: int) -> int:
@@ -51,13 +63,6 @@ def _check_no_pole(param: Fraction, bound: int, role: str) -> None:
         raise HypergeometricSpecError(
             f"{role} parameter {param} hits a pole within the summation range"
         )
-
-
-def _check_cap(bound: int, mult: int) -> None:
-    """Refuse the sum before any work when the products it needs pass the cap."""
-    count = kernels.coupled_sum_products(bound, mult)
-    if count > TERM_CAP:
-        raise TermBudgetExceeded(count, TERM_CAP)
 
 
 def _hold_exact(spec, names: tuple[str, ...]) -> None:
@@ -122,21 +127,19 @@ class SrivastavaDaoustSpec:
 
 def lauricella_fa(spec: LauricellaSpec) -> Fraction:
     """Exact value of the terminating Lauricella type-A sum."""
-    bound = spec.bound()
-    _check_cap(bound, spec.mult)
     return Fraction(
         *kernels.coupled_sum(
-            (spec.a,), (), (spec.b,), (spec.c, _ONE), spec.x, bound, spec.mult
+            (spec.a,), (), (spec.b,), (spec.c, _ONE), spec.x, spec.bound(), spec.mult,
+            check_work,
         )
     )
 
 
 def srivastava_daoust(spec: SrivastavaDaoustSpec) -> Fraction:
     """Exact value of the terminating Srivastava-Daoust sum."""
-    bound = spec.bound()
-    _check_cap(bound, spec.mult)
     return Fraction(
         *kernels.coupled_sum(
-            (spec.a0,), (spec.d0,), (spec.b, spec.c), (spec.e, _ONE), spec.x, bound, spec.mult
+            (spec.a0,), (spec.d0,), (spec.b, spec.c), (spec.e, _ONE), spec.x, spec.bound(),
+            spec.mult, check_work,
         )
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 BACKEND = "python"
 
@@ -92,10 +92,19 @@ def power_products(k: int, r: int) -> int:
     return k * (k + 1) // 2 + (r - 1) * k * k
 
 
-def coupled_sum_products(k: int, r: int) -> int:
-    """Coefficient products coupled_sum does for r axes of bound k: the
-    power and the final sum against the coupled factor."""
-    return power_products(k, r) + r * k + 1
+def coupled_sum_work(k: int, r: int, bits: int, g_bits: int) -> int:
+    """The work of coupled_sum for r axes of bound k, as integer operations
+    times the bits they touch: the power's coefficient products on at most
+    ``bits`` bits, then four operations per step of the sum against the
+    coupled factor (two products, a sum and the growth of g's denominator)
+    on at most bits + g_bits, g_bits bounding that denominator's bits."""
+    return power_products(k, r) * bits + 4 * (r * k + 1) * (bits + g_bits)
+
+
+def power_bits(p: Sequence[int], r: int) -> int:
+    """A bound on the bit length of every coefficient of p(t)**r, each of
+    which is at most (sum |p_j|)**r in absolute value."""
+    return r * sum(map(abs, p)).bit_length()
 
 
 def coupled_sum(
@@ -106,6 +115,7 @@ def coupled_sum(
     x: Fraction,
     bound: int,
     mult: int,
+    check_work: Callable[[int], None],
 ) -> tuple[int, int]:
     """Numerator and denominator (not reduced) of
     sum_s g(s) x^s [u^s] Q(u)**mult, with g(s) = prod (a)_s / prod (d)_s over
@@ -113,13 +123,24 @@ def coupled_sum(
     0 <= j <= bound.
 
     The sum against g(s) x^s runs by nested evaluation from the top,
-    c_s + (n_s / d_s) * (c_{s+1} + ...), in integers and with no gcd."""
-    terms, den = hypergeometric_terms(rising_steps(upper, lower, Fraction(1), bound))
+    c_s + (n_s / d_s) * (c_{s+1} + ...), in integers and with no gcd.
+
+    check_work may refuse before each stage.  Each of the bound + 1 axis
+    terms is a product of up to all the steps' integers, at least one bit
+    each before the steps are listed and their bits once they are; then the
+    power's products, before g's mult * bound steps are listed; and then the
+    whole coupled_sum_work."""
+    check_work((bound + 1) * bound)
+    steps = rising_steps(upper, lower, Fraction(1), bound)
+    check_work((bound + 1) * sum(n.bit_length() + d.bit_length() for n, d in steps))
+    terms, den = hypergeometric_terms(steps)
+    bits = power_bits(terms, mult)
+    check_work(power_products(bound, mult) * bits)
+    g_steps = rising_steps(coupled_upper, coupled_lower, x, bound * mult)
+    check_work(coupled_sum_work(bound, mult, bits, sum(d.bit_length() for _, d in g_steps)))
     *rest, num = power(terms, mult)
     g_den = 1
-    for c, (n, d) in zip(
-        reversed(rest), reversed(rising_steps(coupled_upper, coupled_lower, x, len(rest)))
-    ):
+    for c, (n, d) in zip(reversed(rest), reversed(g_steps)):
         g_den *= d
         num = c * g_den + n * num
     return num, den**mult * g_den

@@ -55,8 +55,8 @@ QUADRATURE_REL_TARGET = 1e-10
 # The largest principal number the float path takes.  Its cost grows about
 # as n^2: the nodes come from Sturm counts of length n, and the integrand runs
 # a degree-n recurrence on each of n segments.  At n = 800 the slowest call
-# over D in {3, 5}, l in {0, n-1} and both spaces took about 9 s on a 2-vCPU
-# Xeon VM.
+# over D in {3, 5}, l in {0, n-1} and both spaces took about 10 s on a 2-vCPU
+# Xeon VM (position, l = 0, q = 0.7: 10.1 s at D = 3, 9.4 s at D = 5).
 MAX_FLOAT_N = 800
 
 
@@ -559,6 +559,15 @@ def _quad_log(log_f, points: list[float], q: float) -> tuple[float, float]:
     return (-math.inf if value == 0 else math.nan), math.nan
 
 
+# The scaled Laguerre recurrence past x = 1 is rescaled by _HUGE = 2^400
+# whenever its value falls below _TINY = 2^-400.  Its first steps need no
+# check: from 1, eleven steps keep the pair above 2^-112 at every x > 1 for
+# alpha up to 10^6 (measured on a grid of 6,000 x to 1e300), far from the
+# 2^-1022 where floats start to lose bits; so k <= 11 runs no check at all.
+_LAGUERRE_UNCHECKED = 11
+_TINY, _HUGE, _LOG_HUGE = 2.0**-400, 2.0**400, 400 * math.log(2)
+
+
 def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[float, float]:
     """Integral of the q-th power of the radial position density against
     r^(D-1) dr, as (ln I, relative error estimate)."""
@@ -573,12 +582,15 @@ def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[fl
         ((2 * j + 1 + alpha) / (j + 1), 1.0 / (j + 1), (j + alpha) / (j + 1))
         for j in range(k)
     ]
+    head, tail = steps[:_LAGUERRE_UNCHECKED], steps[_LAGUERRE_UNCHECKED:]
     two_l, dim, q = 2 * l, D - 1, float(q)
 
     def log_integrand(r: float) -> float:
         """q ln of the density times r^(D-1), with ln|L_k^(alpha)(r/lam)| from
         the recurrence on L_j(x) / x^j past x = 1, which stays bounded, so
-        that arguments up to the float range do not overflow."""
+        that arguments up to the float range do not overflow.  That value
+        decays in the oscillating region, so past the first steps it is
+        rescaled by 2^400 whenever it falls below 2^-400."""
         rt = r / lam
         log_rt = math.log(rt)
         prev, cur = 0.0, 1.0
@@ -589,9 +601,16 @@ def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[fl
         else:
             inv = 1.0 / rt
             x, inv2 = rt * inv, inv * inv
-            for a, b, c in steps:
+            for a, b, c in head:
                 prev, cur = cur, (a * inv - b * x) * cur - c * inv2 * prev
+            rescaled = 0
+            for a, b, c in tail:
+                prev, cur = cur, (a * inv - b * x) * cur - c * inv2 * prev
+                if abs(cur) < _TINY:
+                    prev, cur, rescaled = prev * _HUGE, cur * _HUGE, rescaled + 1
             log_poly = math.log(abs(cur)) + k * log_rt if cur else -math.inf
+            if rescaled:
+                log_poly -= rescaled * _LOG_HUGE
         log_density = log_norm + two_l * log_rt - rt + 2 * log_poly
         return q * log_density + dim * math.log(r)
 
@@ -829,7 +848,8 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
     value = (log_radial + log_angular) / (1 - q)
     if state.Z != 1:
         value = _plus_log_power(value, sign * D, state.Z)
-    result = FloatEntropy(value, rel / abs(1 - q))
+    # the rounding of the value itself is part of its error
+    result = FloatEntropy(value, max(rel / abs(1 - q), math.ulp(value)))
     if not rel <= QUADRATURE_REL_TARGET:  # a NaN estimate fails too
         # a value that is not finite (q l past the float range) is no entropy
         value, error = result if math.isfinite(value) else (None, None)

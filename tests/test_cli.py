@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from hydrenyi import cli, entropy, hyperfun, oracle
-from hydrenyi.exactnum import parse_scalar
+from hydrenyi.exactnum import parse_scalar, pochhammer
 from hydrenyi.states import HydrogenicState
 
 
@@ -125,17 +126,27 @@ class TestCompute:
             assert parse_scalar(record["w"]) == expected[record["space"]]
 
     def test_cap_below_computed_work_exits_three(self, capsys, monkeypatch):
-        # Both radial sums have 2q = 10 identical axes of degree k = 9:
-        # Miller's power costs k(k+1)/2 + (2q-1)k^2 products, the final sum
-        # 2qk + 1; the angular part is a single term.
+        # The position sum has 2q = 10 identical axes of bound k = 9, with
+        # terms (-9)_j / ((2)_j j!); Miller's power takes k(k+1)/2 +
+        # (2q-1)k^2 products on coefficients of at most 10 times the bits of
+        # the sum of the terms' absolute values, over their common
+        # denominator.  The nested sum then takes 4 operations on each of its
+        # 2qk + 1 steps, on those bits plus 3 for each of the 2qk factors 5 of
+        # g's denominator (x = 1/q).  The angular part is a single term and
+        # the prefactors stay far below.
         k, r = 9, 10
-        work = k * (k + 1) // 2 + (r - 1) * k * k + r * k + 1
+        terms = [
+            pochhammer(-k, j) / (pochhammer(2, j) * math.factorial(j)) for j in range(k + 1)
+        ]
+        den = math.lcm(*(t.denominator for t in terms))
+        bits = r * int(sum(abs(t) * den for t in terms)).bit_length()
+        work = (k * (k + 1) // 2 + (r - 1) * k * k) * bits + 4 * (r * k + 1) * (bits + 3 * r * k)
         argv = ("compute", "D=3,n=10,mu=0,0", "--q", "5", "--space", "position")
-        monkeypatch.setattr(hyperfun, "TERM_CAP", work - 1)
-        code, _, err = run(capsys, *argv)
-        assert code == 3
-        assert f"needs {work} coefficient products, cap is {work - 1}" in err
-        monkeypatch.setattr(hyperfun, "TERM_CAP", work)
+        monkeypatch.setattr(hyperfun, "WORK_CAP", work - 1)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == f"error: the closed forms need {work} units of work, cap is {work - 1}\n"
+        monkeypatch.setattr(hyperfun, "WORK_CAP", work)
         code, _, _ = run(capsys, *argv)
         assert code == 0
 
@@ -351,7 +362,7 @@ class TestVerify:
         assert payload["failing"]
 
     def test_term_cap_exits_three(self, capsys, monkeypatch):
-        monkeypatch.setattr(hyperfun, "TERM_CAP", 4)
+        monkeypatch.setattr(hyperfun, "WORK_CAP", 4)
         code, _, err = run(capsys, "verify", "--dmax", "3", "--nmax", "3")
         assert code == 3
         assert "cap" in err
@@ -397,15 +408,51 @@ class TestVerify:
         assert json.loads(out)["summary"]["states"] == 0
 
 
+def _refused_by_work(err: str) -> bool:
+    return err.startswith("error: the closed forms need ") and err.endswith(
+        f" units of work, cap is {hyperfun.WORK_CAP}\n"
+    )
+
+
+def _refused_by_digits(err: str) -> bool:
+    return err.startswith("error: the exact W of ") and err.endswith(
+        f" has more than {cli.MAX_W_DIGITS} digits\n"
+    )
+
+
 class TestDigitCap:
     def test_large_orders_exit_three_at_once(self, capsys):
-        for q in ("1000", "10000", "1e400"):
+        # q = 1000 forms a W of more than 4,300 digits, which is not written;
+        # past it the work cap refuses before the W is formed
+        for q, refused in (("1000", _refused_by_digits), ("10000", _refused_by_work),
+                           ("1e400", _refused_by_work)):
             started = time.perf_counter()
             code, out, err = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", q)
             assert time.perf_counter() - started < 5  # q = 10000 ran past 60 s
             assert code == 3
             assert out == ""
-            assert err.count("\n") == 1 and str(cli.MAX_W_DIGITS) in err
+            assert err.count("\n") == 1 and refused(err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--q", "1e400"),
+            ("--q", "1" * 4300),
+            ("--q", "2", f"n={'2' * 4300},mu={'1' * 4300},0"),
+        ],
+    )
+    def test_huge_numbers_are_refused_before_any_big_integer(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("big-integer work started")
+
+        monkeypatch.setattr(entropy._ExactLedger, "_times", refuse)
+        monkeypatch.setattr(entropy, "rising_product", refuse)
+        literal = "D=3," + (argv[2] if len(argv) > 2 else "n=2,mu=1,0")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "compute", literal, *argv[:2])
+        assert time.perf_counter() - started < 0.5
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and _refused_by_work(err) and len(err) <= 200
 
     def test_order_300_still_answers(self, capsys):
         state = HydrogenicState(3, 2, (1, 0), 1)
@@ -422,12 +469,36 @@ class TestDigitCap:
         ):
             assert parse_scalar(record["w"]) == (radial + angular).w
 
+    def test_state_once_refused_by_the_digit_bound_answers(self, capsys):
+        # the bound read 4,329 digits; the W have 1,983 (position) and 545
+        code, out, _ = run(capsys, "compute", "D=3,n=4,mu=0,0", "--q", "141")
+        assert code == 0
+        state = HydrogenicState(3, 4, (0, 0))
+        angular = oracle.angular_w_exact(3, (0, 0), 141)
+        expected = {
+            "position": oracle.radial_position_w_exact(state, 141) * angular,
+            "momentum": oracle.radial_momentum_w_exact(state, 141) * angular,
+        }
+        records = json.loads(out)
+        assert [r["space"] for r in records] == ["position", "momentum"]
+        for record in records:
+            assert parse_scalar(record["w"]) == expected[record["space"]]
+
     def test_one_space_is_bounded_alone(self, capsys):
         # the momentum W stays shorter than the position one here
-        code, _, _ = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", "700", "--space", "momentum")
+        code, _, _ = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", "800", "--space", "momentum")
         assert code == 0
-        code, _, err = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", "700")
-        assert code == 3 and err.count("\n") == 1
+        code, out, err = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", "800")
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and _refused_by_digits(err)
+
+    def test_w_past_the_limit_writes_nothing(self, capsys, monkeypatch):
+        # with the limit lowered to 10^3: the angular W of this state is
+        # 9/(20 pi), the radial and total ones are longer
+        monkeypatch.setattr(cli, "_W_LIMIT", 10**3)
+        code, out, err = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", "2")
+        assert (code, out) == (3, "")
+        assert err == "error: the exact W of D=3,n=2,mu=1,0,Z=1 at q=2 has more than 4300 digits\n"
 
     @pytest.mark.parametrize(
         "literal, q",
@@ -439,19 +510,45 @@ class TestDigitCap:
         ],
     )
     def test_refusal_is_one_short_line(self, capsys, literal, q):
-        # the message once held the state literal, Z written out in full
+        # the message once held the state literal, Z written out in full;
+        # the long orders and numbers are refused by the work cap, Z = 1e1500
+        # by the digits of its W
         code, out, err = run(capsys, "compute", literal, "--q", q)
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and err.endswith("\n")
         assert len(err.encode()) <= 200
-        assert err.startswith("error: the exact W of D=") and str(cli.MAX_W_DIGITS) in err
+        assert _refused_by_work(err) or _refused_by_digits(err)
 
     def test_verify_order_list_is_bounded(self, capsys):
-        code, out, err = run(capsys, "verify", "--qset", "2,1000", "--dmax", "3", "--nmax", "2")
+        code, out, err = run(capsys, "verify", "--qset", "2,10000", "--dmax", "3", "--nmax", "2")
         assert code == 3
         assert out == ""
-        assert err.count("\n") == 1 and str(cli.MAX_W_DIGITS) in err
+        assert err.count("\n") == 1 and _refused_by_work(err)
+
+    def test_verify_checks_only_the_w_it_writes(self, capsys, monkeypatch):
+        # with a lower limit the reports of --full cannot be written, while a
+        # passing sweep without them writes no W
+        monkeypatch.setattr(cli, "_W_LIMIT", 10**3)
+        argv = ("verify", "--dmax", "2", "--nmax", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["summary"]["all_equal"]
+        code, out, err = run(capsys, *argv, "--full")
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and _refused_by_digits(err)
+
+    def test_failing_reports_are_checked(self, capsys, monkeypatch):
+        honest = entropy.rising_product
+
+        def crooked(p, d, k):
+            value = honest(p, d, k)
+            return value + 1 if k == 2 else value
+
+        monkeypatch.setattr("hydrenyi.entropy.rising_product", crooked)
+        monkeypatch.setattr(cli, "_W_LIMIT", 10**3)
+        code, out, err = run(capsys, "verify", "--dmax", "3", "--nmax", "2")
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and _refused_by_digits(err)
 
 
 class TestSum:
@@ -490,15 +587,23 @@ class TestSum:
         assert "1/2" in err
 
     def test_large_exact_orders_exit_three_at_once(self, capsys):
-        # the exact side is bounded like compute: position at q, momentum at
-        # p = q / (2q - 1); q = 10000 ran past 30 s
-        for q in ("1000", "10000", "1e400", "5000/9999"):
+        # the exact side is bounded by the work cap alone, since sum writes
+        # no W: position at q, momentum at p = q / (2q - 1); q = 10000 ran
+        # past 30 s before any cap
+        for q in ("10000", "100000", "1e400", "5000/9999"):
             started = time.perf_counter()
             code, out, err = run(capsys, "sum", "D=3,n=2,mu=1,0", "--q", q)
             assert time.perf_counter() - started < 5
             assert code == 3
             assert out == ""
-            assert err.count("\n") == 1 and str(cli.MAX_W_DIGITS) in err
+            assert err.count("\n") == 1 and _refused_by_work(err)
+
+    def test_exact_side_past_the_digit_limit_answers(self, capsys):
+        # the position W at q = 1000 has more than 4,300 digits, but sum
+        # writes only floats
+        code, out, _ = run(capsys, "sum", "D=3,n=2,mu=1,0", "--q", "1000")
+        assert code == 0
+        assert json.loads(out)["satisfied"] is True
 
     @pytest.mark.parametrize("q", ["0.7", "2"])
     def test_charge_leaves_the_output_unchanged(self, capsys, q):
@@ -594,13 +699,15 @@ SWEEP = (
 @pytest.mark.parametrize(
     "literal, space", [("D=3,n=760,mu=330,0", "momentum"), ("D=3,n=800,mu=799,280", "position")]
 )
-def test_gegenbauer_factor_past_the_float_range_answers(capsys, literal, space):
+def test_gegenbauer_factor_past_the_float_range_answers(capsys, monkeypatch, literal, space):
     # the radial momentum factor C_429^(331) and the angular C_519^(280.5)
     # both peak above e^709; their recurrences once reached inf - inf, and
     # each input exited 4 with "came out zero"
     code, out, err = run(capsys, "compute", literal, "--q", "0.7", "--float", "--space", space)
     assert code == cli.EXIT_OK, err
     state = HydrogenicState.parse(literal)
+    # the exact reference takes about 4 to 5 times the work cap (some 6 s)
+    monkeypatch.setattr(hyperfun, "WORK_CAP", 10 * hyperfun.WORK_CAP)
     exact = {"position": entropy.position_entropy, "momentum": entropy.momentum_entropy}[space]
     expected = exact(state, 2).total.value
     result = oracle.renyi_float(state, 2, space)

@@ -16,6 +16,7 @@ from hydrenyi.entropy import (
     uncertainty_sum,
 )
 from hydrenyi.exactnum import ExactScalar, gamma_exact, parse_scalar, pochhammer
+from hydrenyi.hyperfun import TermBudgetExceeded
 from hydrenyi.states import HydrogenicState, enumerate_states
 
 import reference
@@ -158,6 +159,35 @@ class TestIntegerPrefactors:
                     value = entropy.angular_pochhammer_factor(alpha, mu_j, mu_j1, q)
                     assert value == expected
 
+    @pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
+    def test_ledger_bits_bound_its_integers(self, D):
+        # the bits counted before each factor bound the numerator and
+        # denominator formed, which start at 1 (one bit each)
+        def check(out) -> None:
+            assert out.num.bit_length() + out.den.bit_length() <= out.bits + 2
+
+        for q in (2, 3, 7):
+            for state in enumerate_states(D, 4):
+                for Z in (1, F(7, 3)):
+                    charged = HydrogenicState(D, state.n, state.mu, Z)
+                    for space in ("position", "momentum"):
+                        check(entropy._radial_factors(
+                            entropy._ExactLedger(), charged, q, space, state.l
+                        ))
+                check(entropy._angular_factors(entropy._ExactLedger(), D, state.mu, q, state.l))
+
+    def test_ledger_refuses_before_forming(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an integer was formed")
+
+        monkeypatch.setattr(entropy._ExactLedger, "_times", refuse)
+        state = HydrogenicState(3, 2, (1, 0))
+        for q in (10**6, 10**400):
+            with pytest.raises(TermBudgetExceeded):
+                radial_position_entropy(state, q)
+            with pytest.raises(TermBudgetExceeded):
+                angular_entropy(3, (1, 0), q)
+
     def test_oracle_keeps_gamma_exact(self):
         # the oracle must not share the closed forms' factor lists: it reads
         # Gamma from exactnum.gamma_integers, as gamma_exact does
@@ -165,213 +195,6 @@ class TestIntegerPrefactors:
         for helper in ("_ExactLedger", "_radial_factors", "_angular_factors"):
             assert helper not in source
         assert "gamma_integers" in source
-
-
-def _decimal_digits(x: int) -> int:
-    # past 4300 digits str(x) is refused, so compare with powers of ten
-    digits = max(1, int(x.bit_length() * math.log10(2)))
-    while 10**digits <= x:
-        digits += 1
-    while digits > 1 and 10 ** (digits - 1) > x:
-        digits -= 1
-    return digits
-
-
-def _digits(w: ExactScalar) -> int:
-    r, _ = w.monomial()
-    return max(_decimal_digits(abs(r.numerator)), _decimal_digits(r.denominator))
-
-
-def _true_digits(state: HydrogenicState, q: int, space: str) -> int:
-    if space == "position":
-        radial = radial_position_entropy(state, q).w
-    else:
-        radial = radial_momentum_entropy(state, q).w
-    angular = angular_entropy(state.D, state.mu, q).w
-    return max(_digits(radial), _digits(angular), _digits(radial * angular))
-
-
-def _ledger_value(ledger) -> Fraction:
-    """The product of a digit ledger's entries, with no sums in it."""
-    out = F(2) ** ledger.twos
-    for m, e in ledger.factorials:
-        out *= F(math.factorial(m)) ** e
-    for a, e in ledger.integers:
-        out *= F(a) ** e
-    for x, e in ledger.lcms:
-        out *= F(math.lcm(*range(1, x + 1))) ** e
-    return out
-
-
-class _NoSums:
-    """Leaves the terminating sums out of a ledger."""
-
-    def radial_sum(self, *args) -> None:
-        pass
-
-    def angular_sum(self, *args) -> None:
-        pass
-
-
-class _Prefactor(_NoSums, entropy._ExactLedger):
-    pass
-
-
-class _PrefactorSizes(_NoSums, entropy._SizeLedger):
-    pass
-
-
-class _PrefactorEntries(_NoSums, entropy._DigitLedger):
-    def charge(self, top: int, bottom: int, e: int) -> None:
-        # kept as entries, so that _ledger_value multiplies them in
-        self.integer(top, e)
-        self.integer(bottom, -e)
-
-
-class TestDigitBound:
-    """w_digits_bound never falls below the digits of a W it bounds."""
-
-    @pytest.mark.parametrize("D", [2, 3, 4, 5])
-    def test_bounds_every_w_of_the_grid(self, D):
-        for state in enumerate_states(D, 4):
-            for q in (2, 3, 7):
-                for space in ("position", "momentum"):
-                    true = _true_digits(state, q, space)
-                    assert entropy.w_digits_bound(state, q, (space,)) >= true
-                    assert entropy.w_digits_bound(state, q, (space,), math.inf) >= true
-
-    @pytest.mark.parametrize(
-        "literal,q",
-        [
-            ("D=3,n=2,mu=1,0", 300),
-            ("D=3,n=5,mu=0,0", 100),
-            ("D=5,n=4,mu=1,1,0,0", 100),
-            ("D=4,n=5,mu=2,1,-1,Z=5/2", 40),
-            ("D=3,n=6,mu=5,-5,Z=3", 200),
-            ("D=6,n=4,mu=3,1,1,0,0", 30),
-            ("D=2,n=7,mu=-3,Z=7/3", 60),
-        ],
-    )
-    def test_bounds_large_orders(self, literal, q):
-        state = HydrogenicState.parse(literal)
-        bound = entropy.w_digits_bound(state, q, ("position", "momentum"))
-        true = max(_true_digits(state, q, space) for space in ("position", "momentum"))
-        assert true <= bound <= 3 * true + 400
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_rising_products_reduce_exactly(self, d):
-        # a ledger without sums or extras is exact up to its two-digit margin
-        for p in range(1, 10):
-            for k in range(8):
-                ledger = entropy._DigitLedger()
-                ledger.rising(p, d, k, 1)
-                ledger.rising(p + 3, d, k, -2)
-                value = F(
-                    entropy.rising_product(p, d, k), entropy.rising_product(p + 3, d, k) ** 2
-                )
-                assert _ledger_value(ledger) == value
-                num, den = ledger.digits()
-                assert len(str(value.numerator)) <= num <= len(str(value.numerator)) + 2
-                assert len(str(value.denominator)) <= den <= len(str(value.denominator)) + 2
-
-    def test_gamma_values_reduce_exactly(self):
-        for twice in range(1, 60):
-            ledger = entropy._DigitLedger()
-            ledger.gamma(twice, 3)
-            ledger.gamma(twice + 7, -1)
-            value = (gamma_exact(F(twice, 2)) ** 3 / gamma_exact(F(twice + 7, 2))).monomial()[0]
-            num, den = ledger.digits()
-            assert len(str(value.numerator)) <= num <= len(str(value.numerator)) + 2
-            assert len(str(value.denominator)) <= den <= len(str(value.denominator)) + 2
-
-    @pytest.mark.parametrize("q", [2, 3])
-    def test_sums_are_cleared_by_their_multiples(self, q):
-        # each sum S times its denominator multiple M is an integer, and
-        # |S M| <= M 10^log10_abs
-        def check(add_sum, exact: Fraction) -> None:
-            ledger = entropy._DigitLedger()
-            add_sum(ledger)
-            ((multiple, log10_abs),) = ledger.sums
-            cleared = exact * _ledger_value(multiple)
-            assert cleared.denominator == 1
-            assert (
-                math.log10(abs(cleared) or 1)
-                <= math.log10(_ledger_value(multiple)) + log10_abs + 1e-9
-            )
-
-        for D in range(2, 6):
-            for n in range(2, 6):
-                for l in range(n - 1):
-                    check(
-                        lambda out: out.radial_sum("position", D, n, l, q),
-                        entropy.radial_lauricella_factor(D, n, l, q),
-                    )
-                    check(
-                        lambda out: out.radial_sum("momentum", D, n, l, q),
-                        entropy.momentum_daoust_factor(D, n, l, q),
-                    )
-        for a2 in range(1, 5):
-            for mu_j1 in range(3):
-                for k in range(1, 4):
-                    mu_j = mu_j1 + k
-                    check(
-                        lambda out: out.angular_sum(a2, mu_j, mu_j1, q),
-                        entropy.angular_daoust_factor(F(a2, 2), mu_j, mu_j1, q),
-                    )
-
-    @pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
-    def test_size_ledgers_agree_with_the_exact_one(self, D):
-        # one factor list, three ledgers: with the sums left out, the digit
-        # ledger's entries multiply out to the exact ledger's integers, which
-        # checks its Gamma and rising_product(p, 2, k) decompositions, and
-        # the first pass's sizes add up to the logarithm of that value
-        def check(enter) -> None:
-            exact = enter(_Prefactor()).scalar()
-            digits = enter(_PrefactorEntries())
-            assert ExactScalar.pi_power(digits.half, _ledger_value(digits)) == exact
-            sizes = enter(_PrefactorSizes())
-            assert sizes.half == digits.half
-            ln_value = (
-                sizes.num_ln
-                - sizes.den_ln
-                + sizes.twos * math.log(2)
-                + (sizes.extra_num - sizes.extra_den) * math.log(10)
-            )
-            ln_exact = math.log(exact.monomial()[0])
-            assert ln_value == pytest.approx(ln_exact, rel=1e-12, abs=1e-9)
-
-        for q in range(2, 6):
-            for n in range(1, 7):
-                for l in range(n):
-                    for Z in (1, F(7, 3)):
-                        state = HydrogenicState(D, n, (l,) + (0,) * (D - 2), Z)
-                        for space in ("position", "momentum"):
-                            check(lambda out: entropy._radial_factors(out, state, q, space, l))
-            for state in enumerate_states(D, 6):
-                if state.mu[-1] >= 0:
-                    check(lambda out: entropy._angular_factors(out, D, state.mu, q, state.l))
-
-    def test_huge_orders_are_unbounded_at_once(self):
-        state = HydrogenicState(3, 2, (1, 0), 1)
-        assert entropy.w_digits_bound(state, 10**400, ("position",)) == math.inf
-        assert entropy.w_digits_bound(state, 10**5, ("momentum",)) == math.inf
-
-    def test_numbers_past_a_float_are_unbounded(self):
-        # math.lgamma raised OverflowError on them
-        for state in (
-            HydrogenicState(3, 10**400, (0, 0)),
-            HydrogenicState(3, 10**400, (10**300, 0)),
-        ):
-            for space in ("position", "momentum"):
-                assert entropy.w_digits_bound(state, 2, (space,)) == math.inf
-
-    def test_first_pass_keeps_no_entries(self):
-        # the second pass alone reduces the prefactors, so only it keeps them
-        state = HydrogenicState(5, 8, (1, 0, 0, 0), 3)
-        size = entropy._radial_factors(entropy._SizeLedger(), state, 3, "position", 1)
-        full = entropy._radial_factors(entropy._DigitLedger(), state, 3, "position", 1)
-        assert not hasattr(size, "factorials") and full.factorials
-        assert size.crude_digits() == full.crude_digits()
 
 
 class TestTables:

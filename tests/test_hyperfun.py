@@ -167,6 +167,17 @@ class TestMultiIndexSum:
         assert multi_index_sum([2], lambda idx: F(idx[0] ** 2)) == 5
 
     def test_cap_applies_to_hyper_sums(self, monkeypatch):
-        monkeypatch.setattr(hyperfun, "TERM_CAP", 8)
-        with pytest.raises(TermBudgetExceeded):
-            lauricella_fa(LauricellaSpec(3, -1, 2, F(1, 2), 4))
+        # one axis of bound k = 1 taken r = 4 times.  Its terms are 2 and -1
+        # over 2, so each coefficient of the power is at most 3^4 in absolute
+        # value, 4 * 2 = 8 bits; the power takes 4 products on them.  The
+        # coupled factor's 4 steps each have denominator 2 (x = 1/2), 2 bits,
+        # so the 5 steps of the nested sum touch at most 8 + 8 bits:
+        # 4 * 8 + 4 * 5 * 16 = 352
+        spec = LauricellaSpec(3, -1, 2, F(1, 2), 4)
+        expected = lauricella_fa(spec)
+        monkeypatch.setattr(hyperfun, "WORK_CAP", 351)
+        with pytest.raises(TermBudgetExceeded) as refused:
+            lauricella_fa(spec)
+        assert (refused.value.work, refused.value.cap) == (352, 351)
+        monkeypatch.setattr(hyperfun, "WORK_CAP", 352)
+        assert lauricella_fa(spec) == expected

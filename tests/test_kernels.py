@@ -145,8 +145,19 @@ def test_work_counts_miller_loop():
         for r in range(1, 8):
             inner = 0 if r == 1 else sum(min(s, k) for s in range(1, r * k + 1))
             assert kernels.power_products(k, r) == inner
-            # the power, then the sum of its r k + 1 coefficients against g
-            assert kernels.coupled_sum_products(k, r) == inner + r * k + 1
+            # the power, then four operations per step of the sum of its
+            # r k + 1 coefficients against g
+            work = kernels.coupled_sum_work(k, r, 10, 7)
+            assert work == inner * 10 + 4 * (r * k + 1) * 17
+
+
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6).filter(lambda p: p[0]),
+    st.integers(1, 8),
+)
+def test_power_bits_bound_every_coefficient(p, r):
+    bits = kernels.power_bits(p, r)
+    assert all(abs(c).bit_length() <= bits for c in kernels.power(p, r))
 
 
 def test_oracle_keeps_its_own_convolution():
