@@ -4,20 +4,19 @@ Subcommands: compute (entropies of one state), table (the published q = 2
 hydrogen tables), verify (closed form vs oracle sweep), sum (uncertainty
 sum against its dimensional bound).  Output is JSON by default, CSV behind
 --format=csv.  Exit codes: 0 ok, 1 verification failure, 2 usage error
-(including a real order at which the momentum entropy diverges or that is
-too large or too small for a float, a verify --qset that is empty or not
-integers, a --precision outside MIN_PRECISION_BITS to MAX_PRECISION_BITS,
-and a charge Z whose numerator or denominator has more digits than Python
-converts to a string, 4,300 by default), 3 resource cap exceeded (a step
-of the exact closed forms past hyperfun.WORK_CAP, a verify sweep over more
-than MAX_VERIFY_VERDICTS verdicts, an exact W that compute or a verify
-report is about to write with more than MAX_W_DIGITS digits, or a state
-with n past oracle.MAX_FLOAT_N for compute --float or the float side of
-sum), 4 the float path missed its
-error target or an integral of it came out zero or not a number.  A reader
-that closes the output pipe early, such as ``head``, ends the process by
-SIGPIPE where the platform has one, as it ends other filters: status 141 in
-a POSIX shell, and no traceback.
+(including an unknown option, a real order at which the momentum entropy
+diverges or that is too large or too small for a float, a verify --qset
+that is empty or not integers, and a charge Z whose numerator or
+denominator has more digits than Python converts to a string, 4,300 by
+default), 3 resource cap exceeded (a step of the exact closed forms past
+hyperfun.WORK_CAP, a verify sweep over more than MAX_VERIFY_VERDICTS
+verdicts, an exact W that compute or a verify report is about to write
+with more than MAX_W_DIGITS digits, or a state with n past
+oracle.MAX_FLOAT_N for compute --float or the float side of sum), 4 the
+float path missed its error target or an integral of it came out zero or
+not a number.  A reader that closes the output pipe early, such as
+``head``, ends the process by SIGPIPE where the platform has one, as it
+ends other filters: status 141 in a POSIX shell, and no traceback.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ import sys
 from fractions import Fraction
 
 from hydrenyi import entropy, oracle
-from hydrenyi.exactnum import DEFAULT_PRECISION_BITS, ExactScalar
-from hydrenyi.hyperfun import HypergeometricSpecError, TermBudgetExceeded
+from hydrenyi.exactnum import ExactScalar
+from hydrenyi.hyperfun import TermBudgetExceeded
 from hydrenyi.states import (
     HydrogenicState,
-    ValidationError,
     brief,
     count_states,
     digit_limit_error,
@@ -47,12 +45,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
-
-# Rendering an exact W as a float needs at least double precision, and its
-# time grows faster than linearly in the bits, so --precision is bounded on
-# both sides before any work.
-MIN_PRECISION_BITS = 53
-MAX_PRECISION_BITS = 4096
 
 # verify gives one verdict per state and order, and the states grow as
 # n^D / D!: --dmax 12 --nmax 12 would be about 4 million of them.
@@ -104,13 +96,6 @@ def _parse_q(text: str) -> Fraction:
     return q
 
 
-def _check_precision(bits: int) -> None:
-    if bits < MIN_PRECISION_BITS:
-        raise UsageError(f"precision must be at least {MIN_PRECISION_BITS} bits")
-    if bits > MAX_PRECISION_BITS:
-        raise UsageError(f"precision must be at most {MAX_PRECISION_BITS} bits, got {bits}")
-
-
 def _parse_state(text: str) -> tuple[HydrogenicState, str]:
     """The validated state of a literal, and its canonical literal for the
     records, rendered once."""
@@ -142,8 +127,6 @@ def _emit(records: list[dict], fmt: str, stream) -> None:
         writer = csv.DictWriter(stream, fieldnames=columns, restval="")
         writer.writeheader()
         writer.writerows(records)
-        return
-    raise UsageError(f"unknown format {fmt!r}")
 
 
 def _compute_records(
@@ -152,7 +135,6 @@ def _compute_records(
     q: Fraction,
     spaces: list[str],
     use_float: bool,
-    bits: int,
 ) -> list[dict]:
     records = []
     angular = None  # the same in both spaces, so built once
@@ -200,7 +182,7 @@ def _compute_records(
                 "q": str(q),
                 "w": total.w.render(),
                 "entropy_exact": total.exact_str(),
-                "entropy": total.value_at(bits),
+                "entropy": total.value,
                 "radial_exact": radial.exact_str(),
                 "angular_exact": angular_exact,
                 "provenance": "closed-form",
@@ -213,15 +195,13 @@ def cmd_compute(args) -> int:
     state, literal = _parse_state(args.state)
     q = _parse_q(args.q)
     spaces = list(_SPACES) if args.space == "both" else [args.space]
-    _check_precision(args.precision)
-    records = _compute_records(state, literal, q, spaces, args.float, args.precision)
+    records = _compute_records(state, literal, q, spaces, args.float)
     _emit(records, args.format, sys.stdout)
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
     """The quasi-circular hydrogen entries: D = 3, Z = 1, q = 2, n <= 3."""
-    _check_precision(args.precision)
     records = []
     for n in range(1, 4):
         for l in range(n):
@@ -240,7 +220,7 @@ def cmd_table(args) -> int:
                         "m": m,
                         "w": total.w.render(),
                         "entropy_exact": total.exact_str(),
-                        "entropy": total.value_at(args.precision),
+                        "entropy": total.value,
                     }
                 )
     _emit(records, args.format, sys.stdout)
@@ -263,12 +243,10 @@ def cmd_verify(args) -> int:
     for D in dims:
         planned += count_states(D, args.nmax) * len(qset)
         if planned > MAX_VERIFY_VERDICTS:
-            print(
-                f"error: verify --dmax {args.dmax} --nmax {args.nmax} at {len(qset)} "
-                f"orders asks for more than {MAX_VERIFY_VERDICTS} verdicts",
-                file=sys.stderr,
+            raise ResourceError(
+                f"verify --dmax {args.dmax} --nmax {args.nmax} at {len(qset)} "
+                f"orders asks for more than {MAX_VERIFY_VERDICTS} verdicts"
             )
-            return EXIT_RESOURCE
     failures: list[dict] = []
     reports: list[dict] = []
     verdict_count = 0
@@ -341,20 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--float", action="store_true", help="use the floating quadrature oracle"
     )
     compute.add_argument("--format", choices=["json", "csv"], default="json")
-    compute.add_argument(
-        "--precision", type=int, default=DEFAULT_PRECISION_BITS,
-        help="working precision in bits for float rendering "
-        f"({MIN_PRECISION_BITS} to {MAX_PRECISION_BITS})",
-    )
     compute.set_defaults(func=cmd_compute)
 
     table = sub.add_parser("table", help="quasi-circular hydrogen entries at q=2")
     table.add_argument("which", choices=["position", "momentum"])
     table.add_argument("--format", choices=["json", "csv"], default="json")
-    table.add_argument(
-        "--precision", type=int, default=DEFAULT_PRECISION_BITS,
-        help=f"working precision in bits ({MIN_PRECISION_BITS} to {MAX_PRECISION_BITS})",
-    )
     table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", help="closed form vs oracle sweep")
@@ -397,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         return EXIT_NUMERICAL
-    except (UsageError, ValidationError, HypergeometricSpecError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from hydrenyi import hyperfun
 from hydrenyi.exactnum import (
-    DEFAULT_PRECISION_BITS,
     ExactScalar,
     exact_rational,
     gamma_exact,
@@ -55,8 +54,8 @@ class EntropyValue:
     def value(self) -> float:
         return self.value_at()
 
-    def value_at(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> float:
-        return float(self.coef) * log_float(self.w, precision_bits)
+    def value_at(self) -> float:
+        return float(self.coef) * log_float(self.w)
 
     def exact_str(self) -> str:
         """Canonical display; with coef = -1 this is ln of the reciprocal."""

@@ -256,15 +256,13 @@ def to_float(a: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> fl
     return float(to_mpf(a, precision_bits))
 
 
-def _log_raw(a: ExactScalar, precision_bits: int) -> tuple:
+def _log_raw(a: ExactScalar) -> tuple:
     """ln of a positive scalar r * pi^(k/2), as ln r + (k/2) ln pi on
-    mpmath's raw values at precision_bits plus _LOG_GUARD_BITS."""
-    if precision_bits < 53:
-        raise ValueError("precision must be at least 53 bits")
+    mpmath's raw values at DEFAULT_PRECISION_BITS plus _LOG_GUARD_BITS."""
     r, k = a.monomial()
     if r <= 0:
         raise ValueError(f"log of non-positive scalar {a.render()}")
-    wp = precision_bits + _LOG_GUARD_BITS
+    wp = DEFAULT_PRECISION_BITS + _LOG_GUARD_BITS
     value = mpf_log(from_rational(r.numerator, r.denominator, wp, "n"), wp, "n")
     if k:
         half_ln_pi = mpf_shift(mpf_log(mpf_pi(wp), wp, "n"), -1)
@@ -272,22 +270,22 @@ def _log_raw(a: ExactScalar, precision_bits: int) -> tuple:
     return value
 
 
-def log_float(a: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> float:
+def log_float(a: ExactScalar) -> float:
     """Natural log of a positive scalar r * pi^(k/2), as ln r + (k/2) ln pi
-    on mpmath's raw values at precision_bits plus _LOG_GUARD_BITS, rounded
-    once to the nearest float.
+    on mpmath's raw values at DEFAULT_PRECISION_BITS plus _LOG_GUARD_BITS
+    (148 bits), rounded once to the nearest float.
 
     Works far outside double range because r never becomes a float.
     """
     # to_float's default rounding is toward zero
-    return to_float_raw(_log_raw(a, precision_bits), rnd="n")
+    return to_float_raw(_log_raw(a), rnd="n")
 
 
 def log_float_parts(a: ExactScalar) -> tuple[float, float]:
     """ln a as an unevaluated sum hi + lo of two floats: hi is log_float(a)
     and lo the float nearest to ln a - hi, so that a float sum with ln a can
     round once."""
-    value = _log_raw(a, DEFAULT_PRECISION_BITS)
+    value = _log_raw(a)
     hi = to_float_raw(value, rnd="n")
     lo = mpf_sub(value, from_float(hi), DEFAULT_PRECISION_BITS + _LOG_GUARD_BITS, "n")
     return hi, to_float_raw(lo, rnd="n")

@@ -34,7 +34,6 @@ from hydrenyi.exactnum import (
     gamma_integers,
     log_float,
     log_float_parts,
-    to_float,
 )
 from hydrenyi.polynomials import PolyExact, gegenbauer, gegenbauer_log_abs, laguerre, poly_pow
 from hydrenyi.states import (
@@ -916,17 +915,27 @@ class StateVerdict:
         }
 
 
+def _log_abs(w: ExactScalar) -> float:
+    """ln |w| of a nonzero monomial."""
+    r, half = w.monomial()
+    return log_float(ExactScalar.pi_power(half, abs(r)))
+
+
 def _compare(name: str, closed: ExactScalar, oracle: ExactScalar) -> CheckResult:
     equal = closed == oracle
     if equal:
         residual = 0.0
-    elif closed.is_positive_monomial and oracle.is_positive_monomial:
-        # |a - b| / max(a, b) = 1 - exp(-|ln a - ln b|), from logs that stay
-        # finite where a or b is past the float range
-        residual = -math.expm1(-abs(log_float(closed) - log_float(oracle)))
+    elif not (closed and oracle):
+        residual = 1.0
     else:
-        a, b = to_float(closed), to_float(oracle)
-        residual = abs(a - b) / max(abs(a), abs(b), 1e-300)
+        # |a - b| / max(|a|, |b|) is 1 - e^-gap for equal signs and 1 + e^-gap
+        # for opposite ones, with gap = |ln|a| - ln|b||, from logs that stay
+        # finite where a or b is past the float range
+        gap = abs(_log_abs(closed) - _log_abs(oracle))
+        if closed.is_positive_monomial == oracle.is_positive_monomial:
+            residual = -math.expm1(-gap)
+        else:
+            residual = 1 + math.exp(-gap)
     return CheckResult(name, closed, oracle, equal, residual)
 
 

@@ -1040,10 +1040,19 @@ class TestVerifyState:
         assert not verdict.all_equal
         bad = [check for check in verdict.checks if not check.equal]
         assert bad and all(check.residual > 0 for check in bad)
-        # W past the float range, either way, still reads |a - b| / max(a, b)
-        for big in (ExactScalar(10**400), ExactScalar(F(1, 10**400))):
-            residual = oracle._compare("x", big, big * 2).residual
-            assert residual == pytest.approx(0.5, rel=1e-12)
+        # W past the float range, of either sign or zero, still reads
+        # |a - b| / max(|a|, |b|)
+        big, small = ExactScalar(10**400), ExactScalar(F(1, 10**400))
+        for a, b, expected in (
+            (big, big * 2, 0.5),
+            (small, small * 2, 0.5),
+            (big, ExactScalar(0), 1.0),
+            (big * -1, big, 2.0),
+            (small, ExactScalar(0), 1.0),
+            (small * -1, small * -2, 0.5),
+        ):
+            residual = oracle._compare("x", a, b).residual
+            assert residual == pytest.approx(expected, rel=1e-12)
 
 
 def _sweep_chains(D: int, l: int) -> list[tuple[int, ...]]:
