@@ -277,22 +277,33 @@ class TestCompute:
             assert record["w"] == breakdown.total.w.render()
             assert record["radial_exact"] == breakdown.radial.exact_str()
 
-    def test_precision_is_an_unknown_option(self, capsys, monkeypatch):
-        # every exact W renders at one working precision, so --precision is
-        # refused as any unknown option is, before any work
+    def test_precision_bounds(self, capsys):
+        # every exact W renders at one working precision, so --precision has
+        # no bounds left: any value is refused as an unknown option
+        assert not hasattr(cli, "MIN_PRECISION_BITS")
+        assert not hasattr(cli, "MAX_PRECISION_BITS")
+        for argv in (("compute", "D=3,n=2,mu=1,0", "--q", "2"), ("table", "position")):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out
+            for bits in ("10", "128", "50000000"):
+                code, out, err = run(capsys, *argv, "--precision", bits)
+                assert code == 2
+                assert out == ""
+                assert "--precision" in err
+
+    def test_precision_out_of_bounds_exits_before_any_work(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("compute started work")
 
         monkeypatch.setattr(entropy, "radial_position_entropy", refuse)
         monkeypatch.setattr(oracle, "renyi_float", refuse)
-        for argv in (
-            ("compute", "D=3,n=1,mu=0,0"),
-            ("compute", "D=3,n=1,mu=0,0", "--float", "--q", "0.7"),
-            ("table", "position"),
-        ):
-            code, out, _ = run(capsys, *argv, "--precision", "128")
-            assert code == 2
-            assert out == ""
+        for extra in ((), ("--float", "--q", "0.7")):
+            for bits in ("50000000", "128", "10"):
+                code, out, _ = run(
+                    capsys, "compute", "D=3,n=1,mu=0,0", "--precision", bits, *extra
+                )
+                assert code == 2
+                assert out == ""
 
 
 class TestTable:
