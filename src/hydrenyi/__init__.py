@@ -16,13 +16,7 @@ from hydrenyi.entropy import (
     radial_position_entropy,
     uncertainty_sum,
 )
-from hydrenyi.exactnum import (
-    ExactScalar,
-    gamma_exact,
-    parse_scalar,
-    pochhammer,
-    to_float,
-)
+from hydrenyi.exactnum import ExactScalar, parse_scalar
 from hydrenyi.oracle import renyi_float, verify_state
 from hydrenyi.states import HydrogenicState, ValidationError, validate
 
@@ -36,15 +30,12 @@ __all__ = [
     "UncertaintySum",
     "ValidationError",
     "angular_entropy",
-    "gamma_exact",
     "momentum_entropy",
     "parse_scalar",
-    "pochhammer",
     "position_entropy",
     "radial_momentum_entropy",
     "radial_position_entropy",
     "renyi_float",
-    "to_float",
     "uncertainty_sum",
     "validate",
     "verify_state",

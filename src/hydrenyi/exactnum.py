@@ -6,6 +6,10 @@ rational ``r`` and integer half-exponent ``k``: the powers of pi come from
 Gamma values at half-integers, and the Pochhammer symbols and terminating
 sums are rational.  Keeping values as such monomials until the final
 logarithm makes equality checks structural instead of numeric.
+
+That logarithm is taken in integers too: ``log_float`` rounds ln W to the
+nearest float from a fixed-point series and built-in ln 2 and ln pi, so the
+exact paths load no multiprecision library.
 """
 
 from __future__ import annotations
@@ -14,27 +18,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-import mpmath
-from mpmath.libmp import (
-    from_float,
-    from_int,
-    from_rational,
-    mpf_add,
-    mpf_log,
-    mpf_mul,
-    mpf_pi,
-    mpf_shift,
-    mpf_sub,
-)
-from mpmath.libmp import to_float as to_float_raw
-
 RationalLike = Union[int, Fraction]
-
-DEFAULT_PRECISION_BITS = 128
-
-# log_float adds ln r and (k/2) ln pi, which may nearly cancel; these bits
-# keep the float it rounds to the nearest of ln W.
-_LOG_GUARD_BITS = 20
 
 
 def exact_rational(value) -> RationalLike:
@@ -240,52 +224,130 @@ def pochhammer(z: RationalLike, k: int) -> Fraction:
     return Fraction(rising_product(p, d, k), d**k)
 
 
-def to_mpf(a: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:
-    """Evaluate at the requested binary precision; result keeps its mantissa."""
-    if precision_bits < 53:
-        raise ValueError("precision must be at least 53 bits")
-    r, k = a.monomial()
-    with mpmath.workprec(precision_bits):
-        value = mpmath.mpf(r.numerator) / mpmath.mpf(r.denominator)
-        if k:
-            value *= mpmath.pi ** (mpmath.mpf(k) / 2)
-    return value
+# ln 2 and ln pi times 2^_CONST_BITS, rounded down.  ln W needs them to
+# about 60 bits below the last bit of its float (110 for log_float_parts),
+# so they settle every ln W whose magnitude is above about 2^-900; a smaller
+# one, which only a rational r agreeing with pi^(-k/2) to some 900 bits can
+# give, raises ValueError.  A rational W near 1 needs neither constant and
+# has no such limit.
+_CONST_BITS = 1024
+_LN2 = int(
+    "b17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2b"
+    "e7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b825"
+    "3e96ca16224ae8c51acbda11317c387eb9ea9bc3b136603b256fa0ec7657f74b"
+    "72ce87b19d6548caf5dfa6bd38303248655fa1872f20e3a2da2d97c50f3fd5c6",
+    16,
+)
+_LN_PI = int(
+    "1250d048e7a1bd0bd5f956c6a843f49985e6ddbf3b3f2606e33802ecaefa9308"
+    "e5aa6c4df523160e6d2402c256db0b866738aa8787561937377769e99dceda3b"
+    "fe63817c3283e2689462f32db3a05f4ae6abf069ce37d96c128a137805c99cbb"
+    "24ae077cbf543f894946b1a01a945f274440e0550ada6dcf19d80363239d56d6"
+    "2",
+    16,
+)
+
+# The first approximation of ln W carries at least this many significant
+# bits, and each retry _LOG_GUARD_BITS more (or as many as it lacked).
+_LOG_BITS = 148
+_LOG_GUARD_BITS = 20
+_SQRT2 = math.sqrt(2)
 
 
-def to_float(a: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> float:
-    return float(to_mpf(a, precision_bits))
+def _fixed_log(e: int, num: int, den: int, k: int, bits: int) -> tuple[int, int]:
+    """(L, E) with |L - 2^bits ln W| <= E, for W = 2^e m pi^(k/2) and
+    m = (1 + y)/(1 - y), y = num/den, |y| <= 0.18.
+
+    ln m = 2 atanh y = 2 (y + y^3/3 + y^5/5 + ...), summed in integers at
+    bits fractional bits on |y|; each term is truncated once, so the sum is
+    off by less than 1.5 units per term, and each constant by less than
+    1.5 units per multiple of it.
+    """
+    y = (abs(num) << bits) // den
+    y2 = (y * y) >> bits
+    total, term, j = y, y, 1
+    while term:
+        term = (term * y2) >> bits
+        j += 2
+        total += term // j
+    value = 2 * total if num >= 0 else -2 * total
+    if e or k:
+        shift = _CONST_BITS - bits
+        value += e * (_LN2 >> shift) + ((k * (_LN_PI >> shift)) >> 1)
+    return value, 2 * j + 2 * abs(e) + abs(k) + 4
 
 
-def _log_raw(a: ExactScalar) -> tuple:
-    """ln of a positive scalar r * pi^(k/2), as ln r + (k/2) ln pi on
-    mpmath's raw values at DEFAULT_PRECISION_BITS plus _LOG_GUARD_BITS."""
+def _rounded(value: int, err: int, bits: int) -> float | None:
+    """The float nearest to every number within err of value, in units of
+    2^-bits, or None if the interval holds a rounding boundary.  int / int
+    rounds correctly, and rounding is monotone, so both ends decide it."""
+    scale = 1 << bits
+    low, high = (value - err) / scale, (value + err) / scale
+    return low if low == high else None
+
+
+def _log_parts(a: ExactScalar, parts: bool) -> tuple[float, float]:
+    """(hi, lo) with hi the float nearest ln a and, if parts, lo the float
+    nearest ln a - hi (else 0.0).
+
+    ln(r pi^(k/2)) = e ln 2 + ln m + (k/2) ln pi with r = 2^e m and m within
+    a factor sqrt 2 of 1, so that r - 1 enters the series exactly when
+    e = 0.  The fixed point starts with _LOG_BITS + _LOG_GUARD_BITS
+    fractional bits, and as many more as |ln W| has leading zeros when W
+    is a rational near 1; where ln r and (k/2) ln pi cancel, or the result
+    lies near a rounding boundary, it grows until both floats are settled
+    (Ziv's strategy).  W = 1 is the only W whose log is exactly 0: pi^(k/2)
+    is irrational for k != 0.
+    """
     r, k = a.monomial()
     if r <= 0:
         raise ValueError(f"log of non-positive scalar {a.render()}")
-    wp = DEFAULT_PRECISION_BITS + _LOG_GUARD_BITS
-    value = mpf_log(from_rational(r.numerator, r.denominator, wp, "n"), wp, "n")
-    if k:
-        half_ln_pi = mpf_shift(mpf_log(mpf_pi(wp), wp, "n"), -1)
-        value = mpf_add(value, mpf_mul(from_int(k), half_ln_pi, wp, "n"), wp, "n")
-    return value
+    p, q = r.numerator, r.denominator
+    if p == q and not k:
+        return 0.0, 0.0
+    e = p.bit_length() - q.bit_length()
+    p, q = (p, q << e) if e >= 0 else (p << -e, q)
+    m = p / q
+    if m > _SQRT2:
+        e, q = e + 1, q << 1
+    elif m < 1 / _SQRT2:
+        e, p = e - 1, p << 1
+    num, den = p - q, p + q
+    bits = _LOG_BITS + _LOG_GUARD_BITS
+    constants = bool(e or k)
+    if not constants:
+        bits += max(0, den.bit_length() - abs(num).bit_length())
+    while True:
+        value, err = _fixed_log(e, num, den, k, bits)
+        hi = _rounded(value, err, bits)
+        if hi is not None and not parts:
+            return hi, 0.0
+        if hi is not None:
+            hi_num, hi_den = hi.as_integer_ratio()
+            lift = bits - hi_den.bit_length() + 1
+            if lift >= 0:
+                lo = _rounded(value - (hi_num << lift), err, bits)
+                if lo is not None:
+                    return hi, lo
+        if constants and bits == _CONST_BITS:
+            raise ValueError(f"ln 2 and ln pi to {_CONST_BITS} bits do not settle ln W")
+        significant = abs(value).bit_length() - err.bit_length()
+        bits += max(_LOG_GUARD_BITS, _LOG_BITS - significant)
+        if constants:
+            bits = min(bits, _CONST_BITS)
 
 
 def log_float(a: ExactScalar) -> float:
-    """Natural log of a positive scalar r * pi^(k/2), as ln r + (k/2) ln pi
-    on mpmath's raw values at DEFAULT_PRECISION_BITS plus _LOG_GUARD_BITS
-    (148 bits), rounded once to the nearest float.
+    """Natural log of a positive scalar r * pi^(k/2), rounded correctly to
+    the nearest float, in integer arithmetic (see _log_parts).
 
     Works far outside double range because r never becomes a float.
     """
-    # to_float's default rounding is toward zero
-    return to_float_raw(_log_raw(a), rnd="n")
+    return _log_parts(a, False)[0]
 
 
 def log_float_parts(a: ExactScalar) -> tuple[float, float]:
     """ln a as an unevaluated sum hi + lo of two floats: hi is log_float(a)
     and lo the float nearest to ln a - hi, so that a float sum with ln a can
     round once."""
-    value = _log_raw(a)
-    hi = to_float_raw(value, rnd="n")
-    lo = mpf_sub(value, from_float(hi), DEFAULT_PRECISION_BITS + _LOG_GUARD_BITS, "n")
-    return hi, to_float_raw(lo, rnd="n")
+    return _log_parts(a, True)

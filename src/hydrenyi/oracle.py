@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, NamedTuple
 
-import mpmath
-
 from hydrenyi import entropy
 from hydrenyi.exactnum import (
     ExactScalar,
@@ -310,12 +308,13 @@ def _gegenbauer_nodes(k: int, lam: Fraction) -> list[float]:
 # add their relative errors to the radial one.
 _SEGMENT_REL_TARGET = QUADRATURE_REL_TARGET * 1e-4
 
-# mpmath's tanh-sinh rule at QUADRATURE_DPS (that many bits of precision)
-# ends a level where a node's distance to the endpoint, 1 - |x|, falls to
+# mpmath's tanh-sinh rule at QUADRATURE_DPS digits, which is
+# _QUADRATURE_PREC = dps_to_prec(QUADRATURE_DPS) bits of precision, ends a
+# level where a node's distance to the endpoint, 1 - |x|, falls to
 # 2^-(prec+10); the float rule's levels have that node set on finite
 # segments, but it evaluates the nodes of the endpoint region only while their
 # terms still count.
-_QUADRATURE_PREC = mpmath.libmp.dps_to_prec(QUADRATURE_DPS)
+_QUADRATURE_PREC = 103
 _NODE_LIMIT = 2.0 ** -(_QUADRATURE_PREC + 10)
 
 # The endpoint region is 1 - |x| <= _ENDPOINT_REGION.  There every integrand
@@ -492,7 +491,10 @@ class _FloatTanhSinh:
 
 
 def _quad(f, points, rule: _FloatTanhSinh = _FloatTanhSinh()) -> tuple[float, float]:
-    # mpmath.quad builds its rule by calling method(ctx)
+    # imported here so that only the float path loads mpmath; mpmath.quad
+    # builds its rule by calling method(ctx)
+    import mpmath
+
     value, err = mpmath.quad(
         f, points, error=True, maxdegree=9, method=lambda ctx: rule
     )

@@ -1,7 +1,7 @@
 """Reference code that only the tests call.
 
 The brute-force box sum that the hypergeometric kernel is checked against,
-the logarithm of a scalar through its mpf value, the moments of the
+the mpf value of a scalar and its logarithm, the moments of the
 oracle's weights, the pointwise densities and the energy of a state, the
 float path's log integrands composed from separate polynomial evaluators,
 its eigenvalue bisection with full Sturm counts and its entropy assembled
@@ -40,7 +40,6 @@ from hydrenyi.exactnum import (
     gamma_exact,
     log_float,
     pochhammer,
-    to_mpf,
 )
 from hydrenyi.hyperfun import LauricellaSpec, lauricella_fa
 from hydrenyi.oracle import QUADRATURE_DPS
@@ -71,6 +70,22 @@ def multi_index_sum(
 
 
 # -- scalars --------------------------------------------------------------------
+
+
+def to_mpf(a: ExactScalar, precision_bits: int = 128) -> mpmath.mpf:
+    """Evaluate at the requested binary precision; result keeps its mantissa."""
+    if precision_bits < 53:
+        raise ValueError("precision must be at least 53 bits")
+    r, k = a.monomial()
+    with mpmath.workprec(precision_bits):
+        value = mpmath.mpf(r.numerator) / mpmath.mpf(r.denominator)
+        if k:
+            value *= mpmath.pi ** (mpmath.mpf(k) / 2)
+    return value
+
+
+def to_float(a: ExactScalar, precision_bits: int = 128) -> float:
+    return float(to_mpf(a, precision_bits))
 
 
 def log_float_through_mpf(a: ExactScalar, precision_bits: int) -> float:

@@ -765,6 +765,35 @@ def test_reader_closing_the_pipe_early_ends_by_sigpipe():
     assert b"Traceback" not in err
 
 
+# Runs the CLI in a fresh interpreter and reports on stderr whether mpmath
+# was loaded by the end.
+_MPMATH_PROBE = (
+    "import sys; from hydrenyi import cli; code = cli.main(sys.argv[1:]); "
+    "print('mpmath' in sys.modules, file=sys.stderr); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (["compute", "D=3,n=2,mu=1,0", "--q", "3"], False),
+        (["table", "momentum"], False),
+        (["verify", "--dmax", "3", "--nmax", "2"], False),
+        (["compute", "D=3,n=2,mu=1,0", "--q", "0.7", "--float"], True),
+    ],
+)
+def test_only_the_float_path_loads_mpmath(argv, loaded):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _MPMATH_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)
+    assert done.stderr.splitlines()[-1] == str(loaded)
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 2

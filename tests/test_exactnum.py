@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from hydrenyi import entropy
+from hydrenyi import entropy, exactnum
 from hydrenyi.exactnum import (
     ExactScalar,
     gamma_exact,
@@ -14,10 +14,9 @@ from hydrenyi.exactnum import (
     log_float_parts,
     parse_scalar,
     pochhammer,
-    to_float,
 )
 
-from reference import log_float_through_mpf
+from reference import log_float_through_mpf, to_float
 
 F = Fraction
 
@@ -226,6 +225,39 @@ monomials = st.builds(
 )
 
 
+# x of a drawn bit length: Hypothesis alone draws mostly small integers
+def _of_bits(top: int):
+    return st.builds(
+        lambda bits, low: (1 << bits) | (low & ((1 << bits) - 1)),
+        st.integers(min_value=1, max_value=top),
+        st.integers(min_value=0, max_value=2**top),
+    )
+
+
+# W within 1/x of 1, where ln W is about 1/x and r - 1 must stay exact
+near_one = st.builds(
+    lambda x, sign: ExactScalar(1 + F(sign, x)), _of_bits(400), st.sampled_from([-1, 1])
+)
+
+
+def _near_pi_power(half: int, den: int, nudge: int) -> ExactScalar:
+    """r pi^(half/2) with r a rational of denominator den next to
+    pi^(-half/2), so that ln r and (half/2) ln pi cancel to about
+    1/den."""
+    with mpmath.workprec(den.bit_length() + 100):
+        num = int(mpmath.nint(mpmath.pi ** (-mpmath.mpf(half) / 2) * den))
+    return ExactScalar.pi_power(half, F(max(1, num + nudge), den))
+
+
+cancelling = st.builds(
+    _near_pi_power,
+    st.integers(min_value=-40, max_value=40).filter(bool),
+    _of_bits(800),
+    st.integers(min_value=-2, max_value=2),
+)
+log_arguments = st.one_of(monomials, near_one, cancelling)
+
+
 def _ln_w(a: ExactScalar) -> mpmath.mpf:
     r, half = a.monomial()
     with mpmath.workprec(1100):
@@ -237,23 +269,37 @@ class TestLogFloat:
     def test_matches_the_log_of_the_mpf_value(self, a):
         assert log_float(a) == log_float_through_mpf(a, 128)
 
-    @given(monomials)
+    @given(log_arguments)
     def test_nearest_float(self, a):
         expected = _ln_w(a)
         assert abs(log_float(a) - expected) <= 0.501 * math.ulp(float(expected))
 
-    @given(monomials)
+    @given(log_arguments)
     def test_parts_carry_the_log_past_one_float(self, a):
         # hi is the nearest float, lo the nearest float to the rest, so
-        # hi + lo misses ln W by no more than an ulp of lo (and the bits
-        # log_float works at)
+        # hi + lo misses ln W by no more than half an ulp of lo, at every
+        # magnitude of ln W
         hi, lo = log_float_parts(a)
         expected = _ln_w(a)
         assert hi == log_float(a)
         assert abs(lo) <= 0.5 * math.ulp(hi)
         with mpmath.workprec(1100):
             miss = abs(mpmath.mpf(hi) + mpmath.mpf(lo) - expected)
-        assert miss <= math.ulp(lo) + 2.0**-140 * max(1.0, abs(hi))
+        assert miss <= 0.5 * math.ulp(lo)
+
+    def test_constants_match_mpmath(self):
+        with mpmath.workprec(1100):
+            scale = mpmath.mpf(2) ** exactnum._CONST_BITS
+            assert exactnum._LN2 == int(mpmath.floor(mpmath.log(2) * scale))
+            assert exactnum._LN_PI == int(mpmath.floor(mpmath.log(mpmath.pi) * scale))
+
+    def test_cancellation_past_the_constants_is_refused(self):
+        # ln W of about 2^-1000 needs ln pi beyond its 1024 bits; W = 1 and
+        # a W as near 1 without pi need no constant
+        with pytest.raises(ValueError, match="do not settle"):
+            log_float(_near_pi_power(2, 2**1000 + 1, 0))
+        assert log_float_parts(ExactScalar(1)) == (0.0, 0.0)
+        assert log_float(ExactScalar(1 + F(1, 2**1000))) == math.ldexp(1, -1000)
 
     def test_rejects_what_has_no_log(self):
         for a in (ExactScalar(0), scalar(1, -2)):

@@ -34,7 +34,7 @@ from hydrenyi.states import (
 
 import reference
 import test_float_fixture
-from reference import gegenbauer_moment, laguerre_moment, shifted_moment
+from reference import gegenbauer_moment, laguerre_moment, shifted_moment, to_float
 
 F = Fraction
 
@@ -354,8 +354,6 @@ class TestFloatOracle:
     def test_angular_quadrature_matches_exact(self):
         for D, chain in [(3, (1, 0)), (4, (2, 1, 0)), (5, (2, 1, 1, 0))]:
             log_value, _ = angular_power_integral(D, chain, 2.0)
-            from hydrenyi.exactnum import to_float
-
             assert math.exp(log_value) == pytest.approx(
                 to_float(angular_w_exact(D, chain, 2)), rel=1e-11
             )
@@ -715,6 +713,10 @@ class TestQuadRule:
         assert 0 < rel[1] <= oracle.QUADRATURE_REL_TARGET
         assert rel[0] == pytest.approx(rel[1], rel=1e-6, abs=0)
         assert rel[2] == pytest.approx(rel[1], rel=1e-6, abs=0)
+
+    def test_precision_is_mpmaths(self):
+        # the library writes it as a literal so as not to import mpmath
+        assert oracle._QUADRATURE_PREC == mpmath.libmp.dps_to_prec(oracle.QUADRATURE_DPS)
 
     @pytest.mark.parametrize("level", range(1, 10))
     def test_nodes_are_mpmaths(self, level):

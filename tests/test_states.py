@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hydrenyi import oracle
-from hydrenyi.exactnum import to_mpf
 from hydrenyi.polynomials import gegenbauer, laguerre
 from hydrenyi.states import (
     HydrogenicState,
@@ -29,6 +28,7 @@ from reference import (
     radial_density_momentum,
     radial_density_position,
     radial_momentum_log_density,
+    to_mpf,
 )
 
 F = Fraction
