@@ -224,12 +224,12 @@ def pochhammer(z: RationalLike, k: int) -> Fraction:
     return Fraction(rising_product(p, d, k), d**k)
 
 
-# ln 2 and ln pi times 2^_CONST_BITS, rounded down.  ln W needs them to
-# about 60 bits below the last bit of its float (110 for log_float_parts),
-# so they settle every ln W whose magnitude is above about 2^-900; a smaller
-# one, which only a rational r agreeing with pi^(-k/2) to some 900 bits can
-# give, raises ValueError.  A rational W near 1 needs neither constant and
-# has no such limit.
+# ln 2 and ln pi times 2^_CONST_BITS, rounded down.  Settling a rounding
+# takes about 65 bits below the leading bit of ln W (115 for
+# log_float_parts), so they serve every ln W above about 2^-900 in
+# magnitude.  A smaller one, which only a rational r agreeing with
+# pi^(-k/2) to some 900 bits can give, raises ValueError.  A rational W
+# near 1 needs neither constant and has no such limit.
 _CONST_BITS = 1024
 _LN2 = int(
     "b17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2b"
