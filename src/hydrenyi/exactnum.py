@@ -247,8 +247,9 @@ _LN_PI = int(
     16,
 )
 
-# The first approximation of ln W carries at least this many significant
-# bits, and each retry _LOG_GUARD_BITS more (or as many as it lacked).
+# The first pass has _LOG_BITS + _LOG_GUARD_BITS fractional bits (see
+# _log_parts); a retry adds _LOG_GUARD_BITS, or as many as ln W lacked of
+# _LOG_BITS significant bits.
 _LOG_BITS = 148
 _LOG_GUARD_BITS = 20
 _SQRT2 = math.sqrt(2)

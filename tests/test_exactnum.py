@@ -294,8 +294,8 @@ class TestLogFloat:
             assert exactnum._LN_PI == int(mpmath.floor(mpmath.log(mpmath.pi) * scale))
 
     def test_cancellation_past_the_constants_is_refused(self):
-        # ln W of about 2^-1000 needs ln pi beyond its 1024 bits; W = 1 and
-        # a W as near 1 without pi need no constant
+        # ln W of about 2^-1000 needs ln pi beyond its 1024 bits; W = 1, and
+        # a rational W as near 1, need neither constant
         with pytest.raises(ValueError, match="do not settle"):
             log_float(_near_pi_power(2, 2**1000 + 1, 0))
         assert log_float_parts(ExactScalar(1)) == (0.0, 0.0)
