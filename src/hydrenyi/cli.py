@@ -11,7 +11,7 @@ denominator has more digits than Python converts to a string, 4,300 by
 default), 3 resource cap exceeded (a step of the exact closed forms past
 hyperfun.WORK_CAP, a verify sweep over more than MAX_VERIFY_VERDICTS
 verdicts, an exact W that compute or a verify report is about to write
-with more than MAX_W_DIGITS digits, or a state with n past
+with more digits than Python converts to a string, or a state with n past
 oracle.MAX_FLOAT_N for compute --float or the float side of sum), 4 the
 float path missed its error target or an integral of it came out zero or
 not a number.  A reader that closes the output pipe early, such as
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import signal
 import sys
@@ -50,14 +51,6 @@ EXIT_NUMERICAL = 4
 # n^D / D!: --dmax 12 --nmax 12 would be about 4 million of them.
 MAX_VERIFY_VERDICTS = 10_000
 
-# An exact W is written as a fraction, and Python converts an integer of
-# more than 4,300 digits to a string only past its own default limit (a
-# guard against quadratic-time conversion, CVE-2020-10735).  So each W is
-# checked just before it is written, against the least integer that is too
-# long; how much work forming it may take is hyperfun.WORK_CAP's concern.
-MAX_W_DIGITS = 4300
-_W_LIMIT = 10**MAX_W_DIGITS
-
 _SPACES = ("position", "momentum")
 
 
@@ -69,12 +62,19 @@ class ResourceError(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=1)
+def _least_too_long(digits: int) -> int:
+    return 10**digits
+
+
 def _check_printable(w: ExactScalar, name) -> None:
-    """Refuse a W whose reduced numerator or denominator has more than
-    MAX_W_DIGITS digits; name() names it in the message."""
+    """Refuse a W whose reduced numerator or denominator has more digits than
+    Python converts to a string (sys.get_int_max_str_digits(), none at 0); name()
+    names W.  How much work forming it may take is hyperfun.WORK_CAP's concern."""
+    digits = sys.get_int_max_str_digits()
     r, _ = w.monomial()
-    if abs(r.numerator) >= _W_LIMIT or r.denominator >= _W_LIMIT:
-        raise ResourceError(f"the exact W of {name()} has more than {MAX_W_DIGITS} digits")
+    if digits and max(abs(r.numerator), r.denominator) >= _least_too_long(digits):
+        raise ResourceError(f"the exact W of {name()} has more than {digits} digits")
 
 
 def _check_report(verdict: oracle.StateVerdict) -> None:

@@ -33,7 +33,7 @@ from hydrenyi.exactnum import (
     log_float,
     log_float_parts,
 )
-from hydrenyi.polynomials import PolyExact, gegenbauer, gegenbauer_log_abs, laguerre, poly_pow
+from hydrenyi.polynomials import gegenbauer, gegenbauer_log_abs, laguerre, poly_pow
 from hydrenyi.states import (
     HydrogenicState,
     brief,
@@ -46,14 +46,14 @@ from hydrenyi.states import (
 
 Space = Literal["position", "momentum"]
 
-QUADRATURE_DPS = 30
 QUADRATURE_REL_TARGET = 1e-10
 
 # The largest principal number the float path takes.  Its cost grows about
 # as n^2: the nodes come from Sturm counts of length n, and the integrand runs
 # a degree-n recurrence on each of n segments.  At n = 800 the slowest call
 # over D in {3, 5}, l in {0, n-1} and both spaces took about 10 s on a 2-vCPU
-# Xeon VM (position, l = 0, q = 0.7: 10.1 s at D = 3, 9.4 s at D = 5).
+# Xeon VM (position, l = 0, q = 0.7: 10.1 s at D = 3, 9.4 s at D = 5).  Only
+# those two l were timed; D = 3, n = 742, l = 323 took 3.3 s there.
 MAX_FLOAT_N = 800
 
 
@@ -236,11 +236,11 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
 # -- floating-point path for real orders -------------------------------------
 #
 # The integrands run in floats and in the log domain: the polynomials by their
-# three-term recurrences, the radial norms once per call by log_float.
-# mpmath.quad drives a tanh-sinh rule that sums in floats.  Each integral
-# comes back as (ln I, relative error) in floats, and the entropy is assembled
-# from those logs in floats too: the Gamma and Beta factors by
-# _log_gamma_ratio, the exact constants (the angular norm, Z) by log_float.
+# three-term recurrences, the radial norms once per call by log_float.  A
+# tanh-sinh rule sums in floats.  Each integral comes back as (ln I, relative
+# error) in floats, and the entropy is assembled from those logs in floats
+# too: the Gamma and Beta factors by _log_gamma_ratio, the exact constants
+# (the angular norm, Z) by log_float.
 
 
 def _jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[float]:
@@ -308,14 +308,11 @@ def _gegenbauer_nodes(k: int, lam: Fraction) -> list[float]:
 # add their relative errors to the radial one.
 _SEGMENT_REL_TARGET = QUADRATURE_REL_TARGET * 1e-4
 
-# mpmath's tanh-sinh rule at QUADRATURE_DPS digits, which is
-# _QUADRATURE_PREC = dps_to_prec(QUADRATURE_DPS) bits of precision, ends a
-# level where a node's distance to the endpoint, 1 - |x|, falls to
-# 2^-(prec+10); the float rule's levels have that node set on finite
-# segments, but it evaluates the nodes of the endpoint region only while their
-# terms still count.
-_QUADRATURE_PREC = 103
-_NODE_LIMIT = 2.0 ** -(_QUADRATURE_PREC + 10)
+# The rule runs at most _LEVELS levels, each halving the node spacing of the last.
+# mpmath's tanh-sinh rule at 30 digits (103 bits) ends a level where 1 - |x| falls
+# to 2^-(103+10); finite segments here have that node set, but evaluate the nodes
+# of the endpoint region only while their terms still count.
+_LEVELS, _NODE_LIMIT = 9, 2.0**-113
 
 # The endpoint region is 1 - |x| <= _ENDPOINT_REGION.  There every integrand
 # here is monotone (bounded at a finite endpoint, decaying in a tail) while
@@ -414,12 +411,11 @@ def _relative_error(results: list[float]) -> float:
         # no digit-doubling to extrapolate from (or a NaN, which propagates)
         return max(d1, d2)
     D1, D2 = math.log10(d1), math.log10(d2)
-    return 10.0 ** int(max(D1 * D1 / D2, 2 * D1, -_QUADRATURE_PREC))
+    return 10.0 ** int(max(D1 * D1 / D2, 2 * D1))
 
 
 class _FloatTanhSinh:
-    """Tanh-sinh quadrature in floats, in the shape of an mpmath rule so that
-    mpmath.quad drives it (mpmath.quad calls only its summation).
+    """Tanh-sinh quadrature in floats, over _LEVELS levels at most.
 
     Each level walks each side of a segment outward from the centre and
     stops that side in the endpoint region once its terms no longer count
@@ -468,11 +464,11 @@ class _FloatTanhSinh:
                 running += term
         return terms
 
-    def _segment(self, f, a: float, b: float, max_degree: int) -> tuple[float, float]:
+    def _segment(self, f, a: float, b: float) -> tuple[float, float]:
         level_sums: list[float] = []
         results: list[float] = []
         rel = math.inf
-        for level in range(1, max_degree + 1):
+        for level in range(1, _LEVELS + 1):
             level_sums.append(math.fsum(self._terms(f, a, b, level)))
             results.append(math.ldexp(math.fsum(level_sums), -level))
             if level > 1:
@@ -481,24 +477,17 @@ class _FloatTanhSinh:
                     break
         return results[-1], rel
 
-    def summation(self, f, points, prec, epsilon, max_degree, verbose=False):
+    def summation(self, f, points) -> tuple[float, float]:
         values, errors = [], []
         for a, b in zip(points, points[1:]):
-            value, rel = self._segment(f, float(a), float(b), max_degree)
+            value, rel = self._segment(f, float(a), float(b))
             values.append(value)
             errors.append(max(rel, self.rel_floor) * abs(value))
         return math.fsum(values), math.fsum(errors)
 
 
 def _quad(f, points, rule: _FloatTanhSinh = _FloatTanhSinh()) -> tuple[float, float]:
-    # imported here so that only the float path loads mpmath; mpmath.quad
-    # builds its rule by calling method(ctx)
-    import mpmath
-
-    value, err = mpmath.quad(
-        f, points, error=True, maxdegree=9, method=lambda ctx: rule
-    )
-    return value, err
+    return rule.summation(f, points)
 
 
 def _breakpoints(points: list[float]) -> list[float]:
@@ -584,6 +573,11 @@ def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[fl
         for j in range(k)
     ]
     head, tail = steps[:_LAGUERRE_UNCHECKED], steps[_LAGUERRE_UNCHECKED:]
+    # Szego's bound |L_j^(alpha)(x)| <= C e^(x/2) < 2^(b+1) holds up to x = 1, where
+    # a large alpha peaks, for C = C(k+alpha, k) of b bits.  A run past the float
+    # range goes again from 2^-e, the bound then at _HUGE = 2^400, adding e ln 2 back.
+    e = max(0, math.comb(k + alpha, k).bit_length() + 1 - 400)
+    starts, offset = (1.0, math.ldexp(1.0, -e)), e * math.log(2)
     two_l, dim, q = 2 * l, D - 1, float(q)
 
     def log_integrand(r: float) -> float:
@@ -594,24 +588,28 @@ def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[fl
         rescaled by 2^400 whenever it falls below 2^-400."""
         rt = r / lam
         log_rt = math.log(rt)
-        prev, cur = 0.0, 1.0
-        if rt <= 1.0:
-            for a, b, c in steps:
-                prev, cur = cur, (a - b * rt) * cur - c * prev
-            log_poly = math.log(abs(cur)) if cur else -math.inf
-        else:
-            inv = 1.0 / rt
-            x, inv2 = rt * inv, inv * inv
-            for a, b, c in head:
-                prev, cur = cur, (a * inv - b * x) * cur - c * inv2 * prev
-            rescaled = 0
-            for a, b, c in tail:
-                prev, cur = cur, (a * inv - b * x) * cur - c * inv2 * prev
-                if abs(cur) < _TINY:
-                    prev, cur, rescaled = prev * _HUGE, cur * _HUGE, rescaled + 1
-            log_poly = math.log(abs(cur)) + k * log_rt if cur else -math.inf
-            if rescaled:
-                log_poly -= rescaled * _LOG_HUGE
+        for start in starts:
+            prev, cur = 0.0, start
+            if rt <= 1.0:
+                for a, b, c in steps:
+                    prev, cur = cur, (a - b * rt) * cur - c * prev
+                log_poly = math.log(abs(cur)) if cur else -math.inf
+            else:
+                inv = 1.0 / rt
+                x, inv2 = rt * inv, inv * inv
+                for a, b, c in head:
+                    prev, cur = cur, (a * inv - b * x) * cur - c * inv2 * prev
+                rescaled = 0
+                for a, b, c in tail:
+                    prev, cur = cur, (a * inv - b * x) * cur - c * inv2 * prev
+                    if abs(cur) < _TINY:
+                        prev, cur, rescaled = prev * _HUGE, cur * _HUGE, rescaled + 1
+                log_poly = math.log(abs(cur)) + k * log_rt if cur else -math.inf
+                if rescaled:
+                    log_poly -= rescaled * _LOG_HUGE
+            if cur - cur == 0:  # finite
+                break
+        log_poly += offset if start != 1.0 else 0.0
         log_density = log_norm + two_l * log_rt - rt + 2 * log_poly
         return q * log_density + dim * math.log(r)
 

@@ -1,14 +1,13 @@
 """Reference code that only the tests call.
 
 The brute-force box sum that the hypergeometric kernel is checked against,
-the mpf value of a scalar and its logarithm, the moments of the
-oracle's weights, the pointwise densities and the energy of a state, the
-float path's log integrands composed from separate polynomial evaluators,
-its eigenvalue bisection with full Sturm counts and its entropy assembled
-from the same integrals at QUADRATURE_DPS digits, the ground-state and
-quasi-spherical uncertainty shortcuts, and the paper's own power
-linearizations of Laguerre and Jacobi polynomials.  The library and the CLI
-call none of it.
+the mpf value of a scalar, the moments of the oracle's weights, the
+pointwise densities and the energy of a state, the float path's log
+integrands composed from separate polynomial evaluators, its eigenvalue
+bisection with full Sturm counts and its entropy assembled from the same
+integrals at QUADRATURE_DPS digits, the ground-state and quasi-spherical
+uncertainty shortcuts, and the paper's own power linearizations of Laguerre
+and Jacobi polynomials.  The library and the CLI call none of it.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from hydrenyi.exactnum import (
     pochhammer,
 )
 from hydrenyi.hyperfun import LauricellaSpec, lauricella_fa
-from hydrenyi.oracle import QUADRATURE_DPS
 from hydrenyi.polynomials import PolyExact, gegenbauer_log_abs
 from hydrenyi.states import (
     HydrogenicState,
@@ -51,6 +49,10 @@ from hydrenyi.states import (
     radial_norm_squared,
     validate,
 )
+
+# The working precision of the references to the float path, in digits; the
+# float rule's finite segments stop at mpmath's node set for it.
+QUADRATURE_DPS = 30
 
 # -- sums -----------------------------------------------------------------------
 
@@ -86,14 +88,6 @@ def to_mpf(a: ExactScalar, precision_bits: int = 128) -> mpmath.mpf:
 
 def to_float(a: ExactScalar, precision_bits: int = 128) -> float:
     return float(to_mpf(a, precision_bits))
-
-
-def log_float_through_mpf(a: ExactScalar, precision_bits: int) -> float:
-    """ln of a positive scalar as the log of its mpf value r * pi^(k/2),
-    each step rounded at precision_bits; exactnum.log_float adds ln r and
-    (k/2) ln pi instead."""
-    with mpmath.workprec(precision_bits):
-        return float(mpmath.log(to_mpf(a, precision_bits)))
 
 
 # -- weight moments ---------------------------------------------------------------
@@ -140,7 +134,8 @@ def laguerre_log_abs(n: int, alpha: float) -> Callable[[float], float]:
     (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1}.
 
     The recurrence runs on L_j(x) / s^j with s = max(1, |x|), which stays
-    bounded, so arguments up to the float range do not overflow.
+    bounded, so arguments up to the float range do not overflow.  Where the
+    values themselves pass the float range, mpmath evaluates the polynomial.
     """
     steps = [
         ((2 * j + 1 + alpha) / (j + 1), 1.0 / (j + 1), (j + alpha) / (j + 1))
@@ -156,6 +151,10 @@ def laguerre_log_abs(n: int, alpha: float) -> Callable[[float], float]:
             prev, cur = cur, (a * inv - b * x_scaled) * cur - c * inv2 * prev
         if not cur:
             return -math.inf
+        if not math.isfinite(cur):
+            # past the float range: mpmath's hypergeometric form instead
+            with mpmath.workdps(QUADRATURE_DPS):
+                return float(mpmath.log(abs(mpmath.laguerre(n, alpha, x))))
         return math.log(abs(cur)) + n * math.log(s)
 
     return log_abs

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -419,8 +420,19 @@ def _refused_by_work(err: str) -> bool:
 
 def _refused_by_digits(err: str) -> bool:
     return err.startswith("error: the exact W of ") and err.endswith(
-        f" has more than {cli.MAX_W_DIGITS} digits\n"
+        f" has more than {sys.get_int_max_str_digits()} digits\n"
     )
+
+
+@contextlib.contextmanager
+def digit_limit(digits: int):
+    """Python's limit on integer strings set to digits, 0 for none."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 class TestDigitCap:
@@ -495,13 +507,27 @@ class TestDigitCap:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and _refused_by_digits(err)
 
-    def test_w_past_the_limit_writes_nothing(self, capsys, monkeypatch):
-        # with the limit lowered to 10^3: the angular W of this state is
-        # 9/(20 pi), the radial and total ones are longer
-        monkeypatch.setattr(cli, "_W_LIMIT", 10**3)
-        code, out, err = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", "2")
+    def test_w_past_the_limit_writes_nothing(self, capsys):
+        # at the least limit, 640 digits: the angular W of this state has 12
+        # digits, the radial one 1,547
+        with digit_limit(640):
+            code, out, err = run(
+                capsys, "compute", "D=3,n=30,mu=0,0", "--q", "20", "--space", "position"
+            )
         assert (code, out) == (3, "")
-        assert err == "error: the exact W of D=3,n=2,mu=1,0,Z=1 at q=2 has more than 4300 digits\n"
+        assert err == (
+            "error: the exact W of D=3,n=30,mu=0,0,Z=1 at q=20 has more than 640 digits\n"
+        )
+
+    def test_no_digit_limit_writes_every_w(self, capsys):
+        # at a limit of 0 only the work cap bounds W: the position one has a
+        # denominator of 6,565 digits
+        with digit_limit(0):
+            code, out, _ = run(capsys, "compute", "D=3,n=2,mu=1,0", "--q", "1000")
+            assert code == 0
+            state = HydrogenicState(3, 2, (1, 0), 1)
+            w = parse_scalar(json.loads(out)[0]["w"])
+            assert w == entropy.position_entropy(state, 1000).total.w
 
     @pytest.mark.parametrize(
         "literal, q",
@@ -529,16 +555,16 @@ class TestDigitCap:
         assert out == ""
         assert err.count("\n") == 1 and _refused_by_work(err)
 
-    def test_verify_checks_only_the_w_it_writes(self, capsys, monkeypatch):
-        # with a lower limit the reports of --full cannot be written, while a
-        # passing sweep without them writes no W
-        monkeypatch.setattr(cli, "_W_LIMIT", 10**3)
-        argv = ("verify", "--dmax", "2", "--nmax", "2")
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and json.loads(out)["summary"]["all_equal"]
-        code, out, err = run(capsys, *argv, "--full")
-        assert (code, out) == (3, "")
-        assert err.count("\n") == 1 and _refused_by_digits(err)
+    def test_verify_checks_only_the_w_it_writes(self, capsys):
+        # the reports of --full hold W of up to 842 digits and cannot be
+        # written at 640, while a passing sweep without them writes no W
+        argv = ("verify", "--dmax", "2", "--nmax", "2", "--qset", "200")
+        with digit_limit(640):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and json.loads(out)["summary"]["all_equal"]
+            code, out, err = run(capsys, *argv, "--full")
+            assert (code, out) == (3, "")
+            assert err.count("\n") == 1 and _refused_by_digits(err)
 
     def test_failing_reports_are_checked(self, capsys, monkeypatch):
         honest = entropy.rising_product
@@ -548,10 +574,11 @@ class TestDigitCap:
             return value + 1 if k == 2 else value
 
         monkeypatch.setattr("hydrenyi.entropy.rising_product", crooked)
-        monkeypatch.setattr(cli, "_W_LIMIT", 10**3)
-        code, out, err = run(capsys, "verify", "--dmax", "3", "--nmax", "2")
-        assert (code, out) == (3, "")
-        assert err.count("\n") == 1 and _refused_by_digits(err)
+        argv = ("verify", "--dmax", "3", "--nmax", "2", "--qset", "2,200")
+        with digit_limit(640):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err.count("\n") == 1 and _refused_by_digits(err)
 
 
 class TestSum:
@@ -765,33 +792,43 @@ def test_reader_closing_the_pipe_early_ends_by_sigpipe():
     assert b"Traceback" not in err
 
 
-# Runs the CLI in a fresh interpreter and reports on stderr whether mpmath
-# was loaded by the end.
-_MPMATH_PROBE = (
-    "import sys; from hydrenyi import cli; code = cli.main(sys.argv[1:]); "
-    "print('mpmath' in sys.modules, file=sys.stderr); sys.exit(code)"
-)
+# One request of each command; sum at q = 2 takes the exact closed form for
+# position and the float path for momentum, at p = 2/3.
+COMMANDS = {
+    "compute": ["compute", "D=3,n=2,mu=1,0", "--q", "3"],
+    "compute-float": ["compute", "D=3,n=2,mu=1,0", "--q", "0.7", "--float"],
+    "sum": ["sum", "D=3,n=2,mu=1,0", "--q", "2"],
+    "table": ["table", "momentum"],
+    "verify": ["verify", "--dmax", "3", "--nmax", "2"],
+}
 
 
-@pytest.mark.parametrize(
-    "argv,loaded",
-    [
-        (["compute", "D=3,n=2,mu=1,0", "--q", "3"], False),
-        (["table", "momentum"], False),
-        (["verify", "--dmax", "3", "--nmax", "2"], False),
-        (["compute", "D=3,n=2,mu=1,0", "--q", "0.7", "--float"], True),
-    ],
-)
-def test_only_the_float_path_loads_mpmath(argv, loaded):
+def _run_in_fresh_interpreter(prelude: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI on argv in a new interpreter that first runs prelude."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _MPMATH_PROBE, *argv],
+    script = f"import sys; {prelude}; from hydrenyi import cli; code = cli.main(sys.argv[1:]); "
+    script += "print('mpmath' in sys.modules, file=sys.stderr); sys.exit(code)"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+def test_no_command_loads_mpmath(argv):
+    done = _run_in_fresh_interpreter("pass", argv)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)
-    assert done.stderr.splitlines()[-1] == str(loaded)
+    assert done.stderr.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+def test_every_command_runs_without_mpmath(argv):
+    # a None entry makes every import of mpmath raise ImportError
+    done = _run_in_fresh_interpreter("sys.modules['mpmath'] = None", argv)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)
 
 
 class TestUsage:

@@ -16,7 +16,7 @@ from hydrenyi.exactnum import (
     pochhammer,
 )
 
-from reference import log_float_through_mpf, to_float
+from reference import to_float
 
 F = Fraction
 
@@ -265,14 +265,9 @@ def _ln_w(a: ExactScalar) -> mpmath.mpf:
 
 
 class TestLogFloat:
-    @given(monomials)
-    def test_matches_the_log_of_the_mpf_value(self, a):
-        assert log_float(a) == log_float_through_mpf(a, 128)
-
     @given(log_arguments)
     def test_nearest_float(self, a):
-        expected = _ln_w(a)
-        assert abs(log_float(a) - expected) <= 0.501 * math.ulp(float(expected))
+        assert log_float(a) == float(_ln_w(a))
 
     @given(log_arguments)
     def test_parts_carry_the_log_past_one_float(self, a):

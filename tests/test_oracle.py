@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath.calculus.quadrature import TanhSinh
 
 from hydrenyi import entropy, oracle
-from hydrenyi.exactnum import ExactScalar
+from hydrenyi.exactnum import ExactScalar, log_float
 from hydrenyi.oracle import (
     QuadratureError,
     _moment_sum,
@@ -34,7 +34,13 @@ from hydrenyi.states import (
 
 import reference
 import test_float_fixture
-from reference import gegenbauer_moment, laguerre_moment, shifted_moment, to_float
+from reference import (
+    QUADRATURE_DPS,
+    gegenbauer_moment,
+    laguerre_moment,
+    shifted_moment,
+    to_float,
+)
 
 F = Fraction
 
@@ -243,6 +249,49 @@ class TestExactOracles:
     def test_zeroth_order_rejected(self):
         with pytest.raises(ValueError):
             radial_position_w_exact(GROUND, 0)
+
+
+_SMALL_STATES = [state for D in range(2, 6) for state in enumerate_states(D, 6)]
+
+
+def _exact_ws(state: HydrogenicState, q: int) -> list[ExactScalar]:
+    """Every exact W of a state: the closed forms' parts and totals in both
+    spaces, and the oracle's three factors."""
+    ws = []
+    for breakdown in (entropy.position_entropy(state, q), entropy.momentum_entropy(state, q)):
+        ws += [breakdown.radial.w, breakdown.angular.w, breakdown.total.w]
+    return ws + [
+        radial_position_w_exact(state, q),
+        radial_momentum_w_exact(state, q),
+        angular_w_exact(state.D, state.mu, q),
+    ]
+
+
+class TestSymmetries:
+    """Properties over D <= 5, n <= 6 and q in {2, 3, 4}."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_SMALL_STATES), st.sampled_from([2, 3, 4]))
+    def test_magnetic_sign_changes_nothing(self, state, q):
+        flipped = HydrogenicState(state.D, state.n, state.mu[:-1] + (-state.mu[-1],))
+        assert _exact_ws(flipped, q) == _exact_ws(state, q)
+        for space in ("position", "momentum"):
+            ours, theirs = renyi_float(flipped, q, space), renyi_float(state, q, space)
+            assert [x.hex() for x in ours] == [x.hex() for x in theirs]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(_SMALL_STATES),
+        st.sampled_from([2, 3, 4]),
+        st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
+    )
+    def test_exact_charge_scaling(self, state, q, Z):
+        charged = HydrogenicState(state.D, state.n, state.mu, Z)
+        up, down = Z ** (state.D * (q - 1)), Z ** (state.D * (1 - q))
+        base, scaled = _exact_ws(state, q), _exact_ws(charged, q)
+        # position radial and total, momentum radial and total, oracle radials
+        factors = [up, 1, up, down, 1, down, up, down, 1]
+        assert scaled == [w * factor for w, factor in zip(base, factors)]
 
 
 def _order_check_at_parent(q, minimum: int, message: str) -> int:
@@ -695,7 +744,7 @@ class TestBreakpoints:
         nodes_of, poly_of, _, _ = NODE_FAMILIES[family]
         poly = poly_of(k, param)
         coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
-        with mpmath.workdps(oracle.QUADRATURE_DPS):
+        with mpmath.workdps(QUADRATURE_DPS):
             roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=100)
         reference = sorted(float(mpmath.re(r)) for r in roots)
         assert nodes_of(k, param) == pytest.approx(reference, rel=1e-12, abs=1e-15)
@@ -715,14 +764,16 @@ class TestQuadRule:
         assert rel[2] == pytest.approx(rel[1], rel=1e-6, abs=0)
 
     def test_precision_is_mpmaths(self):
-        # the library writes it as a literal so as not to import mpmath
-        assert oracle._QUADRATURE_PREC == mpmath.libmp.dps_to_prec(oracle.QUADRATURE_DPS)
+        # mpmath ends a level at 1 - |x| = 2^-(prec+10); the library writes
+        # that limit as a literal so as not to import mpmath
+        prec = mpmath.libmp.dps_to_prec(QUADRATURE_DPS)
+        assert oracle._NODE_LIMIT == 2.0 ** -(prec + 10)
 
     @pytest.mark.parametrize("level", range(1, 10))
     def test_nodes_are_mpmaths(self, level):
         # same truncation, so the same number of evaluations per level; the
         # float complements 1 - |x| keep their relative precision
-        prec = mpmath.libmp.dps_to_prec(oracle.QUADRATURE_DPS)
+        prec = mpmath.libmp.dps_to_prec(QUADRATURE_DPS)
         with mpmath.workprec(prec + 40):
             reference = TanhSinh(mpmath.mp).calc_nodes(level, prec)
             positive = [(1 - x, w) for x, w in reference if x > 0]
@@ -805,6 +856,32 @@ class TestFloatIntegrands:
             log_poly = mpmath.log(abs(mpmath.laguerre(159, 1, rt)))
             exact = q * (mpmath.log(norm2) - rt + 2 * log_poly) + 2 * mpmath.log(r)
         assert log_f(r) == pytest.approx(float(exact), rel=1e-13)
+
+    @pytest.mark.parametrize("literal", ["D=3,n=742,mu=323,0", "D=3,n=800,mu=400,0"])
+    def test_position_past_the_float_range(self, monkeypatch, literal):
+        # L_k^(alpha)(0) = C(k+alpha, k) is C(1065, 418) ~ 1.7e308 and
+        # C(1199, 399) ~ e^759: the recurrence from 1 overflowed, and the
+        # integrand was inf or NaN, up to r / lam = 0.3 for the first state
+        # and past r / lam = 1 for the second
+        state, q = HydrogenicState.parse(literal), 0.7
+        log_f = _captured_log_integrand(
+            monkeypatch, position_radial_power_integral, state, q
+        )
+        expected = reference.position_log_integrand(state, q)
+        lam = float(state.lam)
+        for rt in (1e-300, 1e-20, 1e-3, 0.3, 0.9999, 1.0, 1.0000001, 1.5, 3.0):
+            assert log_f(rt * lam) == pytest.approx(expected(rt * lam), rel=1e-13), rt
+
+    @pytest.mark.slow
+    def test_position_entropy_past_the_float_range(self):
+        # the state above at q = 2 against the exact oracle (about 35 s in all):
+        # the miss, 1.8e-12, is 16 times the stated error, as it is 8.6 times at
+        # n = 735, l = 320, whose recurrence never overflowed
+        state = HydrogenicState(3, 742, (323, 0), 1)
+        result = renyi_float(state, 2, "position")
+        w = radial_position_w_exact(state, 2) * angular_w_exact(3, (323, 0), 2)
+        assert result.value == pytest.approx(-log_float(w), rel=1e-13)
+        assert renyi_float(state, 0.7, "position").error < 1e-12
 
     def test_position_far_tail(self, monkeypatch):
         # the unscaled Laguerre recurrence overflowed to NaN at r ~ 1e34
@@ -956,7 +1033,7 @@ class TestFloatClosuresBitForBit:
                 if mu_j == mu_j1:
                     continue
                 k, alpha = mu_j - mu_j1, F(D - j - 1, 2)
-                with mpmath.workdps(oracle.QUADRATURE_DPS):
+                with mpmath.workdps(QUADRATURE_DPS):
                     s = mpmath.mpf(q) * mu_j1 + mpmath.mpf(alpha.numerator) / alpha.denominator
                     s = float(s - mpmath.mpf(1) / 2)
                 probes = [-1.0, 1.0, 0.0, 5e-324, -5e-324]
