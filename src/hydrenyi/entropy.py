@@ -32,6 +32,7 @@ from hydrenyi.states import (
     HydrogenicState,
     ValidationError,
     brief,
+    canonical_chain,
     check_chain,
     check_momentum_order,
     validate,
@@ -200,14 +201,14 @@ def _pochhammer_block(out, a2: int, mu_j: int, mu_j1: int, q: int):
 
 def _angular_factors(out, D: int, mu: tuple[int, ...], q: int, l: int):
     """The factors of the angular W but its pi^(D(1-q)/2), entered in out."""
-    m = abs(mu[-1])
+    chain = canonical_chain(mu)
+    m = chain[-1]
     # Gamma(l+D/2)^q (qm)! / (2^(q-1) Gamma(ql+D/2) m!^q)
     out.gamma(2 * l + D, q)
     out.gamma(2 * q * l + D, -1)
     out.fact(q * m, 1)
     out.fact(m, -q)
     out.integer(2, 1 - q)
-    chain = tuple(mu[:-1]) + (m,)
     for j in range(1, D - 1):  # segment j has alpha_j = (D-j-1)/2
         mu_j, mu_j1 = chain[j - 1], chain[j]
         if mu_j != mu_j1:  # both factors of the segment are 1 otherwise
@@ -347,7 +348,7 @@ def angular_entropy(D: int, mu: tuple[int, ...], q: int) -> EntropyValue:
     """
     q = _check_integer_order(q)
     check_chain(D, mu)
-    l = abs(mu[0]) if D == 2 else mu[0]
+    l = canonical_chain(mu)[0]
     w = _angular_factors(_ExactLedger(), D, mu, q, l).scalar(D * (1 - q))
     return EntropyValue(_entropy_coef(q), w, Fraction(q))
 

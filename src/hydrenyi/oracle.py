@@ -33,10 +33,13 @@ from hydrenyi.exactnum import (
     log_float,
     log_float_parts,
 )
-from hydrenyi.polynomials import gegenbauer, gegenbauer_log_abs, laguerre, poly_pow
+from hydrenyi.polynomials import (
+    gegenbauer, gegenbauer_log_abs, laguerre, laguerre_log_abs, poly_pow,
+)
 from hydrenyi.states import (
     HydrogenicState,
     brief,
+    canonical_chain,
     check_chain,
     check_momentum_order,
     radial_momentum_norm_squared,
@@ -53,7 +56,7 @@ QUADRATURE_REL_TARGET = 1e-10
 # a degree-n recurrence on each of n segments.  At n = 800 the slowest call
 # over D in {3, 5}, l in {0, n-1} and both spaces took about 10 s on a 2-vCPU
 # Xeon VM (position, l = 0, q = 0.7: 10.1 s at D = 3, 9.4 s at D = 5).  Only
-# those two l were timed; D = 3, n = 742, l = 323 took 3.3 s there.
+# those two l were timed; D = 3, n = 742, l = 323, q = 0.7 took 3.0 s there.
 MAX_FLOAT_N = 800
 
 
@@ -181,7 +184,7 @@ def angular_w_exact(D: int, mu: tuple[int, ...], q: int) -> ExactScalar:
     integral, and the squared norm to the power q."""
     q = _check_order(q)
     check_chain(D, mu)
-    chain = tuple(mu[:-1]) + (abs(mu[-1]),)
+    chain = canonical_chain(mu)
     w = _Monomial(2, 1, 2)  # the 2*pi from the phi integral
     for j in range(1, D - 1):
         two_alpha = D - j - 1
@@ -549,15 +552,6 @@ def _quad_log(log_f, points: list[float], q: float) -> tuple[float, float]:
     return (-math.inf if value == 0 else math.nan), math.nan
 
 
-# The scaled Laguerre recurrence past x = 1 is rescaled by _HUGE = 2^400
-# whenever its value falls below _TINY = 2^-400.  Its first steps need no
-# check: from 1, eleven steps keep the pair above 2^-112 at every x > 1 for
-# alpha up to 10^6 (measured on a grid of 6,000 x to 1e300), far from the
-# 2^-1022 where floats start to lose bits; so k <= 11 runs no check at all.
-_LAGUERRE_UNCHECKED = 11
-_TINY, _HUGE, _LOG_HUGE = 2.0**-400, 2.0**400, 400 * math.log(2)
-
-
 def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[float, float]:
     """Integral of the q-th power of the radial position density against
     r^(D-1) dr, as (ln I, relative error estimate)."""
@@ -565,52 +559,15 @@ def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[fl
     l, D = state.l, state.D
     k, alpha = state.n - l - 1, 2 * l + D - 2
     lam = float(state.lam)
-    # ln N^2 for the density as a function of r / lam
     log_norm = log_float(ExactScalar(radial_norm_squared(state) / state.lam**D))
-    # the Laguerre recurrence (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1}
-    steps = [
-        ((2 * j + 1 + alpha) / (j + 1), 1.0 / (j + 1), (j + alpha) / (j + 1))
-        for j in range(k)
-    ]
-    head, tail = steps[:_LAGUERRE_UNCHECKED], steps[_LAGUERRE_UNCHECKED:]
-    # Szego's bound |L_j^(alpha)(x)| <= C e^(x/2) < 2^(b+1) holds up to x = 1, where
-    # a large alpha peaks, for C = C(k+alpha, k) of b bits.  A run past the float
-    # range goes again from 2^-e, the bound then at _HUGE = 2^400, adding e ln 2 back.
-    e = max(0, math.comb(k + alpha, k).bit_length() + 1 - 400)
-    starts, offset = (1.0, math.ldexp(1.0, -e)), e * math.log(2)
+    log_poly = laguerre_log_abs(k, alpha)
     two_l, dim, q = 2 * l, D - 1, float(q)
 
     def log_integrand(r: float) -> float:
-        """q ln of the density times r^(D-1), with ln|L_k^(alpha)(r/lam)| from
-        the recurrence on L_j(x) / x^j past x = 1, which stays bounded, so
-        that arguments up to the float range do not overflow.  That value
-        decays in the oscillating region, so past the first steps it is
-        rescaled by 2^400 whenever it falls below 2^-400."""
+        """q ln of the density N^2 x^(2l) e^-x L_k^(alpha)(x)^2, x = r / lam,
+        times r^(D-1)."""
         rt = r / lam
-        log_rt = math.log(rt)
-        for start in starts:
-            prev, cur = 0.0, start
-            if rt <= 1.0:
-                for a, b, c in steps:
-                    prev, cur = cur, (a - b * rt) * cur - c * prev
-                log_poly = math.log(abs(cur)) if cur else -math.inf
-            else:
-                inv = 1.0 / rt
-                x, inv2 = rt * inv, inv * inv
-                for a, b, c in head:
-                    prev, cur = cur, (a * inv - b * x) * cur - c * inv2 * prev
-                rescaled = 0
-                for a, b, c in tail:
-                    prev, cur = cur, (a * inv - b * x) * cur - c * inv2 * prev
-                    if abs(cur) < _TINY:
-                        prev, cur, rescaled = prev * _HUGE, cur * _HUGE, rescaled + 1
-                log_poly = math.log(abs(cur)) + k * log_rt if cur else -math.inf
-                if rescaled:
-                    log_poly -= rescaled * _LOG_HUGE
-            if cur - cur == 0:  # finite
-                break
-        log_poly += offset if start != 1.0 else 0.0
-        log_density = log_norm + two_l * log_rt - rt + 2 * log_poly
+        log_density = log_norm + two_l * math.log(rt) - rt + 2 * log_poly(rt)
         return q * log_density + dim * math.log(r)
 
     scale = lam * float(2 * state.eta)
@@ -718,7 +675,7 @@ def angular_power_integral(D: int, mu: tuple[int, ...], q: float) -> tuple[float
     Beta factor B(1/2, s + 1), from _log_gamma_ratio; the others get
     adaptive quadrature split at the polynomial roots, whose relative errors
     add."""
-    chain = tuple(mu[:-1]) + (abs(mu[-1]),)
+    chain = canonical_chain(mu)
     q = float(q)
     num, den = q.as_integer_ratio()
     log_value = _log_sphere_measure(2)

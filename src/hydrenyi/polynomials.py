@@ -4,8 +4,8 @@ A polynomial is integer numerators over one common denominator.  Laguerre
 and Gegenbauer come from their explicit coefficient sums, built in integers.
 ``poly_pow`` raises the oracle's polynomials to a power by a recurrence on
 their numerators.  This module serves the oracle, so it imports none of the
-hypergeometric sum code that the closed forms use.  The float Gegenbauer
-evaluator at the end serves the real-order quadrature.
+hypergeometric sum code that the closed forms use.  The float Laguerre and
+Gegenbauer evaluators at the end serve the real-order quadrature.
 """
 
 from __future__ import annotations
@@ -191,15 +191,57 @@ def gegenbauer(n: int, lam: RationalLike) -> PolyExact:
 # Float evaluation.  Monomial coefficients of these polynomials alternate in
 # sign, and Horner's rule on them loses digits to cancellation as the degree
 # grows; the three-term recurrence is stable in floats (Gautschi, SIAM Rev.
-# 9, 1967).  The evaluator returns ln|P(x)|, -inf at an exact zero, so that
-# callers can form a density in the log domain and exponentiate once.  The
-# Laguerre recurrence of the position integrand runs inline in
-# oracle.position_radial_power_integral.
+# 9, 1967).  The evaluators return ln|P(x)|, -inf at an exact zero.  Each
+# recurrence starts at 2^-e, which is exact, with e >= 0 the least that brings
+# a bound on |P| under e^600; that leaves room for its intermediate terms.
+_LOG_HEADROOM = 600.0
 
-# ln of the largest |C_n^(lam)| on [-1, 1] that the recurrence may reach
-# unscaled; e^600 leaves room below the float range for the recurrence's
-# intermediate terms.
-_GEGENBAUER_LOG_HEADROOM = 600.0
+
+def _recurrence_start(log_bound: float) -> tuple[float, float]:
+    """The start 2^-e and the offset e ln 2 for a bound e^log_bound on |P|."""
+    e = max(0, math.ceil((log_bound - _LOG_HEADROOM) / math.log(2)))
+    return math.ldexp(1.0, -e), e * math.log(2)
+
+
+# Past x = 1 the Laguerre recurrence is rescaled by _HUGE whenever its value
+# falls below _TINY.  Eleven steps keep the pair above 2^-112 times the start
+# at every x > 1 for alpha up to 10^6 (measured on a grid of 6,000 x to 1e300),
+# so they run unchecked, and n <= 11 runs no check at all.
+_LAGUERRE_UNCHECKED, _TINY, _HUGE, _LOG_HUGE = 11, 2.0**-400, 2.0**400, 400 * math.log(2)
+
+
+def laguerre_log_abs(n: int, alpha: float) -> Callable[[float], float]:
+    """The function x -> ln|L_n^(alpha)(x)| for x >= 0 and alpha >= 0, by the
+    recurrence (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1}.
+
+    Szego's bound |L_j^(alpha)(x)| <= C(j+alpha, j) e^(x/2) sets the start.
+    Past x = 1 it runs on L_j(x) / x^j, which stays bounded up to the float
+    range and is rescaled where it decays in the oscillating region."""
+    steps = [((2 * j + 1 + alpha) / (j + 1), 1 / (j + 1), (j + alpha) / (j + 1)) for j in range(n)]
+    head, tail = steps[:_LAGUERRE_UNCHECKED], steps[_LAGUERRE_UNCHECKED:]
+    log_binomial = math.lgamma(n + alpha + 1) - math.lgamma(alpha + 1) - math.lgamma(n + 1)
+    start, offset = _recurrence_start(log_binomial + 0.5)
+
+    def log_abs(x: float) -> float:
+        prev, cur = 0.0, start
+        if x <= 1.0:
+            for a, b, c in steps:
+                prev, cur = cur, (a - b * x) * cur - c * prev
+            return math.log(abs(cur)) + offset if cur else -math.inf
+        inv = 1.0 / x
+        x_scaled, inv2 = x * inv, inv * inv
+        for a, b, c in head:
+            prev, cur = cur, (a * inv - b * x_scaled) * cur - c * inv2 * prev
+        rescaled = 0
+        for a, b, c in tail:
+            prev, cur = cur, (a * inv - b * x_scaled) * cur - c * inv2 * prev
+            if abs(cur) < _TINY:
+                prev, cur, rescaled = prev * _HUGE, cur * _HUGE, rescaled + 1
+        if not cur:
+            return -math.inf
+        return math.log(abs(cur)) + n * math.log(x) - rescaled * _LOG_HUGE + offset
+
+    return log_abs
 
 
 def gegenbauer_log_abs(n: int, lam: float) -> Callable[[float], float]:
@@ -207,14 +249,11 @@ def gegenbauer_log_abs(n: int, lam: float) -> Callable[[float], float]:
     (j+1) C_{j+1} = 2(j+lam) x C_j - (j+2lam-1) C_{j-1}, for lam > 0.
 
     For lam > 0, |C_n^(lam)| on [-1, 1] peaks at C_n^(lam)(1) =
-    Gamma(2lam+n) / (Gamma(2lam) n!).  Once its log passes the headroom the
-    recurrence starts at 2^-e instead of 1, which is exact, and e ln 2 is
-    added back once; otherwise it would reach inf - inf near x = 1.
+    Gamma(2lam+n) / (Gamma(2lam) n!), the bound that sets the start.
     """
     steps = [(2 * (j + lam) / (j + 1), (j + 2 * lam - 1) / (j + 1)) for j in range(n)]
     log_peak = math.lgamma(2 * lam + n) - math.lgamma(2 * lam) - math.lgamma(n + 1)
-    e = max(0, math.ceil((log_peak - _GEGENBAUER_LOG_HEADROOM) / math.log(2)))
-    start, offset = math.ldexp(1.0, -e), e * math.log(2)
+    start, offset = _recurrence_start(log_peak)
 
     def log_abs(x: float) -> float:
         prev, cur = 0.0, start

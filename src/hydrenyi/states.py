@@ -113,9 +113,7 @@ class HydrogenicState:
         return self.eta / (2 * self.Z)
 
     def canonical_mu(self) -> tuple[int, ...]:
-        """The chain with the last (magnetic) entry replaced by its modulus;
-        every density and entropy depends on the chain only through this."""
-        return self.mu[:-1] + (abs(self.mu[-1]),)
+        return canonical_chain(self.mu)
 
     def unit_charge(self) -> "HydrogenicState":
         """The same state at Z = 1."""
@@ -169,6 +167,11 @@ class HydrogenicState:
 
     def __str__(self) -> str:
         return self.literal()
+
+
+def canonical_chain(mu: "tuple[int, ...]") -> tuple[int, ...]:
+    """The chain with its magnetic entry replaced by its modulus, all a density reads."""
+    return tuple(mu[:-1]) + (abs(mu[-1]),)
 
 
 def check_chain(D: int, mu: "tuple[int, ...]") -> None:

@@ -122,20 +122,21 @@ def shifted_moment(k: int, a: Fraction, b: Fraction) -> ExactScalar:
 
 # -- the float path, one function per step --------------------------------------
 #
-# The oracle's radial integrands are one closure each, with the Laguerre
-# recurrence inline, and its Gegenbauer evaluator is prescaled.  These
-# separate, unscaled evaluators, composed as the integrands once were, are the
-# reference that the closures must match bit for bit wherever the prescale is
-# 2^0.
+# The oracle's radial integrands are one closure each, and its Laguerre and
+# Gegenbauer evaluators are prescaled, the Laguerre one rescaled past x = 1
+# too.  These separate, unscaled evaluators, composed as the integrands once
+# were, are the reference that the closures must match bit for bit wherever
+# the prescale is 2^0 and no rescale happens.
 
 
-def laguerre_log_abs(n: int, alpha: float) -> Callable[[float], float]:
+def laguerre_log_abs_unscaled(n: int, alpha: float) -> Callable[[float], float]:
     """The function x -> ln|L_n^(alpha)(x)|, by the recurrence
-    (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1}.
+    (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1} started at 1.
 
     The recurrence runs on L_j(x) / s^j with s = max(1, |x|), which stays
     bounded, so arguments up to the float range do not overflow.  Where the
-    values themselves pass the float range, mpmath evaluates the polynomial.
+    values pass the float range, or where they decay below the normal floats
+    in the oscillating region past x = 1, mpmath evaluates the polynomial.
     """
     steps = [
         ((2 * j + 1 + alpha) / (j + 1), 1.0 / (j + 1), (j + alpha) / (j + 1))
@@ -149,13 +150,11 @@ def laguerre_log_abs(n: int, alpha: float) -> Callable[[float], float]:
         prev, cur = 0.0, 1.0
         for a, b, c in steps:
             prev, cur = cur, (a * inv - b * x_scaled) * cur - c * inv2 * prev
-        if not cur:
-            return -math.inf
-        if not math.isfinite(cur):
-            # past the float range: mpmath's hypergeometric form instead
+        if not math.isfinite(cur) or max(abs(prev), abs(cur)) < sys.float_info.min:
+            # past the float range, or underflowed: mpmath's hypergeometric form
             with mpmath.workdps(QUADRATURE_DPS):
                 return float(mpmath.log(abs(mpmath.laguerre(n, alpha, x))))
-        return math.log(abs(cur)) + n * math.log(s)
+        return math.log(abs(cur)) + n * math.log(s) if cur else -math.inf
 
     return log_abs
 
@@ -212,7 +211,7 @@ def position_log_integrand(state: HydrogenicState, q: float) -> Callable[[float]
     with mpmath.workdps(QUADRATURE_DPS):
         norm = radial_norm_squared(state) / state.lam**D
         log_norm = float(mpmath.log(mpmath.mpf(norm.numerator) / norm.denominator))
-    log_poly = laguerre_log_abs(state.n - l - 1, 2 * l + D - 2)
+    log_poly = laguerre_log_abs_unscaled(state.n - l - 1, 2 * l + D - 2)
     q = float(q)
 
     def log_integrand(r: float) -> float:
@@ -427,7 +426,7 @@ def radial_density_position(state: HydrogenicState, r: float) -> float:
     validate(state)
     l, lam = state.l, float(state.lam)
     rt = r / lam
-    log_poly = laguerre_log_abs(state.n - l - 1, 2 * l + state.D - 2)
+    log_poly = laguerre_log_abs_unscaled(state.n - l - 1, 2 * l + state.D - 2)
     norm2 = float(radial_norm_squared(state)) / lam**state.D
     return norm2 * rt ** (2 * l) * math.exp(2 * log_poly(rt) - rt)
 

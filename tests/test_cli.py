@@ -181,10 +181,8 @@ class TestCompute:
         assert abs(record["entropy"] - exact) <= record["error"] + 1e-12 * abs(exact)
 
     def test_quadrature_miss_exits_four(self, capsys, monkeypatch):
-        import mpmath
-
         def shaky_quad(f, points, rule=None):
-            return mpmath.mpf(1), mpmath.mpf("1e-3")
+            return 1.0, 1e-3
 
         monkeypatch.setattr("hydrenyi.oracle._quad", shaky_quad)
         code, out, err = run(
@@ -236,9 +234,9 @@ class TestCompute:
         assert "Traceback" not in err and "+/-" not in err
 
     def test_nan_integral_exits_four(self, capsys, monkeypatch):
-        import mpmath
-
-        monkeypatch.setattr("hydrenyi.oracle._quad", lambda *args: (mpmath.nan, mpmath.nan))
+        monkeypatch.setattr(
+            "hydrenyi.oracle._quad", lambda f, points, rule=None: (math.nan, math.nan)
+        )
         code, out, err = run(
             capsys, "compute", "D=3,n=2,mu=1,0", "--q", "3/2", "--float", "--space", "position"
         )

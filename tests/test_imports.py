@@ -1,5 +1,6 @@
-"""The library's imports, read with the stdlib ast module alone: no module
-under src/hydrenyi imports mpmath, or a name that it never uses."""
+"""The library's names, read with the stdlib ast module alone: no module
+under src/hydrenyi imports mpmath, imports a name that it never uses, or
+defines a private module-level name that it never reads."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,27 @@ def test_imports_are_used_and_not_mpmath(path):
     unused = {name for _, name in imports} - _used(tree)
     allowed = {name for stem, name in PATCHED_FROM_OUTSIDE if stem == path.stem}
     assert unused == allowed
+
+
+def _private_definitions(tree: ast.Module):
+    """The private names (one leading underscore) that the module's own
+    top-level statements bind: constants, functions and classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_private_names_are_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert [name for name in _private_definitions(tree) if name not in read] == []

@@ -415,7 +415,7 @@ class TestFloatOracle:
 
     def test_nonconvergence_raises_with_estimate(self, monkeypatch):
         def shaky_quad(f, points, rule=None):
-            return mpmath.mpf(1), mpmath.mpf("1e-3")
+            return 1.0, 1e-3
 
         monkeypatch.setattr("hydrenyi.oracle._quad", shaky_quad)
         with pytest.raises(QuadratureError) as info:
@@ -431,16 +431,19 @@ class TestFloatOracle:
         ],
     )
     def test_zero_integral_raises_without_an_estimate(self, monkeypatch, target, state, name):
-        # angular_power_integral answers in log form, where zero is ln 0 = -inf
-        zero = (-math.inf, 0.0) if target == "angular_power_integral" else (mpmath.mpf(0),) * 2
-        monkeypatch.setattr(f"hydrenyi.oracle.{target}", lambda *args: zero)
+        fakes = {
+            "_quad": lambda f, points, rule=None: (0.0, 0.0),
+            # angular_power_integral answers in log form, where zero is ln 0 = -inf
+            "angular_power_integral": lambda D, mu, q: (-math.inf, 0.0),
+        }
+        monkeypatch.setattr(f"hydrenyi.oracle.{target}", fakes[target])
         with pytest.raises(QuadratureError, match=f"the {name} integral came out zero") as info:
             renyi_float(state, 1.5, "position")
         assert info.value.value is None and info.value.estimate is None
 
 
     def test_nan_integral_says_not_a_number(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_quad", lambda *args: (mpmath.nan, mpmath.nan))
+        monkeypatch.setattr(oracle, "_quad", lambda f, points, rule=None: (math.nan, math.nan))
         with pytest.raises(QuadratureError, match="integral is not a number") as info:
             renyi_float(GROUND, 1.5, "position")
         assert "came out zero" not in str(info.value)
@@ -862,14 +865,16 @@ class TestFloatIntegrands:
         # L_k^(alpha)(0) = C(k+alpha, k) is C(1065, 418) ~ 1.7e308 and
         # C(1199, 399) ~ e^759: the recurrence from 1 overflowed, and the
         # integrand was inf or NaN, up to r / lam = 0.3 for the first state
-        # and past r / lam = 1 for the second
+        # and past r / lam = 1 for the second.  From r / lam = 50 on the
+        # recurrence is rescaled where it falls below 2^-400.
         state, q = HydrogenicState.parse(literal), 0.7
         log_f = _captured_log_integrand(
             monkeypatch, position_radial_power_integral, state, q
         )
         expected = reference.position_log_integrand(state, q)
         lam = float(state.lam)
-        for rt in (1e-300, 1e-20, 1e-3, 0.3, 0.9999, 1.0, 1.0000001, 1.5, 3.0):
+        rts = (1e-300, 1e-20, 1e-3, 0.3, 0.9999, 1.0, 1.0000001, 1.5, 3.0, 10.0, 50.0, 300.0)
+        for rt in rts:
             assert log_f(rt * lam) == pytest.approx(expected(rt * lam), rel=1e-13), rt
 
     @pytest.mark.slow

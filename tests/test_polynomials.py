@@ -7,13 +7,19 @@ from hypothesis import given, strategies as st
 
 from hydrenyi import oracle
 from hydrenyi.exactnum import ExactScalar, gamma_exact, pochhammer
-from hydrenyi.polynomials import PolyExact, gegenbauer, gegenbauer_log_abs, laguerre, poly_pow
+from hydrenyi.polynomials import (
+    PolyExact,
+    gegenbauer,
+    gegenbauer_log_abs,
+    laguerre,
+    laguerre_log_abs,
+    poly_pow,
+)
 
 from reference import (
     gegenbauer_as_jacobi,
     jacobi,
     jacobi_power_linearization,
-    laguerre_log_abs,
     laguerre_power_linearization,
 )
 
@@ -414,3 +420,79 @@ class TestFloatRecurrences:
     def test_exact_zero_is_minus_infinity(self):
         assert gegenbauer_log_abs(3, 1.0)(0.0) == -math.inf
         assert laguerre_log_abs(1, 0)(1.0) == -math.inf
+
+
+def _midpoints(zeros: list[float], around: float | None = None) -> list[float]:
+    """Ten midpoints between consecutive zeros, spread over them, and the two
+    on either side of around."""
+    mids = [(a + b) / 2 for a, b in zip(zeros, zeros[1:])]
+    picked = [mids[round(i * (len(mids) - 1) / 9)] for i in range(10)]
+    if around is not None:
+        picked += [m for m in mids if m <= around][-1:] + [m for m in mids if m > around][:1]
+    return picked
+
+
+def _scan_tolerance(k: int) -> float:
+    # The recurrences' rounding grows with the degree where the parameter is
+    # small, next to the outermost zeros: L_799^(0) halfway between its first
+    # two zeros is off by 2.0e-12 and C_600^(1/2) next to its last by 1.3e-12,
+    # 0.70 and 0.63 of this bound.  From parameter 7/2 on, and at every point
+    # whose start is 2^-e with e > 0, the worst measured is 3.0e-15.
+    return max(1e-13, k * 2.0**-48)
+
+
+def _scan_cases(tier1, params, *slow_extra):
+    """The tier1 (k, parameter) pairs, and under slow each k of 10 to 799
+    with params(k), the parameters that n <= MAX_FLOAT_N reaches for D <= 8,
+    and slow_extra."""
+    grid = [(k, p) for k in (10, 100, 250, 418, 600, 799) for p in params(k)]
+    slow = [case for case in grid if case not in tier1] + list(slow_extra)
+    return [pytest.param(k, p, id=f"{k}-{p}") for k, p in tier1] + [
+        pytest.param(k, p, id=f"{k}-{p}", marks=pytest.mark.slow) for k, p in slow
+    ]
+
+
+# alpha = 2l + D - 2 with l = n - k - 1 reaches 2(799 - k) + 6 at n = 800,
+# D = 8.  The bound ln C(k+alpha, k) + 1/2 passes 600, so that e > 0, at
+# (250, 1104), (418, 647) (D = 3, n = 742, l = 323) and at the largest alpha
+# for k from 250 to 600.
+LAGUERRE_SCAN = _scan_cases(
+    [(100, 0), (100, 1), (250, 1104)],
+    lambda k: sorted({0, 1, 799 - k, 2 * (799 - k) + 1, 2 * (799 - k) + 6}),
+    (418, 647),
+)
+# lam = l + (D-1)/2 of the radial momentum, the largest, reaches 799 - k + 7/2;
+# ln C_k^(lam)(1) passes 600 at (250, 1105/2) and (519, 561/2) too
+GEGENBAUER_SCAN = _scan_cases(
+    [(100, F(1, 2)), (100, F(1)), (250, F(1105, 2))],
+    lambda k: sorted({F(1, 2), F(1), F(800 - k), F(2 * (799 - k) + 7, 2)}),
+    (519, F(561, 2)),
+)
+
+
+class TestScanAgainstMpmath:
+    """Both float evaluators against 30-digit mpmath over large degrees and
+    parameters, halfway between zeros and outside them."""
+
+    @pytest.mark.parametrize("k, alpha", LAGUERRE_SCAN)
+    def test_laguerre(self, k, alpha):
+        zeros = oracle._laguerre_nodes(k, F(alpha))
+        # both sides of x = 1: below the first zero, and the midpoints around 1
+        xs = [min(0.5, zeros[0] / 2), zeros[0] / 2] + _midpoints(zeros, 1.0)
+        xs += [2 * zeros[-1], 1e10, 1e300]
+        log_abs = laguerre_log_abs(k, alpha)
+        for x in xs:
+            with mpmath.workdps(30):
+                exact = float(mpmath.log(abs(mpmath.laguerre(k, alpha, x))))
+            assert abs(log_abs(x) - exact) <= _scan_tolerance(k) * max(1.0, abs(exact)), x
+
+    @pytest.mark.parametrize("k, lam", GEGENBAUER_SCAN)
+    def test_gegenbauer(self, k, lam):
+        zeros = oracle._gegenbauer_nodes(k, lam)
+        xs = [-1.0, 1.0, (zeros[-1] + 1) / 2] + _midpoints(zeros)
+        log_abs = gegenbauer_log_abs(k, float(lam))
+        for x in xs:
+            with mpmath.workdps(30):
+                lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
+                exact = float(mpmath.log(abs(mpmath.gegenbauer(k, lam_mp, x))))
+            assert abs(log_abs(x) - exact) <= _scan_tolerance(k) * max(1.0, abs(exact)), x
