@@ -557,8 +557,7 @@ def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[fl
     r^(D-1) dr, as (ln I, relative error estimate)."""
     validate(state)
     l, D = state.l, state.D
-    k, alpha = state.n - l - 1, 2 * l + D - 2
-    lam = float(state.lam)
+    k, alpha, lam = state.n - l - 1, 2 * l + D - 2, float(state.lam)
     log_norm = log_float(ExactScalar(radial_norm_squared(state) / state.lam**D))
     log_poly = laguerre_log_abs(k, alpha)
     two_l, dim, q = 2 * l, D - 1, float(q)

@@ -193,20 +193,21 @@ def gegenbauer(n: int, lam: RationalLike) -> PolyExact:
 # grows; the three-term recurrence is stable in floats (Gautschi, SIAM Rev.
 # 9, 1967).  The evaluators return ln|P(x)|, -inf at an exact zero.  Each
 # recurrence starts at 2^-e, which is exact, with e >= 0 the least that brings
-# a bound on |P| under e^600; that leaves room for its intermediate terms.
+# a bound on |P| under e^600; that leaves room for its intermediate terms.  At
+# most e = 910 keeps the start, and 2^-112 times it, a normal float.
 _LOG_HEADROOM = 600.0
 
 
 def _recurrence_start(log_bound: float) -> tuple[float, float]:
     """The start 2^-e and the offset e ln 2 for a bound e^log_bound on |P|."""
-    e = max(0, math.ceil((log_bound - _LOG_HEADROOM) / math.log(2)))
+    e = min(max(0, math.ceil((log_bound - _LOG_HEADROOM) / math.log(2))), 910)
     return math.ldexp(1.0, -e), e * math.log(2)
 
 
 # Past x = 1 the Laguerre recurrence is rescaled by _HUGE whenever its value
-# falls below _TINY.  Eleven steps keep the pair above 2^-112 times the start
-# at every x > 1 for alpha up to 10^6 (measured on a grid of 6,000 x to 1e300),
-# so they run unchecked, and n <= 11 runs no check at all.
+# has decayed below _TINY and below the start.  Eleven steps keep the pair
+# above 2^-112 times the start at every x > 1 for alpha up to 10^6 (measured
+# on a grid of 6,000 x to 1e300), so they run unchecked; n <= 11 runs no check.
 _LAGUERRE_UNCHECKED, _TINY, _HUGE, _LOG_HUGE = 11, 2.0**-400, 2.0**400, 400 * math.log(2)
 
 
@@ -215,12 +216,12 @@ def laguerre_log_abs(n: int, alpha: float) -> Callable[[float], float]:
     recurrence (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1}.
 
     Szego's bound |L_j^(alpha)(x)| <= C(j+alpha, j) e^(x/2) sets the start.
-    Past x = 1 it runs on L_j(x) / x^j, which stays bounded up to the float
-    range and is rescaled where it decays in the oscillating region."""
+    Past x = 1 it runs on L_j(x) / x^j, which stays bounded for any float x."""
     steps = [((2 * j + 1 + alpha) / (j + 1), 1 / (j + 1), (j + alpha) / (j + 1)) for j in range(n)]
     head, tail = steps[:_LAGUERRE_UNCHECKED], steps[_LAGUERRE_UNCHECKED:]
     log_binomial = math.lgamma(n + alpha + 1) - math.lgamma(alpha + 1) - math.lgamma(n + 1)
     start, offset = _recurrence_start(log_binomial + 0.5)
+    tiny = min(_TINY, start)
 
     def log_abs(x: float) -> float:
         prev, cur = 0.0, start
@@ -235,7 +236,7 @@ def laguerre_log_abs(n: int, alpha: float) -> Callable[[float], float]:
         rescaled = 0
         for a, b, c in tail:
             prev, cur = cur, (a * inv - b * x_scaled) * cur - c * inv2 * prev
-            if abs(cur) < _TINY:
+            if abs(cur) < tiny:
                 prev, cur, rescaled = prev * _HUGE, cur * _HUGE, rescaled + 1
         if not cur:
             return -math.inf

@@ -417,6 +417,17 @@ class TestFloatRecurrences:
         expected = 11 * math.log(x) - math.log(math.factorial(11))
         assert laguerre_log_abs(11, 1)(x) == pytest.approx(expected, rel=1e-15)
 
+    @pytest.mark.parametrize("alpha", [598, 998])
+    def test_laguerre_start_below_the_rescale_threshold(self, alpha):
+        # ln C(799+alpha, 799) + 1/2 is 1053 and 1231, so the start is 2^-654
+        # and 2^-910, below the 2^-400 that triggers the rescale past x = 1:
+        # rescaled on the start itself, the values overflowed to NaN there
+        log_abs = laguerre_log_abs(799, alpha)
+        for x in (0.5, 1.0, 1.0000001, 1.5, 10.0, 1e4):
+            with mpmath.workdps(30):
+                exact = float(mpmath.log(abs(mpmath.laguerre(799, alpha, x))))
+            assert log_abs(x) == pytest.approx(exact, rel=1e-15), x
+
     def test_exact_zero_is_minus_infinity(self):
         assert gegenbauer_log_abs(3, 1.0)(0.0) == -math.inf
         assert laguerre_log_abs(1, 0)(1.0) == -math.inf
