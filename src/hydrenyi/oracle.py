@@ -4,7 +4,9 @@ closed forms.
 For integer order q every integral reduces to exact factorial or Beta
 moments of polynomial expansions, so closed form and oracle can be compared
 structurally with zero tolerance.  For real q an adaptive tanh-sinh
-quadrature in floats evaluates the same integrals numerically.
+quadrature in floats evaluates the same integrals numerically, except the
+radial ones at k = n - l - 1 = 0, which are Gamma and Beta functions at any
+order and are summed in closed form.
 
 What stays independent: the oracle takes its polynomials from the explicit
 coefficient sums of ``laguerre`` and ``gegenbauer`` and its moments from the
@@ -243,7 +245,9 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
 # tanh-sinh rule sums in floats.  Each integral comes back as (ln I, relative
 # error) in floats, and the entropy is assembled from those logs in floats
 # too: the Gamma and Beta factors by _log_gamma_ratio, the exact constants
-# (the angular norm, Z) by log_float.
+# (the angular norm, Z) by log_float.  The radial integrals at k = 0, and the
+# whole entropy of a quasi-spherical state, take the closed forms below
+# instead (_LogSum).
 
 
 def _jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[float]:
@@ -468,11 +472,16 @@ class _FloatTanhSinh:
         return terms
 
     def _segment(self, f, a: float, b: float) -> tuple[float, float]:
+        """The segment's integral and relative error estimate; NaN for both
+        at the first level whose sum is not a number, which no later level
+        mends."""
         level_sums: list[float] = []
         results: list[float] = []
         rel = math.inf
         for level in range(1, _LEVELS + 1):
             level_sums.append(math.fsum(self._terms(f, a, b, level)))
+            if math.isnan(level_sums[-1]):
+                return math.nan, math.nan
             results.append(math.ldexp(math.fsum(level_sums), -level))
             if level > 1:
                 rel = _relative_error(results)
@@ -484,6 +493,8 @@ class _FloatTanhSinh:
         values, errors = [], []
         for a, b in zip(points, points[1:]):
             value, rel = self._segment(f, float(a), float(b))
+            if math.isnan(value):
+                return math.nan, math.nan
             values.append(value)
             errors.append(max(rel, self.rel_floor) * abs(value))
         return math.fsum(values), math.fsum(errors)
@@ -552,10 +563,9 @@ def _quad_log(log_f, points: list[float], q: float) -> tuple[float, float]:
     return (-math.inf if value == 0 else math.nan), math.nan
 
 
-def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[float, float]:
-    """Integral of the q-th power of the radial position density against
-    r^(D-1) dr, as (ln I, relative error estimate)."""
-    validate(state)
+def _position_integrand(state: HydrogenicState, q: float):
+    """The log of the position integrand, q ln(density) + (D-1) ln r, and
+    the breakpoints of its quadrature."""
     l, D = state.l, state.D
     k, alpha, lam = state.n - l - 1, 2 * l + D - 2, float(state.lam)
     log_norm = log_float(ExactScalar(radial_norm_squared(state) / state.lam**D))
@@ -575,13 +585,24 @@ def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[fl
         + [lam * r for r in _laguerre_nodes(k, Fraction(alpha))]
         + [scale, 4 * scale]
     )
-    return _quad_log(log_integrand, _breakpoints(points) + [math.inf], q)
+    return log_integrand, _breakpoints(points) + [math.inf]
 
 
-def momentum_radial_power_integral(state: HydrogenicState, q: float) -> tuple[float, float]:
-    """Integral of the q-th power of the radial momentum density against
-    p^(D-1) dp, as (ln I, relative error estimate)."""
+def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[float, float]:
+    """Integral of the q-th power of the radial position density against
+    r^(D-1) dr, as (ln I, relative error estimate): in closed form at
+    k = n - l - 1 = 0 (_add_position_closed_form), by quadrature above."""
     validate(state)
+    if state.n == state.l + 1:
+        total = _LogSum(float(q))
+        _add_position_closed_form(total, state)
+        return total.rounded()
+    return _quad_log(*_position_integrand(state, q), float(q))
+
+
+def _momentum_integrand(state: HydrogenicState, q: float):
+    """The log of the momentum integrand, q ln(density) + (D-1) ln p, and
+    the breakpoints of its quadrature."""
     l, D, L = state.l, state.D, state.L
     k = state.n - l - 1
     log_k2 = log_float(radial_momentum_norm_squared(state))
@@ -611,8 +632,27 @@ def momentum_radial_power_integral(state: HydrogenicState, q: float) -> tuple[fl
     for y0 in _gegenbauer_nodes(k, state.L + 1):
         points.append(scale * math.sqrt((1 - y0) / (1 + y0)))
     points += [scale, 4 * scale]
-    return _quad_log(log_integrand, _breakpoints(points) + [math.inf], q)
+    return log_integrand, _breakpoints(points) + [math.inf]
 
+
+def momentum_radial_power_integral(state: HydrogenicState, q: float) -> tuple[float, float]:
+    """Integral of the q-th power of the radial momentum density against
+    p^(D-1) dp, as (ln I, relative error estimate): in closed form at
+    k = n - l - 1 = 0 (_add_momentum_closed_form), by quadrature above."""
+    validate(state)
+    if state.n == state.l + 1:
+        total = _LogSum(float(q))
+        _add_momentum_closed_form(total, state)
+        return total.rounded()
+    return _quad_log(*_momentum_integrand(state, q), float(q))
+
+
+# The Bernoulli numbers B_2, B_4, ..., B_22.
+_BERNOULLI = (
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+    Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
+)
 
 # ln Gamma(z + 1/2) - ln Gamma(z) = ln(z)/2 + sum over odd n of c_n z^-n, with
 # c_n = (2^-n - 2) B_(n+1) / (n (n+1)) from the Bernoulli polynomials at 1/2
@@ -620,13 +660,7 @@ def momentum_radial_power_integral(state: HydrogenicState, q: float) -> tuple[fl
 # error below 4e-18.
 _HALF_STEP_SERIES = tuple(
     float((Fraction(1, 2**n) - 2) * bernoulli / (n * (n + 1)))
-    for n, bernoulli in zip(
-        range(1, 16, 2),
-        (
-            Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-            Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
-        ),
-    )
+    for n, bernoulli in zip(range(1, 16, 2), _BERNOULLI)
 )
 _HALF_STEP_SERIES_FROM = 9.0
 
@@ -664,6 +698,220 @@ _HALF_LOG_PI = log_float(ExactScalar.pi_power(1))
 def _log_sphere_measure(D: int) -> float:
     """ln(2 pi^(D/2)), which is ln of the sphere's area times Gamma(D/2)."""
     return log_float(ExactScalar.pi_power(D, 2))
+
+
+# -- closed forms at k = 0 ----------------------------------------------------
+#
+# At k = n - l - 1 = 0 the radial density is a single monomial term, and the
+# integral of its q-th power is a Gamma function in position space and a Beta
+# function in momentum space, at any real q; the angular factor of an
+# all-equal chain is a ratio of Gamma functions too.  A float q is an exact
+# dyadic rational, and so is every Gamma argument formed from it.  Each log
+# is summed exactly, up to a bounded error, from dyadic multiples of the logs
+# of exact scalars, and rounded once: at large l the terms of ln Gamma are
+# many orders larger than their sum, and a sum of rounded terms (such as
+# math.lgamma values) loses their roundings.
+
+# _LogSum's fixed point: integers in units of 2^-_FIXED_BITS.
+_FIXED_BITS = 128
+
+
+def _fixed(num: int, den: int) -> int:
+    """num / den in units of 2^-_FIXED_BITS, rounded down: less than one unit
+    below."""
+    return (num << _FIXED_BITS) // den
+
+
+def _fixed_times(num: int, den: int, x: float) -> int:
+    """_fixed of num / den * x."""
+    x_num, x_den = x.as_integer_ratio()
+    return _fixed(num * x_num, den * x_den)
+
+
+def _from_fixed(units: int) -> float:
+    """units * 2^-_FIXED_BITS rounded to a float, inf past the float range."""
+    try:
+        return units / (1 << _FIXED_BITS)
+    except OverflowError:
+        return math.copysign(math.inf, units)
+
+
+# Stirling's series (DLMF 5.11.1): ln Gamma(w) = (w - 1/2) ln w - w +
+# ln(2 pi)/2 + sum over k = 1..10 of B_2k / (2k (2k-1) w^(2k-1)) + R.  For
+# real w > 0, |R| is at most the first term left out (DLMF 5.11(ii)), which
+# from w = _STIRLING_FROM = 32 on is below 3.5e-31.  _STIRLING_ERROR adds 8
+# units for the floors of the fixed-point series (about 4 at most).
+_STIRLING_FROM = 32
+_STIRLING_SERIES = tuple(
+    _fixed(b.numerator, b.denominator * 2 * k * (2 * k - 1))
+    for k, b in enumerate(_BERNOULLI[:10], 1)
+)
+_STIRLING_ERROR = 8 + _fixed(
+    abs(_BERNOULLI[10].numerator), _BERNOULLI[10].denominator * 22 * 21 * _STIRLING_FROM**21
+)
+# _LogSum.total takes the log of a product in lowest terms up to this many
+# bits of numerator and denominator together, and of the two apart past it,
+# where reducing them (a gcd of 4,000 bits, say) costs more than a second log.
+_REDUCE_BITS = 2000
+
+
+class _LogSum:
+    """A sum of terms (c / den) ln a and of dyadic rationals, for integers c
+    and positive monomials a, kept exact but for a bounded error.
+
+    den is twice the denominator of the order q, so that q, 1/2 and every
+    Gamma argument formed from them are integers over it; q_units is q in
+    units of 1/den.  The logs are held as one running product (_Monomial)
+    per coefficient, and total() takes each by log_float_parts; the rest is
+    an integer in units of 2^-_FIXED_BITS.
+    """
+
+    __slots__ = ("den", "q_units", "logs", "fixed", "error")
+
+    def __init__(self, q: float) -> None:
+        num, den = q.as_integer_ratio()
+        self.den, self.q_units = 2 * den, 2 * num
+        self.logs: dict[int, _Monomial] = {}
+        self.fixed = 0
+        self.error = 0  # a bound on the error of fixed, in the same units
+
+    def add_log(self, c: int, num: int, den: int = 1, half: int = 0) -> None:
+        """Add (c / self.den) ln(num/den pi^(half/2))."""
+        if c < 0:
+            c, num, den, half = -c, den, num, -half
+        held = self.logs.get(c)
+        if held is None:
+            self.logs[c] = _Monomial(num, den, half)
+        else:
+            held.times(num, den, half=half)
+
+    def add_log_gamma(self, z: int, sign: int = 1) -> None:
+        """Add sign ln Gamma(z / self.den), z > 0.  Below _STIRLING_FROM an
+        integer or half-integer argument takes gamma_integers; any other
+        argument, Stirling's series at w = z / den + m >= _STIRLING_FROM, less
+        ln of the rising product (z/den) (z/den + 1) ... (z/den + m - 1)."""
+        den = self.den
+        twice, rest = divmod(2 * z, den)
+        if not rest and twice < 2 * _STIRLING_FROM:
+            num, gamma_den, half = gamma_integers(twice)
+            self.add_log(sign * den, num, gamma_den, half)
+            return
+        m = max(0, _STIRLING_FROM - z // den)
+        if m:
+            self.add_log(-sign * den, math.prod(range(z, z + m * den, den)), den**m)
+            z += m * den
+        self.add_log(sign * (z - den // 2), z, den)
+        self.add_log(sign * den // 2, 2, 1, 2)  # ln(2 pi) / 2
+        inverse = (den << _FIXED_BITS) // z
+        inverse_squared = inverse * inverse >> _FIXED_BITS
+        series = 0
+        for c in reversed(_STIRLING_SERIES):
+            series = (series * inverse_squared >> _FIXED_BITS) + c
+        part = (series * inverse >> _FIXED_BITS) - _fixed(z, den)
+        self.fixed += part if sign > 0 else -part
+        self.error += _STIRLING_ERROR
+
+    def total(self) -> tuple[int, int]:
+        """The sum and a bound on its error, in units of 2^-_FIXED_BITS.
+
+        log_float_parts gives ln a as hi + lo, lo the float nearest ln a - hi,
+        so off by at most ulp(lo)/2; the bound counts ulp(lo) per unit of c,
+        and a unit for each floor.
+        """
+        fixed, error, den = self.fixed, self.error, self.den
+        for c, a in self.logs.items():
+            if a.num.bit_length() + a.den.bit_length() <= _REDUCE_BITS:
+                parts = [(c, a.scalar())]
+            else:
+                parts = [(c, ExactScalar.pi_power(a.half, a.num)), (-c, ExactScalar(a.den))]
+            for coef, scalar in parts:
+                if scalar == 1:
+                    continue
+                hi, lo = log_float_parts(scalar)
+                fixed += _fixed_times(coef, den, hi) + _fixed_times(coef, den, lo)
+                error += _fixed_times(abs(coef), den, math.ulp(lo)) + 3
+        return fixed, error
+
+    def rounded(self) -> tuple[float, float]:
+        """The sum rounded once to a float, and a bound on the error of that
+        float: the sum's own, plus half an ulp of the float."""
+        fixed, error = self.total()
+        value = _from_fixed(fixed)
+        return value, _from_fixed(error) + 0.5 * math.ulp(value)
+
+
+def _add_position_closed_form(total: _LogSum, state: HydrogenicState) -> None:
+    """Add ln I of the position integral at k = 0.  The density is
+    N^2 x^(2l) e^-x, x = r / lam, N^2 = radial_norm_squared / lam^D, so
+    I = N^(2q) lam^D Gamma(z) q^-z with z = 2lq + D."""
+    D, den, q = state.D, total.den, total.q_units
+    lam_d = state.lam**D
+    norm = radial_norm_squared(state) / lam_d
+    total.add_log(q, norm.numerator, norm.denominator)
+    total.add_log(den, lam_d.numerator, lam_d.denominator)
+    z = 2 * state.l * q + D * den
+    total.add_log_gamma(z)
+    total.add_log(-z, q, den)
+
+
+def _add_momentum_closed_form(total: _LogSum, state: HydrogenicState) -> None:
+    """Add ln I of the momentum integral at k = 0.  The density is
+    K^2 v^(2l) (1 + v^2)^-(2l+D+1), v = eta p / Z, so t = v^2 gives
+    I = K^(2q) (Z/eta)^D B(a, b) / 2 with a = lq + D/2 and
+    b = (l+D+1) q - D/2; b > 0 is q > D/(2l+2D+2), check_momentum_order's
+    condition."""
+    l, D, den, q = state.l, state.D, total.den, total.q_units
+    a = l * q + D * den // 2
+    b = (l + D + 1) * q - D * den // 2
+    if b <= 0:
+        check_momentum_order(D, l, Fraction(q, den))
+    k_squared, half = radial_momentum_norm_squared(state).monomial()
+    total.add_log(q, k_squared.numerator, k_squared.denominator, half)
+    scale = (state.Z / state.eta) ** D
+    total.add_log(den, scale.numerator, 2 * scale.denominator)
+    total.add_log_gamma(a)
+    total.add_log_gamma(b)
+    total.add_log_gamma(a + b, -1)
+
+
+def _add_equal_chain_angular(total: _LogSum, D: int, l: int) -> None:
+    """Add ln of the angular integral of a chain whose entries all equal l,
+    for any real order: 2^(1-q) pi^(D(1-q)/2) Gamma(l + D/2)^q Gamma(ql + 1)
+    / (Gamma(l + 1)^q Gamma(ql + D/2))."""
+    den, q = total.den, total.q_units
+    num, gamma_den, half = gamma_integers(2 * l + D)
+    total.add_log(den - q, 2, 1, D)  # 2 pi^(D/2)
+    total.add_log(q, num, gamma_den * math.factorial(l), half)
+    if D > 2:
+        total.add_log_gamma(q * l + den)
+        total.add_log_gamma(q * l + D * den // 2, -1)
+
+
+def _closed_form_entropy(state: HydrogenicState, q: float, space: Space) -> tuple[float, float]:
+    """(value, rel) of a quasi-spherical state (k = 0, all-equal chain): its
+    radial and angular logs and D ln Z in one _LogSum, over 1 - q, rounded
+    once.  rel bounds the error of ln(I_radial I_angular): the sum's, plus
+    the rounding of the entropy at unit charge in those units,
+    |1 - q| ulp / 2."""
+    total = _LogSum(q)
+    unit = state.unit_charge()
+    if space == "position":
+        _add_position_closed_form(total, unit)
+    else:
+        _add_momentum_closed_form(total, unit)
+    _add_equal_chain_angular(total, state.D, state.l)
+    fixed, error = total.total()
+    # 1 - q = (den - q_units) / den
+    one_minus_q = total.den - total.q_units
+    unit_value = fixed * total.den / (one_minus_q << _FIXED_BITS)
+    value = unit_value
+    if state.Z != 1:
+        hi, lo = log_float_parts(ExactScalar(state.Z**state.D))
+        shift = _fixed_times(1, 1, hi) + _fixed_times(1, 1, lo)
+        if space == "position":
+            shift = -shift
+        value = (fixed * total.den + shift * one_minus_q) / (one_minus_q << _FIXED_BITS)
+    return value, _from_fixed(error) + 0.5 * abs(1 - q) * math.ulp(unit_value)
 
 
 def angular_power_integral(D: int, mu: tuple[int, ...], q: float) -> tuple[float, float]:
@@ -745,8 +993,11 @@ def _check_positive(log_integral: float, name: str) -> None:
 
 
 def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
-    """Renyi entropy of any real order q > 0, q != 1, by quadrature of the
-    density power, with a propagated error estimate.
+    """Renyi entropy of any real order q > 0, q != 1, from the integrals of
+    the density power, with a propagated error estimate: for a
+    quasi-spherical state (k = n - l - 1 = 0, all chain entries equal) by
+    _closed_form_entropy, otherwise by quadrature wherever no closed form
+    applies.
 
     In momentum space the entropy is infinite for q <= D/(2l+2D+2) (see
     states.check_momentum_order); such orders raise ValueError, as do orders
@@ -767,6 +1018,8 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
         raise ValueError("q is too small for the float path (below 4.9e-324)")
     if q <= 0 or q == 1:
         raise ValueError(f"need real q > 0, q != 1, got {q}")
+    if space not in ("position", "momentum"):
+        raise ValueError(f"unknown space {space!r}")
     validate(state)
     if space == "momentum":
         check_momentum_order(state.D, state.l, order)
@@ -774,35 +1027,32 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
         raise FloatCapExceeded(
             f"the float path takes n <= {MAX_FLOAT_N}, got n={brief(state.n)}"
         )
-    unit = state.unit_charge()
-    if space == "position":
-        log_radial, radial_rel = position_radial_power_integral(unit, q)
-        sign = -1
-    elif space == "momentum":
-        log_radial, radial_rel = momentum_radial_power_integral(unit, q)
-        sign = 1
+    if state.is_ns():
+        value, rel = _closed_form_entropy(state, q, space)
     else:
-        raise ValueError(f"unknown space {space!r}")
-    _check_positive(log_radial, f"radial {space}")
-    D, chain = state.D, state.canonical_mu()
-    if all(m == chain[0] for m in chain):
-        # Gamma-closed angular factor, exact for any real order:
-        # 2^(1-q) pi^(D(1-q)/2) Gamma(l + D/2)^q Gamma(ql + 1)
-        # / (Gamma(l + 1)^q Gamma(ql + D/2))
-        l = abs(chain[0])
-        log_angular = (
-            (1 - q) * _log_sphere_measure(D)
-            + q * _log_gamma_ratio(l, D - 2)
-            - _log_gamma_ratio(q * l, D - 2)
-        )
-        angular_rel = 0.0
-    else:
-        log_angular, angular_rel = angular_power_integral(D, state.mu, q)
-        _check_positive(log_angular, "angular")
-    rel = float(radial_rel + angular_rel)
-    value = (log_radial + log_angular) / (1 - q)
-    if state.Z != 1:
-        value = _plus_log_power(value, sign * D, state.Z)
+        D, chain, unit = state.D, state.canonical_mu(), state.unit_charge()
+        if space == "position":
+            log_radial, radial_rel = position_radial_power_integral(unit, q)
+        else:
+            log_radial, radial_rel = momentum_radial_power_integral(unit, q)
+        _check_positive(log_radial, f"radial {space}")
+        if all(m == chain[0] for m in chain):
+            # Gamma-closed angular factor, as in _add_equal_chain_angular; the
+            # radial quadrature's floor covers its rounding
+            l = abs(chain[0])
+            log_angular = (
+                (1 - q) * _log_sphere_measure(D)
+                + q * _log_gamma_ratio(l, D - 2)
+                - _log_gamma_ratio(q * l, D - 2)
+            )
+            angular_rel = 0.0
+        else:
+            log_angular, angular_rel = angular_power_integral(D, state.mu, q)
+            _check_positive(log_angular, "angular")
+        rel = float(radial_rel + angular_rel)
+        value = (log_radial + log_angular) / (1 - q)
+        if state.Z != 1:
+            value = _plus_log_power(value, (1 if space == "momentum" else -1) * D, state.Z)
     # the rounding of the value itself is part of its error
     result = FloatEntropy(value, max(rel / abs(1 - q), math.ulp(value)))
     if not rel <= QUADRATURE_REL_TARGET:  # a NaN estimate fails too

@@ -5,9 +5,11 @@ the mpf value of a scalar, the moments of the oracle's weights, the
 pointwise densities and the energy of a state, the float path's log
 integrands composed from separate polynomial evaluators, its eigenvalue
 bisection with full Sturm counts and its entropy assembled from the same
-integrals at QUADRATURE_DPS digits, the ground-state and quasi-spherical
-uncertainty shortcuts, and the paper's own power linearizations of Laguerre
-and Jacobi polynomials.  The library and the CLI call none of it.
+integrals at QUADRATURE_DPS digits, the Gamma and Beta forms of the k = 0
+radial integrals and of quasi-spherical entropies at any precision, the
+ground-state and quasi-spherical uncertainty shortcuts, and the paper's own
+power linearizations of Laguerre and Jacobi polynomials.  The library and
+the CLI call none of it.
 """
 
 from __future__ import annotations
@@ -351,13 +353,64 @@ def angular_power_integral_at_dps(D: int, mu: tuple[int, ...], q: float):
         return value, abs(value) * err_rel
 
 
+def closed_radial_log_integral(state: HydrogenicState, q: float, space: str) -> mpmath.mpf:
+    """ln of the radial power integral of a state with k = n - l - 1 = 0, at
+    the working precision, from mpmath's loggamma and beta:
+    N^(2q) lam^D Gamma(z) q^-z, z = 2lq + D, in position space, N^2 the
+    squared norm over lam^D, and K^(2q) (Z/eta)^D B(a, b) / 2,
+    a = lq + D/2, b = (l+D+1) q - D/2, in momentum space."""
+    assert state.n == state.l + 1, "the closed forms hold at k = 0"
+    q, l, D = mpmath.mpf(q), state.l, state.D
+    prec = mpmath.mp.prec
+    if space == "position":
+        lam = to_mpf(ExactScalar(state.lam), prec)
+        norm = to_mpf(ExactScalar(radial_norm_squared(state)), prec) / lam**D
+        z = 2 * l * q + D
+        return q * mpmath.log(norm) + D * mpmath.log(lam) + mpmath.loggamma(z) - z * mpmath.log(q)
+    k_squared = to_mpf(radial_momentum_norm_squared(state), prec)
+    a = l * q + mpmath.mpf(D) / 2
+    b = (l + D + 1) * q - mpmath.mpf(D) / 2
+    scale = to_mpf(ExactScalar(state.Z / state.eta), prec) ** D / 2
+    return q * mpmath.log(k_squared) + mpmath.log(scale * mpmath.beta(a, b))
+
+
+def equal_chain_log_angular(D: int, l: int, q: float) -> mpmath.mpf:
+    """ln of the angular integral of a chain whose entries all equal l, at the
+    working precision: 2^(1-q) pi^(D(1-q)/2) Gamma(l + D/2)^q Gamma(ql + 1)
+    / (Gamma(l + 1)^q Gamma(ql + D/2))."""
+    q, half_d = mpmath.mpf(q), mpmath.mpf(D) / 2
+    return (1 - q) * (mpmath.log(2) + half_d * mpmath.log(mpmath.pi)) + (
+        q * mpmath.loggamma(l + half_d)
+        + mpmath.loggamma(q * l + 1)
+        - q * mpmath.loggamma(l + 1)
+        - mpmath.loggamma(q * l + half_d)
+    )
+
+
+def _log_charge_term(state: HydrogenicState, space: str) -> mpmath.mpf:
+    """-D ln Z in position space, +D ln Z in momentum space."""
+    sign = -1 if space == "position" else 1
+    Z = state.Z
+    return sign * state.D * (mpmath.log(Z.numerator) - mpmath.log(Z.denominator))
+
+
+def quasi_spherical_entropy(state: HydrogenicState, q: float, space: str) -> mpmath.mpf:
+    """The entropy of a quasi-spherical state (k = 0, all entries of the
+    chain equal) at the working precision, from the Gamma and Beta forms of
+    its integrals."""
+    log_radial = closed_radial_log_integral(state.unit_charge(), q, space)
+    log_angular = equal_chain_log_angular(state.D, state.l, q)
+    return (log_radial + log_angular) / (1 - mpmath.mpf(q)) + _log_charge_term(state, space)
+
+
 def renyi_float_at_dps(state: HydrogenicState, q, space: str) -> oracle.FloatEntropy:
-    """oracle.renyi_float with the same integrals, scaled back and combined
-    with the angular factors, ln Z and each other at QUADRATURE_DPS digits:
-    loggamma for the Gamma-closed angular factor, mpmath.beta for the
-    equal-entry segments.  Raises QuadratureError where renyi_float does,
-    and ValueError for a divergent momentum order; the other inputs that
-    renyi_float refuses are the caller's to avoid."""
+    """oracle.renyi_float at QUADRATURE_DPS digits: the radial integral by the
+    float path's quadrature (the same integrals, scaled back), or at k = 0 by
+    closed_radial_log_integral, combined with the angular factors, ln Z and
+    each other: loggamma for the Gamma-closed angular factor, mpmath.beta for
+    the equal-entry segments.  Raises QuadratureError where the quadrature
+    misses or comes out zero, and ValueError for a divergent momentum order;
+    the other inputs that renyi_float refuses are the caller's to avoid."""
     order, q = q, float(q)
     if space == "momentum":
         check_momentum_order(state.D, state.l, order)
@@ -366,24 +419,16 @@ def renyi_float_at_dps(state: HydrogenicState, q, space: str) -> oracle.FloatEnt
         "position": oracle.position_radial_power_integral,
         "momentum": oracle.momentum_radial_power_integral,
     }[space]
-    with mock.patch.object(oracle, "_quad_log", quad_log_at_dps):
-        radial, radial_err = integral(unit, q)
-    sign = -1 if space == "position" else 1
-    _check_positive_at_dps(radial, f"radial {space}")
     with mpmath.workdps(QUADRATURE_DPS):
-        Z = state.Z
-        shift = sign * state.D * (mpmath.log(Z.numerator) - mpmath.log(Z.denominator))
+        if state.n == state.l + 1:
+            radial, radial_err = mpmath.exp(closed_radial_log_integral(unit, q, space)), 0
+        else:
+            with mock.patch.object(oracle, "_quad_log", quad_log_at_dps):
+                radial, radial_err = integral(unit, q)
+        _check_positive_at_dps(radial, f"radial {space}")
         chain = state.canonical_mu()
         if all(m == chain[0] for m in chain):
-            l, D = abs(chain[0]), state.D
-            log_angular = (1 - q) * (
-                mpmath.log(2) + mpmath.mpf(D) / 2 * mpmath.log(mpmath.pi)
-            ) + (
-                q * mpmath.loggamma(l + mpmath.mpf(D) / 2)
-                + mpmath.loggamma(q * l + 1)
-                - q * mpmath.loggamma(l + 1)
-                - mpmath.loggamma(q * l + mpmath.mpf(D) / 2)
-            )
+            log_angular = equal_chain_log_angular(state.D, abs(chain[0]), q)
             angular_rel_err = mpmath.mpf(0)
         else:
             angular, angular_err = angular_power_integral_at_dps(state.D, state.mu, q)
@@ -391,7 +436,9 @@ def renyi_float_at_dps(state: HydrogenicState, q, space: str) -> oracle.FloatEnt
             log_angular = mpmath.log(angular)
             angular_rel_err = abs(angular_err / angular)
         rel = abs(radial_err / radial) + angular_rel_err
-        entropy_value = (mpmath.log(radial) + log_angular) / (1 - q) + shift
+        entropy_value = (mpmath.log(radial) + log_angular) / (1 - q) + _log_charge_term(
+            state, space
+        )
         result = oracle.FloatEntropy(float(entropy_value), float(rel / abs(1 - q)))
     if not rel <= oracle.QUADRATURE_REL_TARGET:
         raise oracle.QuadratureError("target missed", result.value, result.error)

@@ -194,24 +194,27 @@ class TestCompute:
         assert "relative error" in err and "Traceback" not in err
 
     def test_quadrature_miss_names_whose_error_it_is(self, capsys):
-        # at q = 1e100 the integrals miss the target by far while the
-        # entropy's error, theirs over |1 - q|, is tiny: the message says
-        # which number is which
+        # at q = 1e100 the closed-form integrals of this k = 0 state are
+        # known to half an ulp of the entropy times |1 - q|, far past the
+        # target, while the entropy's error, theirs over |1 - q|, is an ulp:
+        # the message says which number is which
         code, out, err = run(
             capsys, "compute", "D=3,n=2,mu=1,1", "--q", "1e100", "--float", "--space", "position"
         )
         assert code == 4
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "the integrals' relative error 2.84e+86 misses the quadrature target" in err
+        assert "the integrals' relative error 4.44e+84 misses the quadrature target" in err
         assert "the entropy's error is that over |1 - q|" in err
-        assert err.rstrip().endswith("+/- 2.84e-14")
+        assert err.rstrip().endswith("entropy 5.91731860809 +/- 8.88e-16")
 
-    def test_quadrature_miss_without_a_finite_entropy(self, capsys):
+    def test_quadrature_miss_without_a_finite_entropy(self, capsys, monkeypatch):
         # at q = 1e306, q l overflows a float in the Gamma-closed angular
-        # factor: the miss is reported without an entropy of inf
+        # factor of this k = 1 state, whose radial quadrature is made to
+        # miss: the miss is reported without an entropy of inf
+        monkeypatch.setattr("hydrenyi.oracle._quad", lambda f, points, rule=None: (1.0, 1e-3))
         code, out, err = run(
-            capsys, "compute", "D=3,n=800,mu=799,799", "--q", "1e306", "--float",
+            capsys, "compute", "D=3,n=200,mu=198,198", "--q", "1e306", "--float",
             "--space", "position",
         )
         assert code == 4
@@ -220,11 +223,25 @@ class TestCompute:
         assert "misses the quadrature target" in err
         assert "inf" not in err and "+/-" not in err
 
+    def test_quasi_spherical_order_past_the_target_has_an_entropy(self, capsys):
+        # the closed forms of this k = 0 state need no overflowing q l: the
+        # entropy is reported, and only the float's half ulp of ln I, about
+        # 3.6e291, misses the target
+        code, out, err = run(
+            capsys, "compute", "D=3,n=800,mu=799,799", "--q", "1e306", "--float",
+            "--space", "position",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "the integrals' relative error 3.55e+291 misses the quadrature target" in err
+        assert err.rstrip().endswith("entropy 36.4046234028 +/- 7.11e-15")
+
     def test_zero_integral_exits_four(self, capsys):
         # at p = 2500000.5 every quadrature node misses the radial momentum
-        # density's peak and the rule answers 0 +/- 0
+        # density's peak of this k = 1 state and the rule answers 0 +/- 0
         code, out, err = run(
-            capsys, "compute", "D=3,n=2,mu=1,0", "--q", "2500000.5", "--float",
+            capsys, "compute", "D=3,n=3,mu=1,0", "--q", "2500000.5", "--float",
             "--space", "momentum",
         )
         assert code == 4
@@ -232,6 +249,20 @@ class TestCompute:
         assert err.count("\n") == 1
         assert "came out zero" in err and "no finite entropy" in err
         assert "Traceback" not in err and "+/-" not in err
+
+    def test_closed_radial_integral_at_a_large_order(self, capsys):
+        # the radial integral of this k = 0 state is a Beta function, which
+        # no node can miss; its angular quadrature's floor 2^-45 q = 7.1e-8
+        # misses the target, and the entropy comes with it
+        code, out, err = run(
+            capsys, "compute", "D=3,n=2,mu=1,0", "--q", "2500000.5", "--float",
+            "--space", "momentum",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "the integrals' relative error 7.20e-08 misses the quadrature target" in err
+        assert err.rstrip().endswith("entropy -1.93863578157 +/- 2.88e-14")
 
     def test_nan_integral_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -601,13 +632,23 @@ class TestSum:
 
     def test_zero_integral_on_the_conjugate_side_exits_four(self, capsys):
         # q = 0.5000001 has the conjugate p = 2500000.5, where the radial
-        # momentum integral comes out zero
-        code, out, err = run(capsys, "sum", "D=3,n=2,mu=1,0", "--q", "0.5000001")
+        # momentum quadrature of this k = 1 state comes out zero
+        code, out, err = run(capsys, "sum", "D=3,n=3,mu=1,0", "--q", "0.5000001")
         assert code == 4
         assert out == ""
         assert err.count("\n") == 1
         assert "came out zero" in err and "no finite entropy" in err
         assert "Traceback" not in err and "+/-" not in err
+
+    def test_closed_form_on_the_conjugate_side_misses_the_target(self, capsys):
+        # at k = 0 the momentum side at p = 2500000.5 is a closed form; the
+        # angular quadrature's floor misses the target there
+        code, out, err = run(capsys, "sum", "D=3,n=2,mu=1,0", "--q", "0.5000001")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "the integrals' relative error 7.20e-08 misses the quadrature target" in err
+        assert err.rstrip().endswith("entropy -1.93863578157 +/- 2.88e-14")
 
     def test_half_order_exits_two(self, capsys):
         code, _, err = run(capsys, "sum", "D=3,n=1,mu=0,0", "--q", "1/2")

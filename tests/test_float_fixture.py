@@ -58,11 +58,13 @@ def summarize(old: str, new: str) -> str:
     """What a regeneration moves: the lines that changed, those whose
     outcome (answer or exception class) changed, and over the lines answered
     on both sides the largest |new - old| value in units of the old stated
-    error and the largest relative change of the error."""
+    error and in units of the old plus the new one, and the largest factor
+    by which a stated error grew or shrank."""
     old_lines, new_lines = old.splitlines(), new.splitlines()
     if [line.split(":")[0] for line in old_lines] != [line.split(":")[0] for line in new_lines]:
         return "the grid itself changed: the lines name different inputs"
-    moved, outcome_changes, worst_value, worst_error = 0, [], 0.0, 0.0
+    moved, outcome_changes = 0, []
+    worst_value, worst_both, grew, shrank = 0.0, 0.0, 1.0, 1.0
     for before, after in zip(old_lines, new_lines):
         if before == after:
             continue
@@ -74,25 +76,32 @@ def summarize(old: str, new: str) -> str:
             continue
         (value, error), (new_value, new_error) = (map(float, t.split()) for t in (was, now))
         worst_value = max(worst_value, abs(new_value - value) / error)
-        worst_error = max(worst_error, abs(new_error - error) / error)
+        worst_both = max(worst_both, abs(new_value - value) / (error + new_error))
+        grew, shrank = max(grew, new_error / error), max(shrank, error / new_error)
     lines = [
         f"{moved} of {len(old_lines)} lines moved, {len(outcome_changes)} outcomes changed",
-        f"largest |value change| / stated error: {worst_value:.3g}",
-        f"largest relative change of the error: {worst_error:.3g}",
+        f"largest |value change| / old stated error: {worst_value:.3g}",
+        f"largest |value change| / (old + new stated error): {worst_both:.3g}",
+        f"largest factor by which a stated error grew: {grew:.3g}, shrank: {shrank:.3g}",
     ]
     return "\n".join(lines + outcome_changes)
 
 
 def test_summarize_names_what_moved():
-    old = "a q=2 position: 1.0 1e-13\nb q=2 position: 2.0 1e-13\nc q=2 position: ValueError\n"
+    old = (
+        "a q=2 position: 1.0 1e-13\nb q=2 position: 2.0 1e-13\nc q=2 position: ValueError\n"
+        "d q=2 position: 4.0 4e-13\n"
+    )
     new = (
         "a q=2 position: 1.0 1e-13\nb q=2 position: 2.00000000000001 2e-13\n"
-        "c q=2 position: 3.0 1e-13\n"
+        "c q=2 position: 3.0 1e-13\nd q=2 position: 4.0 1e-13\n"
     )
+    change = abs(2.00000000000001 - 2.0)
     assert summarize(old, new).splitlines() == [
-        "2 of 3 lines moved, 1 outcomes changed",
-        f"largest |value change| / stated error: {abs(2.00000000000001 - 2.0) / 1e-13:.3g}",
-        "largest relative change of the error: 1",
+        "3 of 4 lines moved, 1 outcomes changed",
+        f"largest |value change| / old stated error: {change / 1e-13:.3g}",
+        f"largest |value change| / (old + new stated error): {change / 3e-13:.3g}",
+        "largest factor by which a stated error grew: 2, shrank: 4",
         "c q=2 position: ValueError -> 3.0 1e-13",
     ]
     assert summarize(old, "x q=2 position: 1.0 1e-13\n").startswith("the grid itself")
