@@ -225,8 +225,8 @@ class TestCompute:
 
     def test_quasi_spherical_order_past_the_target_has_an_entropy(self, capsys):
         # the closed forms of this k = 0 state need no overflowing q l: the
-        # entropy is reported, and only the float's half ulp of ln I, about
-        # 3.6e291, misses the target
+        # entropy is reported, and only the float's share of ln I,
+        # |1 - q| ulp / 2 = 3.55e291, misses the target
         code, out, err = run(
             capsys, "compute", "D=3,n=800,mu=799,799", "--q", "1e306", "--float",
             "--space", "position",

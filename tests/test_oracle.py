@@ -667,15 +667,16 @@ def _quasi_spherical(D: int, n: int, sign: int = 1, Z=1) -> HydrogenicState:
 def _assert_within_error_of_the_gamma_forms(state, q, space):
     """renyi_float within its stated error of the 50-digit Gamma and Beta
     forms; where it misses the quadrature target instead, only because the
-    float's half ulp of ln I, |1 - q| ulp(entropy at unit charge) / 2,
-    passes it, and with an entropy that is right to its estimate."""
+    float's share of ln I, |1 - q| ulp(entropy at unit charge) / 2, passes
+    it (up to the factor 2 by which that ulp can differ next to a power of
+    two), and with an entropy that is right to its estimate."""
     with mpmath.workdps(50):
         exact = reference.quasi_spherical_entropy(state, q, space)
         unit = reference.quasi_spherical_entropy(state.unit_charge(), q, space)
     try:
         value, error = renyi_float(state, q, space)
     except QuadratureError as exc:
-        assert 0.5 * abs(1 - q) * math.ulp(float(unit)) > 0.5 * oracle.QUADRATURE_REL_TARGET
+        assert abs(1 - q) * math.ulp(float(unit)) > oracle.QUADRATURE_REL_TARGET
         value, error = exc.value, exc.estimate
     assert abs(value - exact) <= error, (state.literal(), q, space, value, error)
 
@@ -782,9 +783,9 @@ class TestQuasiSphericalClosedForms:
         )(HydrogenicState(3, 3, (2, 1)), 2.5)
         assert math.isfinite(log_value) and rel < 1e-15
 
-    def test_error_bounds_the_roundings(self):
-        # a correctly rounded value at unit charge: the stated error is one
-        # ulp, of which the rounding takes at most a half
+    def test_states_one_ulp_at_large_l(self):
+        # the terms of ln Gamma are near 1e4 here, and the sum is rounded
+        # once: the stated error is one ulp of the value
         for space in ("position", "momentum"):
             result = renyi_float(_quasi_spherical(3, 800), 2, space)
             assert result.error == math.ulp(result.value)
@@ -800,7 +801,7 @@ class TestQuasiSphericalClosedForms:
         for case in _closed_form_grid(D, (100, 399, 799)):
             _assert_within_error_of_the_gamma_forms(*case)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(_quasi_spherical_cases())
     def test_within_error_of_the_gamma_forms(self, case):
         _assert_within_error_of_the_gamma_forms(*case)
