@@ -57,8 +57,10 @@ QUADRATURE_REL_TARGET = 1e-10
 # as n^2: the nodes come from Sturm counts of length n, and the integrand runs
 # a degree-n recurrence on each of n segments.  At n = 800 the slowest call
 # over D in {3, 5}, l in {0, n-1} and both spaces took about 10 s on a 2-vCPU
-# Xeon VM (position, l = 0, q = 0.7: 10.1 s at D = 3, 9.4 s at D = 5).  Only
-# those two l were timed; D = 3, n = 742, l = 323, q = 0.7 took 3.0 s there.
+# Xeon VM (position, l = 0, q = 0.7: 7.3 to 10.0 s at D = 3, whose speed
+# varies from run to run, and 8.2 s at D = 5, about 70,900 integrand
+# evaluations each).  Only those two l were timed; D = 3, n = 742, l = 323,
+# q = 0.7 took 3.0 to 3.1 s there.
 MAX_FLOAT_N = 800
 
 
@@ -317,7 +319,7 @@ _SEGMENT_REL_TARGET = QUADRATURE_REL_TARGET * 1e-4
 
 # The rule runs at most _LEVELS levels, each halving the node spacing of the last.
 # mpmath's tanh-sinh rule at 30 digits (103 bits) ends a level where 1 - |x| falls
-# to 2^-(103+10); finite segments here have that node set, but evaluate the nodes
+# to 2^-(103+10); every segment here has that node set, but evaluates the nodes
 # of the endpoint region only while their terms still count.
 _LEVELS, _NODE_LIMIT = 9, 2.0**-113
 
@@ -329,12 +331,6 @@ _LEVELS, _NODE_LIMIT = 9, 2.0**-113
 _ENDPOINT_REGION = 2.0**-20
 _NEGLIGIBLE = 2.0**-64
 
-# Each level's nodes run down to this distance.  The sides of an [a, inf)
-# segment use all of them, so that a tail decaying as slowly as p^-1.08 runs
-# to the node a - 1 + 2/(1+x) ~ 2^1001, whose weight still fits in a float,
-# unless its terms stop counting first.
-_DEEP_NODE_LIMIT = 2.0**-1000
-
 # The float integrands carry rounding that grows with the order: the
 # integrand is exp(q ln(density)), and ln(density) has an absolute rounding
 # of some ulps of its largest term.  Against the exact integrals at integer
@@ -343,15 +339,11 @@ _DEEP_NODE_LIMIT = 2.0**-1000
 # a relative error below this floor times max(1, q).
 _FLOAT_REL_FLOOR = 2.0**-45
 
-# Breakpoints closer than this, relatively, are one point: the segment between
-# them would be a few ulps wide and can stall every level of the rule.
-_MERGE_REL = 1e-12
-
 
 @functools.lru_cache(maxsize=None)
 def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
     """(1 - x, w) for the positive tanh-sinh nodes x, with weights w, that
-    this level adds, down to 1 - x > _DEEP_NODE_LIMIT.
+    this level adds, down to 1 - x > _NODE_LIMIT.
 
     The node is x = tanh(s) with s = pi/2 sinh(t), for t = 1/2, 1, 3/2, ...
     at level 1 (whose centre x = 0 the rule adds) and for the odd multiples
@@ -365,7 +357,7 @@ def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
         t = math.ldexp(j, -level)
         e = math.exp(-math.pi * math.sinh(t))
         comp = 2 * e / (1 + e)
-        if comp <= _DEEP_NODE_LIMIT:
+        if comp <= _NODE_LIMIT:
             return tuple(nodes)
         nodes.append((comp, 2 * math.pi * math.cosh(t) * e / (1 + e) ** 2))
         j += step
@@ -381,10 +373,10 @@ def _sides(level: int, tail: bool) -> tuple[tuple[_Side, _Side], ...]:
     """The two sides of a segment at this level, each as its pairs outside
     the endpoint region and those inside it.
 
-    A finite segment runs the (complement, weight) pairs with complement
-    > _NODE_LIMIT on both sides.  An [a, inf) segment, whose map is
-    x -> a - 1 + 2/(1+x) with weight 2/(1+x)^2, runs the whole table: the
-    side towards a at x = 1 - c, the side towards infinity at x = c - 1.
+    A finite segment runs the (complement, weight) pairs on both sides.  An
+    [a, inf) segment, whose map is x -> a - 1 + 2/(1+x) with weight
+    2/(1+x)^2, runs them as offsets from a: the side towards a at x = 1 - c,
+    the side towards infinity at x = c - 1.
     """
     nodes = _level_nodes(level)
     if tail:
@@ -393,8 +385,7 @@ def _sides(level: int, tail: bool) -> tuple[tuple[_Side, _Side], ...]:
             tuple(((2 - c) / c, w / c * (2 / c)) for c, w in nodes),
         ]
     else:
-        finite = tuple((c, w) for c, w in nodes if c > _NODE_LIMIT)
-        sides = [finite, finite]
+        sides = [nodes, nodes]
     cut = sum(c > _ENDPOINT_REGION for c, _ in nodes)
     return tuple((side[:cut], side[cut:]) for side in sides)
 
@@ -430,9 +421,8 @@ class _FloatTanhSinh:
     its last levels is <= _SEGMENT_REL_TARGET, and reports that estimate, but
     not less than rel_floor, times |I_seg|.  Every integrand here is
     non-negative, so a relative bound on each segment bounds the sum too.
-    Finite segments have mpmath's nodes; both sides of an [a, inf) segment
-    run on towards _DEEP_NODE_LIMIT, and the stop ends them long before it
-    wherever the tail decays fast.
+    Every segment has mpmath's nodes: each integrand here is bounded on its
+    finite segments and decays exponentially on an [a, inf) one.
     """
 
     def __init__(self, rel_floor: float = _FLOAT_REL_FLOOR):
@@ -504,19 +494,11 @@ def _quad(f, points, rule: _FloatTanhSinh = _FloatTanhSinh()) -> tuple[float, fl
     return rule.summation(f, points)
 
 
-def _breakpoints(points: list[float]) -> list[float]:
-    """Sorted, with points closer than _MERGE_REL (relatively) merged."""
-    out: list[float] = []
-    for p in sorted(points):
-        if not out or p - out[-1] > _MERGE_REL * abs(p):
-            out.append(p)
-    return out
-
-
 # ln 2 = _LN2_HI + _LN2_LO with the leading part in 32 bits (fdlibm's split),
 # so that e * _LN2_HI is exact for every float exponent e.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
+_LN2 = math.log(2)
 
 
 class _ShiftTooLow(Exception):
@@ -529,18 +511,26 @@ class _ShiftTooLow(Exception):
 
 def _quad_log(log_f, points: list[float], q: float) -> tuple[float, float]:
     """Integral I of exp(log_f) over the breakpoints in log form, as
-    (ln I, relative error estimate).
+    (ln I, relative error estimate), by _quad_log_shifted with the shift
+    at the largest log_f at the segments' centres (a + 1 on [a, inf)), so
+    that the integrand's values stay near 1 whatever the scale of the
+    integral."""
+    shift = max(
+        (log_f(a + 1 if b == math.inf else 0.5 * (a + b)) for a, b in zip(points, points[1:])),
+        default=0.0,
+    )
+    return _quad_log_shifted(log_f, points, q, shift)
 
-    The float integrand is exp(log_f - shift), with shift the largest log_f
-    at the midpoints of the finite segments, so that its values stay near 1
-    whatever the scale of the integral; ln I is ln(value) + shift.  A peak
-    that the midpoints miss by more than the float range (orders in the
-    hundreds) raises the shift to it and starts again.  An integral that
-    came out zero has ln I = -inf, one that is not a number ln I = NaN.
+
+def _quad_log_shifted(log_f, points: list[float], q: float, shift: float) -> tuple[float, float]:
+    """Integral I of exp(log_f) over the breakpoints in log form, as
+    (ln I, relative error estimate), from the float integrand
+    exp(log_f - shift): ln I is ln(value) + shift.  A peak that passes the
+    shift by more than the float range (orders in the hundreds) raises the
+    shift to it and starts again.  An integral that came out zero, or has
+    no segment, has ln I = -inf, one that is not a number ln I = NaN.
     """
     rule = _FloatTanhSinh(_FLOAT_REL_FLOOR * max(1.0, q))
-    finite = [p for p in points if p != math.inf]
-    shift = max(log_f(0.5 * (a + b)) for a, b in zip(finite, finite[1:]))
     while True:
 
         def integrand(x: float, shift: float = shift) -> float:
@@ -563,9 +553,46 @@ def _quad_log(log_f, points: list[float], q: float) -> tuple[float, float]:
     return (-math.inf if value == 0 else math.nan), math.nan
 
 
+def _log_add(first: tuple[float, float], second: tuple[float, float]) -> tuple[float, float]:
+    """(ln(I1 + I2), relative error) from two integrals given as (ln I,
+    relative error).  An integral that came out zero adds nothing; a NaN
+    makes the sum NaN."""
+    (hi, hi_rel), (lo, lo_rel) = first, second
+    if math.isnan(hi) or math.isnan(lo):
+        return math.nan, math.nan
+    if lo > hi:
+        (hi, hi_rel), (lo, lo_rel) = (lo, lo_rel), (hi, hi_rel)
+    if lo == -math.inf:
+        return hi, hi_rel
+    ratio = math.exp(lo - hi)
+    return hi + math.log1p(ratio), (hi_rel + lo_rel * ratio) / (1 + ratio)
+
+
+def _radial_quad(log_f, points: list[float], tail, q: float) -> tuple[float, float]:
+    """A radial integral by quadrature, as (ln I, relative error estimate):
+    exp(log_f) over the breakpoints from 0 to the last zero, plus the tail
+    past it, a (log integrand, breakpoints) pair in a variable of its own.
+
+    The tail's integrand is taken relative to the first part's integral, so
+    that a tail too small to count underflows to 0 and ends at the second
+    level, as a segment of the first part would.
+    """
+    head = _quad_log(log_f, points, q)
+    if math.isnan(head[0]):
+        return head
+    if head[0] == -math.inf:
+        return _quad_log(*tail, q)
+    return _log_add(head, _quad_log_shifted(*tail, q, head[0]))
+
+
 def _position_integrand(state: HydrogenicState, q: float):
-    """The log of the position integrand, q ln(density) + (D-1) ln r, and
-    the breakpoints of its quadrature."""
+    """The log of the position integrand, q ln(density) + (D-1) ln r, its
+    breakpoints 0 and the zeros, and its tail past the last breakpoint x_k.
+
+    Past x_k the integrand is at most a multiple of the envelope
+    r^(2(n-1)q+D-1) e^(-qr/lam), which peaks at r = scale, and it decays
+    exponentially: the tail runs in s = (r - x_k) / scale over [0, inf).
+    """
     l, D = state.l, state.D
     k, alpha, lam = state.n - l - 1, 2 * l + D - 2, float(state.lam)
     log_norm = log_float(ExactScalar(radial_norm_squared(state) / state.lam**D))
@@ -579,13 +606,14 @@ def _position_integrand(state: HydrogenicState, q: float):
         log_density = log_norm + two_l * math.log(rt) - rt + 2 * log_poly(rt)
         return q * log_density + dim * math.log(r)
 
-    scale = lam * float(2 * state.eta)
-    points = (
-        [0.0]
-        + [lam * r for r in _laguerre_nodes(k, Fraction(alpha))]
-        + [scale, 4 * scale]
-    )
-    return log_integrand, _breakpoints(points) + [math.inf]
+    points = [0.0] + [lam * r for r in _laguerre_nodes(k, Fraction(alpha))]
+    last, scale = points[-1], lam * (2 * (state.n - 1) + dim / q)
+    log_scale = math.log(scale)
+
+    def log_tail(s: float) -> float:
+        return log_integrand(last + scale * s) + log_scale
+
+    return log_integrand, points, (log_tail, [0.0, math.inf])
 
 
 def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[float, float]:
@@ -597,12 +625,20 @@ def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[fl
         total = _LogSum(float(q))
         _add_position_closed_form(total, state)
         return total.rounded()
-    return _quad_log(*_position_integrand(state, q), float(q))
+    return _radial_quad(*_position_integrand(state, q), float(q))
 
 
 def _momentum_integrand(state: HydrogenicState, q: float):
-    """The log of the momentum integrand, q ln(density) + (D-1) ln p, and
-    the breakpoints of its quadrature."""
+    """The log of the momentum integrand, q ln(density) + (D-1) ln p, its
+    breakpoints 0 and the zeros (at k = 0, which has none, v = 1), and its
+    tail past the last breakpoint p_k.
+
+    Past p_k the integrand decays as p^-e, e = 2 sigma_0 + 1 with
+    sigma_0 = (l+D+1) q - D/2 > 0 above the divergence threshold.  In
+    t = (Z / (eta p))^2 it is t^(sigma_0 - 1) times a factor bounded near
+    t = 0, and in w = t^sigma, sigma = min(sigma_0, 1), it is bounded on the
+    finite segment [0, w_k]; log_tail forms it from ln w, never from p.
+    """
     l, D, L = state.l, state.D, state.L
     k = state.n - l - 1
     log_k2 = log_float(radial_momentum_norm_squared(state))
@@ -627,12 +663,35 @@ def _momentum_integrand(state: HydrogenicState, q: float):
         log_density = log_k2 + two_l * log_v - decay * log_1pu + 2 * log_poly(y)
         return q * log_density + dim * math.log(p)
 
+    zeros = _gegenbauer_nodes(k, state.L + 1) or [0.0]
     scale = float(state.Z / state.eta)
-    points = [0.0]
-    for y0 in _gegenbauer_nodes(k, state.L + 1):
-        points.append(scale * math.sqrt((1 - y0) / (1 + y0)))
-    points += [scale, 4 * scale]
-    return log_integrand, _breakpoints(points) + [math.inf]
+    points = [0.0] + [scale * math.sqrt((1 - y) / (1 + y)) for y in reversed(zeros)]
+    # sigma_0 exactly, q being a dyadic rational; sigma rounded once, and
+    # excess = sigma_0 / sigma - 1 the power of w that t^sigma_0 / w leaves,
+    # in floats at sigma = 1 so that it goes to inf past the float range
+    q_num, q_den = q.as_integer_ratio()
+    sigma_0 = Fraction(2 * (l + D + 1) * q_num - D * q_den, 2 * q_den)
+    if sigma_0 <= 0:
+        check_momentum_order(D, l, Fraction(q_num, q_den))
+    if sigma_0 < 1:
+        sigma = float(sigma_0)
+        excess = float(sigma_0 / Fraction(sigma) - 1)
+    else:
+        sigma, excess = 1.0, (l + D + 1) * q - (D + 2) / 2
+    # p^(D-1) dp = (Z/eta)^D / (2 sigma) t^(-D/2) dw / w
+    log_const = log_float(ExactScalar((state.Z / state.eta) ** D / 2)) - math.log(sigma)
+    y_last = zeros[0]
+    w_last = ((1 + y_last) / (1 - y_last)) ** sigma
+
+    def log_tail(w: float) -> float:
+        """The integrand in w: q ln of K^2 (1+t)^-(2L+4) C(y)^2, y =
+        (t-1)/(t+1), plus excess ln w and log_const."""
+        log_w = math.log(w)
+        t = math.exp(log_w / sigma)
+        log_density = log_k2 - decay * math.log1p(t) + 2 * log_poly((t - 1) / (t + 1))
+        return q * log_density + excess * log_w + log_const
+
+    return log_integrand, points, (log_tail, [0.0, w_last])
 
 
 def momentum_radial_power_integral(state: HydrogenicState, q: float) -> tuple[float, float]:
@@ -644,7 +703,7 @@ def momentum_radial_power_integral(state: HydrogenicState, q: float) -> tuple[fl
         total = _LogSum(float(q))
         _add_momentum_closed_form(total, state)
         return total.rounded()
-    return _quad_log(*_momentum_integrand(state, q), float(q))
+    return _radial_quad(*_momentum_integrand(state, q), float(q))
 
 
 # The Bernoulli numbers B_2, B_4, ..., B_22.
@@ -920,8 +979,8 @@ def angular_power_integral(D: int, mu: tuple[int, ...], q: float) -> tuple[float
     chain segments' integrals and q times the log of the exact oracle's
     squared norm (by log_float).  A segment with equal chain entries is the
     Beta factor B(1/2, s + 1), from _log_gamma_ratio; the others get
-    adaptive quadrature split at the polynomial roots, whose relative errors
-    add."""
+    adaptive quadrature over [0, 1], their integrands being even, split at
+    the polynomial roots, whose relative errors add."""
     chain = canonical_chain(mu)
     q = float(q)
     num, den = q.as_integer_ratio()
@@ -949,9 +1008,11 @@ def angular_power_integral(D: int, mu: tuple[int, ...], q: float) -> tuple[float
                 return 2 * q * log_poly(t) if s == 0 else -math.inf
             return 2 * q * log_poly(t) + s * math.log(g)
 
-        points = [-1.0] + _gegenbauer_nodes(k, lam) + [1.0]
+        # the integrand is even in t: twice its integral over [0, 1], split
+        # at the zeros above 0 (at odd k, 0 is the middle one)
+        points = [0.0] + _gegenbauer_nodes(k, lam)[(k + 1) // 2 :] + [1.0]
         log_part, part_rel = _quad_log(log_integrand, points, q)
-        log_value += log_part
+        log_value += log_part + _LN2
         rel += part_rel
     log_value += q * log_float(_angular_norm_squared(D, chain).scalar())
     return log_value, rel

@@ -4,10 +4,12 @@ The brute-force box sum that the hypergeometric kernel is checked against,
 the mpf value of a scalar, the moments of the oracle's weights, the
 pointwise densities and the energy of a state, the float path's log
 integrands composed from separate polynomial evaluators, its eigenvalue
-bisection with full Sturm counts and its entropy assembled from the same
-integrals at QUADRATURE_DPS digits, the Gamma and Beta forms of the k = 0
-radial integrals and of quasi-spherical entropies at any precision, the
-ground-state and quasi-spherical uncertainty shortcuts, and the paper's own
+bisection with full Sturm counts and its entropy assembled at
+QUADRATURE_DPS digits with the radial tails integrated by mpmath, the Gamma
+and Beta forms of the k = 0 radial integrals and of quasi-spherical
+entropies at any precision, the radial integrals of any k at any precision
+in variables of their own, the ground-state and quasi-spherical
+uncertainty shortcuts, and the paper's own
 power linearizations of Laguerre and Jacobi polynomials.  The library and
 the CLI call none of it.
 """
@@ -19,7 +21,6 @@ import math
 import sys
 from fractions import Fraction
 from typing import Callable, Sequence
-from unittest import mock
 
 import mpmath
 
@@ -43,7 +44,7 @@ from hydrenyi.exactnum import (
     pochhammer,
 )
 from hydrenyi.hyperfun import LauricellaSpec, lauricella_fa
-from hydrenyi.polynomials import PolyExact, gegenbauer_log_abs
+from hydrenyi.polynomials import PolyExact, gegenbauer, gegenbauer_log_abs, laguerre
 from hydrenyi.states import (
     HydrogenicState,
     check_momentum_order,
@@ -293,8 +294,7 @@ def quad_log_at_dps(log_f, points, q):
     rule and shift as oracle._quad_log, with the scale exp(shift) put back
     at QUADRATURE_DPS digits."""
     rule = oracle._FloatTanhSinh(oracle._FLOAT_REL_FLOOR * max(1.0, q))
-    finite = [p for p in points if p != math.inf]
-    shift = max(log_f(0.5 * (a + b)) for a, b in zip(finite, finite[1:]))
+    shift = max(log_f(0.5 * (a + b)) for a, b in zip(points, points[1:]))
     while True:
 
         def integrand(x: float, shift: float = shift) -> float:
@@ -314,10 +314,30 @@ def quad_log_at_dps(log_f, points, q):
         return value * scale, err * scale
 
 
+def radial_integral_at_dps(state: HydrogenicState, q: float, space: str):
+    """The radial power integral of a state with k = n - l - 1 >= 1 and its
+    error estimate as mpf: from 0 to the last zero by the float path's rule
+    on its own log integrand (quad_log_at_dps), and the tail past the last
+    zero by mpmath.quad at QUADRATURE_DPS digits in r or p itself, not in
+    the float path's tail variables."""
+    integrand = {"position": oracle._position_integrand, "momentum": oracle._momentum_integrand}
+    log_f, points, _ = integrand[space](state, q)
+    head, head_err = quad_log_at_dps(log_f, points, q)
+    # mpmath's error estimate is absolute: the tail is scaled as the head
+    # is, so that its values do not sink below the working precision
+    shift = max(log_f(0.5 * (a + b)) for a, b in zip(points, points[1:]))
+    with mpmath.workdps(QUADRATURE_DPS):
+        tail, tail_err = mpmath.quad(
+            lambda x: mpmath.exp(log_f(float(x)) - shift), [points[-1], mpmath.inf], error=True
+        )
+        scale = mpmath.exp(shift)
+        return head + tail * scale, head_err + tail_err * scale
+
+
 def angular_power_integral_at_dps(D: int, mu: tuple[int, ...], q: float):
-    """The angular power integral and its error estimate as mpf: Beta
-    factors by mpmath.beta and the squared norm to the power q, all at
-    QUADRATURE_DPS digits."""
+    """The angular power integral and its error estimate as mpf: the float
+    path's quadrature segments scaled back, Beta factors by mpmath.beta and
+    the squared norm to the power q, all at QUADRATURE_DPS digits."""
     chain = tuple(mu[:-1]) + (abs(mu[-1]),)
     q = float(q)
     with mpmath.workdps(QUADRATURE_DPS):
@@ -344,9 +364,11 @@ def angular_power_integral_at_dps(D: int, mu: tuple[int, ...], q: float):
                     return 2 * q * log_poly(t) if s_float == 0 else -math.inf
                 return 2 * q * log_poly(t) + s_float * math.log(g)
 
-            points = [-1.0] + oracle._gegenbauer_nodes(k, alpha + mu_j1) + [1.0]
+            # the float path's segments: [0, 1] split at the zeros above 0,
+            # twice, the integrand being even
+            points = [0.0] + oracle._gegenbauer_nodes(k, alpha + mu_j1)[(k + 1) // 2 :] + [1.0]
             part, err = quad_log_at_dps(log_integrand, points, q)
-            value *= part
+            value *= 2 * part
             if part != 0:
                 err_rel += abs(err / part)
         value *= norm2**qm
@@ -372,6 +394,80 @@ def closed_radial_log_integral(state: HydrogenicState, q: float, space: str) -> 
     b = (l + D + 1) * q - mpmath.mpf(D) / 2
     scale = to_mpf(ExactScalar(state.Z / state.eta), prec) ** D / 2
     return q * mpmath.log(k_squared) + mpmath.log(scale * mpmath.beta(a, b))
+
+
+def position_radial_log_integral(state: HydrogenicState, q: float) -> mpmath.mpf:
+    """ln of the radial position power integral at the working precision, for
+    any k = n - l - 1: in s = q r / lam it is lam^D N^(2q) q^-(2lq+D) times
+    the integral of s^(2lq+D-1) e^-s |L(s/q)|^(2q) over [0, inf), N^2 the
+    squared norm over lam^D and L the Laguerre polynomial of degree k and
+    parameter 2l+D-2, split at the zeros of L.  q is taken as the float it
+    is."""
+    q, l, D = mpmath.mpf(float(q)), state.l, state.D
+    prec = mpmath.mp.prec
+    poly = laguerre(state.n - l - 1, 2 * l + D - 2)
+    coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
+    zeros = _real_roots(coeffs)
+    power = 2 * l * q + D
+
+    def in_s(s):
+        return s ** (power - 1) * mpmath.exp(-s) * abs(mpmath.polyval(coeffs, s / q)) ** (2 * q)
+
+    points = [mpmath.mpf(0)] + [q * x for x in zeros] + [mpmath.inf]
+    lam = to_mpf(ExactScalar(state.lam), prec)
+    norm = to_mpf(ExactScalar(radial_norm_squared(state)), prec) / lam**D
+    return (
+        D * mpmath.log(lam) + q * mpmath.log(norm) - power * mpmath.log(q)
+        + mpmath.log(mpmath.quad(in_s, points))
+    )
+
+
+def _real_roots(coeffs: list) -> list:
+    """The real zeros, ascending, of a polynomial with real zeros only, from
+    its coefficients (highest first) at the working precision."""
+    if len(coeffs) < 2:
+        return []
+    roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=2 * mpmath.mp.prec)
+    return sorted(mpmath.re(root) for root in roots)
+
+
+def momentum_radial_log_integral(state: HydrogenicState, q: float) -> mpmath.mpf:
+    """ln of the radial momentum power integral at the working precision, for
+    any k = n - l - 1, in y = (1-u)/(1+u), u = (eta p / Z)^2:
+    K^(2q) (Z/eta)^D 2^(-q(2l+D+1)) times the integral over [-1, 1] of
+    (1-y)^A (1+y)^B |C(y)|^(2q), A = lq + D/2 - 1, B = (l+D+1) q - D/2 - 1
+    and C the Gegenbauer polynomial of degree k and parameter L+1.
+
+    Next to the divergence threshold B + 1 falls to 0 and (1+y)^B nearly
+    fails to be integrable; z = (1+y)^(B+1), y = -1 + z^(1/(B+1)), takes it
+    out: the integral is 1/(B+1) times that of (1-y)^A |C(y)|^(2q) over
+    [0, 2^(B+1)] in z, split at the zeros of C.  q is taken as the float
+    it is, so that the reference integrates the order the float path does.
+    """
+    q, l, D = mpmath.mpf(float(q)), state.l, state.D
+    prec = mpmath.mp.prec
+    lam = state.L + 1
+    poly = gegenbauer(state.n - l - 1, lam)
+    coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
+    a = l * q + mpmath.mpf(D) / 2 - 1
+    b_plus_1 = (l + D + 1) * q - mpmath.mpf(D) / 2
+    zeros = _real_roots(coeffs)
+
+    def in_z(z):
+        y = -1 + z ** (1 / b_plus_1)
+        # |1 - y|: at z = 2^(B+1) y may round past 1
+        return abs(1 - y) ** a * abs(mpmath.polyval(coeffs, y)) ** (2 * q)
+
+    points = [mpmath.mpf(0)] + [(1 + y) ** b_plus_1 for y in zeros] + [2**b_plus_1]
+    integral = mpmath.quad(in_z, points) / b_plus_1
+    k_squared = to_mpf(radial_momentum_norm_squared(state), prec)
+    scale = to_mpf(ExactScalar(state.Z / state.eta), prec) ** D
+    return (
+        q * mpmath.log(k_squared)
+        + mpmath.log(scale)
+        - q * (2 * l + D + 1) * mpmath.log(2)
+        + mpmath.log(integral)
+    )
 
 
 def equal_chain_log_angular(D: int, l: int, q: float) -> mpmath.mpf:
@@ -404,9 +500,9 @@ def quasi_spherical_entropy(state: HydrogenicState, q: float, space: str) -> mpm
 
 
 def renyi_float_at_dps(state: HydrogenicState, q, space: str) -> oracle.FloatEntropy:
-    """oracle.renyi_float at QUADRATURE_DPS digits: the radial integral by the
-    float path's quadrature (the same integrals, scaled back), or at k = 0 by
-    closed_radial_log_integral, combined with the angular factors, ln Z and
+    """oracle.renyi_float at QUADRATURE_DPS digits: the radial integral by
+    radial_integral_at_dps, or at k = 0 by closed_radial_log_integral,
+    combined with the angular factors, ln Z and
     each other: loggamma for the Gamma-closed angular factor, mpmath.beta for
     the equal-entry segments.  Raises QuadratureError where the quadrature
     misses or comes out zero, and ValueError for a divergent momentum order;
@@ -415,16 +511,11 @@ def renyi_float_at_dps(state: HydrogenicState, q, space: str) -> oracle.FloatEnt
     if space == "momentum":
         check_momentum_order(state.D, state.l, order)
     unit = state.unit_charge()
-    integral = {
-        "position": oracle.position_radial_power_integral,
-        "momentum": oracle.momentum_radial_power_integral,
-    }[space]
     with mpmath.workdps(QUADRATURE_DPS):
         if state.n == state.l + 1:
             radial, radial_err = mpmath.exp(closed_radial_log_integral(unit, q, space)), 0
         else:
-            with mock.patch.object(oracle, "_quad_log", quad_log_at_dps):
-                radial, radial_err = integral(unit, q)
+            radial, radial_err = radial_integral_at_dps(unit, q, space)
         _check_positive_at_dps(radial, f"radial {space}")
         chain = state.canonical_mu()
         if all(m == chain[0] for m in chain):

@@ -122,9 +122,8 @@ class _EveryNode(oracle._FloatTanhSinh):
         half = 0.5 * (b - a)
         terms = []
         for c, w in nodes:
-            if c > oracle._NODE_LIMIT:
-                terms.append(half * w * f(b - half * c))
-                terms.append(half * w * f(a + half * c))
+            terms.append(half * w * f(b - half * c))
+            terms.append(half * w * f(a + half * c))
         if level == 1:
             terms.append(half * math.pi / 2 * f(a + half))
         return terms
@@ -202,27 +201,20 @@ def test_underflow_away_from_an_endpoint():
 @pytest.mark.parametrize(
     "above", [Fraction(1, 100), Fraction(1, 20), Fraction(1, 6), "e=1.5", "e=1.55"]
 )
-def test_deep_tail_momentum_integrals(D, l, above, monkeypatch):
-    # slowly decaying tails, where a term towards infinity shrinks only as a
-    # small power of its node's complement: q lies above the divergence
-    # threshold D/(2l+2D+2) by `above`, or gives the tail p^-e the decay
-    # e = (2l+2D+2) q - D + 1 named, where the stop comes late in the table
+def test_deep_tail_momentum_integrals(D, l, above):
+    # slowly decaying tails, deep in p: q lies above the divergence threshold
+    # D/(2l+2D+2) by `above`, or gives the tail p^-e the decay
+    # e = (2l+2D+2) q - D + 1 named.  The quadrature runs them on the
+    # finite segment [0, w_k] of w = t^sigma, t = (Z / (eta p))^2, whose
+    # integrand is bounded and flat towards w = 0, where p is infinite
     state = HydrogenicState(D, l + 2, (l,) + (0,) * (D - 2))
     if isinstance(above, str):
         q = (Fraction(above.removeprefix("e=")) + D - 1) / (2 * l + 2 * D + 2)
     else:
         q = Fraction(D, 2 * l + 2 * D + 2) + above
-    integrand = {}
-
-    def capture(log_f, points, q):
-        integrand.update(log_f=log_f, points=points)
-        return 1, 0
-
-    monkeypatch.setattr(oracle, "_quad_log", capture)
-    oracle.momentum_radial_power_integral(state, float(q))
-    log_f, points = integrand["log_f"], integrand["points"]
-    shift = max(log_f(0.5 * (a + b)) for a, b in zip(points[:-2], points[1:-1]))
-    _against_every_node(lambda p: math.exp(log_f(p) - shift), points)
+    _, _, (log_tail, points) = oracle._momentum_integrand(state, float(q))
+    shift = log_tail(0.5 * points[-1])
+    _against_every_node(lambda w: math.exp(log_tail(w) - shift), points)
 
 
 GRID_ORDERS = (
