@@ -13,10 +13,11 @@ hyperfun.WORK_CAP, a verify sweep over more than MAX_VERIFY_VERDICTS
 verdicts, an exact W that compute or a verify report is about to write
 with more digits than Python converts to a string, or a state with n past
 oracle.MAX_FLOAT_N for compute --float or the float side of sum), 4 the
-float path missed its error target or an integral of it came out zero or
-not a number.  A reader that closes the output pipe early, such as
-``head``, ends the process by SIGPIPE where the platform has one, as it
-ends other filters: status 141 in a POSIX shell, and no traceback.
+float path missed its error target, an integral of it came out zero or
+not a number, or its node search did not converge.  A reader that closes
+the output pipe early, such as ``head``, ends the process by SIGPIPE where
+the platform has one, as it ends other filters: status 141 in a POSIX
+shell, and no traceback.
 """
 
 from __future__ import annotations

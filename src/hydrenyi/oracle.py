@@ -54,13 +54,12 @@ Space = Literal["position", "momentum"]
 QUADRATURE_REL_TARGET = 1e-10
 
 # The largest principal number the float path takes.  Its cost grows about
-# as n^2: the nodes come from Sturm counts of length n, and the integrand runs
-# a degree-n recurrence on each of n segments.  At n = 800 the slowest call
-# over D in {3, 5}, l in {0, n-1} and both spaces took about 10 s on a 2-vCPU
-# Xeon VM (position, l = 0, q = 0.7: 7.3 to 10.0 s at D = 3, whose speed
-# varies from run to run, and 8.2 s at D = 5, about 70,900 integrand
-# evaluations each).  Only those two l were timed; D = 3, n = 742, l = 323,
-# q = 0.7 took 3.0 to 3.1 s there.
+# as n^2: the integrand runs a degree-n recurrence on each of n segments, and
+# the node search takes O(n) work for each of n zeros.  At n = 800 the slowest
+# call over D in {3, 5}, l in {0, n-1} and both spaces took about 7 s on a
+# 2-vCPU Xeon VM (position, l = 0, q = 0.7: 6.1 s at D = 3 and 7.3 s at
+# D = 5, of which the node search took 0.25 and 0.40 s).  l = n - 1 took
+# about 2 s, and D = 3, n = 742, l = 323, q = 0.7 took 1.9 s.
 MAX_FLOAT_N = 800
 
 
@@ -69,9 +68,10 @@ class FloatCapExceeded(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to reach the relative error target.  value and
-    estimate are the entropy and its error estimate, or None when an
-    integral came out zero or not a number and there is no entropy to
+    """Quadrature failed to reach the relative error target, or the search
+    for its polynomial zeros did not converge.  value and estimate are the
+    entropy and its error estimate, or None when an integral came out zero
+    or not a number, or no zeros were found, and there is no entropy to
     report."""
 
     def __init__(self, message: str, value: float | None = None, estimate: float | None = None):
@@ -252,51 +252,60 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
 # instead (_LogSum).
 
 
+# The QL sweeps one eigenvalue may take before the node search gives up; the
+# Laguerre and Gegenbauer matrices up to k = 800 took at most 6, about 2 on
+# average.
+_QL_SWEEPS = 30
+
+
 def _jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[float]:
     """Ascending eigenvalues of the symmetric tridiagonal matrix with this
-    diagonal and these squared off-diagonal entries, by bisection.
+    diagonal and these squared off-diagonal entries, by the implicit QL
+    algorithm with Wilkinson shifts (Bowdler, Martin, Reinsch & Wilkinson,
+    Numer. Math. 11, 1968), in the tqli form of Numerical Recipes.
 
-    The number of eigenvalues below x is the number of negative pivots in the
-    LDL^T factorization of the matrix minus x (a Sturm count), so each
-    eigenvalue is bracketed and halved until the bracket reaches the float
-    resolution of the matrix, about eps times its norm.  The bisection needs
-    only whether that count passes the eigenvalue's index, so the
-    factorization stops at the pivot that decides it.
+    Each sweep chases one shifted rotation up from the first negligible
+    coupling e_m below row l, |e_m| <= eps (|d_m| + |d_m+1|), to row l; d_l is
+    an eigenvalue once e_l is negligible.
     """
-    if not diag:
-        return []
-    radii = [0.0] + [math.sqrt(b) for b in off_squared] + [0.0]
-    lo = min(a - radii[j] - radii[j + 1] for j, a in enumerate(diag))
-    hi = max(a + radii[j] + radii[j + 1] for j, a in enumerate(diag))
-    resolution = sys.float_info.epsilon * max(abs(lo), abs(hi))
-    rows = list(zip(diag, [0.0] + off_squared))
-
-    out: list[float] = []
-    for index in range(len(diag)):
-        a, b = (out[-1] if out else lo), hi
-        while b - a > resolution:
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
+    d, e = list(diag), [math.sqrt(b) for b in off_squared] + [0.0]
+    eps, size = sys.float_info.epsilon, len(d)
+    for l in range(size):
+        for sweep in range(_QL_SWEEPS + 1):
+            m = l
+            while m < size - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
                 break
-            negatives, pivot = 0, 1.0
-            for diagonal, coupling in rows:
-                pivot = diagonal - mid - coupling / pivot
-                if pivot <= 0.0:
-                    if pivot == 0.0:
-                        pivot = -sys.float_info.min
-                    negatives += 1
-                    if negatives > index:
-                        b = mid
-                        break
+            if sweep == _QL_SWEEPS:
+                raise QuadratureError(
+                    f"the node search did not converge in {_QL_SWEEPS} QL sweeps"
+                )
+            g = (d[l + 1] - d[l]) / (2 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s, c, p = 1.0, 1.0, 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = e[i + 1] = math.hypot(f, g)
+                if r == 0.0:  # both underflowed: the matrix splits at i + 1
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
             else:
-                a = mid
-        out.append(0.5 * (a + b))
-    return out
+                d[l] -= p
+                e[l], e[m] = g, 0.0
+    return sorted(d)
 
 
 def _laguerre_nodes(k: int, alpha: Fraction) -> list[float]:
-    """Zeros of L_k^(alpha), the eigenvalues of its Jacobi matrix (Golub &
-    Welsch, Math. Comp. 23, 1969)."""
+    """Zeros of L_k^(alpha), ascending: the eigenvalues of its Jacobi matrix
+    (Golub & Welsch, Math. Comp. 23, 1969) by implicit QL."""
     a = float(alpha)
     return _jacobi_eigenvalues(
         [2 * j + a + 1 for j in range(k)], [j * (j + a) for j in range(1, k)]
@@ -304,7 +313,8 @@ def _laguerre_nodes(k: int, alpha: Fraction) -> list[float]:
 
 
 def _gegenbauer_nodes(k: int, lam: Fraction) -> list[float]:
-    """Zeros of C_k^(lam), the eigenvalues of its Jacobi matrix."""
+    """Zeros of C_k^(lam), ascending: the eigenvalues of its Jacobi matrix by
+    implicit QL."""
     lm = float(lam)
     return _jacobi_eigenvalues(
         [0.0] * k,

@@ -3,10 +3,10 @@
 The brute-force box sum that the hypergeometric kernel is checked against,
 the mpf value of a scalar, the moments of the oracle's weights, the
 pointwise densities and the energy of a state, the float path's log
-integrands composed from separate polynomial evaluators, its eigenvalue
-bisection with full Sturm counts and its entropy assembled at
-QUADRATURE_DPS digits with the radial tails integrated by mpmath, the Gamma
-and Beta forms of the k = 0 radial integrals and of quasi-spherical
+integrands composed from separate polynomial evaluators, an eigenvalue
+bisection with full Sturm counts for its QL node search, its entropy
+assembled at QUADRATURE_DPS digits with the radial tails integrated by
+mpmath, the Gamma and Beta forms of the k = 0 radial integrals and of quasi-spherical
 entropies at any precision, the radial integrals of any k at any precision
 in variables of their own, the ground-state and quasi-spherical
 uncertainty shortcuts, and the paper's own

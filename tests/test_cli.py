@@ -193,6 +193,16 @@ class TestCompute:
         assert err.count("\n") == 1
         assert "relative error" in err and "Traceback" not in err
 
+    def test_node_search_past_its_sweep_cap_exits_four(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "_QL_SWEEPS", 0)
+        code, out, err = run(
+            capsys, "compute", "D=3,n=4,mu=0,0", "--q", "3/2", "--float", "--space", "momentum"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "node search" in err and "Traceback" not in err
+
     def test_quadrature_miss_names_whose_error_it_is(self, capsys):
         # at q = 1e100 the closed-form integrals of this k = 0 state are
         # known to half an ulp of the entropy times |1 - q|, far past the

@@ -7,7 +7,7 @@ from typing import Callable, NamedTuple
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath.calculus.quadrature import TanhSinh
 
 from hydrenyi import entropy, oracle
@@ -957,6 +957,28 @@ NODE_CASES = [
 ]
 
 
+NODE_PARAMS = {
+    "laguerre": [F(0), F(1), F(8), F(41)],
+    "gegenbauer": [F(1, 2), F(1), F(9, 2), F(61, 2)],
+}
+
+
+@st.composite
+def _tridiagonals(draw):
+    """k = 0..40 diagonals, all equal in half the draws, and squared
+    couplings that are 0 (the matrix splits), below eps^2 (couplings below
+    eps, down to subnormal squares) or of the diagonal's size."""
+    k = draw(st.integers(0, 40))
+    entry = st.floats(-100.0, 100.0, allow_subnormal=False)
+    if draw(st.booleans()):
+        diag = [draw(entry)] * k
+    else:
+        diag = draw(st.lists(entry, min_size=k, max_size=k))
+    coupling = st.one_of(st.just(0.0), st.floats(0.0, 1e-32), st.floats(0.0, 1e4))
+    couplings = max(k - 1, 0)
+    return diag, draw(st.lists(coupling, min_size=couplings, max_size=couplings))
+
+
 class TestBreakpoints:
     @pytest.mark.parametrize("family,k,param", NODE_CASES)
     def test_nodes_are_the_zeros(self, family, k, param):
@@ -971,20 +993,72 @@ class TestBreakpoints:
             right = _exact_value(poly, Fraction(x + step))
             assert left * right < 0, (x, left, right)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_tridiagonals())
+    @example(([], []))
+    @example(([2.0], []))
+    @example(([1.0, 1.0], [1e-40]))
+    # a rotation's f and g both underflow to 0 here, which splits the matrix
+    @example(([0.0, 0.0, 0.0, 1.7e-88], [5.9e-175, 1e269, 2.87e296]))
+    def test_eigenvalues_match_the_bisection(self, matrix):
+        # within 25 eps ||T||_inf of the full-count bisection; 17.9 measured
+        # over 20,000 draws, nearly all of it the reference's own: each of its
+        # eigenvalues starts from the last one, so a cluster narrower than its
+        # resolution eps ||T||_inf spreads by up to half that per eigenvalue,
+        # 20 at k = 40, while on such a draw the QL values stayed within
+        # 1.6 eps ||T||_2 of 60-digit ones
+        diag, off_squared = matrix
+        found = oracle._jacobi_eigenvalues(diag, off_squared)
+        expected = reference.jacobi_eigenvalues(diag, off_squared)
+        assert len(found) == len(diag) and found == sorted(found)
+        radii = [0.0] + [math.sqrt(b) for b in off_squared] + [0.0]
+        norm = max((abs(a) + radii[j] + radii[j + 1] for j, a in enumerate(diag)), default=0.0)
+        for x, y in zip(found, expected):
+            assert abs(x - y) <= 25 * _EPS * norm, (x, y)
+
+    @pytest.mark.parametrize(
+        "family,k,param",
+        NODE_CASES
+        + [
+            pytest.param(family, k, param, marks=pytest.mark.slow)
+            for family, params in NODE_PARAMS.items()
+            for k in (25, 40)
+            for param in params
+        ],
+    )
+    def test_nodes_are_polyroots_at_60_digits(self, family, k, param):
+        # within 6 eps ||T||, ||T|| the largest |zero|; 4.2 measured up to
+        # k = 40, against 0.83 for the Sturm bisection
+        nodes_of, poly_of, _, _ = NODE_FAMILIES[family]
+        poly = poly_of(k, param)
+        with mpmath.workdps(60):
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
+            roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
+            roots = sorted(mpmath.re(r) for r in roots)
+            norm = float(max(abs(r) for r in roots))
+            for x, r in zip(nodes_of(k, param), roots):
+                assert float(abs(x - r)) <= 6 * _EPS * norm, (x, r)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k", [100, 400, 800])
     @pytest.mark.parametrize("family", ["laguerre", "gegenbauer"])
-    def test_nodes_equal_the_full_count_bisection(self, family, monkeypatch):
-        # the Sturm count stops once it passes the eigenvalue's index; the
-        # bisection takes the same branch at every step, so the same floats
+    def test_nodes_match_the_bisection_at_large_k(self, family, k, monkeypatch):
+        # within 20 eps ||T||; 15.2 measured, at k = 800
         nodes_of = NODE_FAMILIES[family][0]
-        params = (
-            [F(0), F(5, 2), F(8), F(41)]
-            if family == "laguerre"
-            else [F(1, 2), F(3, 2), F(9, 2), F(61, 2)]
-        )
-        cases = [(k, param) for k in range(41) for param in params]
-        early = [nodes_of(k, param) for k, param in cases]
-        monkeypatch.setattr(oracle, "_jacobi_eigenvalues", reference.jacobi_eigenvalues)
-        assert early == [nodes_of(k, param) for k, param in cases]
+        for param in NODE_PARAMS[family]:
+            found = nodes_of(k, param)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_jacobi_eigenvalues", reference.jacobi_eigenvalues)
+                expected = nodes_of(k, param)
+            norm = max(abs(expected[0]), abs(expected[-1]))
+            assert max(abs(x - y) for x, y in zip(found, expected)) <= 20 * _EPS * norm
+
+    def test_node_search_past_its_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_QL_SWEEPS", 0)
+        assert oracle._laguerre_nodes(1, F(2)) == [3.0]  # one node takes no sweep
+        with pytest.raises(QuadratureError, match="node search") as info:
+            renyi_float(HydrogenicState(3, 4, (0, 0)), 1.5, "position")
+        assert info.value.value is None and info.value.estimate is None
 
     @pytest.mark.parametrize("family,k,param", [c for c in NODE_CASES if c[1] <= 9])
     def test_nodes_agree_with_polyroots(self, family, k, param):
