@@ -465,6 +465,14 @@ def ns_position_entropy(n: int, D: int, Z, q: float) -> float:
     return radial + _ns_angular_float(n, D, q) - D * _log_charge(Z)
 
 
+def _order_affine(q: float, times: int, twice_plus: int) -> float:
+    """The Gamma argument q * times + twice_plus / 2 from q's integer ratio,
+    rounded once: next to the momentum threshold it cancels, and a float sum
+    of its terms loses their roundings."""
+    num, den = q.as_integer_ratio()
+    return (2 * times * num + twice_plus * den) / (2 * den)
+
+
 def ns_momentum_entropy(n: int, D: int, Z, q: float) -> float:
     """Total momentum entropy of a quasi-spherical state, any real q > 0,
     q != 1; infinite, so a ValueError, for q <= D/(2n+2D) (see
@@ -478,11 +486,11 @@ def ns_momentum_entropy(n: int, D: int, Z, q: float) -> float:
         D * math.log(1 / float(eta))
         + q / (1 - q) * (math.log(4.0) + math.lgamma(2 * float(eta) + 1))
         + (
-            math.lgamma(D / 2.0 + q * n - q)
-            + math.lgamma(q * (D + n) - D / 2.0)
+            math.lgamma(_order_affine(q, n - 1, D))
+            + math.lgamma(_order_affine(q, D + n, -D))
             - math.log(2.0)
             - 2 * q * math.lgamma(n + D / 2.0 - 1)
-            - math.lgamma(q * (D + 2 * n - 1))
+            - math.lgamma(_order_affine(q, D + 2 * n - 1, 0))
         )
         / (1 - q)
     )

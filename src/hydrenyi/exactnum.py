@@ -248,7 +248,7 @@ _LN_PI = int(
 )
 
 # The first pass has _LOG_BITS + _LOG_GUARD_BITS fractional bits (see
-# _log_parts); a retry adds _LOG_GUARD_BITS, or as many as ln W lacked of
+# log_ratio); a retry adds _LOG_GUARD_BITS, or as many as ln W lacked of
 # _LOG_BITS significant bits.
 _LOG_BITS = 148
 _LOG_GUARD_BITS = 20
@@ -287,39 +287,39 @@ def _rounded(value: int, err: int, bits: int) -> float | None:
     return low if low == high else None
 
 
-def _log_parts(a: ExactScalar, parts: bool) -> tuple[float, float]:
-    """(hi, lo) with hi the float nearest ln a and, if parts, lo the float
-    nearest ln a - hi (else 0.0).
+def log_ratio(num: int, den: int, half: int = 0, parts: bool = True) -> tuple[float, float]:
+    """(hi, lo) with hi the float nearest ln W, W = num/den pi^(half/2), and,
+    if parts, lo the float nearest ln W - hi (else 0.0).  num/den need not
+    be in lowest terms: every step below depends on the ratio alone, and
+    the rounding is correct either way.
 
-    ln(r pi^(k/2)) = e ln 2 + ln m + (k/2) ln pi with r = 2^e m and m within
-    a factor sqrt 2 of 1, so that r - 1 enters the series exactly when
-    e = 0.  The fixed point starts with _LOG_BITS + _LOG_GUARD_BITS
+    ln W = e ln 2 + ln m + (half/2) ln pi with num/den = 2^e m and m within
+    a factor sqrt 2 of 1, so that num/den - 1 enters the series exactly
+    when e = 0.  The fixed point starts with _LOG_BITS + _LOG_GUARD_BITS
     fractional bits, and as many more as |ln W| has leading zeros when W
-    is a rational near 1; where ln r and (k/2) ln pi cancel, or the result
-    lies near a rounding boundary, it grows until both floats are settled
-    (Ziv's strategy).  W = 1 is the only W whose log is exactly 0: pi^(k/2)
-    is irrational for k != 0.
+    is a rational near 1; where ln(num/den) and (half/2) ln pi cancel, or
+    the result lies near a rounding boundary, it grows until both floats
+    are settled (Ziv's strategy).  num = den, half = 0 is the only W whose
+    log is exactly 0: pi^(half/2) is irrational for half != 0.
     """
-    r, k = a.monomial()
-    if r <= 0:
-        raise ValueError(f"log of non-positive scalar {a.render()}")
-    p, q = r.numerator, r.denominator
-    if p == q and not k:
+    if num <= 0 or den <= 0:
+        raise ValueError(f"log of non-positive value {num}/{den} * pi^({half}/2)")
+    if num == den and not half:
         return 0.0, 0.0
-    e = p.bit_length() - q.bit_length()
-    p, q = (p, q << e) if e >= 0 else (p << -e, q)
+    e = num.bit_length() - den.bit_length()
+    p, q = (num, den << e) if e >= 0 else (num << -e, den)
     m = p / q
     if m > _SQRT2:
         e, q = e + 1, q << 1
     elif m < 1 / _SQRT2:
         e, p = e - 1, p << 1
-    num, den = p - q, p + q
+    y_num, y_den = p - q, p + q
     bits = _LOG_BITS + _LOG_GUARD_BITS
-    constants = bool(e or k)
+    constants = bool(e or half)
     if not constants:
-        bits += max(0, den.bit_length() - abs(num).bit_length())
+        bits += max(0, y_den.bit_length() - abs(y_num).bit_length())
     while True:
-        value, err = _fixed_log(e, num, den, k, bits)
+        value, err = _fixed_log(e, y_num, y_den, half, bits)
         hi = _rounded(value, err, bits)
         if hi is not None and not parts:
             return hi, 0.0
@@ -340,15 +340,17 @@ def _log_parts(a: ExactScalar, parts: bool) -> tuple[float, float]:
 
 def log_float(a: ExactScalar) -> float:
     """Natural log of a positive scalar r * pi^(k/2), rounded correctly to
-    the nearest float, in integer arithmetic (see _log_parts).
+    the nearest float, in integer arithmetic (see log_ratio).
 
     Works far outside double range because r never becomes a float.
     """
-    return _log_parts(a, False)[0]
+    r, k = a.monomial()
+    return log_ratio(r.numerator, r.denominator, k, False)[0]
 
 
 def log_float_parts(a: ExactScalar) -> tuple[float, float]:
     """ln a as an unevaluated sum hi + lo of two floats: hi is log_float(a)
     and lo the float nearest to ln a - hi, so that a float sum with ln a can
     round once."""
-    return _log_parts(a, True)
+    r, k = a.monomial()
+    return log_ratio(r.numerator, r.denominator, k)

@@ -34,6 +34,7 @@ from hydrenyi.exactnum import (
     gamma_integers,
     log_float,
     log_float_parts,
+    log_ratio,
 )
 from hydrenyi.polynomials import (
     gegenbauer, gegenbauer_log_abs, laguerre, laguerre_log_abs, poly_pow,
@@ -818,10 +819,6 @@ _STIRLING_SERIES = tuple(
 _STIRLING_ERROR = 8 + _fixed(
     abs(_BERNOULLI[10].numerator), _BERNOULLI[10].denominator * 22 * 21 * _STIRLING_FROM**21
 )
-# _LogSum.total takes the log of a product in lowest terms up to this many
-# bits of numerator and denominator together, and of the two apart past it,
-# where reducing them (a gcd of 4,000 bits, say) costs more than a second log.
-_REDUCE_BITS = 2000
 
 
 class _LogSum:
@@ -831,8 +828,8 @@ class _LogSum:
     den is twice the denominator of the order q, so that q, 1/2 and every
     Gamma argument formed from them are integers over it; q_units is q in
     units of 1/den.  The logs are held as one running product (_Monomial)
-    per coefficient, and total() takes each by log_float_parts; the rest is
-    an integer in units of 2^-_FIXED_BITS.
+    per coefficient, and total() takes each by log_ratio from its integers,
+    unreduced; the rest is an integer in units of 2^-_FIXED_BITS.
     """
 
     __slots__ = ("den", "q_units", "logs", "fixed", "error")
@@ -883,22 +880,17 @@ class _LogSum:
     def total(self) -> tuple[int, int]:
         """The sum and a bound on its error, in units of 2^-_FIXED_BITS.
 
-        log_float_parts gives ln a as hi + lo, lo the float nearest ln a - hi,
-        so off by at most ulp(lo)/2; the bound counts ulp(lo) per unit of c,
-        and a unit for each floor.
+        log_ratio gives ln a as hi + lo, lo the float nearest ln a - hi, so
+        off by at most ulp(lo)/2; the bound counts ulp(lo) per unit of c
+        (positive, see add_log), and a unit for each floor.
         """
         fixed, error, den = self.fixed, self.error, self.den
         for c, a in self.logs.items():
-            if a.num.bit_length() + a.den.bit_length() <= _REDUCE_BITS:
-                parts = [(c, a.scalar())]
-            else:
-                parts = [(c, ExactScalar.pi_power(a.half, a.num)), (-c, ExactScalar(a.den))]
-            for coef, scalar in parts:
-                if scalar == 1:
-                    continue
-                hi, lo = log_float_parts(scalar)
-                fixed += _fixed_times(coef, den, hi) + _fixed_times(coef, den, lo)
-                error += _fixed_times(abs(coef), den, math.ulp(lo)) + 3
+            if a.num == a.den and not a.half:
+                continue
+            hi, lo = log_ratio(a.num, a.den, a.half)
+            fixed += _fixed_times(c, den, hi) + _fixed_times(c, den, lo)
+            error += _fixed_times(c, den, math.ulp(lo)) + 3
         return fixed, error
 
     def rounded(self) -> tuple[float, float]:

@@ -253,7 +253,9 @@ def angular_log_integrand(k: int, lam: float, s: float, q: float) -> Callable[[f
 def jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[float]:
     """Ascending eigenvalues of a symmetric tridiagonal matrix by bisection,
     each step taking the full Sturm count of negative pivots over the whole
-    LDL^T factorization of the matrix minus x."""
+    LDL^T factorization of the matrix minus x.  Every eigenvalue is
+    bracketed from the Gershgorin bounds, not from the one below it, so
+    that a cluster narrower than the resolution does not drift upwards."""
     if not diag:
         return []
     radii = [0.0] + [math.sqrt(b) for b in off_squared] + [0.0]
@@ -273,7 +275,7 @@ def jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[floa
 
     out: list[float] = []
     for index in range(len(diag)):
-        a, b = (out[-1] if out else lo), hi
+        a, b = lo, hi
         while b - a > resolution:
             mid = 0.5 * (a + b)
             if mid in (a, b):

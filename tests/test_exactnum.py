@@ -12,6 +12,7 @@ from hydrenyi.exactnum import (
     gamma_integers,
     log_float,
     log_float_parts,
+    log_ratio,
     parse_scalar,
     pochhammer,
 )
@@ -258,6 +259,19 @@ cancelling = st.builds(
 log_arguments = st.one_of(monomials, near_one, cancelling)
 
 
+# (num, den) up to 3,000 bits, half of them with num/den within 2^-200 of 1
+# (or equal); the test multiplies both by a common factor
+ratios = st.one_of(
+    st.tuples(_of_bits(3000), _of_bits(3000)),
+    st.builds(
+        lambda num, gap, sign: (num, num + sign * (num >> gap)),
+        _of_bits(3000),
+        st.integers(min_value=200, max_value=3000),
+        st.sampled_from([-1, 1]),
+    ),
+)
+
+
 def _ln_w(a: ExactScalar) -> mpmath.mpf:
     r, half = a.monomial()
     with mpmath.workprec(1100):
@@ -295,6 +309,16 @@ class TestLogFloat:
             log_float(_near_pi_power(2, 2**1000 + 1, 0))
         assert log_float_parts(ExactScalar(1)) == (0.0, 0.0)
         assert log_float(ExactScalar(1 + F(1, 2**1000))) == math.ldexp(1, -1000)
+
+    @given(ratios, _of_bits(3000), st.integers(min_value=-9, max_value=9))
+    def test_unreduced_integers_log_as_their_ratio(self, ratio, g, half):
+        num, den = ratio
+        a = ExactScalar.pi_power(half, F(num, den))
+        assert log_ratio(g * num, g * den, half) == log_float_parts(a)
+        assert log_ratio(g * num, g * den, half, False) == (log_float(a), 0.0)
+        for bad in ((0, g * den), (-g * num, g * den), (g * num, -g * den), (g * num, 0)):
+            with pytest.raises(ValueError, match="non-positive"):
+                log_ratio(*bad, half)
 
     def test_rejects_what_has_no_log(self):
         for a in (ExactScalar(0), scalar(1, -2)):

@@ -57,13 +57,14 @@ def test_float_values_match_fixture():
 def summarize(old: str, new: str) -> str:
     """What a regeneration moves: the lines that changed, those whose
     outcome (answer or exception class) changed, and over the lines answered
-    on both sides the largest |new - old| value in units of the old stated
-    error and in units of the old plus the new one, and the largest factor
-    by which a stated error grew or shrank."""
+    on both sides the number whose value kept its repr (only the error
+    moved), the largest |new - old| value in units of the old stated error
+    and in units of the old plus the new one, and the largest factor by
+    which a stated error grew or shrank."""
     old_lines, new_lines = old.splitlines(), new.splitlines()
     if [line.split(":")[0] for line in old_lines] != [line.split(":")[0] for line in new_lines]:
         return "the grid itself changed: the lines name different inputs"
-    moved, outcome_changes = 0, []
+    moved, same_value, outcome_changes = 0, 0, []
     worst_value, worst_both, grew, shrank = 0.0, 0.0, 1.0, 1.0
     for before, after in zip(old_lines, new_lines):
         if before == after:
@@ -74,12 +75,14 @@ def summarize(old: str, new: str) -> str:
         if len(was.split()) != 2 or len(now.split()) != 2:
             outcome_changes.append(f"{key}: {was} -> {now}")
             continue
+        same_value += was.split()[0] == now.split()[0]
         (value, error), (new_value, new_error) = (map(float, t.split()) for t in (was, now))
         worst_value = max(worst_value, abs(new_value - value) / error)
         worst_both = max(worst_both, abs(new_value - value) / (error + new_error))
         grew, shrank = max(grew, new_error / error), max(shrank, error / new_error)
     lines = [
         f"{moved} of {len(old_lines)} lines moved, {len(outcome_changes)} outcomes changed",
+        f"{same_value} answered on both sides with the value byte-identical",
         f"largest |value change| / old stated error: {worst_value:.3g}",
         f"largest |value change| / (old + new stated error): {worst_both:.3g}",
         f"largest factor by which a stated error grew: {grew:.3g}, shrank: {shrank:.3g}",
@@ -99,6 +102,7 @@ def test_summarize_names_what_moved():
     change = abs(2.00000000000001 - 2.0)
     assert summarize(old, new).splitlines() == [
         "3 of 4 lines moved, 1 outcomes changed",
+        "1 answered on both sides with the value byte-identical",
         f"largest |value change| / old stated error: {change / 1e-13:.3g}",
         f"largest |value change| / (old + new stated error): {change / 3e-13:.3g}",
         "largest factor by which a stated error grew: 2, shrank: 4",

@@ -500,7 +500,8 @@ class TestFloatChargeScaling:
         # the shortcuts take Z as a float and sum math.lgamma values, which
         # miss by some ulps of their terms; the 50-digit Gamma forms do not
         Z = F(charge)
-        for D, n, q in ((3, 1, 0.7), (3, 2, 2.5), (5, 3, 0.6)):
+        # (8, 2, 0.400001) lies next to the momentum threshold 2/5
+        for D, n, q in ((3, 1, 0.7), (3, 2, 2.5), (5, 3, 0.6), (8, 2, 0.400001)):
             state = HydrogenicState(D, n, (n - 1,) * (D - 1), Z)
             for space, shortcut in (
                 ("position", entropy.ns_position_entropy),
@@ -819,6 +820,29 @@ class TestQuasiSphericalClosedForms:
         assert _quadrature_misses_on(range(1, 21)) == set(QUADRATURE_UNDERSTATES)
 
 
+@pytest.mark.parametrize("space", ["position", "momentum"])
+def test_log_sum_total_logs_its_integers_as_they_are(monkeypatch, space):
+    # the running products reach 9,000 bits here; total() takes their logs
+    # from the integers, unreduced, and builds no Fraction or ExactScalar
+    state = _quasi_spherical(3, 800)
+    total = oracle._LogSum(0.7)
+    add_radial = (
+        oracle._add_position_closed_form if space == "position"
+        else oracle._add_momentum_closed_form
+    )
+    add_radial(total, state)
+    oracle._add_equal_chain_angular(total, 3, 799)
+    assert max(a.num.bit_length() + a.den.bit_length() for a in total.logs.values()) > 8000
+    expected = total.total()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("total() built an exact rational")
+
+    monkeypatch.setattr(oracle, "Fraction", refused)
+    monkeypatch.setattr(oracle, "ExactScalar", refused)
+    assert total.total() == expected
+
+
 class TestDivergence:
     def test_threshold_rejected_and_just_above_finite(self):
         # l = 0, D = 3: the momentum density decays as p^-8, so the entropy
@@ -1001,12 +1025,9 @@ class TestBreakpoints:
     # a rotation's f and g both underflow to 0 here, which splits the matrix
     @example(([0.0, 0.0, 0.0, 1.7e-88], [5.9e-175, 1e269, 2.87e296]))
     def test_eigenvalues_match_the_bisection(self, matrix):
-        # within 25 eps ||T||_inf of the full-count bisection; 17.9 measured
-        # over 20,000 draws, nearly all of it the reference's own: each of its
-        # eigenvalues starts from the last one, so a cluster narrower than its
-        # resolution eps ||T||_inf spreads by up to half that per eigenvalue,
-        # 20 at k = 40, while on such a draw the QL values stayed within
-        # 1.6 eps ||T||_2 of 60-digit ones
+        # within 5 eps ||T||_inf of the full-count bisection, which brackets
+        # every eigenvalue from the Gershgorin bounds; 3.85 measured over
+        # 60,000 draws
         diag, off_squared = matrix
         found = oracle._jacobi_eigenvalues(diag, off_squared)
         expected = reference.jacobi_eigenvalues(diag, off_squared)
@@ -1014,7 +1035,7 @@ class TestBreakpoints:
         radii = [0.0] + [math.sqrt(b) for b in off_squared] + [0.0]
         norm = max((abs(a) + radii[j] + radii[j + 1] for j, a in enumerate(diag)), default=0.0)
         for x, y in zip(found, expected):
-            assert abs(x - y) <= 25 * _EPS * norm, (x, y)
+            assert abs(x - y) <= 5 * _EPS * norm, (x, y)
 
     @pytest.mark.parametrize(
         "family,k,param",
