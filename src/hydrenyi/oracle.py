@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -266,15 +265,19 @@ def _jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[flo
     Numer. Math. 11, 1968), in the tqli form of Numerical Recipes.
 
     Each sweep chases one shifted rotation up from the first negligible
-    coupling e_m below row l, |e_m| <= eps (|d_m| + |d_m+1|), to row l; d_l is
-    an eigenvalue once e_l is negligible.
+    coupling e_m below row l, |e_m| <= eps (|d_m| + |d_m+1|) + floor, to row
+    l; d_l is an eigenvalue once e_l is negligible.
     """
     d, e = list(diag), [math.sqrt(b) for b in off_squared] + [0.0]
     eps, size = sys.float_info.epsilon, len(d)
+    # LAPACK's dsteqr deflates a squared coupling below the safe minimum on a
+    # matrix scaled to norm about 1: without that floor a coupling of 2e-162
+    # between two zero diagonal entries never deflates
+    floor = math.sqrt(sys.float_info.min) * max(map(abs, d + e), default=0.0)
     for l in range(size):
         for sweep in range(_QL_SWEEPS + 1):
             m = l
-            while m < size - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+            while m < size - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])) + floor:
                 m += 1
             if m == l:
                 break
@@ -330,16 +333,19 @@ _SEGMENT_REL_TARGET = QUADRATURE_REL_TARGET * 1e-4
 
 # The rule runs at most _LEVELS levels, each halving the node spacing of the last.
 # mpmath's tanh-sinh rule at 30 digits (103 bits) ends a level where 1 - |x| falls
-# to 2^-(103+10); every segment here has that node set, but evaluates the nodes
-# of the endpoint region only while their terms still count.
+# to 2^-(103+10); every segment here has that node set, but evaluates each side's
+# nodes only while its terms still count.
 _LEVELS, _NODE_LIMIT = 9, 2.0**-113
 
-# The endpoint region is 1 - |x| <= _ENDPOINT_REGION.  There every integrand
-# here is monotone (bounded at a finite endpoint, decaying in a tail) while
-# the weights fall double-exponentially, so once a term is <= _NEGLIGIBLE
-# times the sum of its side so far, the terms beyond it add less than a
-# rounding of that sum (Bailey, Jeyabalan & Li, Experimental Math. 14, 2005).
-_ENDPOINT_REGION = 2.0**-20
+# A side of a level stops at its first term <= _NEGLIGIBLE times its sum so
+# far, which leaves the sum unchanged and so is below the term before it.
+# If a side's terms are unimodal, they fall from there on, the weights
+# double-exponentially, and the rest add less than a rounding of that sum
+# (Bailey, Jeyabalan & Li, Experimental Math. 14, 2005).  On the position
+# heads and angular segments ln(w f) is concave in the rule's x: ln w =
+# ln(pi/2 cosh t (1-x^2)) is, and between zeros so are ln|P|, 2l ln x, -x,
+# (D-1) ln r and s ln(1-t^2) under the affine map.  On the momentum segments
+# and the tails it is measured (tests/test_float_fixture.py).
 _NEGLIGIBLE = 2.0**-64
 
 # The float integrands carry rounding that grows with the order: the
@@ -380,25 +386,19 @@ _Side = tuple[tuple[float, float], ...]
 
 
 @functools.lru_cache(maxsize=None)
-def _sides(level: int, tail: bool) -> tuple[tuple[_Side, _Side], ...]:
-    """The two sides of a segment at this level, each as its pairs outside
-    the endpoint region and those inside it.
-
-    A finite segment runs the (complement, weight) pairs on both sides.  An
-    [a, inf) segment, whose map is x -> a - 1 + 2/(1+x) with weight
-    2/(1+x)^2, runs them as offsets from a: the side towards a at x = 1 - c,
-    the side towards infinity at x = c - 1.
+def _sides(level: int, tail: bool) -> tuple[_Side, _Side]:
+    """The two sides of a segment at this level.  A finite segment runs the
+    (complement, weight) pairs on both sides.  An [a, inf) segment, whose map
+    is x -> a - 1 + 2/(1+x) with weight 2/(1+x)^2, runs them as offsets from
+    a: the side towards a at x = 1 - c, the side towards infinity at x = c - 1.
     """
     nodes = _level_nodes(level)
-    if tail:
-        sides = [
-            tuple((c / (2 - c), w * 2 / (2 - c) ** 2) for c, w in nodes),
-            tuple(((2 - c) / c, w / c * (2 / c)) for c, w in nodes),
-        ]
-    else:
-        sides = [nodes, nodes]
-    cut = sum(c > _ENDPOINT_REGION for c, _ in nodes)
-    return tuple((side[:cut], side[cut:]) for side in sides)
+    if not tail:
+        return nodes, nodes
+    return (
+        tuple((c / (2 - c), w * 2 / (2 - c) ** 2) for c, w in nodes),
+        tuple(((2 - c) / c, w / c * (2 / c)) for c, w in nodes),
+    )
 
 
 def _relative_error(results: list[float]) -> float:
@@ -427,11 +427,11 @@ class _FloatTanhSinh:
     """Tanh-sinh quadrature in floats, over _LEVELS levels at most.
 
     Each level walks each side of a segment outward from the centre and
-    stops that side in the endpoint region once its terms no longer count
-    (see _terms).  Each segment stops once the estimated relative error of
-    its last levels is <= _SEGMENT_REL_TARGET, and reports that estimate, but
-    not less than rel_floor, times |I_seg|.  Every integrand here is
-    non-negative, so a relative bound on each segment bounds the sum too.
+    stops that side once its terms no longer count (see _terms).  Each
+    segment stops once the estimated relative error of its last levels is
+    <= _SEGMENT_REL_TARGET, and reports that estimate, but not less than
+    rel_floor, times |I_seg|.  Every integrand here is non-negative, so a
+    relative bound on each segment bounds the sum too.
     Every segment has mpmath's nodes: each integrand here is bounded on its
     finite segments and decays exponentially on an [a, inf) one.
     """
@@ -442,13 +442,13 @@ class _FloatTanhSinh:
     def _terms(self, f, a: float, b: float, level: int) -> list[float]:
         """w f(x) for the nodes this level adds on [a, b].
 
-        Each side runs every node outside the endpoint region and stops at
-        its first node inside whose term is <= _NEGLIGIBLE times the side's
-        sum so far on this level.  A side whose sum is still 0 does not stop,
+        Each side runs outward from the centre and stops at its first term
+        that is <= _NEGLIGIBLE times the side's sum so far on this level,
+        which is a falling term.  A side whose sum is still 0 does not stop,
         so mass right against an endpoint is still found at every level.
-        The side's sum runs left to right, as the nodes come.  A side's
-        term is scale w f(end + step x) for its (x, w) pairs from _sides; on
-        a tail scale and step are 1.0, so the products are exact.
+        The side's sum runs left to right, as the nodes come.  A side's term
+        is scale w f(end + step x) for its (x, w) pairs from _sides; on a
+        tail scale and step are 1.0, so the products are exact.
         """
         terms: list[float] = []
         if b == math.inf:
@@ -460,11 +460,9 @@ class _FloatTanhSinh:
             if level == 1:
                 terms.append(half * math.pi / 2 * f(a + half))
             ends = ((b, -half, half), (a, half, half))
-        for (end, step, scale), (outside, inside) in zip(ends, _sides(level, b == math.inf)):
-            side = [scale * w * f(end + step * x) for x, w in outside]
-            running = functools.reduce(operator.add, side, 0.0)
-            terms += side
-            for x, w in inside:
+        for (end, step, scale), side in zip(ends, _sides(level, b == math.inf)):
+            running = 0.0
+            for x, w in side:
                 term = scale * w * f(end + step * x)
                 terms.append(term)
                 if 0 < running and term <= _NEGLIGIBLE * running:

@@ -7,10 +7,13 @@ Regenerate the file only when the float path is meant to change:
 
     PYTHONPATH=src python tests/test_float_fixture.py
 
-which prints what moved (see summarize) before it rewrites the file.
+which prints what moved (see summarize) and the integrand calls of the grid
+pass (see grid_calls) before it rewrites the file.
 
-The rest checks the rule's stop in the endpoint region against the same rule
-with every node of each level evaluated.
+The rest checks the rule's stop, where each side of a level ends at its first
+negligible falling term, against the same rule with every node of each level
+evaluated, and the precondition of that stop: the terms along each side rise
+to one peak and fall down to it.
 """
 
 import math
@@ -111,51 +114,118 @@ def test_summarize_names_what_moved():
     assert summarize(old, "x q=2 position: 1.0 1e-13\n").startswith("the grid itself")
 
 
+def _every_node_sides(f, a, b, level):
+    """w f(x) at every node this level adds on [a, b], as one list per side
+    in the order the side runs, outward from the centre, and the centre's
+    term at level 1 (None at the other levels)."""
+    nodes = oracle._level_nodes(level)
+    if b == math.inf:
+        sides = [
+            [w * 2 / (2 - c) ** 2 * f(a + c / (2 - c)) for c, w in nodes],
+            [w / c * (2 / c) * f(a + (2 - c) / c) for c, w in nodes],
+        ]
+        return sides, (math.pi * f(a + 1) if level == 1 else None)
+    half = 0.5 * (b - a)
+    sides = [
+        [half * w * f(b - half * c) for c, w in nodes],
+        [half * w * f(a + half * c) for c, w in nodes],
+    ]
+    return sides, (half * math.pi / 2 * f(a + half) if level == 1 else None)
+
+
 class _EveryNode(oracle._FloatTanhSinh):
     """The rule with every node of each level evaluated: the reference for
-    the stop in the endpoint region."""
+    the stop of each side."""
 
     def _terms(self, f, a, b, level):
-        nodes = oracle._level_nodes(level)
-        if b == math.inf:
-            terms = [w * 2 / (2 - c) ** 2 * f(a + c / (2 - c)) for c, w in nodes]
-            terms += [w / c * (2 / c) * f(a + (2 - c) / c) for c, w in nodes]
-            if level == 1:
-                terms.append(math.pi * f(a + 1))
-            return terms
-        half = 0.5 * (b - a)
-        terms = []
-        for c, w in nodes:
-            terms.append(half * w * f(b - half * c))
-            terms.append(half * w * f(a + half * c))
-        if level == 1:
-            terms.append(half * math.pi / 2 * f(a + half))
-        return terms
+        (towards_b, towards_a), centre = _every_node_sides(f, a, b, level)
+        return towards_b + towards_a + ([] if centre is None else [centre])
 
 
-def _outside_the_endpoint_region(a, b, level):
-    """The nodes of this level with complement c > _ENDPOINT_REGION."""
-    outside = [c for c, _ in oracle._level_nodes(level) if c > oracle._ENDPOINT_REGION]
-    if b == math.inf:
-        points = [a + c / (2 - c) for c in outside] + [a + (2 - c) / c for c in outside]
-        return points + [a + 1] * (level == 1)
-    half = 0.5 * (b - a)
-    points = [b - half * c for c in outside] + [a + half * c for c in outside]
-    return points + [a + half] * (level == 1)
+def _is_unimodal(terms) -> bool:
+    """Whether the terms rise (or stay) to their largest and then fall (or
+    stay)."""
+    peak = terms.index(max(terms))
+    rising, falling = terms[: peak + 1], terms[peak:]
+    return rising == sorted(rising) and falling == sorted(falling, reverse=True)
+
+
+def _first_negligible(side) -> int:
+    """The index of the first term <= _NEGLIGIBLE times the positive sum of
+    the terms before it, where the rule stops the side; len(side) if none."""
+    running = 0.0
+    for j, term in enumerate(side):
+        if 0 < running and term <= oracle._NEGLIGIBLE * running:
+            return j
+        running += term
+    return len(side)
+
+
+def assert_stop_precondition(monkeypatch, run, level=5) -> int:
+    """Runs run() and checks the precondition of the rule's stop on each
+    (integrand, breakpoints) pair that oracle._quad gets, as it comes: along
+    each side of each segment, the every-node terms of this level rise to
+    one peak and fall down to the stop, and the terms past it add less than
+    half an ulp of the side's sum.  Past the stop they need not fall: next
+    to a zero at the endpoint, rounding ruffles terms some fifty orders of
+    magnitude below the sum.  Returns the number of integrands checked."""
+    checked = []
+    original = oracle._quad
+
+    def checking_quad(f, points, rule=oracle._FloatTanhSinh()):
+        for a, b in zip(points, points[1:]):
+            for side in _every_node_sides(f, float(a), float(b), level)[0]:
+                stop = _first_negligible(side)
+                head, rest = side[: stop + 1], side[stop + 1 :]
+                assert _is_unimodal(head), (a, b, head)
+                assert sum(rest) < sys.float_info.epsilon / 2 * sum(head), (a, b, rest)
+        checked.append(points)
+        return original(f, points, rule)
+
+    monkeypatch.setattr(oracle, "_quad", checking_quad)
+    run()
+    return len(checked)
 
 
 @pytest.mark.parametrize("level", [1, 4, 9])
 @pytest.mark.parametrize("tail", [False, True])
-def test_nodes_outside_the_endpoint_region_always_run(level, tail):
-    # an integrand that is 1 outside the endpoint region and 0 inside it:
-    # each side runs every node outside and stops at its first node inside
+def test_a_side_never_stops_while_its_terms_rise(level, tail):
+    # 1/x against x = 0 rises faster than the weights fall, so the terms of
+    # the side towards 0 rise at every node, and that side runs them all
     rule = oracle._FloatTanhSinh()
-    for a, b in [(2.0, math.inf)] if tail else [(0.0, 1.0), (-1.0, 0.25)]:
-        outside = set(_outside_the_endpoint_region(a, b, level))
+    a, b = (0.0, math.inf) if tail else (-1.0, 0.0)
+    evaluated = []
+    rule._terms(lambda x: evaluated.append(x) or 1 / abs(x), a, b, level)
+    towards_zero = [x for x in evaluated if abs(x) < (1 if tail else 0.5)]
+    assert len(towards_zero) == len(oracle._level_nodes(level))
+    # exp(200 x) on [0, 1]: the side towards 1 runs past its peak
+    evaluated = []
+    rule._terms(lambda x: evaluated.append(x) or math.exp(200 * x), 0.0, 1.0, level)
+    side = _every_node_sides(lambda x: math.exp(200 * x), 0.0, 1.0, level)[0][0]
+    assert sum(x > 0.5 for x in evaluated) > side.index(max(side))
+
+
+def test_a_side_stops_at_its_first_falling_negligible_term():
+    # a narrow Gaussian in mid-segment: each side stops at the first term
+    # that is <= _NEGLIGIBLE times its sum so far, short of the node table,
+    # and the integral is the every-node rule's
+    def f(x):
+        return math.exp(-(((x - 0.4) / 0.01) ** 2))
+
+    rule = oracle._FloatTanhSinh()
+    for level in (5, 9):
         evaluated = []
-        rule._terms(lambda x: evaluated.append(x) or float(x in outside), a, b, level)
-        assert outside <= set(evaluated)
-        assert len(evaluated) == len(outside) + 2
+        rule._terms(lambda x: evaluated.append(x) or f(x), 0.0, 1.0, level)
+        for side, ran in zip(
+            _every_node_sides(f, 0.0, 1.0, level)[0],
+            (sum(x > 0.5 for x in evaluated), sum(x < 0.5 for x in evaluated)),
+        ):
+            stop = _first_negligible(side)
+            assert ran == stop + 1 < len(side) and side[stop] < side[stop - 1]
+    calls, every = [], []
+    value, _ = oracle._quad(lambda x: calls.append(x) or f(x), [0.0, 1.0])
+    expected, _ = oracle._quad(lambda x: every.append(x) or f(x), [0.0, 1.0], _EveryNode())
+    assert value == expected and len(calls) < len(every)
 
 
 def test_no_stop_before_the_side_sum_is_positive():
@@ -245,10 +315,36 @@ def test_grid_byte_identical_to_every_node(D, monkeypatch):
     assert truncated == every
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("level", range(1, oracle._LEVELS + 1))
+def test_fixture_grid_meets_the_stop_precondition(level, monkeypatch):
+    # on every integrand of the fixture grid, momentum segments and tails
+    # included, at every level
+    assert assert_stop_precondition(monkeypatch, render_grid, level) > 0
+
+
+def grid_calls() -> str:
+    """The integrand calls of one pass over the grid, with every node of
+    each level and with the rule, counted through oracle._quad as
+    test_oracle._evaluations counts them."""
+    from test_oracle import _evaluations
+
+    counts = []
+    for rule in (_EveryNode, oracle._FloatTanhSinh):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_FloatTanhSinh", rule)
+            counts.append(_evaluations(patch, render_grid))
+    return (
+        f"integrand calls over the grid: {counts[0]:,} with every node of each level, "
+        f"{counts[1]:,} with the rule"
+    )
+
+
 if __name__ == "__main__":
     grid = render_grid()
     if FIXTURE.exists():
         print(summarize(FIXTURE.read_text(), grid), file=sys.stderr)
+    print(grid_calls(), file=sys.stderr)
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_bytes(grid.encode())
     print(f"wrote {FIXTURE}", file=sys.stderr)
