@@ -327,7 +327,7 @@ def grid_calls() -> str:
     """The integrand calls of one pass over the grid, with every node of
     each level and with the rule, counted through oracle._quad as
     test_oracle._evaluations counts them."""
-    from test_oracle import _evaluations
+    from test_oracle import _evaluations  # test_oracle imports this module
 
     counts = []
     for rule in (_EveryNode, oracle._FloatTanhSinh):
