@@ -154,14 +154,15 @@ def angular_daoust_factor(alpha: Fraction, mu_j: int, mu_j1: int, q: int) -> Fra
 #
 # Each W is written once, as a list of calls on a ledger: factorial, integer
 # and rising-product powers, Gamma values, the powers of the charge and the
-# terminating sums.  _ExactLedger multiplies them out into the closed forms.
+# terminating sums, looked up as module globals so that a wrapper set on the
+# module sees them.  _ExactLedger multiplies them out into the closed forms.
 # The oracle builds its factors from exactnum.gamma_integers instead, so a
 # wrong Gamma on either side shows up as a mismatch.
 
 
-def _radial_factors(out, state: HydrogenicState, q: int, space: str, l: int):
+def _radial_factors(out, state: HydrogenicState, q: int, space: str):
     """The factors of the radial W of a space, entered in out."""
-    D, n, Z = state.D, state.n, state.Z
+    D, n, l, Z = state.D, state.n, state.l, state.Z
     two_eta, scale_power = 2 * n + D - 3, D * (q - 1)
     out.rising(n - l, 1, 2 * l + D - 2, q)
     out.integer(two_eta, -q if space == "position" else q)
@@ -173,6 +174,7 @@ def _radial_factors(out, state: HydrogenicState, q: int, space: str, l: int):
         out.gamma(2 * (D + 2 * l * q), 1)
         out.gamma(2 * (2 * l + D - 1), -2 * q)
         out.charge(Z.numerator, Z.denominator, scale_power)
+        out.sum(radial_lauricella_factor(D, n, l, q))
     else:
         # (2eta / 2Z)^(D(q-1)) 2^(2q-1) Gamma(D/2+ql) Gamma(q(D+l+1)-D/2)
         #   / (Gamma(l+D/2)^(2q) Gamma(q(D+2l+1)))
@@ -183,7 +185,7 @@ def _radial_factors(out, state: HydrogenicState, q: int, space: str, l: int):
         out.gamma(D + 2 * l, -2 * q)
         out.gamma(2 * q * (D + 2 * l + 1), -1)
         out.charge(Z.denominator, Z.numerator, scale_power)
-    out.radial_sum(space, D, n, l, q)
+        out.sum(momentum_daoust_factor(D, n, l, q))
     return out
 
 
@@ -199,10 +201,10 @@ def _pochhammer_block(out, a2: int, mu_j: int, mu_j1: int, q: int):
     return out
 
 
-def _angular_factors(out, D: int, mu: tuple[int, ...], q: int, l: int):
+def _angular_factors(out, D: int, mu: tuple[int, ...], q: int):
     """The factors of the angular W but its pi^(D(1-q)/2), entered in out."""
     chain = canonical_chain(mu)
-    m = chain[-1]
+    l, m = chain[0], chain[-1]
     # Gamma(l+D/2)^q (qm)! / (2^(q-1) Gamma(ql+D/2) m!^q)
     out.gamma(2 * l + D, q)
     out.gamma(2 * q * l + D, -1)
@@ -213,19 +215,18 @@ def _angular_factors(out, D: int, mu: tuple[int, ...], q: int, l: int):
         mu_j, mu_j1 = chain[j - 1], chain[j]
         if mu_j != mu_j1:  # both factors of the segment are 1 otherwise
             _pochhammer_block(out, D - j - 1, mu_j, mu_j1, q)
-            out.angular_sum(D - j - 1, mu_j, mu_j1, q)
+            out.sum(angular_daoust_factor(Fraction(D - j - 1, 2), mu_j, mu_j1, q))
     return out
 
 
 class _ExactLedger:
     """The value num/den * pi^(half/2) of a factor list, in integers; a
-    negative power divides.  Before each integer is formed, a bound on its
-    bits is added to a running count; the work of the whole product is the
-    square of that count in 32-bit words (CPython's digits hold 30 bits),
-    since reducing num/den at the end is about quadratic in their size, and
-    hyperfun.check_work refuses it once the count passes the bits that
-    hyperfun.WORK_CAP allows.  The sums are looked up in this module when
-    called, so a wrapper set on it sees them."""
+    negative power divides.  _count adds a bound on each factor's bits to a
+    running count before its integer is formed (a sum's, once it is); the
+    work of the whole product is the square of that count in 32-bit words
+    (CPython's digits hold 30 bits), since reducing num/den at the end is
+    about quadratic in their size, and hyperfun.check_work refuses it once
+    the count passes the bits that hyperfun.WORK_CAP allows."""
 
     __slots__ = ("num", "den", "half", "bits", "free_bits")
 
@@ -235,9 +236,11 @@ class _ExactLedger:
         # (bits >> 5)^2 <= WORK_CAP for every count up to this one
         self.free_bits = 32 * math.isqrt(hyperfun.WORK_CAP) + 31
 
-    def _refuse(self) -> None:
-        words = self.bits >> 5
-        hyperfun.check_work(words * words)
+    def _count(self, bits: int) -> None:
+        self.bits += bits
+        if self.bits > self.free_bits:
+            words = self.bits >> 5
+            hyperfun.check_work(words * words)
 
     def _times(self, a: int, e: int) -> None:
         if e >= 0:
@@ -246,21 +249,15 @@ class _ExactLedger:
             self.den *= a**-e
 
     def integer(self, a: int, e: int) -> None:
-        self.bits += abs(e) * a.bit_length()
-        if self.bits > self.free_bits:
-            self._refuse()
+        self._count(abs(e) * a.bit_length())
         self._times(a, e)
 
     def fact(self, m: int, e: int) -> None:
-        self.bits += abs(e) * m * m.bit_length()
-        if self.bits > self.free_bits:
-            self._refuse()
+        self._count(abs(e) * m * m.bit_length())
         self._times(math.factorial(m), e)
 
     def rising(self, p: int, d: int, k: int, e: int) -> None:
-        self.bits += abs(e) * k * (p + k * d).bit_length()
-        if self.bits > self.free_bits:
-            self._refuse()
+        self._count(abs(e) * k * (p + k * d).bit_length())
         self._times(rising_product(p, d, k), e)
 
     def gamma(self, twice: int, e: int) -> None:
@@ -279,18 +276,9 @@ class _ExactLedger:
         self.integer(top, e)
         self.integer(bottom, -e)
 
-    def _sum(self, value: Fraction) -> None:
-        self.bits += value.numerator.bit_length() + value.denominator.bit_length()
-        if self.bits > self.free_bits:
-            self._refuse()
+    def sum(self, value: Fraction) -> None:
+        self._count(value.numerator.bit_length() + value.denominator.bit_length())
         self.num, self.den = self.num * value.numerator, self.den * value.denominator
-
-    def radial_sum(self, space: str, D: int, n: int, l: int, q: int) -> None:
-        factor = radial_lauricella_factor if space == "position" else momentum_daoust_factor
-        self._sum(factor(D, n, l, q))
-
-    def angular_sum(self, a2: int, mu_j: int, mu_j1: int, q: int) -> None:
-        self._sum(angular_daoust_factor(Fraction(a2, 2), mu_j, mu_j1, q))
 
     def scalar(self, half: int = 0) -> ExactScalar:
         """The value times pi^(half/2)."""
@@ -300,6 +288,13 @@ class _ExactLedger:
 # -- the closed forms --------------------------------------------------------
 
 
+def _radial_entropy(state: HydrogenicState, q: int, space: str) -> EntropyValue:
+    q = _check_integer_order(q)
+    validate(state)
+    w = _radial_factors(_ExactLedger(), state, q, space).scalar()
+    return EntropyValue(_entropy_coef(q), w, Fraction(q))
+
+
 def radial_position_entropy(state: HydrogenicState, q: int) -> EntropyValue:
     """Radial part of the position-space Renyi entropy, exact.
 
@@ -307,10 +302,7 @@ def radial_position_entropy(state: HydrogenicState, q: int) -> EntropyValue:
         Gamma(D+2lq) / (q^(D+2lq) Gamma(2l+D-1)^(2q)),
     with lambda = eta/(2Z), eta - L = n - l and 2 eta = 2n+D-3.
     """
-    q = _check_integer_order(q)
-    validate(state)
-    w = _radial_factors(_ExactLedger(), state, q, "position", state.l).scalar()
-    return EntropyValue(_entropy_coef(q), w, Fraction(q))
+    return _radial_entropy(state, q, "position")
 
 
 def radial_momentum_entropy(state: HydrogenicState, q: int) -> EntropyValue:
@@ -320,10 +312,7 @@ def radial_momentum_entropy(state: HydrogenicState, q: int) -> EntropyValue:
         Gamma(D/2+ql) Gamma(q(D+l+1)-D/2) / (Gamma(l+D/2)^(2q) Gamma(q(D+2l+1))),
     with eta - L = n - l and 2 eta = 2n+D-3.
     """
-    q = _check_integer_order(q)
-    validate(state)
-    w = _radial_factors(_ExactLedger(), state, q, "momentum", state.l).scalar()
-    return EntropyValue(_entropy_coef(q), w, Fraction(q))
+    return _radial_entropy(state, q, "momentum")
 
 
 def angular_pochhammer_factor(alpha: Fraction, mu_j: int, mu_j1: int, q: int) -> Fraction:
@@ -348,8 +337,7 @@ def angular_entropy(D: int, mu: tuple[int, ...], q: int) -> EntropyValue:
     """
     q = _check_integer_order(q)
     check_chain(D, mu)
-    l = canonical_chain(mu)[0]
-    w = _angular_factors(_ExactLedger(), D, mu, q, l).scalar(D * (1 - q))
+    w = _angular_factors(_ExactLedger(), D, mu, q).scalar(D * (1 - q))
     return EntropyValue(_entropy_coef(q), w, Fraction(q))
 
 
@@ -392,7 +380,7 @@ def ns_radial_position_w(n: int, D: int, Z, q: int) -> ExactScalar:
     eta, Z = _require_ns_inputs(n, D, Z)
     lam = eta / (2 * Z)
     return (
-        ExactScalar.from_rational(lam ** (D * (1 - q)))
+        ExactScalar(lam ** (D * (1 - q)))
         * Fraction(1, math.factorial(2 * n + D - 3) ** q)
         * Fraction(math.factorial(D + 2 * n * q - 2 * q - 1), q ** (D + 2 * n * q - 2 * q))
     )
@@ -413,7 +401,7 @@ def ns_radial_momentum_w(n: int, D: int, Z, q: int) -> ExactScalar:
     q = _check_integer_order(q)
     eta, Z = _require_ns_inputs(n, D, Z)
     return (
-        ExactScalar.from_rational((Z / eta) ** (D * (1 - q)))
+        ExactScalar((Z / eta) ** (D * (1 - q)))
         * Fraction(4 ** q * math.factorial(2 * n + D - 3) ** q, 2)
         * gamma_exact(Fraction(D + 2 * q * (n - 1), 2))
         * gamma_exact(Fraction(2 * q * (D + n) - D, 2))

@@ -51,10 +51,6 @@ class ExactScalar:
         self._half = 0
 
     @classmethod
-    def from_rational(cls, r: RationalLike) -> "ExactScalar":
-        return cls.pi_power(0, r)
-
-    @classmethod
     def pi_power(cls, half: int, coef: RationalLike = 1) -> "ExactScalar":
         """The monomial ``coef * pi**(half/2)``."""
         out = object.__new__(cls)

@@ -291,7 +291,9 @@ def _jacobi_eigenvalues(diag: list[float], off_squared: list[float]) -> list[flo
             for i in range(m - 1, l - 1, -1):
                 f, b = s * e[i], c * e[i]
                 r = e[i + 1] = math.hypot(f, g)
-                if r == 0.0:  # both underflowed: the matrix splits at i + 1
+                # guards f / r at f = g = 0, where the matrix splits at i + 1;
+                # no input searched has reached it since the deflation floor
+                if r == 0.0:
                     d[i + 1] -= p
                     e[m] = 0.0
                     break
@@ -565,10 +567,8 @@ def _quad_log_shifted(log_f, points: list[float], q: float, shift: float) -> tup
 def _log_add(first: tuple[float, float], second: tuple[float, float]) -> tuple[float, float]:
     """(ln(I1 + I2), relative error) from two integrals given as (ln I,
     relative error).  An integral that came out zero adds nothing; a NaN
-    makes the sum NaN."""
+    makes the sum NaN, through exp and log1p."""
     (hi, hi_rel), (lo, lo_rel) = first, second
-    if math.isnan(hi) or math.isnan(lo):
-        return math.nan, math.nan
     if lo > hi:
         (hi, hi_rel), (lo, lo_rel) = (lo, lo_rel), (hi, hi_rel)
     if lo == -math.inf:
@@ -623,18 +623,6 @@ def _position_integrand(state: HydrogenicState, q: float):
         return log_integrand(last + scale * s) + log_scale
 
     return log_integrand, points, (log_tail, [0.0, math.inf])
-
-
-def position_radial_power_integral(state: HydrogenicState, q: float) -> tuple[float, float]:
-    """Integral of the q-th power of the radial position density against
-    r^(D-1) dr, as (ln I, relative error estimate): in closed form at
-    k = n - l - 1 = 0 (_add_position_closed_form), by quadrature above."""
-    validate(state)
-    if state.n == state.l + 1:
-        total = _LogSum(float(q))
-        _add_position_closed_form(total, state)
-        return total.rounded()
-    return _radial_quad(*_position_integrand(state, q), float(q))
 
 
 def _momentum_integrand(state: HydrogenicState, q: float):
@@ -701,18 +689,6 @@ def _momentum_integrand(state: HydrogenicState, q: float):
         return q * log_density + excess * log_w + log_const
 
     return log_integrand, points, (log_tail, [0.0, w_last])
-
-
-def momentum_radial_power_integral(state: HydrogenicState, q: float) -> tuple[float, float]:
-    """Integral of the q-th power of the radial momentum density against
-    p^(D-1) dp, as (ln I, relative error estimate): in closed form at
-    k = n - l - 1 = 0 (_add_momentum_closed_form), by quadrature above."""
-    validate(state)
-    if state.n == state.l + 1:
-        total = _LogSum(float(q))
-        _add_momentum_closed_form(total, state)
-        return total.rounded()
-    return _radial_quad(*_momentum_integrand(state, q), float(q))
 
 
 # The Bernoulli numbers B_2, B_4, ..., B_22.
@@ -801,7 +777,7 @@ def _from_fixed(units: int) -> float:
     try:
         return units / (1 << _FIXED_BITS)
     except OverflowError:
-        return math.copysign(math.inf, units)
+        return math.inf if units > 0 else -math.inf
 
 
 # Stirling's series (DLMF 5.11.1): ln Gamma(w) = (w - 1/2) ln w - w +
@@ -933,6 +909,26 @@ def _add_momentum_closed_form(total: _LogSum, state: HydrogenicState) -> None:
     total.add_log_gamma(a + b, -1)
 
 
+# Each space's k = 0 closed form and its integrand builder.
+_RADIAL = {
+    "position": (_add_position_closed_form, _position_integrand),
+    "momentum": (_add_momentum_closed_form, _momentum_integrand),
+}
+
+
+def radial_power_integral(state: HydrogenicState, q: float, space: Space) -> tuple[float, float]:
+    """Integral of the q-th power of the radial density of a space against
+    r^(D-1) dr, or p^(D-1) dp, as (ln I, relative error estimate): in closed
+    form at k = n - l - 1 = 0, by quadrature above."""
+    add_closed_form, integrand = _RADIAL[space]
+    validate(state)
+    if state.n == state.l + 1:
+        total = _LogSum(float(q))
+        add_closed_form(total, state)
+        return total.rounded()
+    return _radial_quad(*integrand(state, q), float(q))
+
+
 def _add_equal_chain_angular(total: _LogSum, D: int, l: int) -> None:
     """Add ln of the angular integral of a chain whose entries all equal l,
     for any real order: 2^(1-q) pi^(D(1-q)/2) Gamma(l + D/2)^q Gamma(ql + 1)
@@ -953,11 +949,7 @@ def _closed_form_entropy(state: HydrogenicState, q: float, space: Space) -> tupl
     the rounding of the entropy at unit charge in those units,
     |1 - q| ulp / 2."""
     total = _LogSum(q)
-    unit = state.unit_charge()
-    if space == "position":
-        _add_position_closed_form(total, unit)
-    else:
-        _add_momentum_closed_form(total, unit)
+    _RADIAL[space][0](total, state.unit_charge())
     _add_equal_chain_angular(total, state.D, state.l)
     fixed, error = total.total()
     # 1 - q = (den - q_units) / den
@@ -1002,7 +994,7 @@ def angular_power_integral(D: int, mu: tuple[int, ...], q: float) -> tuple[float
         lam = Fraction(two_alpha, 2) + mu_j1
         log_poly = gegenbauer_log_abs(k, float(lam))
 
-        def log_integrand(t: float) -> float:
+        def log_integrand(t: float, log_poly=log_poly, s: float = s) -> float:
             g = (1 - t) * (1 + t)
             if g == 0:  # a node that rounded onto t = +-1
                 return 2 * q * log_poly(t) if s == 0 else -math.inf
@@ -1079,7 +1071,7 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
         raise ValueError("q is too small for the float path (below 4.9e-324)")
     if q <= 0 or q == 1:
         raise ValueError(f"need real q > 0, q != 1, got {q}")
-    if space not in ("position", "momentum"):
+    if space not in _RADIAL:
         raise ValueError(f"unknown space {space!r}")
     validate(state)
     if space == "momentum":
@@ -1091,11 +1083,8 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
     if state.is_ns():
         value, rel = _closed_form_entropy(state, q, space)
     else:
-        D, chain, unit = state.D, state.canonical_mu(), state.unit_charge()
-        if space == "position":
-            log_radial, radial_rel = position_radial_power_integral(unit, q)
-        else:
-            log_radial, radial_rel = momentum_radial_power_integral(unit, q)
+        D, chain = state.D, state.canonical_mu()
+        log_radial, radial_rel = radial_power_integral(state.unit_charge(), q, space)
         _check_positive(log_radial, f"radial {space}")
         if all(m == chain[0] for m in chain):
             # Gamma-closed angular factor, as in _add_equal_chain_angular; the

@@ -636,7 +636,7 @@ def ground_state_radial_position_w(D: int, Z, q: int) -> ExactScalar:
     q = _check_integer_order(q)
     _, Z = _require_ns_inputs(1, D, Z)
     lam = Fraction(D - 1) / (4 * Z)
-    return ExactScalar.from_rational(
+    return ExactScalar(
         lam ** (D * (1 - q))
         * Fraction(1, math.factorial(D - 1) ** (q - 1))
         * Fraction(1, q**D)

@@ -171,10 +171,8 @@ class TestIntegerPrefactors:
                 for Z in (1, F(7, 3)):
                     charged = HydrogenicState(D, state.n, state.mu, Z)
                     for space in ("position", "momentum"):
-                        check(entropy._radial_factors(
-                            entropy._ExactLedger(), charged, q, space, state.l
-                        ))
-                check(entropy._angular_factors(entropy._ExactLedger(), D, state.mu, q, state.l))
+                        check(entropy._radial_factors(entropy._ExactLedger(), charged, q, space))
+                check(entropy._angular_factors(entropy._ExactLedger(), D, state.mu, q))
 
     def test_ledger_refuses_before_forming(self, monkeypatch):
         def refuse(*args):

@@ -187,10 +187,10 @@ class TestExactScalar:
             assert result == ExactScalar.pi_power(half, r)
 
     def test_constructors_drop_zero(self):
-        assert ExactScalar.from_rational(0).terms() == ()
+        assert ExactScalar(0).terms() == ()
         assert ExactScalar.pi_power(3, 0).terms() == ()
         assert ExactScalar.pi_power(3, F(2, 4)).terms() == ((3, F(1, 2)),)
-        assert ExactScalar.from_rational(7).terms() == ((0, F(7)),)
+        assert ExactScalar(7).terms() == ((0, F(7)),)
 
 
 class TestToFloat:

@@ -17,9 +17,8 @@ from hydrenyi.oracle import (
     _moment_sum,
     angular_power_integral,
     angular_w_exact,
-    momentum_radial_power_integral,
-    position_radial_power_integral,
     radial_momentum_w_exact,
+    radial_power_integral,
     radial_position_w_exact,
     renyi_float,
     verify_state,
@@ -412,10 +411,9 @@ class TestFloatOracle:
             )
 
     def test_radial_integrals_normalize(self):
-        log_value, _ = position_radial_power_integral(GROUND, 1.0)
-        assert math.exp(log_value) == pytest.approx(1.0, rel=1e-12)
-        log_value, _ = momentum_radial_power_integral(GROUND, 1.0)
-        assert math.exp(log_value) == pytest.approx(1.0, rel=1e-12)
+        for space in ("position", "momentum"):
+            log_value, _ = radial_power_integral(GROUND, 1.0, space)
+            assert math.exp(log_value) == pytest.approx(1.0, rel=1e-12)
 
     def test_nonconvergence_raises_with_estimate(self, monkeypatch):
         def shaky_quad(f, points, rule=None):
@@ -452,6 +450,37 @@ class TestFloatOracle:
             renyi_float(TWO_S, 1.5, "position")
         assert "came out zero" not in str(info.value)
         assert info.value.value is None and info.value.estimate is None
+
+    @pytest.mark.parametrize(
+        "state, q, space, message",
+        [
+            # ln I of the k = 0 radial integral passes the float range
+            (HydrogenicState(3, 2, (1, 0)), 1.7e308, "position", "radial position integral came"),
+            # so does s = q mu_j1 + alpha - 1/2 of an angular segment
+            (HydrogenicState(4, 3, (2, 2, 0)), 1e308, "momentum", "angular integral is not a"),
+        ],
+    )
+    def test_orders_past_the_float_range_of_a_log(self, state, q, space, message):
+        with pytest.raises(QuadratureError, match=message) as info:
+            renyi_float(state, q, space)
+        assert info.value.value is None and info.value.estimate is None
+        assert oracle._from_fixed(-1 << 2000) == -math.inf
+        assert oracle._from_fixed(1 << 2000) == math.inf
+
+    def test_log_add_of_nan_and_zero(self):
+        nan, zero, finite = (math.nan, math.nan), (-math.inf, math.nan), (2.0, 1e-12)
+        for other in (finite, zero, nan):
+            assert all(map(math.isnan, oracle._log_add(nan, other)))
+            assert all(map(math.isnan, oracle._log_add(other, nan)))
+        assert oracle._log_add(finite, zero) == oracle._log_add(zero, finite) == finite
+
+    def test_tail_below_its_head_adds_nothing(self):
+        # at q = 300 the 2s momentum tail, taken relative to the head's
+        # integral, underflows to 0 and keeps the head's error estimate
+        log_value, rel = radial_power_integral(TWO_S, 300.0, "momentum")
+        with mpmath.workdps(40):
+            exact = reference.momentum_radial_log_integral(TWO_S, 300.0)
+        assert abs(log_value - exact) <= rel
 
 
 # charges whose density lives far from r ~ 1, past the float range too
@@ -648,20 +677,19 @@ def _quasi_uniform_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_quasi_uniform_cases())
+# the math.lgamma shortcut misses the 50-digit value here by 3.1e-11, ten
+# times its old allowance, since it divides rounded logs by 1 - q
+@example((HydrogenicState(2, 1, (0,)), 0.99999, "momentum"))
 def test_float_entropy_of_equal_chains(case):
-    # the Gamma-closed angular factor: against the Gamma-only shortcuts at
+    # the Gamma-closed angular factor: against the 50-digit Gamma forms at
     # l = n - 1, against the exact entropy at integer q
     state, q, space = case
-    result = renyi_float(state, q, space)
     if state.l == state.n - 1:
-        shortcut = {
-            "position": entropy.ns_position_entropy,
-            "momentum": entropy.ns_momentum_entropy,
-        }[space]
-        expected = shortcut(state.n, state.D, state.Z, q)
-    else:
-        whole = entropy.position_entropy if space == "position" else entropy.momentum_entropy
-        expected = whole(state, q).total.value_at()
+        _assert_within_error_of_the_gamma_forms(state, q, space)
+        return
+    result = renyi_float(state, q, space)
+    whole = entropy.position_entropy if space == "position" else entropy.momentum_entropy
+    expected = whole(state, q).total.value_at()
     assert abs(result.value - expected) <= result.error + 1e-12 * max(1.0, abs(expected))
 
 
@@ -735,13 +763,13 @@ def _quadrature_misses_on(n_values):
             state = _quasi_spherical(D, n)
             for q_text in test_float_fixture.GRID_ORDERS:
                 q = float(q_text)
-                for space, closed_form, integrand in (
-                    ("position", position_radial_power_integral, oracle._position_integrand),
-                    ("momentum", momentum_radial_power_integral, oracle._momentum_integrand),
+                for space, integrand in (
+                    ("position", oracle._position_integrand),
+                    ("momentum", oracle._momentum_integrand),
                 ):
                     if space == "momentum" and q <= D / (2 * n + 2 * D):
                         continue
-                    closed, closed_rel = closed_form(state, q)
+                    closed, closed_rel = radial_power_integral(state, q, space)
                     quad, quad_rel = oracle._radial_quad(*integrand(state, q), q)
                     if not abs(closed - quad) <= closed_rel + quad_rel:
                         misses.add((D, n, q_text, space))
@@ -783,9 +811,7 @@ class TestQuasiSphericalClosedForms:
         monkeypatch.setattr(oracle, "_gegenbauer_nodes", no_quadrature)
         for state in (GROUND, _quasi_spherical(5, 12), HydrogenicState(3, 3, (2, 2))):
             renyi_float(state, 0.7, space)
-        log_value, rel = (
-            position_radial_power_integral if space == "position" else momentum_radial_power_integral
-        )(HydrogenicState(3, 3, (2, 1)), 2.5)
+        log_value, rel = radial_power_integral(HydrogenicState(3, 3, (2, 1)), 2.5, space)
         assert math.isfinite(log_value) and rel < 1e-15
 
     def test_states_one_ulp_at_large_l(self):
@@ -869,7 +895,7 @@ class TestDivergence:
         # p^-1.008, which the deep nodes out to p ~ 2^1001 missed by 9.9e-5,
         # and is bounded in w = t^0.004, t = (Z / (eta p))^2
         q = float(F(47, 125))
-        log_value, rel = momentum_radial_power_integral(TWO_S, q)
+        log_value, rel = radial_power_integral(TWO_S, q, "momentum")
         with mpmath.workdps(40):
             exact = reference.momentum_radial_log_integral(TWO_S, q)
         assert mpmath.nstr(exact, 16) == "4.918621864562455"
@@ -882,7 +908,7 @@ class TestDivergence:
         for state in (GROUND, TWO_S):
             for q in (0.375, 0.3):
                 with pytest.raises(ValueError, match="diverges for q <= 3/8"):
-                    momentum_radial_power_integral(state, q)
+                    radial_power_integral(state, q, "momentum")
 
     @pytest.mark.parametrize("D", [3, 4, 5])
     def test_orders_next_to_the_threshold(self, D):
@@ -902,7 +928,7 @@ class TestDivergence:
                 state = HydrogenicState(D, n, (l,) + (0,) * (D - 2))
                 for j in range(2, 7):
                     q = float(F(D, 2 * l + 2 * D + 2) + F(1, 10**j))
-                    log_value, rel = momentum_radial_power_integral(state, q)
+                    log_value, rel = radial_power_integral(state, q, "momentum")
                     with mpmath.workdps(40):
                         exact = reference.momentum_radial_log_integral(state, q)
                     assert abs(log_value - exact) <= rel, (D, n, l, j)
@@ -1022,7 +1048,8 @@ class TestBreakpoints:
     @example(([], []))
     @example(([2.0], []))
     @example(([1.0, 1.0], [1e-40]))
-    # a rotation's f and g both underflow to 0 here, which splits the matrix
+    # a rotation's f and g both underflowed to 0 here before the deflation
+    # floor, which now deflates its coupling of 7.7e-88 first
     @example(([0.0, 0.0, 0.0, 1.7e-88], [5.9e-175, 1e269, 2.87e296]))
     # a coupling of 2.2e-162 between zero diagonal entries, which deflates
     # only through the floor
@@ -1295,7 +1322,7 @@ def _evaluations(monkeypatch, run) -> int:
     return len(evaluations)
 
 
-def _captured_log_integrand(monkeypatch, integral, state, q):
+def _captured_log_integrand(monkeypatch, space, state, q):
     captured = {}
 
     def capture(log_f, points, q):
@@ -1303,7 +1330,7 @@ def _captured_log_integrand(monkeypatch, integral, state, q):
         return mpmath.mpf(1), mpmath.mpf(0)
 
     monkeypatch.setattr(oracle, "_quad_log", capture)
-    integral(state, q)
+    radial_power_integral(state, q, space)
     return captured["log_f"]
 
 
@@ -1317,9 +1344,7 @@ class TestFloatIntegrands:
         # float in the oscillating region, where ln|L| was once off by 8.3e-5
         # (x = 170.1), -inf (300.2) and off by 2.6e-2 (500.9)
         state, q = HydrogenicState(3, 160, (0, 0), 1), 0.5
-        log_f = _captured_log_integrand(
-            monkeypatch, position_radial_power_integral, state, q
-        )
+        log_f = _captured_log_integrand(monkeypatch, "position", state, q)
         r = x * float(state.lam)
         with mpmath.workdps(50):
             lam = mpmath.mpf(state.lam.numerator) / state.lam.denominator
@@ -1338,9 +1363,7 @@ class TestFloatIntegrands:
         # and past r / lam = 1 for the second.  From r / lam = 50 on the
         # recurrence is rescaled where it falls below 2^-400.
         state, q = HydrogenicState.parse(literal), 0.7
-        log_f = _captured_log_integrand(
-            monkeypatch, position_radial_power_integral, state, q
-        )
+        log_f = _captured_log_integrand(monkeypatch, "position", state, q)
         expected = reference.position_log_integrand(state, q)
         lam = float(state.lam)
         rts = (1e-300, 1e-20, 1e-3, 0.3, 0.9999, 1.0, 1.0000001, 1.5, 3.0, 10.0, 50.0, 300.0)
@@ -1361,9 +1384,7 @@ class TestFloatIntegrands:
     def test_position_far_tail(self, monkeypatch):
         # the unscaled Laguerre recurrence overflowed to NaN at r ~ 1e34
         state, q = HydrogenicState(3, 12, (0, 0), 1), 0.5
-        log_f = _captured_log_integrand(
-            monkeypatch, position_radial_power_integral, state, q
-        )
+        log_f = _captured_log_integrand(monkeypatch, "position", state, q)
         poly = laguerre(11, 1)
         with mpmath.workdps(50):
             lam = mpmath.mpf(state.lam.numerator) / state.lam.denominator
@@ -1382,9 +1403,7 @@ class TestFloatIntegrands:
     def test_momentum_over_the_whole_range(self, monkeypatch, v):
         # u = v^2 overflows past v = 1e154 unless formed from 1/v^2
         state, q = HydrogenicState(4, 7, (2, 1, 0), F(3, 2)), 0.7
-        log_f = _captured_log_integrand(
-            monkeypatch, momentum_radial_power_integral, state, q
-        )
+        log_f = _captured_log_integrand(monkeypatch, "momentum", state, q)
         l, D, k = 2, 4, 4
         poly = gegenbauer(k, state.L + 1)
         with mpmath.workdps(50):
@@ -1459,9 +1478,7 @@ class TestFloatClosuresBitForBit:
         points_seen = 0
         for seed, state in enumerate(BIT_STATES):
             unit = float(state.unit_charge().lam)
-            closure = _captured_log_integrand(
-                monkeypatch, position_radial_power_integral, state.unit_charge(), q
-            )
+            closure = _captured_log_integrand(monkeypatch, "position", state.unit_charge(), q)
             l, D = state.l, state.D
             nodes = [unit * x for x in oracle._laguerre_nodes(state.n - l - 1, F(2 * l + D - 2))]
             points = _radial_probes(unit, nodes, seed)
@@ -1474,9 +1491,7 @@ class TestFloatClosuresBitForBit:
     def test_momentum(self, monkeypatch, q):
         points_seen = 0
         for seed, state in enumerate(BIT_STATES):
-            closure = _captured_log_integrand(
-                monkeypatch, momentum_radial_power_integral, state, q
-            )
+            closure = _captured_log_integrand(monkeypatch, "momentum", state, q)
             unit = float(state.Z / state.eta)  # v = 1
             nodes = [
                 unit * math.sqrt((1 - y) / (1 + y))
@@ -1490,8 +1505,7 @@ class TestFloatClosuresBitForBit:
 
     @pytest.mark.parametrize("q", [0.55, 3.0])
     def test_angular(self, monkeypatch, q):
-        # each segment's closure reads its loop's variables, so it is probed
-        # while its own _quad_log call runs
+        # each segment's closure is probed while its own _quad_log call runs
         segments, mismatches = [], []
 
         def probe(log_f, points, q):
@@ -1522,6 +1536,23 @@ class TestFloatClosuresBitForBit:
         assert len(mismatches) == len(segments)
         assert mismatches == [[]] * len(segments)
         assert sum(len(segment[3]) for segment in segments) >= 10**4
+
+    def test_angular_closures_keep_their_segment(self, monkeypatch):
+        # each segment's closure binds its own polynomial and exponent: kept
+        # past its iteration, it reads what it read while its integral ran
+        captured = []
+        original = oracle._quad_log
+
+        def capture(log_f, points, q):
+            middles = [0.5 * (a + b) for a, b in zip(points, points[1:])]
+            captured.append((log_f, middles, [log_f(x) for x in middles]))
+            return original(log_f, points, q)
+
+        monkeypatch.setattr(oracle, "_quad_log", capture)
+        angular_power_integral(4, (3, 2, 0), 0.7)
+        assert len(captured) == 2
+        for log_f, middles, during in captured:
+            assert [log_f(x) for x in middles] == during
 
 
 class TestVerifyState:

@@ -73,7 +73,7 @@ def jacobi_weight_integral(poly: PolyExact, a: Fraction, b: Fraction) -> ExactSc
             shifted = coeff * math.comb(m, k) * F(-1) ** (m - k)
             exponent = a + b + k + 1
             parts.append(
-                ExactScalar.from_rational(F(2) ** exponent.numerator * shifted)
+                ExactScalar(F(2) ** exponent.numerator * shifted)
                 * gamma_exact(a + 1)
                 * gamma_exact(b + k + 1)
                 / gamma_exact(a + b + k + 2)
@@ -235,7 +235,7 @@ class TestJacobi:
                     assert integral == ExactScalar(0)
                 else:
                     expected = (
-                        ExactScalar.from_rational(F(2) ** int(a + b + 1))
+                        ExactScalar(F(2) ** int(a + b + 1))
                         * gamma_exact(a + n + 1)
                         * gamma_exact(b + n + 1)
                         / (
