@@ -59,14 +59,11 @@ class EntropyValue:
         return float(self.coef) * log_float(self.w)
 
     def exact_str(self) -> str:
-        """Canonical display; with coef = -1 this is ln of the reciprocal."""
+        """Canonical display, as -coef times ln of the reciprocal: every coef
+        is 1/(1 - q) < 0 at an integer q >= 2, and -1 at q = 2 is left out."""
         if self.coef == -1:
             return f"ln({self.w.inverse().render()})"
-        if self.coef == 1:
-            return f"ln({self.w.render()})"
-        if self.coef < 0:
-            return f"{-self.coef}*ln({self.w.inverse().render()})"
-        return f"{self.coef}*ln({self.w.render()})"
+        return f"{-self.coef}*ln({self.w.inverse().render()})"
 
     def __add__(self, other: "EntropyValue") -> "EntropyValue":
         if not isinstance(other, EntropyValue):

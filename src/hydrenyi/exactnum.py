@@ -221,8 +221,8 @@ def pochhammer(z: RationalLike, k: int) -> Fraction:
 
 
 # ln 2 and ln pi times 2^_CONST_BITS, rounded down.  Settling a rounding
-# takes about 65 bits below the leading bit of ln W (115 for
-# log_float_parts), so they serve every ln W above about 2^-900 in
+# takes about 65 bits below the leading bit of ln W (115 for both parts
+# of log_ratio), so they serve every ln W above about 2^-900 in
 # magnitude.  A smaller one, which only a rational r agreeing with
 # pi^(-k/2) to some 900 bits can give, raises ValueError.  A rational W
 # near 1 needs neither constant and has no such limit.
@@ -343,10 +343,3 @@ def log_float(a: ExactScalar) -> float:
     r, k = a.monomial()
     return log_ratio(r.numerator, r.denominator, k, False)[0]
 
-
-def log_float_parts(a: ExactScalar) -> tuple[float, float]:
-    """ln a as an unevaluated sum hi + lo of two floats: hi is log_float(a)
-    and lo the float nearest to ln a - hi, so that a float sum with ln a can
-    round once."""
-    r, k = a.monomial()
-    return log_ratio(r.numerator, r.denominator, k)

@@ -5,8 +5,9 @@ For integer order q every integral reduces to exact factorial or Beta
 moments of polynomial expansions, so closed form and oracle can be compared
 structurally with zero tolerance.  For real q an adaptive tanh-sinh
 quadrature in floats evaluates the same integrals numerically, except the
-radial ones at k = n - l - 1 = 0, which are Gamma and Beta functions at any
-order and are summed in closed form.
+radial ones at k = n - l - 1 = 0 and the angular segments with equal chain
+entries, which are Gamma and Beta functions at any order and are summed in
+closed form.
 
 What stays independent: the oracle takes its polynomials from the explicit
 coefficient sums of ``laguerre`` and ``gegenbauer`` and its moments from the
@@ -32,7 +33,6 @@ from hydrenyi.exactnum import (
     exact_rational,
     gamma_integers,
     log_float,
-    log_float_parts,
     log_ratio,
 )
 from hydrenyi.polynomials import (
@@ -69,10 +69,11 @@ class FloatCapExceeded(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """Quadrature failed to reach the relative error target, or the search
-    for its polynomial zeros did not converge.  value and estimate are the
-    entropy and its error estimate, or None when an integral came out zero
-    or not a number, or no zeros were found, and there is no entropy to
-    report."""
+    for its polynomial zeros did not converge, or a log summed in closed
+    form passed the float range.  value and estimate are the entropy and
+    its error estimate, or None when an integral came out zero or not a
+    number, or its log is past the float range, or no zeros were found, and
+    there is no entropy to report."""
 
     def __init__(self, message: str, value: float | None = None, estimate: float | None = None):
         super().__init__(message)
@@ -246,10 +247,10 @@ def radial_momentum_w_exact(state: HydrogenicState, q: int) -> ExactScalar:
 # three-term recurrences, the radial norms once per call by log_float.  A
 # tanh-sinh rule sums in floats.  Each integral comes back as (ln I, relative
 # error) in floats, and the entropy is assembled from those logs in floats
-# too: the Gamma and Beta factors by _log_gamma_ratio, the exact constants
-# (the angular norm, Z) by log_float.  The radial integrals at k = 0, and the
-# whole entropy of a quasi-spherical state, take the closed forms below
-# instead (_LogSum).
+# too, the exact constants (the angular norm, Z) logged from their integers
+# by log_ratio.  Every Gamma and Beta factor is summed in the closed forms
+# below (_LogSum): the radial integrals at k = 0, the chain segments with
+# equal entries, and the whole entropy of a quasi-spherical state.
 
 
 # The QL sweeps one eigenvalue may take before the node search gives up; the
@@ -698,63 +699,18 @@ _BERNOULLI = (
     Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
 )
 
-# ln Gamma(z + 1/2) - ln Gamma(z) = ln(z)/2 + sum over odd n of c_n z^-n, with
-# c_n = (2^-n - 2) B_(n+1) / (n (n+1)) from the Bernoulli polynomials at 1/2
-# and 0 (DLMF 5.11.8).  From z = 10 on, the terms through z^-15 leave an
-# error below 4e-18.
-_HALF_STEP_SERIES = tuple(
-    float((Fraction(1, 2**n) - 2) * bernoulli / (n * (n + 1)))
-    for n, bernoulli in zip(range(1, 16, 2), _BERNOULLI)
-)
-_HALF_STEP_SERIES_FROM = 9.0
-
-
-def _log_gamma_ratio(x: float, twice_a: int) -> float:
-    """ln Gamma(x + 1 + a) - ln Gamma(x + 1) for x >= 0 and a = twice_a / 2,
-    twice_a >= 0, without forming either ln Gamma, so that no large value
-    cancels.
-
-    The whole steps are the logs of the factors x + a, x + a - 1, ... down
-    to x + 1 + a - floor(a).  The half step ln Gamma(z + 1/2) - ln Gamma(z),
-    z = x + 1, steps z up by its recurrence until x >= _HALF_STEP_SERIES_FROM
-    and takes the asymptotic series there.  fsum adds the parts.
-    """
-    whole, half = divmod(twice_a, 2)
-    base = x + 0.5 * half
-    parts = [math.log(base + i) for i in range(1, whole + 1)]
-    if half:
-        # ln Gamma(z + 1/2) - ln Gamma(z) = that at z + 1 - ln(1 + 1/(2z))
-        while x < _HALF_STEP_SERIES_FROM:
-            parts.append(-math.log1p(0.5 / (x + 1)))
-            x += 1.0
-        w = 1.0 / (x + 1)
-        w2, series = w * w, 0.0
-        for c in reversed(_HALF_STEP_SERIES):
-            series = series * w2 + c
-        parts += [0.5 * math.log(x + 1), series * w]
-    return math.fsum(parts)
-
-
-_HALF_LOG_PI = log_float(ExactScalar.pi_power(1))
-
-
-@functools.lru_cache(maxsize=None)
-def _log_sphere_measure(D: int) -> float:
-    """ln(2 pi^(D/2)), which is ln of the sphere's area times Gamma(D/2)."""
-    return log_float(ExactScalar.pi_power(D, 2))
-
-
 # -- closed forms at k = 0 ----------------------------------------------------
 #
 # At k = n - l - 1 = 0 the radial density is a single monomial term, and the
 # integral of its q-th power is a Gamma function in position space and a Beta
-# function in momentum space, at any real q; the angular factor of an
-# all-equal chain is a ratio of Gamma functions too.  A float q is an exact
-# dyadic rational, and so is every Gamma argument formed from it.  Each log
-# is summed exactly, up to a bounded error, from dyadic multiples of the logs
-# of exact scalars, and rounded once: at large l the terms of ln Gamma are
-# many orders larger than their sum, and a sum of rounded terms (such as
-# math.lgamma values) loses their roundings.
+# function in momentum space, at any real q; the angular factor of a chain
+# segment with equal entries is a Beta function, and that of an all-equal
+# chain a ratio of Gamma functions.  A float q is an exact dyadic rational,
+# and so is every Gamma argument formed from it.  Each log is summed exactly,
+# up to a bounded error, from dyadic multiples of the logs of exact scalars,
+# and rounded once: at large l the terms of ln Gamma are many orders larger
+# than their sum, and a sum of rounded terms (such as math.lgamma values)
+# loses their roundings.
 
 # _LogSum's fixed point: integers in units of 2^-_FIXED_BITS.
 _FIXED_BITS = 128
@@ -925,7 +881,9 @@ def radial_power_integral(state: HydrogenicState, q: float, space: Space) -> tup
     if state.n == state.l + 1:
         total = _LogSum(float(q))
         add_closed_form(total, state)
-        return total.rounded()
+        log_value, rel = total.rounded()
+        _check_finite(log_value, f"radial {space}")
+        return log_value, rel
     return _radial_quad(*integrand(state, q), float(q))
 
 
@@ -957,7 +915,7 @@ def _closed_form_entropy(state: HydrogenicState, q: float, space: Space) -> tupl
     unit_value = fixed * total.den / (one_minus_q << _FIXED_BITS)
     value = unit_value
     if state.Z != 1:
-        hi, lo = log_float_parts(ExactScalar(state.Z**state.D))
+        hi, lo = log_ratio(state.Z.numerator**state.D, state.Z.denominator**state.D)
         shift = _fixed_times(1, 1, hi) + _fixed_times(1, 1, lo)
         if space == "position":
             shift = -shift
@@ -965,32 +923,40 @@ def _closed_form_entropy(state: HydrogenicState, q: float, space: Space) -> tupl
     return value, _from_fixed(error) + 0.5 * abs(1 - q) * math.ulp(unit_value)
 
 
+_LOG_TWO_PI = log_ratio(2, 1, 2, False)[0]
+
+
 def angular_power_integral(D: int, mu: tuple[int, ...], q: float) -> tuple[float, float]:
     """Integral I of |harmonic|^(2q) over the sphere for real q, as
     (ln I, relative error estimate): ln(2 pi), the sum of the logs of the
     chain segments' integrals and q times the log of the exact oracle's
-    squared norm (by log_float).  A segment with equal chain entries is the
-    Beta factor B(1/2, s + 1), from _log_gamma_ratio; the others get
+    squared norm (by log_ratio).  A segment with equal chain entries is the
+    Beta factor B(1/2, s + 1), summed in one _LogSum; the others get
     adaptive quadrature over [0, 1], their integrands being even, split at
-    the polynomial roots, whose relative errors add."""
+    the polynomial roots, whose relative errors add.  The quadrature's
+    floor covers the rounding of the exact part."""
     chain = canonical_chain(mu)
     q = float(q)
-    num, den = q.as_integer_ratio()
-    log_value = _log_sphere_measure(2)
-    rel = 0.0
+    total = _LogSum(q)
+    den = total.den
+    log_value, rel = _LOG_TWO_PI, 0.0
     for j in range(1, D - 1):
         two_alpha = D - j - 1
         mu_j, mu_j1 = chain[j - 1], chain[j]
         k = mu_j - mu_j1
-        # s = q mu_j1 + alpha - 1/2, rounded once
-        try:
-            s = (2 * num * mu_j1 + (two_alpha - 1) * den) / (2 * den)
-        except OverflowError:
-            s = math.inf
+        # s = q mu_j1 + alpha - 1/2 in units of 1/den
+        s_units = total.q_units * mu_j1 + (two_alpha - 1) * den // 2
         if k == 0:
             # B(1/2, s + 1) = Gamma(1/2) Gamma(s + 1) / Gamma(s + 3/2)
-            log_value += _HALF_LOG_PI - _log_gamma_ratio(s, 1)
+            total.add_log_gamma(den // 2)
+            total.add_log_gamma(s_units + den)
+            total.add_log_gamma(s_units + 3 * den // 2, -1)
             continue
+        # s rounded once, inf past the float range
+        try:
+            s = s_units / den
+        except OverflowError:
+            s = math.inf
         lam = Fraction(two_alpha, 2) + mu_j1
         log_poly = gegenbauer_log_abs(k, float(lam))
 
@@ -1006,15 +972,19 @@ def angular_power_integral(D: int, mu: tuple[int, ...], q: float) -> tuple[float
         log_part, part_rel = _quad_log(log_integrand, points, q)
         log_value += log_part + _LN2
         rel += part_rel
-    log_value += q * log_float(_angular_norm_squared(D, chain).scalar())
-    return log_value, rel
+    norm = _angular_norm_squared(D, chain)
+    log_norm_power = q * log_ratio(norm.num, norm.den, norm.half, False)[0]
+    # the only exact part that can pass the float range: each Beta factor's
+    # log is about -ln(s)/2
+    _check_finite(log_norm_power, "angular")
+    return log_value + log_norm_power + total.rounded()[0], rel
 
 
 def _plus_log_power(value: float, power: int, Z: Fraction) -> float:
     """value + power * ln Z, rounded once: power * ln Z is +-ln(Z^|power|)
-    from log_float_parts, and the rounding error of the leading sum is
+    from log_ratio's two parts, and the rounding error of the leading sum is
     carried exactly (Knuth's two-sum) into the trailing one."""
-    hi, lo = log_float_parts(ExactScalar(Z ** abs(power)))
+    hi, lo = log_ratio(Z.numerator ** abs(power), Z.denominator ** abs(power))
     if power < 0:
         hi, lo = -hi, -lo
     total = value + hi
@@ -1042,6 +1012,16 @@ def _check_positive(log_integral: float, name: str) -> None:
         raise QuadratureError(
             f"the {name} integral came out zero (the quadrature nodes missed "
             "the density's mass); no finite entropy follows from it"
+        )
+
+
+def _check_finite(log_part: float, name: str) -> None:
+    """A log taken in closed form, with no quadrature, is finite unless it
+    passes the float range, as it can at orders near it."""
+    if not math.isfinite(log_part):
+        raise QuadratureError(
+            f"a closed-form log of the {name} integral passes the float range "
+            "(1.8e308); no finite entropy follows from it"
         )
 
 
@@ -1083,26 +1063,14 @@ def renyi_float(state: HydrogenicState, q, space: Space) -> FloatEntropy:
     if state.is_ns():
         value, rel = _closed_form_entropy(state, q, space)
     else:
-        D, chain = state.D, state.canonical_mu()
         log_radial, radial_rel = radial_power_integral(state.unit_charge(), q, space)
         _check_positive(log_radial, f"radial {space}")
-        if all(m == chain[0] for m in chain):
-            # Gamma-closed angular factor, as in _add_equal_chain_angular; the
-            # radial quadrature's floor covers its rounding
-            l = abs(chain[0])
-            log_angular = (
-                (1 - q) * _log_sphere_measure(D)
-                + q * _log_gamma_ratio(l, D - 2)
-                - _log_gamma_ratio(q * l, D - 2)
-            )
-            angular_rel = 0.0
-        else:
-            log_angular, angular_rel = angular_power_integral(D, state.mu, q)
-            _check_positive(log_angular, "angular")
+        log_angular, angular_rel = angular_power_integral(state.D, state.mu, q)
+        _check_positive(log_angular, "angular")
         rel = float(radial_rel + angular_rel)
         value = (log_radial + log_angular) / (1 - q)
         if state.Z != 1:
-            value = _plus_log_power(value, (1 if space == "momentum" else -1) * D, state.Z)
+            value = _plus_log_power(value, (1 if space == "momentum" else -1) * state.D, state.Z)
     # the rounding of the value itself is part of its error
     result = FloatEntropy(value, max(rel / abs(1 - q), math.ulp(value)))
     if not rel <= QUADRATURE_REL_TARGET:  # a NaN estimate fails too

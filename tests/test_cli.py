@@ -219,12 +219,12 @@ class TestCompute:
         assert err.rstrip().endswith("entropy 5.91731860809 +/- 8.88e-16")
 
     def test_quadrature_miss_without_a_finite_entropy(self, capsys, monkeypatch):
-        # at q = 1e306, q l overflows a float in the Gamma-closed angular
-        # factor of this k = 1 state, whose radial quadrature is made to
-        # miss: the miss is reported without an entropy of inf
+        # at q = 3e307 the radial and angular logs of this k = 1 state, whose
+        # radial quadrature is made to miss, are finite but their sum is not:
+        # the miss is reported without an entropy of inf
         monkeypatch.setattr("hydrenyi.oracle._quad", lambda f, points, rule=None: (1.0, 1e-3))
         code, out, err = run(
-            capsys, "compute", "D=3,n=200,mu=198,198", "--q", "1e306", "--float",
+            capsys, "compute", "D=3,n=3,mu=1,1", "--q", "3e307", "--float",
             "--space", "position",
         )
         assert code == 4

@@ -11,7 +11,6 @@ from hydrenyi.exactnum import (
     gamma_exact,
     gamma_integers,
     log_float,
-    log_float_parts,
     log_ratio,
     parse_scalar,
     pochhammer,
@@ -288,7 +287,8 @@ class TestLogFloat:
         # hi is the nearest float, lo the nearest float to the rest, so
         # hi + lo misses ln W by no more than half an ulp of lo, at every
         # magnitude of ln W
-        hi, lo = log_float_parts(a)
+        r, half = a.monomial()
+        hi, lo = log_ratio(r.numerator, r.denominator, half)
         expected = _ln_w(a)
         assert hi == log_float(a)
         assert abs(lo) <= 0.5 * math.ulp(hi)
@@ -307,14 +307,15 @@ class TestLogFloat:
         # a rational W as near 1, need neither constant
         with pytest.raises(ValueError, match="do not settle"):
             log_float(_near_pi_power(2, 2**1000 + 1, 0))
-        assert log_float_parts(ExactScalar(1)) == (0.0, 0.0)
+        assert log_ratio(1, 1) == (0.0, 0.0)
         assert log_float(ExactScalar(1 + F(1, 2**1000))) == math.ldexp(1, -1000)
 
     @given(ratios, _of_bits(3000), st.integers(min_value=-9, max_value=9))
     def test_unreduced_integers_log_as_their_ratio(self, ratio, g, half):
         num, den = ratio
         a = ExactScalar.pi_power(half, F(num, den))
-        assert log_ratio(g * num, g * den, half) == log_float_parts(a)
+        r = F(num, den)
+        assert log_ratio(g * num, g * den, half) == log_ratio(r.numerator, r.denominator, half)
         assert log_ratio(g * num, g * den, half, False) == (log_float(a), 0.0)
         for bad in ((0, g * den), (-g * num, g * den), (g * num, -g * den), (g * num, 0)):
             with pytest.raises(ValueError, match="non-positive"):
@@ -324,8 +325,9 @@ class TestLogFloat:
         for a in (ExactScalar(0), scalar(1, -2)):
             with pytest.raises(ValueError, match="non-positive"):
                 log_float(a)
+            r, half = a.monomial()
             with pytest.raises(ValueError, match="non-positive"):
-                log_float_parts(a)
+                log_ratio(r.numerator, r.denominator, half)
 
 
 class TestRendering:

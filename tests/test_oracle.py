@@ -454,10 +454,14 @@ class TestFloatOracle:
     @pytest.mark.parametrize(
         "state, q, space, message",
         [
-            # ln I of the k = 0 radial integral passes the float range
-            (HydrogenicState(3, 2, (1, 0)), 1.7e308, "position", "radial position integral came"),
-            # so does s = q mu_j1 + alpha - 1/2 of an angular segment
-            (HydrogenicState(4, 3, (2, 2, 0)), 1e308, "momentum", "angular integral is not a"),
+            # ln I of the k = 0 radial integral passes the float range, to
+            # -inf and to +inf
+            (HydrogenicState(3, 2, (1, 0)), 1.7e308, "position", "radial position integral passes"),
+            (HydrogenicState(3, 4, (3, 0)), 1e308, "momentum", "radial momentum integral passes"),
+            # so does the exact part of the angular integral, q ln of the norm
+            (HydrogenicState(3, 2, (0, 0)), 1e308, "position", "angular integral passes"),
+            # and s = q mu_j1 + alpha - 1/2 of a quadrature segment
+            (HydrogenicState(4, 20, (19, 18, 0)), 1e307, "momentum", "angular integral is not a"),
         ],
     )
     def test_orders_past_the_float_range_of_a_log(self, state, q, space, message):
@@ -576,11 +580,13 @@ def _assert_assembly_matches_reference(state, q, space):
     assert abs(got[0] - want[0]) <= share * got[1], (state.literal(), q, space, got, want)
 
 
-# quasi-uniform chains at large l, whose radial k is 0, and a Beta segment at
-# s ~ 400 q next to a degree-400 quadrature segment (slow)
+# quasi-uniform chains at large l, whose radial k is 0, 2 or 1, and a Beta
+# segment at s ~ 400 q next to a degree-400 quadrature segment (slow)
 LARGE_L_STATES = [
     HydrogenicState(3, 800, (799, 799)),
     HydrogenicState(5, 400, (399, 399, 399, 399)),
+    HydrogenicState(3, 103, (100, 100)),
+    HydrogenicState(5, 42, (40, 40, 40, 40)),
 ]
 LARGE_L_ORDERS = (0.55, 2, 7.3)
 
@@ -629,34 +635,6 @@ class TestFloatAssembly:
 _EPS = sys.float_info.epsilon
 
 
-class TestLogGammaRatio:
-    """oracle._log_gamma_ratio(x, twice_a) = ln Gamma(x + 1 + a) - ln Gamma(x + 1)
-    against mpmath's loggamma at 340 digits, enough to resolve the
-    difference at x = 1e300, within 4 eps max(1, |result|)."""
-
-    @staticmethod
-    def _assert_close(x: float, twice_a: int) -> None:
-        got = oracle._log_gamma_ratio(x, twice_a)
-        with mpmath.workdps(340):
-            X = mpmath.mpf(x)
-            want = mpmath.loggamma(X + 1 + mpmath.mpf(twice_a) / 2) - mpmath.loggamma(X + 1)
-            assert abs(got - want) <= 4 * _EPS * max(1, abs(want)), (x, twice_a, got)
-
-    @pytest.mark.parametrize("twice_a", range(8))
-    def test_chosen_points(self, twice_a):
-        cutoff = oracle._HALF_STEP_SERIES_FROM
-        points = [0.0, 1e-9, math.nextafter(cutoff, 0), cutoff, math.nextafter(cutoff, 99)]
-        for x in points + [1e3, 1e12, 1e300]:
-            self._assert_close(x, twice_a)
-
-    def test_random_draws(self):
-        rng = random.Random(17)
-        for _ in range(150):
-            near = rng.uniform(0, 2 * oracle._HALF_STEP_SERIES_FROM)
-            x = rng.choice([near, 10 ** rng.uniform(-12, 300)])
-            self._assert_close(x, rng.randrange(8))
-
-
 @st.composite
 def _quasi_uniform_cases(draw):
     """A state whose chain entries are all equal, a rational charge, a space
@@ -681,8 +659,9 @@ def _quasi_uniform_cases(draw):
 # times its old allowance, since it divides rounded logs by 1 - q
 @example((HydrogenicState(2, 1, (0,)), 0.99999, "momentum"))
 def test_float_entropy_of_equal_chains(case):
-    # the Gamma-closed angular factor: against the 50-digit Gamma forms at
-    # l = n - 1, against the exact entropy at integer q
+    # at l = n - 1 the quasi-spherical closed form against the 50-digit
+    # Gamma forms, below it the angular Beta segments against the exact
+    # entropy at integer q
     state, q, space = case
     if state.l == state.n - 1:
         _assert_within_error_of_the_gamma_forms(state, q, space)
@@ -813,6 +792,9 @@ class TestQuasiSphericalClosedForms:
             renyi_float(state, 0.7, space)
         log_value, rel = radial_power_integral(HydrogenicState(3, 3, (2, 1)), 2.5, space)
         assert math.isfinite(log_value) and rel < 1e-15
+        # every segment of an all-equal chain is a Beta factor, at any k
+        log_value, rel = angular_power_integral(5, (3, 3, 3, -3), 2.5)
+        assert math.isfinite(log_value) and rel == 0.0
 
     def test_states_one_ulp_at_large_l(self):
         # the terms of ln Gamma are near 1e4 here, and the sum is rounded
